@@ -27,8 +27,8 @@ from .config import (
     build_family_path,
     components_from_config,
     flow_options_from_config,
-    load_config_file,
     merge_config,
+    read_config_file,
     validate_config,
 )
 from .errors import (
@@ -150,7 +150,8 @@ def _family_block_from_args(args: argparse.Namespace) -> dict | None:
 
 
 def _assemble_config(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    config = load_config_file(args.config) if args.config else {}
+    # The merged document is validated once below; the file alone is not.
+    config = read_config_file(args.config) if args.config else {}
     overlay: dict = {}
     family = _family_block_from_args(args) if hasattr(args, "family") else None
     if family is not None:

@@ -26,13 +26,14 @@ from .families import (
 )
 from .flow import FlowOptions
 from .gluing import GluingSpec, Spectrum, glue
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, stacked_operators
 from .paths import OperatorPath
 
 __all__ = [
     "ConfigError",
     "load_schema",
     "validate_config",
+    "read_config_file",
     "load_config_file",
     "merge_config",
     "flow_options_from_config",
@@ -66,7 +67,8 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
 
 
-def load_config_file(path: str | Path) -> dict:
+def read_config_file(path: str | Path) -> dict:
+    """Read and parse a config file without schema validation."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -77,6 +79,12 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    return config
+
+
+def load_config_file(path: str | Path) -> dict:
+    """Read, parse and schema-validate a config file."""
+    config = read_config_file(path)
     validate_config(config)
     return config
 
@@ -137,17 +145,24 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     if any(m.shape[0] != dim for m in mats):
         raise ConfigError("all sampled matrices must share one dimension")
 
-    def ev(t: float) -> SelfAdjointOperator:
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        j = min(max(j, 0), len(mats) - 2)
-        u = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return SelfAdjointOperator((1.0 - u) * mats[j] + u * mats[j + 1])
+    def build(params: np.ndarray) -> list[SelfAdjointOperator]:
+        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(mats) - 2)
+        u = (params - ts[j]) / (ts[j + 1] - ts[j])
+        ops: list = [None] * params.size
+        # One stack per knot interval: its two end matrices fix the dtype.
+        for k in np.unique(j).tolist():
+            rows = np.flatnonzero(j == k)
+            w = u[rows][:, None, None]
+            stack = stacked_operators((1.0 - w) * mats[k] + w * mats[k + 1], params[rows])
+            for r, op in zip(rows.tolist(), stack):
+                ops[r] = op
+        return ops
 
     lip = max(
         float(np.linalg.norm(q - p, 2)) / (t1 - t0)
         for (t0, p), (t1, q) in zip(zip(ts[:-1], mats[:-1]), zip(ts[1:], mats[1:]))
     )
-    return OperatorPath(dim, ev, lipschitz=lip)
+    return OperatorPath.batched(dim, build, lipschitz=lip)
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:

@@ -8,12 +8,12 @@ exact and oracle tests stay sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec, WindowTooSmall
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, diagonal_operators, stacked_operators
 from .paths import OperatorPath
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "circle_family",
     "random_family",
     "invertible_valued_family",
+    "random_symmetric",
 ]
 
 # Endpoint spectra of seeded random paths clear zero by at least this much
@@ -67,16 +68,21 @@ class BaerFamilySpec:
         return self.multiplicity + len(self.background)
 
 
+def crossing_eigenvalues(ts: np.ndarray, multiplicity: int, static: np.ndarray) -> np.ndarray:
+    """Rows ``(2t - 1,) * multiplicity + static``, one per parameter in ``ts``."""
+    crossing = np.repeat((2.0 * ts - 1.0)[:, None], multiplicity, axis=1)
+    return np.hstack([crossing, np.broadcast_to(static, (ts.size, static.size))])
+
+
 def baer_family(spec: BaerFamilySpec) -> OperatorPath:
     """Path with eigenvalue 2t - 1 of multiplicity m + 1 over a fixed background."""
     mult = spec.multiplicity
     bg = np.asarray(spec.background, dtype=np.float64)
 
-    def ev(t: float) -> SelfAdjointOperator:
-        lam = 2.0 * t - 1.0
-        return SelfAdjointOperator.from_diagonal(np.concatenate([np.full(mult, lam), bg]))
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        return diagonal_operators(crossing_eigenvalues(ts, mult, bg), ts)
 
-    return OperatorPath(spec.dim, ev, lipschitz=2.0)
+    return OperatorPath.batched(spec.dim, build, lipschitz=2.0)
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,15 @@ class CircleDiracSpec:
         return 2 * self.modes + 1
 
 
+def _circle_eigenvalues(spec: CircleDiracSpec, twists: np.ndarray) -> np.ndarray:
+    """Rows k + spin_shift + twist, one per twist, k = -K..K."""
+    k = np.arange(-spec.modes, spec.modes + 1, dtype=np.float64)
+    return k + spec.spin_shift + twists[:, None]
+
+
 def circle_dirac(spec: CircleDiracSpec) -> SelfAdjointOperator:
     """Diagonal realization with eigenvalues k + spin_shift + twist."""
-    k = np.arange(-spec.modes, spec.modes + 1, dtype=np.float64)
-    return SelfAdjointOperator.from_diagonal(k + spec.spin_shift + spec.twist)
+    return SelfAdjointOperator.from_diagonal(_circle_eigenvalues(spec, np.array([spec.twist]))[0])
 
 
 def circle_family(modes: int, winding: int, spin_shift: float = 0.5) -> OperatorPath:
@@ -127,13 +138,15 @@ def circle_family(modes: int, winding: int, spin_shift: float = 0.5) -> Operator
             "crossings would leave the modeled spectrum"
         )
 
-    def ev(t: float) -> SelfAdjointOperator:
-        return circle_dirac(replace(spec, twist=float(winding) * t))
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        return diagonal_operators(_circle_eigenvalues(spec, float(winding) * ts), ts)
 
-    return OperatorPath(spec.dim, ev, lipschitz=float(abs(winding)))
+    return OperatorPath.batched(spec.dim, build, lipschitz=float(abs(winding)))
 
 
-def _sym(g: np.ndarray) -> np.ndarray:
+def random_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Symmetric part of a standard normal ``dim x dim`` draw from ``rng``."""
+    g = rng.standard_normal((dim, dim))
     return (g + g.T) / 2
 
 
@@ -163,29 +176,35 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
     if not 2 <= dim <= 32:
         raise ValueError(f"dim must be in 2..32, got {dim!r}")
     rng = np.random.default_rng(seed)
-    a = _sym(rng.standard_normal((dim, dim)))
-    b = _sym(rng.standard_normal((dim, dim)))
-    c = _sym(rng.standard_normal((dim, dim)))
+    a = random_symmetric(rng, dim)
+    b = random_symmetric(rng, dim)
+    c = random_symmetric(rng, dim)
     if invertible_ends:
         ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
         mu = _invertibility_shift(ends, INVERTIBLE_END_MARGIN)
         a = a + mu * np.eye(dim)
 
-    def ev(t: float) -> SelfAdjointOperator:
-        return SelfAdjointOperator(a + t * b + np.sin(np.pi * t) * c)
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        t = ts[:, None, None]
+        return stacked_operators(a + t * b + np.sin(np.pi * t) * c, ts)
 
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return OperatorPath(dim, ev, lipschitz=lip)
+    return OperatorPath.batched(dim, build, lipschitz=lip)
 
 
 def _skew(g: np.ndarray) -> np.ndarray:
     return (g - g.T) / 2
 
 
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
 def _cayley(k: np.ndarray) -> np.ndarray:
     # (I - K)(I + K)^-1 is orthogonal for skew K; I + K is always invertible.
-    eye = np.eye(k.shape[0])
-    return np.linalg.solve((eye + k).T, (eye - k).T).T
+    # k is a stack (n, d, d); each matrix is solved on its own.
+    eye = np.eye(k.shape[-1])
+    return _transpose(np.linalg.solve(_transpose(eye + k), _transpose(eye - k)))
 
 
 def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
@@ -204,13 +223,17 @@ def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
     k1 = _skew(rng.standard_normal((dim, dim)))
     k2 = _skew(rng.standard_normal((dim, dim)))
 
-    def ev(t: float) -> SelfAdjointOperator:
-        d = signs * (0.6 + 0.4 * np.sin(alpha + beta * t))
+    idx = np.arange(dim)
+
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        t = ts[:, None, None]
+        d = np.zeros((ts.size, dim, dim))
+        d[:, idx, idx] = signs * (0.6 + 0.4 * np.sin(alpha + beta * ts[:, None]))
         q = _cayley(t * k1 + np.sin(np.pi * t) * k2)
-        return SelfAdjointOperator(q @ np.diag(d) @ q.T)
+        return stacked_operators(q @ d @ _transpose(q), ts)
 
     # |d/dt| <= 2 ||Q'|| ||D|| + ||D'|| with ||Q'|| <= 2 ||K'|| (Cayley,
     # ||(I+K)^-1|| <= 1), ||D|| <= 1 and ||D'|| <= 0.4 pi.
     k_rate = float(np.linalg.norm(k1, 2) + np.pi * np.linalg.norm(k2, 2))
     lip = 4.0 * k_rate + 0.4 * np.pi
-    return OperatorPath(dim, ev, lipschitz=lip)
+    return OperatorPath.batched(dim, build, lipschitz=lip)

@@ -139,8 +139,8 @@ def _certify_segment(
     count constant on the whole segment.
     """
     ts = np.linspace(lo, hi, opts.witness_points)
-    spectra = [path.at(float(t)).spectrum for t in ts]
-    pooled = np.unique(np.concatenate([[0.0]] + [np.abs(s.values) for s in spectra]))
+    spectra = path.spectra(ts)
+    pooled = np.unique(np.concatenate([[0.0], np.abs(spectra).ravel()]))
     if pooled.size < 2:
         return None  # every witnessed eigenvalue is zero; nothing to certify
     widths = np.diff(pooled)
@@ -154,8 +154,8 @@ def _certify_segment(
         step = (hi - lo) / (opts.witness_points - 1)
         if margin <= 0.5 * path.lipschitz * step:
             return None  # an eigenvalue could reach the boundary between witnesses
-    counts = [s.count_between(-radius, radius) for s in spectra]
-    if any(c != counts[0] for c in counts):
+    counts = np.count_nonzero((spectra >= -radius) & (spectra <= radius), axis=1)
+    if np.any(counts != counts[0]):
         return None
     return SegmentWitness(
         t_lower=float(lo),
@@ -163,7 +163,7 @@ def _certify_segment(
         radius=radius,
         margin=margin,
         grid=tuple(float(t) for t in ts),
-        symmetric_count=counts[0],
+        symmetric_count=int(counts[0]),
     )
 
 

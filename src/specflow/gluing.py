@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, WindowCountViolation
-from .families import BaerFamilySpec
-from .operators import SelfAdjointOperator, Spectrum, eigen_count
+from .families import BaerFamilySpec, crossing_eigenvalues
+from .operators import Spectrum, diagonal_operators, eigen_count
 from .paths import OperatorPath
 
 __all__ = [
@@ -84,6 +84,21 @@ class GluingSpec:
         return self.sphere_family.dim + len(self.base)
 
 
+def _noise(ts: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    # Cubic-smoothstep interpolation of the seeded knot values: smooth,
+    # deterministic, bounded by the knot maxima.
+    x = ts * (_NOISE_KNOTS - 1)
+    j = np.minimum(x.astype(np.int64), _NOISE_KNOTS - 2)
+    u = x - j
+    w = (u * u * (3.0 - 2.0 * u))[:, None]
+    lo, hi = knots[:, j].T, knots[:, j + 1].T
+    return lo + w * (hi - lo)
+
+
+def _perturbed(ts, mult, static, knots, epsilon) -> np.ndarray:
+    return crossing_eigenvalues(ts, mult, static) + epsilon * _noise(ts, knots)
+
+
 class GluedPath:
     """Merged path with bounded perturbation, realized diagonally.
 
@@ -93,7 +108,7 @@ class GluedPath:
     deviation checks.
     """
 
-    __slots__ = ("spec", "path", "_static", "_knots")
+    __slots__ = ("spec", "path", "_static", "_knots", "__weakref__")
 
     def __init__(self, spec: GluingSpec):
         self.spec = spec
@@ -102,36 +117,33 @@ class GluedPath:
         )
         rng = np.random.default_rng(spec.seed)
         self._knots = rng.uniform(-1.0, 1.0, size=(spec.dim, _NOISE_KNOTS)) * _NOISE_HEADROOM
+        # The evaluator holds the arrays it needs and not self, so a glued
+        # path and its cached operators are freed by reference counting.
+        args = (spec.sphere_family.multiplicity, self._static, self._knots, spec.epsilon)
 
-        def ev(t: float) -> SelfAdjointOperator:
-            return SelfAdjointOperator.from_diagonal(self.perturbed_values(t))
+        def build(ts: np.ndarray):
+            return diagonal_operators(_perturbed(ts, *args), ts)
 
         lip = 2.0 + spec.epsilon * 1.5 * (_NOISE_KNOTS - 1) * 2.0
-        self.path = OperatorPath(spec.dim, ev, lipschitz=lip)
+        self.path = OperatorPath.batched(spec.dim, build, lipschitz=lip)
+
+    def _curves(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mult = self.spec.sphere_family.multiplicity
+        return (
+            crossing_eigenvalues(ts, mult, self._static),
+            _perturbed(ts, mult, self._static, self._knots, self.spec.epsilon),
+        )
 
     def unperturbed_values(self, t: float) -> np.ndarray:
-        mult = self.spec.sphere_family.multiplicity
-        return np.concatenate([np.full(mult, 2.0 * t - 1.0), self._static])
-
-    def _noise(self, t: float) -> np.ndarray:
-        # Cubic-smoothstep interpolation of the seeded knot values: smooth,
-        # deterministic, bounded by the knot maxima.
-        x = float(t) * (_NOISE_KNOTS - 1)
-        j = min(int(x), _NOISE_KNOTS - 2)
-        u = x - j
-        w = u * u * (3.0 - 2.0 * u)
-        return self._knots[:, j] + w * (self._knots[:, j + 1] - self._knots[:, j])
+        return self._curves(np.array([float(t)]))[0][0]
 
     def perturbed_values(self, t: float) -> np.ndarray:
-        return self.unperturbed_values(t) + self.spec.epsilon * self._noise(t)
+        return self._curves(np.array([float(t)]))[1][0]
 
     def max_deviation(self, grid: int = 101) -> float:
         """Largest |perturbed - unperturbed| over a parameter grid."""
-        ts = np.linspace(0.0, 1.0, grid)
-        return max(
-            float(np.abs(self.perturbed_values(t) - self.unperturbed_values(t)).max())
-            for t in ts
-        )
+        unperturbed, perturbed = self._curves(np.linspace(0.0, 1.0, grid))
+        return float(np.abs(perturbed - unperturbed).max())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ from .errors import BoundaryAmbiguity, EigensolverError, NoGap
 
 __all__ = [
     "SelfAdjointOperator",
+    "stacked_operators",
+    "diagonal_operators",
+    "solve_spectra",
     "Spectrum",
     "SpectralWindow",
     "EigenCount",
@@ -35,26 +38,78 @@ DEFAULT_CLUSTER_TOL = 1e-9
 DEFAULT_MIN_MARGIN = 1e-6
 
 
-def _ingest_hermitian(entries) -> np.ndarray:
-    a = np.asarray(entries)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator entries must be a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
+# Stacks handed to one vectorized numpy call hold at most this many bytes,
+# so their temporaries stay small however many parameters a batch asks for.
+STACK_BYTES = 1 << 18
+
+
+def stack_chunk(dim: int) -> int:
+    """Matrices of dimension ``dim`` per stacked call (at least 1)."""
+    return max(1, STACK_BYTES // (16 * dim * dim))
+
+
+def _at(ts, i: int) -> str:
+    return "" if ts is None else f" at t={float(ts[i])!r}"
+
+
+def _ingest_stack(stack, ts=None) -> np.ndarray:
+    """Check and symmetrize a stack ``(n, d, d)`` of matrices.
+
+    Each matrix must be finite and Hermitian up to ``HERMITICITY_RTOL``
+    times its own largest entry; it is then symmetrized exactly.  ``ts``
+    (one parameter per matrix) only labels errors.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"operator entries must be a square matrix, got shape {a.shape[1:]}")
+    if a.shape[1] < 1:
         raise ValueError("operator dimension must be at least 1")
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    a = a.astype(dtype, copy=True)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("operator entries must be finite")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    asym = float(np.abs(a - a.conj().T).max())
-    if asym > HERMITICITY_RTOL * scale:
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    adjoint = np.conj(np.swapaxes(a, -1, -2))
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(a).max(axis=(-2, -1))
+        asym = np.abs(a - adjoint).max(axis=(-2, -1))
+    bad = ~finite | (asym > HERMITICITY_RTOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise ValueError("operator entries must be finite" + _at(ts, i))
         raise ValueError(
-            f"matrix is not self-adjoint: asymmetry {asym:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.0e} * norm ({scale:.3e})"
+            f"matrix is not self-adjoint: asymmetry {asym[i]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.0e} * norm ({scale[i]:.3e})" + _at(ts, i)
         )
-    h = (a + a.conj().T) / 2
+    h = (a + adjoint) / 2
     h.setflags(write=False)
     return h
+
+
+def stacked_operators(matrices, ts) -> list["SelfAdjointOperator"]:
+    """Operators from a stack ``(n, d, d)`` of matrices at parameters ``ts``.
+
+    Every matrix passes the same ingest checks as
+    :class:`SelfAdjointOperator`; an error names the parameter of the
+    offending matrix.  Spectra stay unsolved until asked for.
+    """
+    return [SelfAdjointOperator._trusted(h) for h in _ingest_stack(matrices, ts)]
+
+
+def diagonal_operators(eigenvalues, ts) -> list["SelfAdjointOperator"]:
+    """Diagonal operators from eigenvalue rows ``(n, d)`` at parameters ``ts``.
+
+    The spectrum of a diagonal matrix is its sorted diagonal, so no
+    eigensolver runs.  The dense matrices still pass the ingest checks.
+    """
+    rows = np.asarray(eigenvalues, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise ValueError("diagonal must be a non-empty 1-d sequence")
+    n, d = rows.shape
+    idx = np.arange(d)
+    dense = np.zeros((n, d, d))
+    dense[:, idx, idx] = rows
+    entries = _ingest_stack(dense, ts)
+    spectra = _spectra(entries[:, idx, idx])
+    return [SelfAdjointOperator._trusted(h, s) for h, s in zip(entries, spectra)]
 
 
 class SelfAdjointOperator:
@@ -68,16 +123,21 @@ class SelfAdjointOperator:
     __slots__ = ("_entries", "_spectrum")
 
     def __init__(self, entries):
-        self._entries = _ingest_hermitian(entries)
+        self._entries = _ingest_stack(np.asarray(entries)[None])[0]
         self._spectrum: Spectrum | None = None
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray, spectrum: "Spectrum | None" = None):
+        # Entries already went through _ingest_stack.
+        op = cls.__new__(cls)
+        op._entries = entries
+        op._spectrum = spectrum
+        return op
 
     @classmethod
     def from_diagonal(cls, values) -> "SelfAdjointOperator":
         """Operator with the given real diagonal (eigenvalues as stated)."""
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("diagonal must be a non-empty 1-d sequence")
-        return cls(np.diag(vals))
+        return diagonal_operators(np.asarray(values, dtype=np.float64)[None], None)[0]
 
     @property
     def entries(self) -> np.ndarray:
@@ -91,7 +151,7 @@ class SelfAdjointOperator:
     def spectrum(self) -> "Spectrum":
         """Sorted eigenvalues with multiplicity (computed once, cached)."""
         if self._spectrum is None:
-            self._spectrum = _solve_spectrum(self._entries)
+            solve_spectra((self,))
         return self._spectrum
 
     @property
@@ -108,13 +168,10 @@ class Spectrum:
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        vals = np.sort(np.asarray(values, dtype=np.float64))
+        vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("spectrum must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum values must be finite")
-        vals.setflags(write=False)
-        self._values = vals
+        self._values = _sorted_rows(vals)
 
     @property
     def values(self) -> np.ndarray:
@@ -171,17 +228,56 @@ class EigenCount:
     count: int
 
 
-def _solve_spectrum(entries: np.ndarray) -> Spectrum:
+def _sorted_rows(values: np.ndarray) -> np.ndarray:
+    vals = np.sort(values, axis=-1)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("spectrum values must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
+def _spectra(values: np.ndarray) -> list[Spectrum]:
+    """One :class:`Spectrum` per row of ``values`` ``(n, d)``."""
+    out = []
+    for row in _sorted_rows(values):
+        spec = Spectrum.__new__(Spectrum)
+        spec._values = row
+        out.append(spec)
+    return out
+
+
+def _solve_spectrum(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack ``(n, d, d)`` of Hermitian matrices, one LAPACK call."""
     try:
-        vals = np.linalg.eigvalsh(entries)
+        return np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:
-        dim = entries.shape[0]
+        dim = entries.shape[-1]
         norm = float(np.abs(entries).max())
         raise EigensolverError(
             f"dense Hermitian eigensolver failed to converge: dim={dim}, "
             f"max|entry|={norm:.3e} ({exc})"
         ) from exc
-    return Spectrum(vals)
+
+
+def solve_spectra(ops) -> None:
+    """Compute every missing spectrum among ``ops`` with stacked eigensolves.
+
+    Operators are grouped by dtype and dimension (a stack must share both)
+    and solved in chunks of :func:`stack_chunk`; an operator listed twice
+    is solved once.
+    """
+    groups: dict[tuple, dict[int, SelfAdjointOperator]] = {}
+    for op in ops:
+        if op._spectrum is None:
+            groups.setdefault((op._entries.dtype, op.dim), {})[id(op)] = op
+    for (_, dim), group in groups.items():
+        pending = list(group.values())
+        step = stack_chunk(dim)
+        for i in range(0, len(pending), step):
+            chunk = pending[i : i + step]
+            values = _solve_spectrum(np.stack([op._entries for op in chunk]))
+            for op, spec in zip(chunk, _spectra(values)):
+                op._spectrum = spec
 
 
 def eigenvalues(op: SelfAdjointOperator) -> Spectrum:

@@ -41,8 +41,8 @@ class OracleResult:
     grid: int
 
 
-def _negative_count(path: OperatorPath, t: float) -> int:
-    return int(np.count_nonzero(path.at(t).spectrum.values < 0.0))
+def _negative_counts(path: OperatorPath, ts) -> list[int]:
+    return np.count_nonzero(path.spectra(ts) < 0.0, axis=1).tolist()
 
 
 def _refine_cell(
@@ -61,7 +61,7 @@ def _refine_cell(
             out.append(CrossingRecord(lo, hi, direction, mid))
         return
     mid = 0.5 * (lo + hi)
-    n_mid = _negative_count(path, mid)
+    (n_mid,) = _negative_counts(path, [mid])
     if n_mid != n_lo:
         _refine_cell(path, lo, mid, n_lo, n_mid, out)
     if n_mid != n_hi:
@@ -94,7 +94,7 @@ def oracle_flow(
                 "the signed crossing count is ill-defined there"
             )
     ts = np.linspace(0.0, 1.0, grid + 1)
-    negs = [_negative_count(path, float(t)) for t in ts]
+    negs = _negative_counts(path, ts)
     records: list[CrossingRecord] = []
     for j in range(grid):
         if negs[j] != negs[j + 1]:

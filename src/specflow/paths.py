@@ -1,8 +1,10 @@
 """Operator paths over [0, 1] and the algebra on them.
 
-A path is an immutable wrapper around an evaluator ``t -> operator``.
-Evaluations are memoized per path so that partition refinement, which
-revisits segment endpoints, reuses cached spectra.
+A path is an immutable wrapper around a batch evaluator that maps an
+array of parameters to one operator each.  ``at(t)`` is a batch of one and
+``spectra(ts)`` a batch of many; both go through one per-path cache, so
+partition refinement, which revisits segment endpoints, reuses cached
+spectra.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import EndpointMismatch
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, solve_spectra, stack_chunk, stacked_operators
 
 __all__ = [
     "OperatorPath",
@@ -32,15 +34,30 @@ __all__ = [
 ENDPOINT_RTOL = 1e-10
 
 
+def _outside(t: float) -> ValueError:
+    return ValueError(f"path parameter {t!r} outside [0, 1]")
+
+
+def _params(ts) -> list[float]:
+    arr = np.asarray(ts, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"path parameters must be a 1-d sequence, got shape {arr.shape}")
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if outside.any():
+        raise _outside(float(arr[outside][0]))
+    return arr.tolist()
+
+
 class OperatorPath:
     """Continuous family ``t -> SelfAdjointOperator`` on [0, 1].
 
-    ``lipschitz`` is an optional continuity hint (a bound on the operator
-    norm of the derivative); ``None`` means unknown.  It is informational
-    only: certification never assumes it.
+    ``evaluator`` maps one parameter to one operator.  ``lipschitz`` is an
+    optional continuity hint (a bound on the operator norm of the
+    derivative); ``None`` means unknown.  It is informational only:
+    certification never assumes it.
     """
 
-    __slots__ = ("_dim", "_evaluator", "_lipschitz", "_cache")
+    __slots__ = ("_dim", "_build", "_lipschitz", "_cache")
 
     def __init__(
         self,
@@ -48,10 +65,33 @@ class OperatorPath:
         evaluator: Callable[[float], SelfAdjointOperator],
         lipschitz: float | None = None,
     ):
+        self._setup(dim, lambda ts: [evaluator(t) for t in ts.tolist()], lipschitz)
+
+    @classmethod
+    def batched(
+        cls,
+        dim: int,
+        build: Callable[[np.ndarray], list[SelfAdjointOperator]],
+        lipschitz: float | None = None,
+    ) -> "OperatorPath":
+        """Path from a vectorized evaluator.
+
+        ``build`` maps a 1-d float64 array of distinct parameters to one
+        operator per parameter, usually through
+        :func:`~specflow.operators.stacked_operators` or
+        :func:`~specflow.operators.diagonal_operators`.  The operator at
+        ``t`` must not depend on which other parameters share its batch,
+        down to the last bit.
+        """
+        path = cls.__new__(cls)
+        path._setup(dim, build, lipschitz)
+        return path
+
+    def _setup(self, dim, build, lipschitz) -> None:
         if dim < 1:
             raise ValueError("path dimension must be at least 1")
         self._dim = int(dim)
-        self._evaluator = evaluator
+        self._build = build
         self._lipschitz = None if lipschitz is None else float(lipschitz)
         self._cache: dict[float, SelfAdjointOperator] = {}
 
@@ -67,18 +107,45 @@ class OperatorPath:
         """Evaluate the path at parameter ``t`` in [0, 1]."""
         t = float(t)
         if not 0.0 <= t <= 1.0:
-            raise ValueError(f"path parameter {t!r} outside [0, 1]")
+            raise _outside(t)
         op = self._cache.get(t)
         if op is None:
-            op = self._evaluator(t)
-            if op.dim != self._dim:
-                raise ValueError(
-                    f"path evaluator returned dimension {op.dim}, expected {self._dim}"
-                )
-            self._cache[t] = op
+            self._evaluate([t])
+            op = self._cache[t]
         return op
 
     __call__ = at
+
+    def _operators(self, ts) -> list[SelfAdjointOperator]:
+        """Operators at every parameter in ``ts``; misses are built in batches."""
+        keys = _params(ts)
+        missing = list(dict.fromkeys(t for t in keys if t not in self._cache))
+        if missing:
+            self._evaluate(missing)
+        return [self._cache[t] for t in keys]
+
+    def spectra(self, ts) -> np.ndarray:
+        """Sorted eigenvalues ``(len(ts), dim)`` at every parameter in ``ts``.
+
+        Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum.values``; missing
+        spectra are solved with stacked eigensolves.
+        """
+        ops = self._operators(ts)
+        solve_spectra(ops)
+        if not ops:
+            return np.empty((0, self._dim))
+        return np.stack([op.spectrum.values for op in ops])
+
+    def _evaluate(self, ts: list[float]) -> None:
+        step = stack_chunk(self._dim)
+        for i in range(0, len(ts), step):
+            chunk = ts[i : i + step]
+            for t, op in zip(chunk, self._build(np.array(chunk))):
+                if op.dim != self._dim:
+                    raise ValueError(
+                        f"path evaluator returned dimension {op.dim}, expected {self._dim}"
+                    )
+                self._cache[t] = op
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"
@@ -89,12 +156,20 @@ def matrix_path(
     fn: Callable[[float], np.ndarray],
     lipschitz: float | None = None,
 ) -> OperatorPath:
-    """Path from a function returning raw Hermitian matrices."""
-    return OperatorPath(dim, lambda t: SelfAdjointOperator(fn(t)), lipschitz)
+    """Path from a function returning raw Hermitian matrices.
+
+    ``fn`` is called once per parameter; an ingest error names that
+    parameter.
+    """
+
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        return [stacked_operators(np.asarray(fn(t))[None], [t])[0] for t in ts.tolist()]
+
+    return OperatorPath.batched(dim, build, lipschitz)
 
 
 def constant_path(op: SelfAdjointOperator) -> OperatorPath:
-    return OperatorPath(op.dim, lambda t: op, lipschitz=0.0)
+    return OperatorPath.batched(op.dim, lambda ts: [op] * len(ts), lipschitz=0.0)
 
 
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
@@ -103,11 +178,12 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
     ea, eb = a.entries, b.entries
 
-    def ev(t: float) -> SelfAdjointOperator:
-        return SelfAdjointOperator((1.0 - t) * ea + t * eb)
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        t = ts[:, None, None]
+        return stacked_operators((1.0 - t) * ea + t * eb, ts)
 
     lip = float(np.linalg.norm(eb - ea, 2))
-    return OperatorPath(a.dim, ev, lipschitz=lip)
+    return OperatorPath.batched(a.dim, build, lipschitz=lip)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> tuple[float, float]:
@@ -133,20 +209,21 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
             f"{ENDPOINT_RTOL:.0e} * {scale:.3e}"
         )
 
-    def ev(t: float) -> SelfAdjointOperator:
-        if t <= 0.5:
-            return a.at(min(1.0, 2.0 * t))
-        return b.at(min(1.0, 2.0 * t - 1.0))
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        first = ts <= 0.5
+        head = iter(a._operators(np.minimum(1.0, 2.0 * ts[first])))
+        tail = iter(b._operators(np.minimum(1.0, 2.0 * ts[~first] - 1.0)))
+        return [next(head) if f else next(tail) for f in first]
 
     lip = None
     if a.lipschitz is not None and b.lipschitz is not None:
         lip = 2.0 * max(a.lipschitz, b.lipschitz)
-    return OperatorPath(a.dim, ev, lipschitz=lip)
+    return OperatorPath.batched(a.dim, build, lipschitz=lip)
 
 
 def reverse(a: OperatorPath) -> OperatorPath:
     """Time-reversed path ``t -> a(1-t)``."""
-    return OperatorPath(a.dim, lambda t: a.at(1.0 - t), lipschitz=a.lipschitz)
+    return OperatorPath.batched(a.dim, lambda ts: a._operators(1.0 - ts), lipschitz=a.lipschitz)
 
 
 class Homotopy:
@@ -156,7 +233,7 @@ class Homotopy:
     when unknown) and is inherited by every slice.
     """
 
-    __slots__ = ("_dim", "_evaluator", "_slice_lipschitz")
+    __slots__ = ("_dim", "_slice_build", "_slice_lipschitz")
 
     def __init__(
         self,
@@ -165,8 +242,17 @@ class Homotopy:
         slice_lipschitz: float | None = None,
     ):
         self._dim = int(dim)
-        self._evaluator = evaluator
+        self._slice_build = lambda s, ts: [evaluator(s, t) for t in ts.tolist()]
         self._slice_lipschitz = slice_lipschitz
+
+    @classmethod
+    def _batched(cls, dim, slice_build, slice_lipschitz) -> "Homotopy":
+        # slice_build(s, ts) plays the role of OperatorPath.batched's build.
+        h = cls.__new__(cls)
+        h._dim = int(dim)
+        h._slice_build = slice_build
+        h._slice_lipschitz = slice_lipschitz
+        return h
 
     @property
     def dim(self) -> int:
@@ -175,14 +261,15 @@ class Homotopy:
     def at(self, s: float, t: float) -> SelfAdjointOperator:
         if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
             raise ValueError(f"homotopy parameters ({s!r}, {t!r}) outside [0, 1]^2")
-        return self._evaluator(float(s), float(t))
+        return self._slice_build(float(s), np.array([float(t)]))[0]
 
     def slice_at(self, s: float) -> OperatorPath:
         """The path ``t -> H(s, t)`` at a fixed deformation parameter."""
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
-        return OperatorPath(self._dim, lambda t: self._evaluator(s, t), self._slice_lipschitz)
+        build = self._slice_build
+        return OperatorPath.batched(self._dim, lambda ts: build(s, ts), self._slice_lipschitz)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
@@ -201,17 +288,19 @@ def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
                 f"{ENDPOINT_RTOL:.0e} * {scale:.3e}"
             )
 
-    def ev(s: float, t: float) -> SelfAdjointOperator:
+    def slice_build(s: float, ts: np.ndarray) -> list[SelfAdjointOperator]:
         if s == 0.0:
-            return a.at(t)
+            return a._operators(ts)
         if s == 1.0:
-            return b.at(t)
-        return SelfAdjointOperator((1.0 - s) * a.at(t).entries + s * b.at(t).entries)
+            return b._operators(ts)
+        ea = np.stack([op.entries for op in a._operators(ts)])
+        eb = np.stack([op.entries for op in b._operators(ts)])
+        return stacked_operators((1.0 - s) * ea + s * eb, ts)
 
     lip = None
     if a.lipschitz is not None and b.lipschitz is not None:
         lip = max(a.lipschitz, b.lipschitz)
-    return Homotopy(a.dim, ev, slice_lipschitz=lip)
+    return Homotopy._batched(a.dim, slice_build, slice_lipschitz=lip)
 
 
 def reparametrize(
@@ -230,7 +319,7 @@ def reparametrize(
         if abs(float(phi(t)) - expect) > 1e-12:
             raise ValueError(f"phi({t}) = {phi(t)!r}, expected {expect}")
 
-    def ev(t: float) -> SelfAdjointOperator:
-        return a.at(min(1.0, max(0.0, float(phi(t)))))
+    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+        return a._operators([min(1.0, max(0.0, float(phi(t)))) for t in ts.tolist()])
 
-    return OperatorPath(a.dim, ev, lipschitz=lipschitz)
+    return OperatorPath.batched(a.dim, build, lipschitz=lipschitz)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import invertible_valued_family, random_family
+from .families import invertible_valued_family, random_family, random_symmetric
 from .flow import FlowOptions, spectral_flow
 from .operators import SelfAdjointOperator
 from .paths import OperatorPath, affine_homotopy, concat, reverse
@@ -47,17 +47,13 @@ def _case_seed(base: int, index: int) -> int:
     return base * 100000 + index
 
 
-def _sym(g: np.ndarray) -> np.ndarray:
-    return (g + g.T) / 2
-
-
 def _extension_path(a: OperatorPath, seed: int) -> OperatorPath:
     """Path starting exactly at a(1): fuel for composable pairs."""
     rng = np.random.default_rng(seed)
     dim = a.dim
     start = a.at(1.0).entries
-    b = _sym(rng.standard_normal((dim, dim)))
-    c = _sym(rng.standard_normal((dim, dim)))
+    b = random_symmetric(rng, dim)
+    c = random_symmetric(rng, dim)
 
     def ev(t: float) -> SelfAdjointOperator:
         return SelfAdjointOperator(start + t * b + np.sin(np.pi * t) * c)
@@ -70,7 +66,7 @@ def _perturbation_homotopy(a: OperatorPath, seed: int, scale: float = 0.5):
     """Affine homotopy from ``a`` to a bump-perturbed copy with equal ends."""
     rng = np.random.default_rng(seed)
     dim = a.dim
-    e = _sym(rng.standard_normal((dim, dim))) * scale
+    e = random_symmetric(rng, dim) * scale
 
     def ev(t: float) -> SelfAdjointOperator:
         return SelfAdjointOperator(a.at(t).entries + np.sin(np.pi * t) * e)

@@ -34,6 +34,7 @@ from specflow import (
     window_count_constancy,
 )
 from specflow.cli import main
+from specflow.families import random_symmetric
 from specflow.paths import OperatorPath
 
 DIMS = tuple(range(2, 13))
@@ -62,17 +63,13 @@ class budget:
         return False
 
 
-def _sym(g: np.ndarray) -> np.ndarray:
-    return (g + g.T) / 2
-
-
 def extension_path(a, seed: int) -> OperatorPath:
     """Random path starting exactly at a(1), for composable pairs."""
     rng = np.random.default_rng(seed)
     dim = a.dim
     start = a.at(1.0).entries
-    b = _sym(rng.standard_normal((dim, dim)))
-    c = _sym(rng.standard_normal((dim, dim)))
+    b = random_symmetric(rng, dim)
+    c = random_symmetric(rng, dim)
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
     return matrix_path(dim, lambda t: start + t * b + np.sin(np.pi * t) * c, lipschitz=lip)
 
@@ -101,7 +98,7 @@ def test_property_iv_homotopy_invariance():
             dim = DIMS[idx % len(DIMS)]
             a = random_family(dim, seed=3000 + idx, invertible_ends=True)
             rng = np.random.default_rng(4000 + idx)
-            e = _sym(rng.standard_normal((dim, dim))) * 0.5
+            e = random_symmetric(rng, dim) * 0.5
             lip = a.lipschitz + np.pi * float(np.linalg.norm(e, 2))
             bpath = matrix_path(
                 dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, lipschitz=lip

@@ -54,10 +54,33 @@ class TestFlowCommand:
         assert main(["flow", "--config", str(cfg), "--family", "baer", "--m", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["flow"] == 3
 
+    def test_config_validated_once(self, tmp_path, capsys, monkeypatch):
+        import specflow.cli
+        import specflow.config
+
+        calls = []
+        original = specflow.config.validate_config
+
+        def counted(config):
+            calls.append(config)
+            original(config)
+
+        monkeypatch.setattr(specflow.config, "validate_config", counted)
+        monkeypatch.setattr(specflow.cli, "validate_config", counted)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"family": {"kind": "baer", "m": 1}}))
+        assert main(["flow", "--config", str(cfg), "--family", "baer", "--m", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["flow"] == 3
+        assert calls == [{"family": {"kind": "baer", "m": 2}}]
+
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"family": {"kind": "baer"}}')  # m missing
         assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: config invalid at family: {'kind': 'baer'} "
+            "is not valid under any of the given schemas\n"
+        )
 
     def test_missing_family_exit_1(self):
         assert main(["flow"]) == 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,23 @@ class TestGlue:
             cur = g.perturbed_values(float(t))
             assert np.abs(cur - prev).max() < 0.05  # small steps, small moves
             prev = cur
+
+
+    def test_freed_without_cycle_collector(self):
+        # The evaluator must not refer back to the GluedPath: with the cycle
+        # collector off, dropping the last reference frees the path and the
+        # operators in its cache.
+        gc.disable()
+        try:
+            g = glue(make_spec(m=2, epsilon=0.3, seed=1))
+            g.path.spectra(np.linspace(0.0, 1.0, 17))
+            alive = weakref.ref(g)
+            entries = weakref.ref(g.path.at(0.5).entries)
+            del g
+            assert alive() is None
+            assert entries() is None
+        finally:
+            gc.enable()
 
 
 class TestWindowCountConstancy:

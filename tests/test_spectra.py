@@ -1,0 +1,197 @@
+"""Batched spectra: parity with one-at-a-time evaluation, LAPACK counts, errors."""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from specflow import (
+    BaerFamilySpec,
+    GluingSpec,
+    SelfAdjointOperator,
+    Spectrum,
+    affine_homotopy,
+    baer_family,
+    circle_family,
+    concat,
+    constant_path,
+    glue,
+    invertible_valued_family,
+    matrix_path,
+    oracle_flow,
+    random_family,
+    reparametrize,
+    reverse,
+    spectral_flow,
+    straight_segment,
+)
+from specflow import operators
+from specflow.config import sampled_path
+from specflow.operators import stack_chunk, stacked_operators
+from specflow.paths import OperatorPath
+
+
+def _glued(seed: int) -> OperatorPath:
+    spec = GluingSpec(
+        base=Spectrum([-7.0, -3.0, 3.0, 7.0]),
+        sphere_family=BaerFamilySpec(m=1 + seed % 3),
+        epsilon=0.4,
+        seed=seed,
+    )
+    return glue(spec).path
+
+
+def _segment(seed: int) -> OperatorPath:
+    a = random_family(5, seed).at(1.0)
+    b = invertible_valued_family(5, seed).at(0.5)
+    return straight_segment(a, b)
+
+
+def _concat(seed: int) -> OperatorPath:
+    a = random_family(4, seed)
+    return concat(a, straight_segment(a.at(1.0), invertible_valued_family(4, seed).at(0.0)))
+
+
+def _slice(seed: int, s: float) -> OperatorPath:
+    a = random_family(6, seed, invertible_ends=True)
+    e = np.diag(np.linspace(-0.5, 0.5, 6))
+    bumped = matrix_path(6, lambda t: a.at(t).entries + np.sin(np.pi * t) * e)
+    return affine_homotopy(a, bumped).slice_at(s)
+
+
+def _sampled(seed: int) -> OperatorPath:
+    rng = np.random.default_rng(seed)
+    mats = []
+    for complex_entries in (False, True, True, False):
+        g = rng.standard_normal((5, 5))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((5, 5))
+        mats.append((g + g.conj().T) / 2)
+    return sampled_path(list(zip([0.0, 0.3, 0.55, 1.0], mats)))
+
+
+def _user_matrix_path(seed: int) -> OperatorPath:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, 3))
+    h = (g + g.T) / 2
+    return matrix_path(3, lambda t: np.cos(3 * t) * h + np.diag([t, -t, 2 * t]))
+
+
+PATHS = {
+    "baer": lambda seed: baer_family(BaerFamilySpec(m=1 + seed % 4)),
+    "circle": lambda seed: circle_family(5, seed % 7 - 3),
+    "random": lambda seed: random_family(2 + seed % 11, seed),
+    "random-invertible-ends": lambda seed: random_family(2 + seed % 11, seed, invertible_ends=True),
+    "invertible-valued": lambda seed: invertible_valued_family(2 + seed % 11, seed),
+    "glue": _glued,
+    "straight-segment": _segment,
+    "concat": _concat,
+    "reverse": lambda seed: reverse(random_family(3, seed)),
+    "reparametrize": lambda seed: reparametrize(random_family(4, seed), lambda t: t * t),
+    "slice-interior": lambda seed: _slice(seed, 0.3),
+    "slice-end": lambda seed: _slice(seed, 1.0),
+    "sampled": _sampled,
+    "matrix-path": _user_matrix_path,
+    "constant": lambda seed: constant_path(SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5])),
+}
+
+_params = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@given(
+    name=st.sampled_from(sorted(PATHS)),
+    seed=st.integers(0, 10_000),
+    ts=st.lists(_params, min_size=1, max_size=40),
+    cached=st.lists(_params, max_size=6),
+    stack_bytes=st.sampled_from([1 << 12, operators.STACK_BYTES]),
+)
+def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_bytes):
+    """spectra(ts) on one path equals at(t) on a fresh path, bit for bit.
+
+    Parameters already cached, parameters repeated within the batch and
+    small stack chunks (4 KiB) must not change a single bit; the reference
+    spectrum is the per-matrix ``eigvalsh`` of the entries.
+    """
+    batched, single = PATHS[name](seed), PATHS[name](seed)
+    with mock.patch.object(operators, "STACK_BYTES", stack_bytes):
+        for t in cached:
+            batched.at(t)
+        got = batched.spectra(ts + cached)
+    assert got.shape == (len(ts) + len(cached), batched.dim)
+    for row, t in zip(got, ts + cached):
+        op = single.at(t)
+        assert row.tobytes() == op.spectrum.values.tobytes()
+        assert batched.at(t).entries.tobytes() == op.entries.tobytes()
+        reference = Spectrum(np.linalg.eigvalsh(op.entries)).values
+        assert row.tobytes() == reference.tobytes()
+
+
+class _CountingEigvalsh:
+    """Counts the matrices handed to ``numpy.linalg.eigvalsh``, stacked or not."""
+
+    def __init__(self, original):
+        self.original = original
+        self.calls = 0
+        self.matrices = 0
+
+    def __call__(self, a, *args, **kwargs):
+        arr = np.asarray(a)
+        self.calls += 1
+        self.matrices += 1 if arr.ndim == 2 else math.prod(arr.shape[:-2])
+        return self.original(a, *args, **kwargs)
+
+
+@pytest.fixture
+def eigvalsh_counter(monkeypatch):
+    counter = _CountingEigvalsh(np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counter)
+    return counter
+
+
+class TestEigensolveCounts:
+    def test_oracle_solves_each_parameter_once(self, eigvalsh_counter):
+        path = random_family(6, 11, invertible_ends=True)
+        built = eigvalsh_counter.matrices  # the endpoint shift solves two
+        oracle_flow(path, grid=128)
+        assert 0 < eigvalsh_counter.matrices - built <= len(path._cache)
+
+    def test_grid_is_one_stacked_call_per_chunk(self, eigvalsh_counter):
+        path = random_family(12, 3)
+        path.spectra(np.linspace(0.0, 1.0, 513))
+        assert eigvalsh_counter.matrices == 513
+        assert eigvalsh_counter.calls == math.ceil(513 / stack_chunk(12))
+
+    @pytest.mark.parametrize("name", ["baer", "circle", "glue"])
+    def test_diagonal_families_make_no_lapack_call(self, eigvalsh_counter, name):
+        path = PATHS[name](5)
+        spectral_flow(path)
+        oracle_flow(path, grid=128)
+        assert eigvalsh_counter.matrices == 0
+
+
+class TestIngestErrorsNameParameter:
+    def test_non_hermitian_matrix_path(self):
+        p = matrix_path(2, lambda t: np.array([[0.0, 1.0], [1.0 + t, 0.0]]))
+        assert p.spectra([0.0]).shape == (1, 2)
+        with pytest.raises(ValueError, match=r"^matrix is not self-adjoint: .* at t=0\.25$"):
+            p.spectra([0.0, 0.25, 0.5])
+        with pytest.raises(ValueError, match=r"at t=0\.75$"):
+            p.at(0.75)
+
+    def test_stacked_batch_names_offending_matrix(self):
+        def build(ts):
+            stack = np.repeat(np.eye(2)[None], ts.size, axis=0)
+            stack[ts == 0.5, 0, 1] = np.nan
+            return stacked_operators(stack, ts)
+
+        p = OperatorPath.batched(2, build)
+        with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
+            p.spectra([0.0, 0.25, 0.5, 1.0])
+
+    def test_direct_operator_keeps_wording(self):
+        with pytest.raises(ValueError, match=r"^matrix is not self-adjoint: .*\)$"):
+            SelfAdjointOperator(np.array([[0.0, 1.0], [2.0, 0.0]]))
