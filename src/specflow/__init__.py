@@ -18,20 +18,15 @@ from .errors import (
     EndpointMismatch,
     GeneratorFailure,
     InvalidSpec,
-    NoGap,
     ResolutionWarning,
     SpectralFlowError,
     WindowCountViolation,
-    WindowTooSmall,
 )
 from .operators import (
     EigenCount,
     SelfAdjointOperator,
-    SpectralWindow,
     Spectrum,
-    certify_window,
     eigen_count,
-    eigenvalues,
 )
 from .paths import (
     Homotopy,
@@ -47,9 +42,7 @@ from .paths import (
 from .flow import (
     FlowCertificate,
     FlowOptions,
-    Partition,
     SegmentWitness,
-    refine_partition,
     spectral_flow,
 )
 from .families import (
@@ -81,11 +74,9 @@ __all__ = [
     # errors
     "SpectralFlowError",
     "BoundaryAmbiguity",
-    "NoGap",
     "DepthExceeded",
     "EndpointMismatch",
     "InvalidSpec",
-    "WindowTooSmall",
     "GeneratorFailure",
     "CertificateBroken",
     "ResolutionWarning",
@@ -94,11 +85,8 @@ __all__ = [
     # operators
     "SelfAdjointOperator",
     "Spectrum",
-    "SpectralWindow",
     "EigenCount",
-    "eigenvalues",
     "eigen_count",
-    "certify_window",
     # paths
     "OperatorPath",
     "Homotopy",
@@ -112,9 +100,7 @@ __all__ = [
     # flow
     "FlowOptions",
     "SegmentWitness",
-    "Partition",
     "FlowCertificate",
-    "refine_partition",
     "spectral_flow",
     # families
     "BaerFamilySpec",

@@ -38,11 +38,9 @@ from .errors import (
     EndpointMismatch,
     GeneratorFailure,
     InvalidSpec,
-    NoGap,
     ResolutionWarning,
     SpectralFlowError,
     WindowCountViolation,
-    WindowTooSmall,
 )
 from .flow import spectral_flow
 from .oracle import oracle_flow
@@ -62,11 +60,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, WindowTooSmall, EndpointMismatch, ValueError)
+_CONFIG_ERRORS = (ConfigError, InvalidSpec, EndpointMismatch, ValueError)
 _COMPUTE_ERRORS = (
     BoundaryAmbiguity,
     DepthExceeded,
-    NoGap,
     GeneratorFailure,
     CertificateBroken,
     ResolutionWarning,

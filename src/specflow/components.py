@@ -89,8 +89,7 @@ class ComponentCertification:
 
 def _endpoint_invertible(op: SelfAdjointOperator) -> bool:
     spec = op.spectrum
-    scale = spec.radius if spec.radius > 0 else 1.0
-    return spec.min_abs > SINGULARITY_RTOL * scale
+    return spec.min_abs > SINGULARITY_RTOL * spec.scale
 
 
 @dataclass(frozen=True)

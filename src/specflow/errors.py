@@ -10,11 +10,9 @@ from __future__ import annotations
 __all__ = [
     "SpectralFlowError",
     "BoundaryAmbiguity",
-    "NoGap",
     "DepthExceeded",
     "EndpointMismatch",
     "InvalidSpec",
-    "WindowTooSmall",
     "GeneratorFailure",
     "CertificateBroken",
     "ResolutionWarning",
@@ -35,15 +33,15 @@ class BoundaryAmbiguity(SpectralFlowError):
     """
 
 
-class NoGap(SpectralFlowError):
-    """No window radius near the requested target has a usable margin."""
-
-
 class DepthExceeded(SpectralFlowError):
     """Recursive bisection hit its depth limit without certifying a segment.
 
-    Signals a near-degenerate path (e.g. an eigenvalue pinned at a window
-    boundary); callers may raise sampling density or tolerances.
+    The message names the segment and why its last attempt was rejected:
+    every witnessed eigenvalue is zero, the margin is below the floor, the
+    margin is within the Lipschitz slack ``0.5 * L * step``, or the window
+    count drifts over the witness grid.  Callers may raise ``max_depth``
+    or ``witness_points``, loosen ``min_margin``, or supply a smaller
+    valid Lipschitz bound, depending on the reason.
     """
 
 
@@ -53,10 +51,6 @@ class EndpointMismatch(SpectralFlowError):
 
 class InvalidSpec(SpectralFlowError):
     """A family or gluing specification violates its invariants."""
-
-
-class WindowTooSmall(SpectralFlowError):
-    """The requested winding exceeds the number of represented modes."""
 
 
 class GeneratorFailure(SpectralFlowError):

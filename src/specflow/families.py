@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, WindowTooSmall
+from .errors import InvalidSpec
 from .operators import SelfAdjointOperator, diagonal_operators, stacked_operators
 from .paths import OperatorPath
 
@@ -133,7 +133,7 @@ def circle_family(modes: int, winding: int, spin_shift: float = 0.5) -> Operator
     if spec.spin_shift != 0.5:
         raise InvalidSpec("circle family needs spin_shift 0.5 for invertible endpoints")
     if abs(winding) > spec.modes:
-        raise WindowTooSmall(
+        raise InvalidSpec(
             f"winding {winding} exceeds represented modes K={spec.modes}; "
             "crossings would leave the modeled spectrum"
         )

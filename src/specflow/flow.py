@@ -25,9 +25,7 @@ from .paths import OperatorPath
 __all__ = [
     "FlowOptions",
     "SegmentWitness",
-    "Partition",
     "FlowCertificate",
-    "refine_partition",
     "spectral_flow",
 ]
 
@@ -77,35 +75,31 @@ class SegmentWitness:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Certified decomposition 0 = t_0 < ... < t_N = 1 with window radii."""
-
-    times: tuple[float, ...]
-    radii: tuple[float, ...]
-    witnesses: tuple[SegmentWitness, ...]
-
-
-@dataclass(frozen=True)
 class FlowCertificate:
     """A computed flow together with everything needed to re-check it.
 
-    ``counts[i]`` holds the pair (count at t_{i-1}, count at t_i) of
-    eigenvalues in [0, radii[i]]; ``flow`` is their telescoping sum.
+    ``times`` are the partition points t_0 = 0 < ... < t_N = 1 and
+    ``witnesses[i]`` certifies the segment [t_i, t_{i+1}] with its window
+    radius.  ``counts[i]`` holds the pair (count at t_i, count at t_{i+1})
+    of eigenvalues in [0, radius]; ``flow`` is their telescoping sum.
+    ``options`` are the options the flow was computed with.
     """
 
     times: tuple[float, ...]
-    radii: tuple[float, ...]
     witnesses: tuple[SegmentWitness, ...]
     counts: tuple[tuple[int, int], ...]
     flow: int
     options: FlowOptions = field(default_factory=FlowOptions, compare=False)
 
+    @property
+    def radii(self) -> tuple[float, ...]:
+        """Window radius of each segment, read from its witness."""
+        return tuple(w.radius for w in self.witnesses)
+
     def verify(self, path: OperatorPath) -> None:
         """Re-derive every certified quantity; raise CertificateBroken on drift."""
         total = 0
-        for w, (c_lo, c_hi), radius in zip(self.witnesses, self.counts, self.radii):
-            if radius != w.radius:
-                raise CertificateBroken("radius tables disagree")
+        for w, (c_lo, c_hi) in zip(self.witnesses, self.counts):
             for t in w.grid:
                 spec = path.at(t).spectrum
                 if spec.min_distance(w.radius) < w.margin * (1 - 1e-9) or (
@@ -125,13 +119,16 @@ class FlowCertificate:
 
 def _certify_segment(
     path: OperatorPath, lo: float, hi: float, opts: FlowOptions
-) -> SegmentWitness | None:
-    """Try to certify [lo, hi] as a single segment.
+) -> SegmentWitness | str:
+    """Certify [lo, hi] as a single segment, or say why it cannot be.
 
     The window radius is the midpoint of the widest gap in the pooled
     eigenvalue magnitudes over the witness grid (0 is always a level, so
-    the radius stays positive).  Fails when the margin is below the floor
-    or the symmetric count is not constant on the grid.
+    the radius stays positive).  The segment is rejected when every
+    witnessed eigenvalue is zero, the margin is below the floor, the
+    margin is within the Lipschitz slack, or the symmetric count is not
+    constant on the grid; the rejection is returned as a message that
+    names the reason and its numbers.
 
     When the path carries a Lipschitz bound L the certificate is rigorous,
     not sampled: eigenvalues move at most L*h/2 between a parameter and
@@ -142,21 +139,31 @@ def _certify_segment(
     spectra = path.spectra(ts)
     pooled = np.unique(np.concatenate([[0.0], np.abs(spectra).ravel()]))
     if pooled.size < 2:
-        return None  # every witnessed eigenvalue is zero; nothing to certify
+        return "all zero: every witnessed eigenvalue is 0, so no window radius exists"
     widths = np.diff(pooled)
     k = int(np.argmax(widths))
     radius = float(0.5 * (pooled[k] + pooled[k + 1]))
     margin = float(0.5 * widths[k])
-    scale = float(pooled[-1])
-    if margin < opts.min_margin * scale:
-        return None
+    floor = opts.min_margin * float(pooled[-1])
+    if margin < floor:
+        return f"margin floor: margin {margin:.3e} is below the floor {floor:.3e}"
     if path.lipschitz is not None and path.lipschitz > 0:
         step = (hi - lo) / (opts.witness_points - 1)
-        if margin <= 0.5 * path.lipschitz * step:
-            return None  # an eigenvalue could reach the boundary between witnesses
+        slack = 0.5 * path.lipschitz * step
+        if margin <= slack:
+            # An eigenvalue could reach the boundary between witnesses.
+            return (
+                f"Lipschitz slack: margin {margin:.3e} does not exceed "
+                f"0.5 * L * step = {slack:.3e} with L = {path.lipschitz:.3e}, step = {step:.3e}"
+            )
     counts = np.count_nonzero((spectra >= -radius) & (spectra <= radius), axis=1)
-    if np.any(counts != counts[0]):
-        return None
+    drift = np.flatnonzero(counts != counts[0])
+    if drift.size:
+        j = int(drift[0])
+        return (
+            f"count drift: the count in [-{radius:.3e}, {radius:.3e}] is {counts[0]} "
+            f"at t={float(ts[0])!r} but {counts[j]} at t={float(ts[j])!r}"
+        )
     return SegmentWitness(
         t_lower=float(lo),
         t_upper=float(hi),
@@ -176,43 +183,16 @@ def _refine(
     out: list[SegmentWitness],
 ) -> None:
     w = _certify_segment(path, lo, hi, opts)
-    if w is not None:
+    if isinstance(w, SegmentWitness):
         out.append(w)
         return
     if depth >= opts.max_depth:
         raise DepthExceeded(
-            f"segment [{lo:.9g}, {hi:.9g}] not certifiable at bisection depth "
-            f"{depth}; the path is near-degenerate on this range"
+            f"segment [{lo:.9g}, {hi:.9g}] not certifiable at bisection depth {depth} ({w})"
         )
     mid = 0.5 * (lo + hi)
     _refine(path, lo, mid, depth + 1, opts, out)
     _refine(path, mid, hi, depth + 1, opts, out)
-
-
-def refine_partition(
-    path: OperatorPath,
-    init_samples: int | None = None,
-    max_depth: int | None = None,
-    options: FlowOptions | None = None,
-) -> Partition:
-    """Build a certified partition of [0, 1] for ``path``.
-
-    Starts from ``init_samples`` equal segments and bisects recursively
-    wherever certification fails, up to ``max_depth``; raises
-    :class:`DepthExceeded` beyond that.
-    """
-    opts = options or FlowOptions()
-    if init_samples is not None:
-        opts = replace(opts, init_samples=init_samples)
-    if max_depth is not None:
-        opts = replace(opts, max_depth=max_depth)
-    edges = np.linspace(0.0, 1.0, opts.init_samples + 1)
-    witnesses: list[SegmentWitness] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        _refine(path, float(lo), float(hi), 0, opts, witnesses)
-    times = tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses])
-    radii = tuple(w.radius for w in witnesses)
-    return Partition(times=times, radii=radii, witnesses=tuple(witnesses))
 
 
 def _upper_count(op: SelfAdjointOperator, radius: float, cluster_tol: float) -> int:
@@ -224,8 +204,7 @@ def _upper_count(op: SelfAdjointOperator, radius: float, cluster_tol: float) -> 
     from the spectrum; a collision there means the certificate is stale.
     """
     spec = op.spectrum
-    scale = spec.radius if spec.radius > 0 else 1.0
-    zero_tol = cluster_tol * scale
+    zero_tol = cluster_tol * spec.scale
     if spec.min_distance(radius) < zero_tol:
         raise BoundaryAmbiguity(
             f"eigenvalue within {zero_tol:.3e} of certified window radius {radius!r}"
@@ -242,24 +221,35 @@ def spectral_flow(
 ) -> FlowCertificate:
     """Compute the spectral flow of ``path`` with a full certificate.
 
+    The partition starts from ``init_samples`` equal segments and is
+    bisected wherever certification fails, up to ``max_depth``; beyond
+    that :class:`DepthExceeded` names the segment and the reason.  The two
+    arguments override the fields of ``options`` of the same name.
+
     The flow is the net number of eigenvalues crossing zero upward,
-    evaluated as the telescoping sum of counts in [0, radius_i] over a
+    evaluated as the telescoping sum of counts in [0, radius_i] over the
     certified partition.  A zero eigenvalue exactly at a path endpoint is
     allowed and counted (the count interval is closed at 0).
     """
     opts = options or FlowOptions()
-    part = refine_partition(path, init_samples, max_depth, opts)
+    if init_samples is not None:
+        opts = replace(opts, init_samples=init_samples)
+    if max_depth is not None:
+        opts = replace(opts, max_depth=max_depth)
+    edges = np.linspace(0.0, 1.0, opts.init_samples + 1)
+    witnesses: list[SegmentWitness] = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        _refine(path, float(lo), float(hi), 0, opts, witnesses)
     counts: list[tuple[int, int]] = []
     flow = 0
-    for w in part.witnesses:
+    for w in witnesses:
         c_lo = _upper_count(path.at(w.t_lower), w.radius, opts.cluster_tol)
         c_hi = _upper_count(path.at(w.t_upper), w.radius, opts.cluster_tol)
         counts.append((c_lo, c_hi))
         flow += c_hi - c_lo
     return FlowCertificate(
-        times=part.times,
-        radii=part.radii,
-        witnesses=part.witnesses,
+        times=tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses]),
+        witnesses=tuple(witnesses),
         counts=tuple(counts),
         flow=flow,
         options=opts,

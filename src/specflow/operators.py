@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguity, EigensolverError, NoGap
+from .errors import BoundaryAmbiguity, EigensolverError
 
 __all__ = [
     "SelfAdjointOperator",
@@ -19,11 +19,8 @@ __all__ = [
     "diagonal_operators",
     "solve_spectra",
     "Spectrum",
-    "SpectralWindow",
     "EigenCount",
-    "eigenvalues",
     "eigen_count",
-    "certify_window",
     "HERMITICITY_RTOL",
     "DEFAULT_CLUSTER_TOL",
     "DEFAULT_MIN_MARGIN",
@@ -154,10 +151,6 @@ class SelfAdjointOperator:
             solve_spectra((self,))
         return self._spectrum
 
-    @property
-    def spectral_radius(self) -> float:
-        return self.spectrum.radius
-
     def __repr__(self) -> str:
         return f"SelfAdjointOperator(dim={self.dim})"
 
@@ -186,6 +179,12 @@ class Spectrum:
         return float(np.abs(self._values).max())
 
     @property
+    def scale(self) -> float:
+        """The unit of relative tolerances: the radius, or 1.0 for the zero operator."""
+        r = self.radius
+        return r if r > 0 else 1.0
+
+    @property
     def min_abs(self) -> float:
         """Distance of the spectrum to zero."""
         return float(np.abs(self._values).min())
@@ -199,24 +198,6 @@ class Spectrum:
 
     def __repr__(self) -> str:
         return f"Spectrum({np.array2string(self._values, precision=6)})"
-
-
-@dataclass(frozen=True)
-class SpectralWindow:
-    """Certified symmetric window (-radius, radius).
-
-    ``margin`` is the verified distance from both +/-radius to the
-    spectrum; it is strictly positive for any certified window.
-    """
-
-    radius: float
-    margin: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("window radius must be positive")
-        if not self.margin > 0:
-            raise ValueError("window margin must be positive")
 
 
 @dataclass(frozen=True)
@@ -280,17 +261,6 @@ def solve_spectra(ops) -> None:
                 op._spectrum = spec
 
 
-def eigenvalues(op: SelfAdjointOperator) -> Spectrum:
-    """All eigenvalues of ``op``, sorted nondecreasing, with multiplicity."""
-    return op.spectrum
-
-
-def _cluster_scale(spectrum: Spectrum) -> float:
-    # Fall back to 1.0 so zero operators still get a usable absolute tolerance.
-    r = spectrum.radius
-    return r if r > 0 else 1.0
-
-
 def eigen_count(
     op: SelfAdjointOperator,
     interval: tuple[float, float],
@@ -298,7 +268,7 @@ def eigen_count(
 ) -> EigenCount:
     """Count eigenvalues of ``op`` in the closed interval ``[lo, hi]``.
 
-    ``cluster_tol`` is relative to the spectral radius.  If any eigenvalue
+    ``cluster_tol`` is relative to :attr:`Spectrum.scale`.  If any eigenvalue
     lies within that distance of either endpoint the count is ambiguous
     and :class:`BoundaryAmbiguity` is raised: the caller must move the
     endpoint off the spectrum.
@@ -309,7 +279,7 @@ def eigen_count(
     if not cluster_tol > 0:
         raise ValueError("cluster_tol must be positive")
     spec = op.spectrum
-    tol = cluster_tol * _cluster_scale(spec)
+    tol = cluster_tol * spec.scale
     for endpoint in (lo, hi):
         d = spec.min_distance(endpoint)
         if d < tol:
@@ -318,57 +288,3 @@ def eigen_count(
                 f"(distance {d:.3e}); move the endpoint off the spectrum"
             )
     return EigenCount(lo, hi, spec.count_between(lo, hi))
-
-
-def _abs_levels(spectrum: Spectrum) -> np.ndarray:
-    """Distinct eigenvalue magnitudes, always including 0 as a floor."""
-    return np.unique(np.concatenate(([0.0], np.abs(spectrum.values))))
-
-
-def certify_window(
-    op: SelfAdjointOperator,
-    target: float,
-    min_margin: float | None = None,
-) -> SpectralWindow:
-    """Certify a symmetric spectral window with radius near ``target``.
-
-    Returns ``target`` itself when both +/-target clear the spectrum by at
-    least the margin floor.  Otherwise the radius is nudged to the midpoint
-    of the nearest spectral gap (on the eigenvalue-magnitude axis)
-    straddling the target.  Candidates are confined to
-    ``[target/2, 2*target]``; if none has a usable margin, raises
-    :class:`NoGap`.
-    """
-    if not target > 0:
-        raise ValueError("window target must be positive")
-    spec = op.spectrum
-    levels = _abs_levels(spec)
-
-    def margin_at(lam: float) -> float:
-        return float(np.abs(levels - lam).min())
-
-    scale = max(spec.radius, target)
-    floor = min_margin if min_margin is not None else DEFAULT_MIN_MARGIN * scale
-    if margin_at(target) >= floor:
-        return SpectralWindow(target, margin_at(target))
-
-    lo_lim, hi_lim = target / 2, 2 * target
-    candidates = [float(0.5 * (levels[i] + levels[i + 1])) for i in range(len(levels) - 1)]
-    candidates.extend([lo_lim, hi_lim])
-    best: tuple[float, float] | None = None
-    for lam in candidates:
-        if lam <= 0 or lam < lo_lim or lam > hi_lim:
-            continue
-        m = margin_at(lam)
-        if m < floor:
-            continue
-        if best is None or abs(lam - target) < abs(best[0] - target) or (
-            abs(lam - target) == abs(best[0] - target) and lam < best[0]
-        ):
-            best = (lam, m)
-    if best is None:
-        raise NoGap(
-            f"no window radius in [{lo_lim:.6g}, {hi_lim:.6g}] achieves margin "
-            f">= {floor:.3e} for target {target!r}"
-        )
-    return SpectralWindow(best[0], best[1])

@@ -76,7 +76,7 @@ def oracle_flow(
 ) -> OracleResult:
     """Signed zero-crossing count of ``path`` on a fine grid.
 
-    ``zero_band`` (relative to the spectral radius) guards the path
+    ``zero_band`` (relative to ``Spectrum.scale``) guards the path
     endpoints: an eigenvalue that close to zero there makes the crossing
     count ill-defined.  With ``check_doubling`` the run is repeated on a
     doubled grid and any disagreement (net flow or number of detected
@@ -87,10 +87,9 @@ def oracle_flow(
         raise ValueError(f"oracle grid must be at least 64, got {grid!r}")
     for t in (0.0, 1.0):
         spec = path.at(t).spectrum
-        scale = spec.radius if spec.radius > 0 else 1.0
-        if spec.min_abs < zero_band * scale:
+        if spec.min_abs < zero_band * spec.scale:
             raise BoundaryAmbiguity(
-                f"endpoint t={t} has an eigenvalue within {zero_band * scale:.3e} of 0; "
+                f"endpoint t={t} has an eigenvalue within {zero_band * spec.scale:.3e} of 0; "
                 "the signed crossing count is ill-defined there"
             )
     ts = np.linspace(0.0, 1.0, grid + 1)

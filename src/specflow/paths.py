@@ -52,9 +52,11 @@ class OperatorPath:
     """Continuous family ``t -> SelfAdjointOperator`` on [0, 1].
 
     ``evaluator`` maps one parameter to one operator.  ``lipschitz`` is an
-    optional continuity hint (a bound on the operator norm of the
-    derivative); ``None`` means unknown.  It is informational only:
-    certification never assumes it.
+    optional bound L on the operator norm of the derivative; ``None`` means
+    unknown.  Certification relies on it: a segment whose window margin
+    does not exceed ``0.5 * L * step`` (``step`` being the witness spacing)
+    is rejected, and a margin above it proves the count constant between
+    witnesses.  A bound that is too small makes certificates unsound.
     """
 
     __slots__ = ("_dim", "_build", "_lipschitz", "_cache")
@@ -229,8 +231,10 @@ def reverse(a: OperatorPath) -> OperatorPath:
 class Homotopy:
     """Two-parameter family ``(s, t) -> operator`` on [0, 1]^2.
 
-    ``slice_lipschitz`` bounds the t-derivative uniformly in s (``None``
-    when unknown) and is inherited by every slice.
+    Built by :func:`affine_homotopy`.  ``slice_build(s, ts)`` plays the
+    role of :meth:`OperatorPath.batched`'s ``build`` for the slice at
+    ``s``; ``slice_lipschitz`` bounds the t-derivative uniformly in s
+    (``None`` when unknown) and is inherited by every slice.
     """
 
     __slots__ = ("_dim", "_slice_build", "_slice_lipschitz")
@@ -238,21 +242,12 @@ class Homotopy:
     def __init__(
         self,
         dim: int,
-        evaluator: Callable[[float, float], SelfAdjointOperator],
-        slice_lipschitz: float | None = None,
+        slice_build: Callable[[float, np.ndarray], list[SelfAdjointOperator]],
+        slice_lipschitz: float | None,
     ):
         self._dim = int(dim)
-        self._slice_build = lambda s, ts: [evaluator(s, t) for t in ts.tolist()]
+        self._slice_build = slice_build
         self._slice_lipschitz = slice_lipschitz
-
-    @classmethod
-    def _batched(cls, dim, slice_build, slice_lipschitz) -> "Homotopy":
-        # slice_build(s, ts) plays the role of OperatorPath.batched's build.
-        h = cls.__new__(cls)
-        h._dim = int(dim)
-        h._slice_build = slice_build
-        h._slice_lipschitz = slice_lipschitz
-        return h
 
     @property
     def dim(self) -> int:
@@ -300,7 +295,7 @@ def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
     lip = None
     if a.lipschitz is not None and b.lipschitz is not None:
         lip = max(a.lipschitz, b.lipschitz)
-    return Homotopy._batched(a.dim, slice_build, slice_lipschitz=lip)
+    return Homotopy(a.dim, slice_build, lip)
 
 
 def reparametrize(

@@ -15,8 +15,7 @@ import numpy as np
 
 from .families import invertible_valued_family, random_family, random_symmetric
 from .flow import FlowOptions, spectral_flow
-from .operators import SelfAdjointOperator
-from .paths import OperatorPath, affine_homotopy, concat, reverse
+from .paths import OperatorPath, affine_homotopy, concat, matrix_path, reverse
 
 __all__ = ["PropertyCheck", "PropertyReport", "check_flow_properties"]
 
@@ -54,12 +53,8 @@ def _extension_path(a: OperatorPath, seed: int) -> OperatorPath:
     start = a.at(1.0).entries
     b = random_symmetric(rng, dim)
     c = random_symmetric(rng, dim)
-
-    def ev(t: float) -> SelfAdjointOperator:
-        return SelfAdjointOperator(start + t * b + np.sin(np.pi * t) * c)
-
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return OperatorPath(dim, ev, lipschitz=lip)
+    return matrix_path(dim, lambda t: start + t * b + np.sin(np.pi * t) * c, lipschitz=lip)
 
 
 def _perturbation_homotopy(a: OperatorPath, seed: int, scale: float = 0.5):
@@ -67,14 +62,11 @@ def _perturbation_homotopy(a: OperatorPath, seed: int, scale: float = 0.5):
     rng = np.random.default_rng(seed)
     dim = a.dim
     e = random_symmetric(rng, dim) * scale
-
-    def ev(t: float) -> SelfAdjointOperator:
-        return SelfAdjointOperator(a.at(t).entries + np.sin(np.pi * t) * e)
-
     lip = None
     if a.lipschitz is not None:
         lip = a.lipschitz + np.pi * float(np.linalg.norm(e, 2))
-    return affine_homotopy(a, OperatorPath(dim, ev, lipschitz=lip))
+    bumped = matrix_path(dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, lipschitz=lip)
+    return affine_homotopy(a, bumped)
 
 
 def check_flow_properties(

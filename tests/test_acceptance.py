@@ -19,7 +19,6 @@ from specflow import (
     GluingSpec,
     SelfAdjointOperator,
     Spectrum,
-    affine_homotopy,
     baer_family,
     build_distinct_paths,
     circle_family,
@@ -34,8 +33,8 @@ from specflow import (
     window_count_constancy,
 )
 from specflow.cli import main
-from specflow.families import random_symmetric
 from specflow.paths import OperatorPath
+from specflow.properties import _extension_path, _perturbation_homotopy
 
 DIMS = tuple(range(2, 13))
 
@@ -63,17 +62,6 @@ class budget:
         return False
 
 
-def extension_path(a, seed: int) -> OperatorPath:
-    """Random path starting exactly at a(1), for composable pairs."""
-    rng = np.random.default_rng(seed)
-    dim = a.dim
-    start = a.at(1.0).entries
-    b = random_symmetric(rng, dim)
-    c = random_symmetric(rng, dim)
-    lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return matrix_path(dim, lambda t: start + t * b + np.sin(np.pi * t) * c, lipschitz=lip)
-
-
 def test_property_i_invertible_paths_zero_flow():
     with budget("property i: flow vanishes on invertible-valued paths", 30):
         for idx in range(100):
@@ -85,7 +73,7 @@ def test_properties_ii_iii_additivity_and_antisymmetry():
     with budget("properties ii+iii: additivity and antisymmetry", 60):
         for idx in range(100):
             a = random_family(DIMS[idx % len(DIMS)], seed=1000 + idx)
-            b = extension_path(a, seed=2000 + idx)
+            b = _extension_path(a, seed=2000 + idx)
             fa = spectral_flow(a).flow
             fb = spectral_flow(b).flow
             assert spectral_flow(concat(a, b)).flow == fa + fb, f"case {idx}"
@@ -95,15 +83,8 @@ def test_properties_ii_iii_additivity_and_antisymmetry():
 def test_property_iv_homotopy_invariance():
     with budget("property iv: flow constant across affine homotopies", 120):
         for idx in range(50):
-            dim = DIMS[idx % len(DIMS)]
-            a = random_family(dim, seed=3000 + idx, invertible_ends=True)
-            rng = np.random.default_rng(4000 + idx)
-            e = random_symmetric(rng, dim) * 0.5
-            lip = a.lipschitz + np.pi * float(np.linalg.norm(e, 2))
-            bpath = matrix_path(
-                dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, lipschitz=lip
-            )
-            h = affine_homotopy(a, bpath)
+            a = random_family(DIMS[idx % len(DIMS)], seed=3000 + idx, invertible_ends=True)
+            h = _perturbation_homotopy(a, seed=4000 + idx)
             # every slice keeps the same (invertible) endpoints
             for t in (0.0, 1.0):
                 assert h.at(0.5, t).spectrum.min_abs >= 1e-3

@@ -91,6 +91,13 @@ class TestComponentReportInvariants:
         with pytest.raises(ValueError, match="basepoint"):
             ComponentReport(basepoint=BASEPOINT, paths=(other,), flows=(0,), ledger=())
 
+    def test_zero_basepoint_rejected(self):
+        # The zero operator has spectral radius 0; its singularity test
+        # falls back to the unit scale and still rejects it.
+        zero = SelfAdjointOperator(np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="basepoint must be invertible"):
+            ComponentReport(basepoint=zero, paths=(constant_path(zero),), flows=(0,), ledger=())
+
     def test_singular_endpoint_rejected(self):
         p = matrix_path(4, lambda t: np.diag([5.0 - 5.0 * t, 5.0, -5.0, 7.0]))
         with pytest.raises(ValueError, match="invertible"):

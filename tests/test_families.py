@@ -11,7 +11,6 @@ from specflow import (
     BaerFamilySpec,
     CircleDiracSpec,
     InvalidSpec,
-    WindowTooSmall,
     baer_family,
     circle_dirac,
     circle_family,
@@ -81,7 +80,7 @@ class TestCircleDirac:
             circle_family(modes=2, winding=1, spin_shift=0.0)
 
     def test_winding_beyond_modes_rejected(self):
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(InvalidSpec, match="winding 3 exceeds represented modes K=2"):
             circle_family(modes=2, winding=3)
 
     @pytest.mark.parametrize("winding", [-3, -1, 0, 1, 3])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from specflow import (
     matrix_path,
     oracle_flow,
     random_family,
-    refine_partition,
+    reparametrize,
     spectral_flow,
 )
 
@@ -23,23 +25,23 @@ from specflow import (
 class TestRefinePartition:
     def test_constant_path_single_segment(self):
         p = matrix_path(2, lambda t: np.diag([-1.0, 1.0]))
-        part = refine_partition(p, init_samples=1)
-        assert part.times == (0.0, 1.0)
-        assert len(part.radii) == 1
-        assert 0.0 < part.radii[0] < 1.0
-        w = part.witnesses[0]
+        cert = spectral_flow(p, init_samples=1)
+        assert cert.times == (0.0, 1.0)
+        assert len(cert.radii) == 1
+        assert 0.0 < cert.radii[0] < 1.0
+        w = cert.witnesses[0]
         assert w.margin > 0
         assert w.symmetric_count == 0
 
     def test_crossing_family_init8_segments_verified_by_brute_force(self):
         p = matrix_path(3, lambda t: np.diag([2 * t - 1, 3.0, -3.0]))
-        part = refine_partition(p, init_samples=8)
-        assert part.times[0] == 0.0 and part.times[-1] == 1.0
+        cert = spectral_flow(p, init_samples=8)
+        assert cert.times[0] == 0.0 and cert.times[-1] == 1.0
         # per-segment constancy of the symmetric count on a fine grid
-        for w in part.witnesses:
+        for w in cert.witnesses:
             counts = {
                 brute_window_count(p, float(t), w.radius)
-                for t in np.linspace(w.t_lower, w.t_upper, 1000 // len(part.witnesses) + 2)
+                for t in np.linspace(w.t_lower, w.t_upper, 1000 // len(cert.witnesses) + 2)
             }
             assert counts == {w.symmetric_count}
 
@@ -48,9 +50,9 @@ class TestRefinePartition:
         # the certified radius must separate the curve from zero with a
         # genuine margin (so it lands strictly inside (0, 1))
         p = matrix_path(2, lambda t: np.diag([np.sin(2 * np.pi * t) + 2.0, -3.0]))
-        part = refine_partition(p, init_samples=1)
-        assert len(part.witnesses) == 1
-        w = part.witnesses[0]
+        cert = spectral_flow(p, init_samples=1)
+        assert len(cert.witnesses) == 1
+        w = cert.witnesses[0]
         assert 0.0 < w.radius < 1.0
         assert w.margin > 0
         assert w.symmetric_count == 0
@@ -60,16 +62,53 @@ class TestRefinePartition:
 
     def test_degenerate_path_depth_exceeded(self):
         p = matrix_path(1, lambda t: np.zeros((1, 1)))
-        with pytest.raises(DepthExceeded):
-            refine_partition(p, init_samples=1, max_depth=6)
+        with pytest.raises(DepthExceeded, match=r"depth 6 \(all zero: every witnessed eigenvalue"):
+            spectral_flow(p, init_samples=1, max_depth=6)
+
+    def test_warp_between_adjacent_floats_fails_on_lipschitz_slack(self):
+        # The knots are one ulp apart, so the warp's slope bound is about
+        # 4e16 and no witness spacing reachable at depth 20 beats it.
+        a = random_family(5, seed=0)
+        xs = np.array([0.0, 0.9899999999999999, 0.99, 1.0])
+        ys = np.linspace(0.0, 1.0, 4)
+        slope = float(np.max(np.diff(ys) / np.diff(xs)))
+        p = reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=a.lipschitz * slope)
+        with pytest.raises(DepthExceeded) as info:
+            spectral_flow(p)
+        assert str(info.value) == (
+            "segment [0, 1.1920929e-07] not certifiable at bisection depth 20 "
+            "(Lipschitz slack: margin 4.898e-01 does not exceed 0.5 * L * step = 2.972e+08 "
+            f"with L = {a.lipschitz * slope:.3e}, step = 1.490e-08)"
+        )
+
+    @pytest.mark.parametrize(
+        "diag, options, reason",
+        [
+            # |eigenvalues| 0, 1, 2 leave gaps of 1, so the margin is 0.5,
+            # below the floor 0.5 * 2.
+            (lambda t: [1.0, 2.0], FlowOptions(min_margin=0.5), "margin floor: margin 5.000e-01"),
+            # An eigenvalue sweeping [0, 4] crosses every candidate radius.
+            (lambda t: [4.0 * t, 1.0], FlowOptions(), "count drift: the count in"),
+        ],
+    )
+    def test_depth_exceeded_names_the_reason(self, diag, options, reason):
+        p = matrix_path(2, lambda t: np.diag(diag(t)))
+        with pytest.raises(DepthExceeded, match=re.escape(f"depth 1 ({reason}")):
+            spectral_flow(p, options, init_samples=1, max_depth=1)
 
     def test_radius_certified_at_all_witnesses(self):
         p = random_family(6, seed=3)
-        part = refine_partition(p)
-        for w in part.witnesses:
+        cert = spectral_flow(p)
+        for w in cert.witnesses:
             for t in w.grid:
                 vals = np.linalg.eigvalsh(p.at(t).entries)
                 assert np.abs(np.abs(vals) - w.radius).min() >= w.margin * (1 - 1e-12)
+
+    def test_overrides_recorded_in_options(self):
+        p = random_family(4, seed=1)
+        cert = spectral_flow(p, FlowOptions(witness_points=5), init_samples=3, max_depth=30)
+        assert cert.options == FlowOptions(init_samples=3, max_depth=30, witness_points=5)
+        assert cert.radii == tuple(w.radius for w in cert.witnesses)
 
 
 class TestSpectralFlow:

@@ -1,4 +1,4 @@
-"""Operator ingestion, eigenvalues, counts, and window certification."""
+"""Operator ingestion, eigenvalues, spectrum scale, and counts."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 
 from specflow import (
     BoundaryAmbiguity,
-    NoGap,
     SelfAdjointOperator,
-    certify_window,
+    Spectrum,
     eigen_count,
-    eigenvalues,
 )
 
 
@@ -64,16 +62,21 @@ class TestIngestion:
 
 class TestEigenvalues:
     def test_diagonal(self):
-        spec = eigenvalues(SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5]))
+        spec = SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5]).spectrum
         assert spec.values.tolist() == [-1.0, 0.5, 3.0]
 
     def test_identity(self):
-        spec = eigenvalues(SelfAdjointOperator(np.eye(4)))
+        spec = SelfAdjointOperator(np.eye(4)).spectrum
         assert spec.values.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_pauli_type(self):
-        spec = eigenvalues(SelfAdjointOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        spec = SelfAdjointOperator(np.array([[0.0, 1.0], [1.0, 0.0]])).spectrum
         assert np.allclose(spec.values, [-1.0, 1.0])
+
+    def test_scale_is_radius_or_one_for_zero(self):
+        assert Spectrum([-3.0, 0.5, 2.0]).scale == 3.0
+        assert Spectrum([0.0, 0.0]).scale == 1.0
+        assert SelfAdjointOperator(np.zeros((3, 3))).spectrum.scale == 1.0
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -113,6 +116,11 @@ class TestEigenCount:
         with pytest.raises(BoundaryAmbiguity):
             eigen_count(op, (0.5, 2.0), 1e-9)
 
+    def test_zero_operator_uses_unit_scale(self):
+        zero = SelfAdjointOperator(np.zeros((2, 2)))
+        with pytest.raises(BoundaryAmbiguity, match=r"within 1\.000e-09 of interval endpoint 0\.0"):
+            eigen_count(zero, (0.0, 1.0))
+
     def test_boundary_ambiguity_relative_scale(self):
         # tolerance scales with the spectral radius
         op = SelfAdjointOperator.from_diagonal([1e6, 1.0])
@@ -137,52 +145,6 @@ class TestEigenCount:
         vals = np.array(diag, dtype=float)
         direct = int(np.sum((vals >= a) & (vals <= b)) + np.sum((vals >= c) & (vals <= d)))
         assert total == direct
-
-
-class TestCertifyWindow:
-    def test_clear_target_kept(self):
-        w = certify_window(SelfAdjointOperator.from_diagonal([-3.0, 3.0]), 2.0)
-        assert (w.radius, w.margin) == (2.0, 1.0)
-
-    def test_collision_nudges_to_nearest_gap_midpoint(self):
-        # derivation: |eigenvalues| = {2}; gaps on the magnitude axis are
-        # (0, 2) with midpoint 1 (margin 1) and the top range capped at
-        # 2*target=4 (margin 2); midpoint 1 is nearest to the target.
-        w = certify_window(SelfAdjointOperator.from_diagonal([-2.0, 2.0]), 2.0)
-        assert (w.radius, w.margin) == (1.0, 1.0)
-
-    def test_identity_small_target(self):
-        w = certify_window(SelfAdjointOperator(np.eye(2)), 0.5)
-        assert (w.radius, w.margin) == (0.5, 0.5)
-
-    def test_no_gap(self):
-        # spectrum dense over [target/2, 2*target] relative to the margin floor
-        op = SelfAdjointOperator.from_diagonal([0.4, 0.9, 1.4, 1.9, 2.4])
-        with pytest.raises(NoGap):
-            certify_window(op, 1.0, min_margin=0.3)
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            certify_window(SelfAdjointOperator.from_diagonal([1.0]), 0.0)
-
-    @given(
-        st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=10),
-        st.integers(min_value=1, max_value=12),
-    )
-    def test_certified_margin_is_honest(self, diag, target_scaled):
-        op = SelfAdjointOperator.from_diagonal([float(v) for v in diag])
-        target = target_scaled / 2
-        try:
-            w = certify_window(op, target)
-        except NoGap:
-            return
-        dist = min(
-            float(np.abs(np.array(diag, dtype=float) - w.radius).min()),
-            float(np.abs(np.array(diag, dtype=float) + w.radius).min()),
-        )
-        assert w.margin <= dist + 1e-12
-        assert w.margin > 0
-        assert target / 2 <= w.radius <= 2 * target
 
 
 class TestWindowMonotonicity:

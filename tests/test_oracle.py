@@ -80,6 +80,12 @@ class TestOracleFlow:
         with pytest.raises(BoundaryAmbiguity):
             oracle_flow(p)
 
+    def test_zero_endpoint_guard_uses_unit_scale(self):
+        # At t=0 the operator is zero (radius 0): the band is 1e-9 * 1.0.
+        p = matrix_path(2, lambda t: t * np.eye(2))
+        with pytest.raises(BoundaryAmbiguity, match=r"endpoint t=0\.0 .* within 1\.000e-09 of 0"):
+            oracle_flow(p)
+
     def test_net_flow_equals_record_sum(self):
         p = matrix_path(2, lambda t: np.diag([np.cos(3 * np.pi * t), -4.0]))
         res = oracle_flow(p)

@@ -35,7 +35,6 @@ class TestCheckFlowProperties:
                 state["armed"] = False
                 return FlowCertificate(
                     times=cert.times,
-                    radii=cert.radii,
                     witnesses=cert.witnesses,
                     counts=cert.counts,
                     flow=cert.flow + 1,
