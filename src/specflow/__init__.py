@@ -54,7 +54,7 @@ from .families import (
     invertible_valued_family,
     random_family,
 )
-from .gluing import GluedPath, GluingSpec, WindowCountReport, glue, window_count_constancy
+from .gluing import GluingSpec, WindowCountReport, glue, window_count_constancy
 from .components import (
     ComponentCertification,
     ComponentReport,
@@ -112,7 +112,6 @@ __all__ = [
     "invertible_valued_family",
     # gluing
     "GluingSpec",
-    "GluedPath",
     "WindowCountReport",
     "glue",
     "window_count_constancy",

@@ -43,7 +43,7 @@ from .errors import (
     WindowCountViolation,
 )
 from .flow import spectral_flow
-from .oracle import oracle_flow
+from .oracle import DEFAULT_GRID, _MIN_GRID, oracle_flow
 from .properties import check_flow_properties
 from .reporting import (
     component_report_document,
@@ -60,7 +60,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, EndpointMismatch, ValueError)
+_CONFIG_ERRORS = (ConfigError, InvalidSpec, EndpointMismatch)
 _COMPUTE_ERRORS = (
     BoundaryAmbiguity,
     DepthExceeded,
@@ -188,11 +188,14 @@ def cmd_flow(config: dict, with_oracle: bool = False) -> int:
     if family is None:
         raise ConfigError("flow command needs a family (config file or --family)")
     options = flow_options_from_config(config)
+    grid = config.get("grid", DEFAULT_GRID)
+    if with_oracle and grid < _MIN_GRID:
+        raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     path = build_family_path(family, config.get("seed", 0))
     cert = spectral_flow(path, options)
     doc = flow_certificate_document(cert, path_descriptor=family)
     if with_oracle:
-        doc["oracle"] = _oracle_block(path, config.get("grid", 512))
+        doc["oracle"] = _oracle_block(path, grid)
         if doc["oracle"]["flow"] != cert.flow:
             raise CertificateBroken(
                 f"oracle flow {doc['oracle']['flow']} disagrees with the certified "

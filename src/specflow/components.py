@@ -22,7 +22,14 @@ from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
 from .operators import SelfAdjointOperator, Spectrum
-from .paths import OperatorPath, concat, constant_path, straight_segment
+from .paths import (
+    ENDPOINT_RTOL,
+    OperatorPath,
+    _endpoint_gap,
+    concat,
+    constant_path,
+    straight_segment,
+)
 
 __all__ = [
     "LedgerEntry",
@@ -37,9 +44,6 @@ __all__ = [
 # Relative size below which the smallest |eigenvalue| counts as singular.
 SINGULARITY_RTOL = 1e-8
 BISECTION_STEPS = 60
-# Relative endpoint tolerance when checking that report paths start at the
-# basepoint (matches the path-algebra composability tolerance).
-BASEPOINT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,11 @@ class ComponentReport:
             raise ValueError(f"flows must be pairwise distinct, got {self.flows}")
         if not _endpoint_invertible(self.basepoint):
             raise ValueError("basepoint must be invertible")
-        scale = float(np.abs(self.basepoint.entries).max())
         for idx, p in enumerate(self.paths):
             if p.dim != self.basepoint.dim:
                 raise ValueError(f"path {idx} has dim {p.dim}, basepoint {self.basepoint.dim}")
-            gap = float(np.abs(p.at(0.0).entries - self.basepoint.entries).max())
-            if gap > BASEPOINT_RTOL * scale:
+            gap, scale = _endpoint_gap(self.basepoint, p.at(0.0))
+            if gap > ENDPOINT_RTOL * scale:
                 raise ValueError(f"path {idx} does not start at the basepoint (gap {gap:.3e})")
             for t in (0.0, 1.0):
                 if not _endpoint_invertible(p.at(t)):

@@ -111,7 +111,10 @@ def flow_options_from_config(config: dict) -> FlowOptions:
     unknown = set(block) - known
     if unknown:
         raise ConfigError(f"unknown flow options: {sorted(unknown)}")
-    return FlowOptions(**block)
+    try:
+        return FlowOptions(**block)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _matrix_from_json(obj) -> np.ndarray:
@@ -162,7 +165,7 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
         float(np.linalg.norm(q - p, 2)) / (t1 - t0)
         for (t0, p), (t1, q) in zip(zip(ts[:-1], mats[:-1]), zip(ts[1:], mats[1:]))
     )
-    return OperatorPath.batched(dim, build, lipschitz=lip)
+    return OperatorPath(dim, build, lipschitz=lip)
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:
@@ -171,46 +174,54 @@ def path_samples_to_json(path: OperatorPath, grid: int) -> dict:
     return {
         "kind": "sampled",
         "samples": [
-            {"t": float(t), "matrix": _matrix_to_json(path.at(float(t)).entries)} for t in ts
+            {"t": t, "matrix": _matrix_to_json(op.entries)}
+            for t, op in zip(ts.tolist(), path._operators(ts))
         ],
     }
 
 
 def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
-    """Construct the operator path described by a validated family block."""
+    """Construct the operator path described by a validated family block.
+
+    A block the schema accepts but no path satisfies (a sampled matrix that
+    is not Hermitian, say) raises :class:`ConfigError`.
+    """
     kind = family.get("kind")
-    if kind == "baer":
-        spec = BaerFamilySpec(
-            m=family["m"],
-            background=tuple(family.get("background", DEFAULT_BACKGROUND)),
-        )
-        return baer_family(spec)
-    if kind == "circle":
-        return circle_family(
-            modes=family["modes"],
-            winding=family["winding"],
-            spin_shift=float(family.get("shift", 0.5)),
-        )
-    if kind == "random":
-        return random_family(
-            dim=family["dim"],
-            seed=family.get("seed", default_seed),
-            invertible_ends=family.get("invertible_ends", False),
-        )
-    if kind == "glue":
-        spec = GluingSpec(
-            base=Spectrum(family.get("base_spectrum", DEFAULT_GLUE_BASE)),
-            sphere_family=BaerFamilySpec(
+    try:
+        if kind == "baer":
+            spec = BaerFamilySpec(
                 m=family["m"],
                 background=tuple(family.get("background", DEFAULT_BACKGROUND)),
-            ),
-            epsilon=float(family.get("epsilon", DEFAULT_GLUE_EPSILON)),
-            seed=family.get("seed", default_seed),
-        )
-        return glue(spec).path
-    if kind == "sampled":
-        samples = [(s["t"], _matrix_from_json(s["matrix"])) for s in family["samples"]]
-        return sampled_path(samples)
+            )
+            return baer_family(spec)
+        if kind == "circle":
+            return circle_family(
+                modes=family["modes"],
+                winding=family["winding"],
+                spin_shift=float(family.get("shift", 0.5)),
+            )
+        if kind == "random":
+            return random_family(
+                dim=family["dim"],
+                seed=family.get("seed", default_seed),
+                invertible_ends=family.get("invertible_ends", False),
+            )
+        if kind == "glue":
+            spec = GluingSpec(
+                base=Spectrum(family.get("base_spectrum", DEFAULT_GLUE_BASE)),
+                sphere_family=BaerFamilySpec(
+                    m=family["m"],
+                    background=tuple(family.get("background", DEFAULT_BACKGROUND)),
+                ),
+                epsilon=float(family.get("epsilon", DEFAULT_GLUE_EPSILON)),
+                seed=family.get("seed", default_seed),
+            )
+            return glue(spec).path
+        if kind == "sampled":
+            samples = [(s["t"], _matrix_from_json(s["matrix"])) for s in family["samples"]]
+            return sampled_path(samples)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown family kind {kind!r}")
 
 

@@ -53,6 +53,8 @@ class BaerFamilySpec:
             raise InvalidSpec(f"multiplicity floor must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "background", tuple(float(v) for v in self.background))
         for v in self.background:
+            if not np.isfinite(v):
+                raise InvalidSpec(f"background value {v!r} is not finite")
             if abs(v) <= 2.0:
                 raise InvalidSpec(
                     f"background value {v!r} lies in [-2, 2]; the crossing eigenvalue "
@@ -82,7 +84,7 @@ def baer_family(spec: BaerFamilySpec) -> OperatorPath:
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         return diagonal_operators(crossing_eigenvalues(ts, mult, bg), ts)
 
-    return OperatorPath.batched(spec.dim, build, lipschitz=2.0)
+    return OperatorPath(spec.dim, build, lipschitz=2.0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def circle_family(modes: int, winding: int, spin_shift: float = 0.5) -> Operator
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         return diagonal_operators(_circle_eigenvalues(spec, float(winding) * ts), ts)
 
-    return OperatorPath.batched(spec.dim, build, lipschitz=float(abs(winding)))
+    return OperatorPath(spec.dim, build, lipschitz=float(abs(winding)))
 
 
 def random_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -189,7 +191,7 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
         return stacked_operators(a + t * b + np.sin(np.pi * t) * c, ts)
 
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return OperatorPath.batched(dim, build, lipschitz=lip)
+    return OperatorPath(dim, build, lipschitz=lip)
 
 
 def _skew(g: np.ndarray) -> np.ndarray:
@@ -236,4 +238,4 @@ def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
     # ||(I+K)^-1|| <= 1), ||D|| <= 1 and ||D'|| <= 0.4 pi.
     k_rate = float(np.linalg.norm(k1, 2) + np.pi * np.linalg.norm(k2, 2))
     lip = 4.0 * k_rate + 0.4 * np.pi
-    return OperatorPath.batched(dim, build, lipschitz=lip)
+    return OperatorPath(dim, build, lipschitz=lip)

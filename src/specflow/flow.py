@@ -19,6 +19,7 @@ from .operators import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_MIN_MARGIN,
     SelfAdjointOperator,
+    solve_spectra,
 )
 from .paths import OperatorPath
 
@@ -100,8 +101,10 @@ class FlowCertificate:
         """Re-derive every certified quantity; raise CertificateBroken on drift."""
         total = 0
         for w, (c_lo, c_hi) in zip(self.witnesses, self.counts):
-            for t in w.grid:
-                spec = path.at(t).spectrum
+            ops = path._operators(w.grid)
+            solve_spectra(ops)
+            for t, op in zip(w.grid, ops):
+                spec = op.spectrum
                 if spec.min_distance(w.radius) < w.margin * (1 - 1e-9) or (
                     spec.min_distance(-w.radius) < w.margin * (1 - 1e-9)
                 ):

@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import InvalidSpec, WindowCountViolation
 from .families import BaerFamilySpec, crossing_eigenvalues
-from .operators import Spectrum, diagonal_operators, eigen_count
+from .operators import Spectrum, diagonal_operators, eigen_count, solve_spectra
 from .paths import OperatorPath
 
 __all__ = [
     "GluingSpec",
-    "GluedPath",
     "WindowCountReport",
     "glue",
     "window_count_constancy",
@@ -117,7 +116,7 @@ class GluedPath:
         )
         rng = np.random.default_rng(spec.seed)
         self._knots = rng.uniform(-1.0, 1.0, size=(spec.dim, _NOISE_KNOTS)) * _NOISE_HEADROOM
-        # The evaluator holds the arrays it needs and not self, so a glued
+        # The build holds the arrays it needs and not self, so a glued
         # path and its cached operators are freed by reference counting.
         args = (spec.sphere_family.multiplicity, self._static, self._knots, spec.epsilon)
 
@@ -125,7 +124,7 @@ class GluedPath:
             return diagonal_operators(_perturbed(ts, *args), ts)
 
         lip = 2.0 + spec.epsilon * 1.5 * (_NOISE_KNOTS - 1) * 2.0
-        self.path = OperatorPath.batched(spec.dim, build, lipschitz=lip)
+        self.path = OperatorPath(spec.dim, build, lipschitz=lip)
 
     def _curves(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mult = self.spec.sphere_family.multiplicity
@@ -166,28 +165,29 @@ def glue(spec: GluingSpec) -> GluedPath:
 
 
 def window_count_constancy(
-    glued: GluedPath | OperatorPath,
+    path: OperatorPath,
     grid: int = 101,
     radius: float = WINDOW_RADIUS,
 ) -> WindowCountReport:
-    """Verify the window count is constant on a parameter grid.
+    """Verify the window count of ``path`` is constant on a parameter grid.
 
     Counts go through :func:`eigen_count`, so an eigenvalue sitting on the
     window boundary raises :class:`BoundaryAmbiguity` rather than being
-    silently assigned a side.  Accepts a plain path too, so deliberately
-    broken merges can be fed in as negative tests; a changing count raises
+    silently assigned a side.  Takes any path (``glue(spec).path`` or a
+    deliberately broken merge); a changing count raises
     :class:`WindowCountViolation` with the offending parameter and
     spectrum.
     """
-    path = glued.path if isinstance(glued, GluedPath) else glued
     ts = np.linspace(0.0, 1.0, grid)
-    counts = [eigen_count(path.at(float(t)), (-radius, radius)).count for t in ts]
+    ops = path._operators(ts)
+    solve_spectra(ops)
+    counts = [eigen_count(op, (-radius, radius)).count for op in ops]
     first = counts[0]
-    for t, c in zip(ts, counts):
+    for t, op, c in zip(ts.tolist(), ops, counts):
         if c != first:
             raise WindowCountViolation(
-                f"window count changed from {first} to {c} at t={float(t)!r}",
-                t=float(t),
-                spectrum=path.at(float(t)).spectrum.values,
+                f"window count changed from {first} to {c} at t={t!r}",
+                t=t,
+                spectrum=op.spectrum.values,
             )
     return WindowCountReport(count=first, radius=radius, grid=grid)

@@ -20,6 +20,7 @@ from .paths import OperatorPath
 __all__ = ["CrossingRecord", "OracleResult", "oracle_flow"]
 
 DEFAULT_GRID = 512
+_MIN_GRID = 64
 DEFAULT_ZERO_BAND = 1e-9
 REFINE_WIDTH = 1e-10
 
@@ -68,23 +69,32 @@ def _refine_cell(
         _refine_cell(path, mid, hi, n_mid, n_hi, out)
 
 
+def _grid_flow(path: OperatorPath, grid: int) -> OracleResult:
+    """Signed crossing count on ``grid`` equal cells, each crossing bisected."""
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    negs = _negative_counts(path, ts)
+    records: list[CrossingRecord] = []
+    for j in range(grid):
+        if negs[j] != negs[j + 1]:
+            _refine_cell(path, float(ts[j]), float(ts[j + 1]), negs[j], negs[j + 1], records)
+    return OracleResult(flow=negs[0] - negs[-1], crossings=tuple(records), grid=grid)
+
+
 def oracle_flow(
     path: OperatorPath,
     grid: int = DEFAULT_GRID,
     zero_band: float = DEFAULT_ZERO_BAND,
-    check_doubling: bool = True,
 ) -> OracleResult:
     """Signed zero-crossing count of ``path`` on a fine grid.
 
     ``zero_band`` (relative to ``Spectrum.scale``) guards the path
     endpoints: an eigenvalue that close to zero there makes the crossing
-    count ill-defined.  With ``check_doubling`` the run is repeated on a
-    doubled grid and any disagreement (net flow or number of detected
-    crossings) raises :class:`ResolutionWarning` instead of being
-    silently accepted.
+    count ill-defined.  The run is repeated on a doubled grid and any
+    disagreement (net flow or number of detected crossings) raises
+    :class:`ResolutionWarning` instead of being silently accepted.
     """
-    if grid < 64:
-        raise ValueError(f"oracle grid must be at least 64, got {grid!r}")
+    if grid < _MIN_GRID:
+        raise ValueError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     for t in (0.0, 1.0):
         spec = path.at(t).spectrum
         if spec.min_abs < zero_band * spec.scale:
@@ -92,20 +102,12 @@ def oracle_flow(
                 f"endpoint t={t} has an eigenvalue within {zero_band * spec.scale:.3e} of 0; "
                 "the signed crossing count is ill-defined there"
             )
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    negs = _negative_counts(path, ts)
-    records: list[CrossingRecord] = []
-    for j in range(grid):
-        if negs[j] != negs[j + 1]:
-            _refine_cell(path, float(ts[j]), float(ts[j + 1]), negs[j], negs[j + 1], records)
-    flow = negs[0] - negs[-1]
-    result = OracleResult(flow=flow, crossings=tuple(records), grid=grid)
-    if check_doubling:
-        doubled = oracle_flow(path, 2 * grid, zero_band, check_doubling=False)
-        if (doubled.flow, len(doubled.crossings)) != (flow, len(records)):
-            raise ResolutionWarning(
-                f"oracle result changed under grid doubling {grid} -> {2 * grid}: "
-                f"flow {flow} -> {doubled.flow}, crossings {len(records)} -> "
-                f"{len(doubled.crossings)}; raise the grid"
-            )
+    result = _grid_flow(path, grid)
+    doubled = _grid_flow(path, 2 * grid)
+    if (doubled.flow, len(doubled.crossings)) != (result.flow, len(result.crossings)):
+        raise ResolutionWarning(
+            f"oracle result changed under grid doubling {grid} -> {2 * grid}: "
+            f"flow {result.flow} -> {doubled.flow}, crossings {len(result.crossings)} -> "
+            f"{len(doubled.crossings)}; raise the grid"
+        )
     return result

@@ -1,7 +1,7 @@
 """Operator paths over [0, 1] and the algebra on them.
 
-A path is an immutable wrapper around a batch evaluator that maps an
-array of parameters to one operator each.  ``at(t)`` is a batch of one and
+A path is an immutable wrapper around one vectorized ``build`` that maps
+an array of parameters to one operator each.  ``at(t)`` is a batch of one and
 ``spectra(ts)`` a batch of many; both go through one per-path cache, so
 partition refinement, which revisits segment endpoints, reuses cached
 spectra.
@@ -34,29 +34,32 @@ __all__ = [
 ENDPOINT_RTOL = 1e-10
 
 
-def _outside(t: float) -> ValueError:
-    return ValueError(f"path parameter {t!r} outside [0, 1]")
-
-
 def _params(ts) -> list[float]:
     arr = np.asarray(ts, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"path parameters must be a 1-d sequence, got shape {arr.shape}")
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if outside.any():
-        raise _outside(float(arr[outside][0]))
+        raise ValueError(f"path parameter {float(arr[outside][0])!r} outside [0, 1]")
     return arr.tolist()
 
 
 class OperatorPath:
     """Continuous family ``t -> SelfAdjointOperator`` on [0, 1].
 
-    ``evaluator`` maps one parameter to one operator.  ``lipschitz`` is an
-    optional bound L on the operator norm of the derivative; ``None`` means
-    unknown.  Certification relies on it: a segment whose window margin
-    does not exceed ``0.5 * L * step`` (``step`` being the witness spacing)
-    is rejected, and a margin above it proves the count constant between
-    witnesses.  A bound that is too small makes certificates unsound.
+    ``build`` maps a 1-d float64 array of distinct parameters to one
+    operator per parameter, usually through
+    :func:`~specflow.operators.stacked_operators` or
+    :func:`~specflow.operators.diagonal_operators`.  The operator at ``t``
+    must not depend on which other parameters share its batch, down to the
+    last bit.  A function of one parameter goes through :func:`matrix_path`.
+
+    ``lipschitz`` is an optional bound L on the operator norm of the
+    derivative; ``None`` means unknown.  Certification relies on it: a
+    segment whose window margin does not exceed ``0.5 * L * step``
+    (``step`` being the witness spacing) is rejected, and a margin above it
+    proves the count constant between witnesses.  A bound that is too
+    small makes certificates unsound.
     """
 
     __slots__ = ("_dim", "_build", "_lipschitz", "_cache")
@@ -64,32 +67,9 @@ class OperatorPath:
     def __init__(
         self,
         dim: int,
-        evaluator: Callable[[float], SelfAdjointOperator],
-        lipschitz: float | None = None,
-    ):
-        self._setup(dim, lambda ts: [evaluator(t) for t in ts.tolist()], lipschitz)
-
-    @classmethod
-    def batched(
-        cls,
-        dim: int,
         build: Callable[[np.ndarray], list[SelfAdjointOperator]],
         lipschitz: float | None = None,
-    ) -> "OperatorPath":
-        """Path from a vectorized evaluator.
-
-        ``build`` maps a 1-d float64 array of distinct parameters to one
-        operator per parameter, usually through
-        :func:`~specflow.operators.stacked_operators` or
-        :func:`~specflow.operators.diagonal_operators`.  The operator at
-        ``t`` must not depend on which other parameters share its batch,
-        down to the last bit.
-        """
-        path = cls.__new__(cls)
-        path._setup(dim, build, lipschitz)
-        return path
-
-    def _setup(self, dim, build, lipschitz) -> None:
+    ):
         if dim < 1:
             raise ValueError("path dimension must be at least 1")
         self._dim = int(dim)
@@ -106,17 +86,9 @@ class OperatorPath:
         return self._lipschitz
 
     def at(self, t: float) -> SelfAdjointOperator:
-        """Evaluate the path at parameter ``t`` in [0, 1]."""
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise _outside(t)
-        op = self._cache.get(t)
-        if op is None:
-            self._evaluate([t])
-            op = self._cache[t]
-        return op
-
-    __call__ = at
+        """Evaluate the path at parameter ``t`` in [0, 1]: a batch of one."""
+        op = self._cache.get(float(t))
+        return self._operators([t])[0] if op is None else op
 
     def _operators(self, ts) -> list[SelfAdjointOperator]:
         """Operators at every parameter in ``ts``; misses are built in batches."""
@@ -139,13 +111,19 @@ class OperatorPath:
         return np.stack([op.spectrum.values for op in ops])
 
     def _evaluate(self, ts: list[float]) -> None:
+        """Build and cache the operators at ``ts``, enforcing the build contract."""
         step = stack_chunk(self._dim)
         for i in range(0, len(ts), step):
             chunk = ts[i : i + step]
-            for t, op in zip(chunk, self._build(np.array(chunk))):
+            ops = self._build(np.array(chunk))
+            if len(ops) != len(chunk):
+                raise ValueError(
+                    f"path build returned {len(ops)} operators for {len(chunk)} parameters"
+                )
+            for t, op in zip(chunk, ops):
                 if op.dim != self._dim:
                     raise ValueError(
-                        f"path evaluator returned dimension {op.dim}, expected {self._dim}"
+                        f"path build returned dimension {op.dim}, expected {self._dim}"
                     )
                 self._cache[t] = op
 
@@ -167,11 +145,11 @@ def matrix_path(
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         return [stacked_operators(np.asarray(fn(t))[None], [t])[0] for t in ts.tolist()]
 
-    return OperatorPath.batched(dim, build, lipschitz)
+    return OperatorPath(dim, build, lipschitz)
 
 
 def constant_path(op: SelfAdjointOperator) -> OperatorPath:
-    return OperatorPath.batched(op.dim, lambda ts: [op] * len(ts), lipschitz=0.0)
+    return OperatorPath(op.dim, lambda ts: [op] * len(ts), lipschitz=0.0)
 
 
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
@@ -185,7 +163,7 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
         return stacked_operators((1.0 - t) * ea + t * eb, ts)
 
     lip = float(np.linalg.norm(eb - ea, 2))
-    return OperatorPath.batched(a.dim, build, lipschitz=lip)
+    return OperatorPath(a.dim, build, lipschitz=lip)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> tuple[float, float]:
@@ -220,21 +198,21 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     lip = None
     if a.lipschitz is not None and b.lipschitz is not None:
         lip = 2.0 * max(a.lipschitz, b.lipschitz)
-    return OperatorPath.batched(a.dim, build, lipschitz=lip)
+    return OperatorPath(a.dim, build, lipschitz=lip)
 
 
 def reverse(a: OperatorPath) -> OperatorPath:
     """Time-reversed path ``t -> a(1-t)``."""
-    return OperatorPath.batched(a.dim, lambda ts: a._operators(1.0 - ts), lipschitz=a.lipschitz)
+    return OperatorPath(a.dim, lambda ts: a._operators(1.0 - ts), lipschitz=a.lipschitz)
 
 
 class Homotopy:
     """Two-parameter family ``(s, t) -> operator`` on [0, 1]^2.
 
-    Built by :func:`affine_homotopy`.  ``slice_build(s, ts)`` plays the
-    role of :meth:`OperatorPath.batched`'s ``build`` for the slice at
-    ``s``; ``slice_lipschitz`` bounds the t-derivative uniformly in s
-    (``None`` when unknown) and is inherited by every slice.
+    Built by :func:`affine_homotopy` and read through :meth:`slice_at`.
+    ``slice_build(s, ts)`` is the ``build`` of the slice at ``s``;
+    ``slice_lipschitz`` bounds the t-derivative uniformly in s (``None``
+    when unknown) and is inherited by every slice.
     """
 
     __slots__ = ("_dim", "_slice_build", "_slice_lipschitz")
@@ -253,18 +231,13 @@ class Homotopy:
     def dim(self) -> int:
         return self._dim
 
-    def at(self, s: float, t: float) -> SelfAdjointOperator:
-        if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-            raise ValueError(f"homotopy parameters ({s!r}, {t!r}) outside [0, 1]^2")
-        return self._slice_build(float(s), np.array([float(t)]))[0]
-
     def slice_at(self, s: float) -> OperatorPath:
         """The path ``t -> H(s, t)`` at a fixed deformation parameter."""
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
         build = self._slice_build
-        return OperatorPath.batched(self._dim, lambda ts: build(s, ts), self._slice_lipschitz)
+        return OperatorPath(self._dim, lambda ts: build(s, ts), self._slice_lipschitz)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
@@ -317,4 +290,4 @@ def reparametrize(
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         return a._operators([min(1.0, max(0.0, float(phi(t)))) for t in ts.tolist()])
 
-    return OperatorPath.batched(a.dim, build, lipschitz=lipschitz)
+    return OperatorPath(a.dim, build, lipschitz=lipschitz)

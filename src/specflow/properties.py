@@ -108,15 +108,14 @@ def check_flow_properties(
         cs = _case_seed(seed + 2, idx)
         a = random_family(dims[idx % len(dims)], cs, invertible_ends=True)
         h = _perturbation_homotopy(a, cs + 7)
+        slice_paths = [h.slice_at(float(s)) for s in s_grid]
         # Ends are pinned in s and invertible by construction; verify at
         # every sampled slice anyway before trusting the flows.
-        ends_ok = all(
-            h.at(float(s), t).spectrum.min_abs > 0.0 for s in s_grid for t in (0.0, 1.0)
-        )
+        ends_ok = all(p.at(t).spectrum.min_abs > 0.0 for p in slice_paths for t in (0.0, 1.0))
         if not ends_ok:
             homotopy_failures.append(cs)
             continue
-        flows = {spectral_flow(h.slice_at(float(s)), opts).flow for s in s_grid}
+        flows = {spectral_flow(p, opts).flow for p in slice_paths}
         if len(flows) != 1:
             homotopy_failures.append(cs)
 

@@ -134,10 +134,8 @@ def spectrum_table(path: OperatorPath, grid: int) -> tuple[list[str], list[list[
     if grid < 2:
         raise ValueError("spectrum grid must have at least 2 points")
     header = ["t"] + [f"lambda_{i + 1}" for i in range(path.dim)]
-    rows = []
-    for t in np.linspace(0.0, 1.0, grid):
-        vals = path.at(float(t)).spectrum.values
-        rows.append([float(t)] + [float(v) for v in vals])
+    ts = np.linspace(0.0, 1.0, grid)
+    rows = [[t] + vals for t, vals in zip(ts.tolist(), path.spectra(ts).tolist())]
     return header, rows
 
 

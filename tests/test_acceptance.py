@@ -87,7 +87,7 @@ def test_property_iv_homotopy_invariance():
             h = _perturbation_homotopy(a, seed=4000 + idx)
             # every slice keeps the same (invertible) endpoints
             for t in (0.0, 1.0):
-                assert h.at(0.5, t).spectrum.min_abs >= 1e-3
+                assert h.slice_at(0.5).at(t).spectrum.min_abs >= 1e-3
             flows = {
                 spectral_flow(h.slice_at(float(s))).flow for s in np.linspace(0.0, 1.0, 11)
             }
@@ -112,7 +112,7 @@ def test_oracle_equivalence_on_shipped_and_random_families():
             for m in (1, 4)
         ]
         for p in shipped:
-            # check_doubling raises ResolutionWarning on any instability
+            # the doubled-grid run raises ResolutionWarning on any instability
             assert spectral_flow(p).flow == oracle_flow(p, grid=512).flow
         for idx in range(200):
             p = random_family(DIMS[idx % len(DIMS)], seed=5000 + idx, invertible_ends=True)
@@ -134,7 +134,7 @@ def test_step2_reproduction_flow_exceeds_any_floor():
                 flow = spectral_flow(g.path).flow
                 assert flow == m + 1, f"m={m} seed={seed}: flow {flow}"
                 assert flow > m
-                report = window_count_constancy(g, grid=101)
+                report = window_count_constancy(g.path, grid=101)
                 assert report.count == m + 1, f"m={m} seed={seed}: count {report.count}"
                 assert g.max_deviation(grid=101) < 0.4, f"m={m} seed={seed}"
 

@@ -107,6 +107,59 @@ class TestFlowCommand:
         )
         assert main(["flow", "--config", str(cfg)]) == 2
 
+    def test_sampled_ingest_error_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        samples = [
+            {"t": 0.0, "matrix": [[0.0, 1.0], [2.0, 0.0]]},
+            {"t": 1.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        ]
+        cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: matrix is not self-adjoint: asymmetry 1.000e+00 "
+            "exceeds 1e-12 * norm (2.000e+00)\n"
+        )
+
+    def test_oracle_grid_below_minimum_exit_1(self, capsys):
+        assert main(["flow", "--family", "baer", "--m", "1", "--oracle", "--grid", "32"]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: oracle grid must be at least 64, got 32\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"family": {"kind": "baer", "m": 1, "background": [float("inf")]}},
+                "InvalidSpec: background value inf is not finite",
+            ),
+            (
+                {"family": {"kind": "glue", "m": 1, "base_spectrum": [float("nan")]}},
+                "ConfigError: spectrum values must be finite",
+            ),
+            (
+                {"family": {"kind": "baer", "m": 1}, "flow_options": {"cluster_tol": float("nan")}},
+                "ConfigError: tolerances must be positive",
+            ),
+        ],
+        ids=["background-inf", "base-spectrum-nan", "cluster-tol-nan"],
+    )
+    def test_non_finite_config_values_exit_1(self, config, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"specflow: {message}\n"
+
+    def test_value_error_during_computation_propagates(self, monkeypatch):
+        import specflow.cli
+
+        def broken(path, options=None):
+            raise ValueError("fault inside the flow engine")
+
+        monkeypatch.setattr(specflow.cli, "spectral_flow", broken)
+        with pytest.raises(ValueError, match="fault inside the flow engine"):
+            main(["flow", "--family", "baer", "--m", "1"])
+
     def test_out_dir_written(self, tmp_path, capsys):
         out = tmp_path / "reports"
         assert main(["flow", "--family", "baer", "--m", "1", "--out", str(out)]) == 0

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import specflow
+from specflow import gluing
 
 MODULES = ["specflow"] + sorted(
     f"specflow.{name}"
@@ -24,6 +26,7 @@ DELETED = (
     "Partition",
     "refine_partition",
     "WindowTooSmall",
+    "BASEPOINT_RTOL",
 )
 
 
@@ -41,3 +44,18 @@ def test_deleted_name_not_importable(name):
     assert name not in specflow.__all__
     for module in MODULES:
         assert not hasattr(importlib.import_module(module), name), f"{module}.{name} exists"
+
+
+def test_one_path_constructor_and_one_homotopy_reader():
+    assert not hasattr(specflow.OperatorPath, "batched")
+    assert not hasattr(specflow.Homotopy, "at")
+
+
+def test_glue_is_the_only_gluing_constructor_exported():
+    assert "GluedPath" not in specflow.__all__
+    assert "GluedPath" not in gluing.__all__
+    assert not hasattr(specflow, "GluedPath")
+
+
+def test_oracle_flow_has_no_doubling_switch():
+    assert list(inspect.signature(specflow.oracle_flow).parameters) == ["path", "grid", "zero_band"]

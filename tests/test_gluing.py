@@ -107,7 +107,7 @@ class TestGlue:
 
 
     def test_freed_without_cycle_collector(self):
-        # The evaluator must not refer back to the GluedPath: with the cycle
+        # The path's build must not refer back to the glued path: with the cycle
         # collector off, dropping the last reference frees the path and the
         # operators in its cache.
         gc.disable()
@@ -126,13 +126,13 @@ class TestGlue:
 class TestWindowCountConstancy:
     def test_constant_count_equals_multiplicity(self):
         g = glue(make_spec(3, 0.4, seed=4))
-        report = window_count_constancy(g)
+        report = window_count_constancy(g.path)
         assert report.count == 4
         assert report.grid == 101
 
     def test_unperturbed_count_exact(self):
         g = glue(make_spec(5, 0.0))
-        assert window_count_constancy(g).count == 6
+        assert window_count_constancy(g.path).count == 6
 
     def test_violation_flagged_with_location(self):
         # an eigenvalue walks into the window between grid points: count 1 -> 2

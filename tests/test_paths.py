@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_endpoint_flow
 from specflow import (
     EndpointMismatch,
+    OperatorPath,
     SelfAdjointOperator,
     affine_homotopy,
     concat,
@@ -20,6 +21,7 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
+from specflow.operators import stacked_operators
 
 
 def crossing_path(up: bool = True):
@@ -81,7 +83,7 @@ class TestAffineHomotopy:
         h = affine_homotopy(a, crossing_path())
         for s in (0.0, 0.5, 1.0):
             for t in (0.0, 0.25, 1.0):
-                assert np.allclose(h.at(s, t).entries, a.at(t).entries)
+                assert np.allclose(h.slice_at(s).at(t).entries, a.at(t).entries)
 
     def test_contraction_of_loop_to_constant(self):
         # loop at g0 against the constant loop: ends stay pinned at g0
@@ -153,3 +155,13 @@ class TestPathValidation:
         bad = matrix_path(3, lambda t: np.eye(2))
         with pytest.raises(ValueError, match="dimension"):
             bad.at(0.5)
+
+    def test_build_must_return_one_operator_per_parameter(self):
+        def short(ts):
+            return stacked_operators(np.repeat(np.eye(2)[None], ts.size, axis=0), ts)[:-1]
+
+        p = OperatorPath(2, short)
+        with pytest.raises(ValueError, match=r"^path build returned 2 operators for 3 parameters$"):
+            p.spectra([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match=r"^path build returned 0 operators for 1 parameters$"):
+            p.at(1.0)

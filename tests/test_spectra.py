@@ -188,7 +188,7 @@ class TestIngestErrorsNameParameter:
             stack[ts == 0.5, 0, 1] = np.nan
             return stacked_operators(stack, ts)
 
-        p = OperatorPath.batched(2, build)
+        p = OperatorPath(2, build)
         with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
             p.spectra([0.0, 0.25, 0.5, 1.0])
 
