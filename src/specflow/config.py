@@ -7,6 +7,7 @@ linearly; both forms round-trip through JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import fields
 from importlib import resources
@@ -59,9 +60,29 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _schema_validator(name: str):
+    # The schema is checked against its metaschema once per process.
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc: dict, name: str) -> None:
+    """Check ``doc`` against the shipped schema ``name``.
+
+    Raises the same best-matching :class:`jsonschema.ValidationError` as
+    :func:`jsonschema.validate`.
+    """
+    error = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def validate_config(config: dict) -> None:
     try:
-        jsonschema.validate(config, load_schema("experiment-config"))
+        _validate(config, "experiment-config")
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc

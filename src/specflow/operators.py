@@ -1,8 +1,12 @@
 """Finite self-adjoint operators and certified eigenvalue counts.
 
-Operators are dense Hermitian matrices.  Ingestion symmetrizes input that
-is Hermitian up to rounding and rejects anything genuinely non-self-adjoint,
-so downstream code can rely on exact Hermiticity and a real spectrum.
+Operators are finite Hermitian matrices, stored either densely or, for a
+diagonal operator, as its real diagonal.  Ingestion symmetrizes dense input
+that is Hermitian up to rounding and rejects anything genuinely
+non-self-adjoint, so downstream code can rely on exact Hermiticity and a
+real spectrum.  A diagonal operator is its own eigendecomposition: its
+spectrum is its sorted diagonal, and its dense entries are built only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -94,40 +98,46 @@ def stacked_operators(matrices, ts) -> list["SelfAdjointOperator"]:
 def diagonal_operators(eigenvalues, ts) -> list["SelfAdjointOperator"]:
     """Diagonal operators from eigenvalue rows ``(n, d)`` at parameters ``ts``.
 
-    The spectrum of a diagonal matrix is its sorted diagonal, so no
-    eigensolver runs.  The dense matrices still pass the ingest checks.
+    Each operator stores its row, read-only; the spectrum of a diagonal
+    matrix is its sorted diagonal, so no eigensolver runs.  A real diagonal
+    is Hermitian as it stands, so finiteness is the one ingest check; an
+    error names the parameter of the offending row.
     """
-    rows = np.asarray(eigenvalues, dtype=np.float64)
+    rows = np.array(eigenvalues, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] < 1:
         raise ValueError("diagonal must be a non-empty 1-d sequence")
-    n, d = rows.shape
-    idx = np.arange(d)
-    dense = np.zeros((n, d, d))
-    dense[:, idx, idx] = rows
-    entries = _ingest_stack(dense, ts)
-    spectra = _spectra(entries[:, idx, idx])
-    return [SelfAdjointOperator._trusted(h, s) for h, s in zip(entries, spectra)]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError("operator entries must be finite" + _at(ts, int(np.argmin(finite))))
+    rows.setflags(write=False)
+    spectra = _spectra(rows)
+    return [SelfAdjointOperator._trusted(diag=r, spectrum=s) for r, s in zip(rows, spectra)]
 
 
 class SelfAdjointOperator:
     """A finite Hermitian matrix standing in for a Dirac operator.
 
     Entries Hermitian within rounding are symmetrized exactly on ingestion;
-    an already-Hermitian matrix passes through bit-for-bit.  Instances are
-    immutable and cache their spectrum.
+    an already-Hermitian matrix passes through bit-for-bit.  A diagonal
+    operator (from :func:`diagonal_operators`) stores only its diagonal and
+    builds ``entries`` on first read.  Instances are immutable and cache
+    their spectrum.
     """
 
-    __slots__ = ("_entries", "_spectrum")
+    __slots__ = ("_entries", "_diag", "_spectrum")
 
     def __init__(self, entries):
         self._entries = _ingest_stack(np.asarray(entries)[None])[0]
+        self._diag = None
         self._spectrum: Spectrum | None = None
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray, spectrum: "Spectrum | None" = None):
-        # Entries already went through _ingest_stack.
+    def _trusted(cls, entries=None, diag=None, spectrum: "Spectrum | None" = None):
+        # Either entries that already went through _ingest_stack, or a
+        # finite, read-only diagonal row with its spectrum.
         op = cls.__new__(cls)
         op._entries = entries
+        op._diag = diag
         op._spectrum = spectrum
         return op
 
@@ -138,11 +148,16 @@ class SelfAdjointOperator:
 
     @property
     def entries(self) -> np.ndarray:
+        """The dense matrix, read-only (built once for a diagonal operator)."""
+        if self._entries is None:
+            entries = np.diag(self._diag)
+            entries.setflags(write=False)
+            self._entries = entries
         return self._entries
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._entries.shape[0] if self._diag is None else self._diag.size
 
     @property
     def spectrum(self) -> "Spectrum":
@@ -245,7 +260,8 @@ def solve_spectra(ops) -> None:
 
     Operators are grouped by dtype and dimension (a stack must share both)
     and solved in chunks of :func:`stack_chunk`; an operator listed twice
-    is solved once.
+    is solved once.  Diagonal operators always carry their spectrum, so
+    only dense ones are solved.
     """
     groups: dict[tuple, dict[int, SelfAdjointOperator]] = {}
     for op in ops:

@@ -14,7 +14,13 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import EndpointMismatch
-from .operators import SelfAdjointOperator, solve_spectra, stack_chunk, stacked_operators
+from .operators import (
+    SelfAdjointOperator,
+    diagonal_operators,
+    solve_spectra,
+    stack_chunk,
+    stacked_operators,
+)
 
 __all__ = [
     "OperatorPath",
@@ -152,24 +158,46 @@ def constant_path(op: SelfAdjointOperator) -> OperatorPath:
     return OperatorPath(op.dim, lambda ts: [op] * len(ts), lipschitz=0.0)
 
 
+def _blend(
+    w: np.ndarray,
+    xs: list[SelfAdjointOperator],
+    ys: list[SelfAdjointOperator],
+    ts: np.ndarray,
+) -> list[SelfAdjointOperator]:
+    """Operators ``(1 - w) x + w y`` at parameters ``ts``, one per weight in ``w``.
+
+    ``xs`` and ``ys`` hold one operator per weight, or one for all of them.
+    Diagonal operands give diagonal operators, blended entry by entry on
+    the diagonals; any dense operand sends the whole stack through dense
+    ingest.
+    """
+    if all(op._diag is not None for op in (*xs, *ys)):
+        x, y = np.stack([op._diag for op in xs]), np.stack([op._diag for op in ys])
+        wd = w[:, None]
+        return diagonal_operators((1.0 - wd) * x + wd * y, ts)
+    x, y = np.stack([op.entries for op in xs]), np.stack([op.entries for op in ys])
+    wd = w[:, None, None]
+    return stacked_operators((1.0 - wd) * x + wd * y, ts)
+
+
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
-    """Affine segment ``t -> (1-t) a + t b`` in the convex operator space."""
+    """Affine segment ``t -> (1-t) a + t b`` in the convex operator space.
+
+    Diagonal endpoints give a segment of diagonal operators.
+    """
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
-    ea, eb = a.entries, b.entries
-
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        t = ts[:, None, None]
-        return stacked_operators((1.0 - t) * ea + t * eb, ts)
-
-    lip = float(np.linalg.norm(eb - ea, 2))
-    return OperatorPath(a.dim, build, lipschitz=lip)
+    lip = float(np.linalg.norm(b.entries - a.entries, 2))
+    return OperatorPath(a.dim, lambda ts: _blend(ts, [a], [b], ts), lipschitz=lip)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> tuple[float, float]:
-    diff = float(np.abs(x.entries - y.entries).max())
-    scale = float(np.abs(x.entries).max())
-    return diff, scale
+    if x._diag is not None and y._diag is not None:
+        # Two diagonals differ only on the diagonal: the dense off-diagonal gap is 0.
+        ex, ey = x._diag, y._diag
+    else:
+        ex, ey = x.entries, y.entries
+    return float(np.abs(ex - ey).max()), float(np.abs(ex).max())
 
 
 def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
@@ -244,7 +272,8 @@ def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
     """Straight-line homotopy ``H(s, t) = (1-s) a(t) + s b(t)``.
 
     Both paths must share endpoints (the homotopy fixes them in ``s``),
-    which is what the convex parameter space guarantees exists.
+    which is what the convex parameter space guarantees exists.  Where
+    both paths are diagonal, so is the slice.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot blend paths of dims {a.dim} and {b.dim}")
@@ -261,9 +290,7 @@ def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
             return a._operators(ts)
         if s == 1.0:
             return b._operators(ts)
-        ea = np.stack([op.entries for op in a._operators(ts)])
-        eb = np.stack([op.entries for op in b._operators(ts)])
-        return stacked_operators((1.0 - s) * ea + s * eb, ts)
+        return _blend(np.full(ts.size, s), a._operators(ts), b._operators(ts), ts)
 
     lip = None
     if a.lipschitz is not None and b.lipschitz is not None:

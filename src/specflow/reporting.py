@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-import jsonschema
 import numpy as np
 
 from .components import ComponentCertification, ComponentReport
-from .config import load_schema
+from .config import _validate
 from .errors import CertificateBroken
 from .flow import FlowCertificate, FlowOptions
 from .paths import OperatorPath
@@ -121,7 +120,7 @@ def validate_document(doc: dict) -> None:
     name = _KIND_TO_SCHEMA.get(kind)
     if name is None:
         raise CertificateBroken(f"document kind {kind!r} has no shipped schema")
-    jsonschema.validate(doc, load_schema(name))
+    _validate(doc, name)
 
 
 def dumps_document(doc: dict) -> str:

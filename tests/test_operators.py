@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from specflow import (
+    BaerFamilySpec,
     BoundaryAmbiguity,
+    GluingSpec,
     SelfAdjointOperator,
     Spectrum,
+    baer_family,
     eigen_count,
+    glue,
 )
+from specflow.operators import diagonal_operators
+
+_reals = st.floats(-1e300, 1e300, allow_nan=False)
 
 
 class TestIngestion:
@@ -58,6 +65,43 @@ class TestIngestion:
         a = (g + g.conj().T) / 2
         op = SelfAdjointOperator(a)
         assert op.entries.tolist() == a.tolist()
+
+
+class TestDiagonalOperator:
+    @given(st.lists(_reals, min_size=1, max_size=8))
+    def test_entries_built_on_first_read(self, values):
+        op = SelfAdjointOperator.from_diagonal(values)
+        assert op.dim == len(values)
+        assert op.spectrum.values.tobytes() == np.sort(np.array(values)).tobytes()
+        assert op._entries is None  # dim and spectrum leave the matrix unbuilt
+        entries = op.entries
+        assert entries.tobytes() == np.diag(np.array(values)).tobytes()
+        assert not entries.flags.writeable
+        assert op.entries is entries
+
+    def test_stores_a_copy_of_the_input(self):
+        values = np.array([1.0, -2.0])
+        op = SelfAdjointOperator.from_diagonal(values)
+        values[0] = 9.0
+        assert op.entries.tolist() == [[1.0, 0.0], [0.0, -2.0]]
+
+    def test_non_finite_diagonal_wording(self):
+        with pytest.raises(ValueError, match=r"^operator entries must be finite$"):
+            SelfAdjointOperator.from_diagonal([1.0, np.nan])
+        rows = np.array([[1.0, 2.0], [np.inf, 2.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
+            diagonal_operators(rows, [0.0, 0.5, 1.0])
+
+    def test_non_finite_family_row_names_parameter(self):
+        # Specs validate their inputs, so the non-finite value is forced past
+        # validation to reach the families' own builds.
+        baer = BaerFamilySpec(m=1)
+        object.__setattr__(baer, "background", (5.0, np.nan))
+        glued = GluingSpec(Spectrum([-3.0, 3.0]), BaerFamilySpec(m=1), epsilon=0.4)
+        object.__setattr__(glued, "epsilon", np.inf)
+        for path in (baer_family(baer), glue(glued).path):
+            with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
+                path.at(0.5)
 
 
 class TestEigenvalues:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -16,6 +17,8 @@ from specflow import (
     default_component_setup,
     spectral_flow,
 )
+from specflow import config
+from specflow.cli import main
 from specflow.config import (
     ConfigError,
     build_family_path,
@@ -97,6 +100,55 @@ class TestConfigSchema:
     def test_components_k_minimum(self):
         with pytest.raises(ConfigError):
             validate_config({"components": {"k": 0}})
+
+    def test_each_schema_checked_once(self, monkeypatch, tmp_path, capsys):
+        cls = jsonschema.validators.validator_for(load_schema("experiment-config"))
+        original = cls.check_schema
+        checked = []
+
+        def counting(schema, *args, **kwargs):
+            checked.append(schema["title"])
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+        config._schema_validator.cache_clear()
+        try:
+            cfg = {"family": {"kind": "baer", "m": 2}}
+            validate_config(cfg)
+            validate_config(cfg)
+            doc = flow_certificate_document(spectral_flow(baer_family(BaerFamilySpec(m=2))))
+            validate_document(doc)
+            validate_document(doc)
+            bad = tmp_path / "exp.json"
+            bad.write_text('{"family": {"kind": "baer"}}')
+            assert main(["flow", "--config", str(bad)]) == 1
+        finally:
+            config._schema_validator.cache_clear()
+        assert sorted(checked) == sorted(
+            load_schema(name)["title"] for name in ("experiment-config", "flow-certificate")
+        )
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: config invalid at family: {'kind': 'baer'} "
+            "is not valid under any of the given schemas\n"
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"famly": {"kind": "baer", "m": 1}},
+            {"family": {"kind": "baer"}},
+            {"components": {"k": 0}},
+            {"family": {"kind": "circle", "modes": "3", "winding": 1}},
+            {"seed": -1.5, "flow_options": {"init_samples": "x"}},
+        ],
+    )
+    def test_errors_match_jsonschema_validate(self, doc):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, load_schema("experiment-config"))
+        with pytest.raises(ConfigError) as got:
+            validate_config(doc)
+        where = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        assert str(got.value) == f"config invalid at {where}: {expected.value.message}"
 
     def test_schemas_load(self):
         for name in ("experiment-config", "flow-certificate", "component-report", "property-report"):

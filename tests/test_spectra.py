@@ -28,8 +28,10 @@ from specflow import (
     reverse,
     spectral_flow,
     straight_segment,
+    window_count_constancy,
 )
 from specflow import operators
+from specflow.cli import main
 from specflow.config import sampled_path
 from specflow.operators import stack_chunk, stacked_operators
 from specflow.paths import OperatorPath
@@ -170,7 +172,90 @@ class TestEigensolveCounts:
         path = PATHS[name](5)
         spectral_flow(path)
         oracle_flow(path, grid=128)
+        if name == "glue":
+            window_count_constancy(path)
         assert eigvalsh_counter.matrices == 0
+
+    def test_components_make_no_lapack_call(self, eigvalsh_counter, tmp_path, capsys):
+        # Basepoint, glued generators, connectors and pair segments are all diagonal.
+        assert main(["components", "--k", "8", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "component-report.json").exists()
+        assert eigvalsh_counter.matrices == 0
+
+
+# LAPACK's eigvalsh rescales a matrix whose largest entry lies outside
+# [_UNSCALED_MIN, 1 / _UNSCALED_MIN]; only inside that band is its spectrum
+# of a diagonal matrix exactly the sorted diagonal.
+_UNSCALED_MIN = np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
+
+def _assert_diagonal_spectra(got: np.ndarray, dense: np.ndarray) -> None:
+    """Rows of ``got`` are the exact spectra of the diagonal stack ``dense``."""
+    idx = np.arange(dense.shape[-1])
+    assert got.tobytes() == np.sort(dense[:, idx, idx], axis=-1).tobytes()
+    norms = np.abs(dense).max(axis=(-2, -1))
+    unscaled = (norms == 0.0) | ((norms >= _UNSCALED_MIN) & (norms <= 1.0 / _UNSCALED_MIN))
+    if unscaled.any():
+        reference = np.linalg.eigvalsh(dense[unscaled])
+        assert got[unscaled].tobytes() == reference.tobytes()
+
+
+_reals = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@st.composite
+def _diagonal_pairs(draw):
+    d = draw(st.integers(1, 8))
+    a = draw(st.lists(_reals, min_size=d, max_size=d))
+    b = draw(st.lists(_reals, min_size=d, max_size=d))
+    return np.array(a), np.array(b)
+
+
+class TestDiagonalBlend:
+    @given(ab=_diagonal_pairs(), ts=st.lists(_params, min_size=1, max_size=20, unique=True))
+    def test_segment_between_diagonals(self, ab, ts):
+        a, b = ab
+        x, y = SelfAdjointOperator.from_diagonal(a), SelfAdjointOperator.from_diagonal(b)
+        seg = straight_segment(x, y)
+        t = np.array(ts)[:, None, None]
+        dense = (1.0 - t) * np.diag(a) + t * np.diag(b)
+        _assert_diagonal_spectra(seg.spectra(ts), dense)
+        assert seg.lipschitz == float(np.linalg.norm(np.diag(b) - np.diag(a), 2))
+        for op, m in zip(seg._operators(ts), dense):
+            assert op._diag is not None
+            assert op.entries.tobytes() == m.tobytes()
+
+    @given(seed=st.integers(0, 10_000), ts=st.lists(_params, min_size=1, max_size=20, unique=True))
+    def test_segment_from_diagonal_to_dense(self, seed, ts):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(4)
+        g = rng.standard_normal((4, 4))
+        h = (g + g.T) / 2
+        seg = straight_segment(SelfAdjointOperator.from_diagonal(a), SelfAdjointOperator(h))
+        t = np.array(ts)[:, None, None]
+        dense = (1.0 - t) * np.diag(a) + t * h
+        assert seg.spectra(ts).tobytes() == np.linalg.eigvalsh(dense).tobytes()
+        assert seg.lipschitz == float(np.linalg.norm(h - np.diag(a), 2))
+        for op, m in zip(seg._operators(ts), dense):
+            assert op._diag is None
+            assert op.entries.tobytes() == m.tobytes()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        s=st.floats(0.0, 1.0),
+        ts=st.lists(_params, min_size=1, max_size=20, unique=True),
+    )
+    def test_homotopy_slice_between_diagonal_paths(self, seed, s, ts):
+        a = _glued(seed)
+        b = reparametrize(a, lambda t: t * t)
+        sl = affine_homotopy(a, b).slice_at(s)
+        ea = np.stack([a.at(t).entries for t in ts])
+        eb = np.stack([b.at(t).entries for t in ts])
+        dense = ea if s == 0.0 else eb if s == 1.0 else (1.0 - s) * ea + s * eb
+        _assert_diagonal_spectra(sl.spectra(ts), dense)
+        for op, m in zip(sl._operators(ts), dense):
+            assert op._diag is not None
+            assert op.entries.tobytes() == m.tobytes()
 
 
 class TestIngestErrorsNameParameter:
