@@ -6,9 +6,11 @@ Subcommands: ``flow`` (certificate for one family), ``components``
 JSON config file, inline flags, or both (flags win).  Reports go to
 stdout and, with ``--out DIR``, to files in that directory.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 computational
-failure (uncertifiable path, ambiguous count, broken certificate, failed
-property suite).  Set ``SPECFLOW_LOG`` to debug/info/warning for stderr
+Exit codes: 0 success; 1 when the error is a ``ConfigError``,
+``InvalidSpec`` or ``EndpointMismatch`` (bad configuration or usage); 2 for
+every other specflow error (uncertifiable path, ambiguous count, broken
+certificate) and for a failed property suite; argparse exits 2 on a flag it
+rejects.  Set ``SPECFLOW_LOG`` to debug/info/warning for stderr
 diagnostics.
 """
 
@@ -31,17 +33,7 @@ from .config import (
     read_config_file,
     validate_config,
 )
-from .errors import (
-    BoundaryAmbiguity,
-    CertificateBroken,
-    DepthExceeded,
-    EndpointMismatch,
-    GeneratorFailure,
-    InvalidSpec,
-    ResolutionWarning,
-    SpectralFlowError,
-    WindowCountViolation,
-)
+from .errors import CertificateBroken, EndpointMismatch, InvalidSpec, SpectralFlowError
 from .flow import spectral_flow
 from .oracle import DEFAULT_GRID, _MIN_GRID, oracle_flow
 from .properties import check_flow_properties
@@ -60,15 +52,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPUTE = 2
 
+# Errors that exit 1; every other SpectralFlowError exits 2.
 _CONFIG_ERRORS = (ConfigError, InvalidSpec, EndpointMismatch)
-_COMPUTE_ERRORS = (
-    BoundaryAmbiguity,
-    DepthExceeded,
-    GeneratorFailure,
-    CertificateBroken,
-    ResolutionWarning,
-    WindowCountViolation,
-)
+# Flags copied to the top level of the config; blocks are declared per subcommand.
+_TOP_LEVEL = ("seed", "out", "grid")
 
 
 def _configure_logging() -> None:
@@ -107,21 +94,17 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=int, dest="max_depth", help="bisection depth limit")
 
 
-def _oracle_block(path, grid: int) -> dict:
-    res = oracle_flow(path, grid=grid)
-    return {
-        "flow": res.flow,
-        "grid": res.grid,
-        "crossings": [
-            {
-                "t_lower": r.t_lower,
-                "t_upper": r.t_upper,
-                "direction": r.direction,
-                "refined_t": r.refined_t,
-            }
-            for r in res.crossings
-        ],
-    }
+def _add_subcommand(sub, name: str, help_text: str, handler, **blocks) -> argparse.ArgumentParser:
+    """Subcommand with the common flags, dispatching to ``handler(config, args)``.
+
+    ``blocks`` maps a config block to the flag dests that fill it; every
+    subcommand routes its flow-option flags to ``flow_options``.
+    """
+    p = sub.add_parser(name, help=help_text)
+    _add_common_flags(p)
+    blocks = {"flow_options": ("init_samples", "max_depth"), **blocks}
+    p.set_defaults(handler=handler, blocks=blocks)
+    return p
 
 
 def _family_block_from_args(args: argparse.Namespace) -> dict | None:
@@ -146,27 +129,21 @@ def _family_block_from_args(args: argparse.Namespace) -> dict | None:
     return block
 
 
-def _assemble_config(args: argparse.Namespace, extra: dict | None = None) -> dict:
+def _assemble_config(args: argparse.Namespace) -> dict:
+    """Overlay the flags on the config file: family, top-level keys, declared blocks."""
     # The merged document is validated once below; the file alone is not.
     config = read_config_file(args.config) if args.config else {}
     overlay: dict = {}
     family = _family_block_from_args(args) if hasattr(args, "family") else None
     if family is not None:
         overlay["family"] = family
-    if getattr(args, "seed", None) is not None:
-        overlay["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overlay["out"] = args.out
-    if getattr(args, "grid", None) is not None:
-        overlay["grid"] = args.grid
-    flow_opts = {
-        "init_samples": getattr(args, "init_samples", None),
-        "max_depth": getattr(args, "max_depth", None),
-    }
-    if any(v is not None for v in flow_opts.values()):
-        overlay["flow_options"] = flow_opts
-    if extra:
-        overlay.update(extra)
+    for key in _TOP_LEVEL:
+        if getattr(args, key, None) is not None:
+            overlay[key] = getattr(args, key)
+    for block, dests in args.blocks.items():
+        values = {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+        if values:
+            overlay[block] = values
     merged = merge_config(config, overlay)
     validate_config(merged)
     return merged
@@ -183,30 +160,28 @@ def _emit(text: str, config: dict, filename: str) -> None:
         log.info("wrote %s", target)
 
 
-def cmd_flow(config: dict, with_oracle: bool = False) -> int:
+def cmd_flow(config: dict, args: argparse.Namespace) -> int:
     family = config.get("family")
     if family is None:
         raise ConfigError("flow command needs a family (config file or --family)")
     options = flow_options_from_config(config)
     grid = config.get("grid", DEFAULT_GRID)
-    if with_oracle and grid < _MIN_GRID:
+    if args.oracle and grid < _MIN_GRID:
         raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     path = build_family_path(family, config.get("seed", 0))
     cert = spectral_flow(path, options)
-    doc = flow_certificate_document(cert, path_descriptor=family)
-    if with_oracle:
-        doc["oracle"] = _oracle_block(path, grid)
-        if doc["oracle"]["flow"] != cert.flow:
-            raise CertificateBroken(
-                f"oracle flow {doc['oracle']['flow']} disagrees with the certified "
-                f"flow {cert.flow}"
-            )
+    oracle = oracle_flow(path, grid=grid) if args.oracle else None
+    if oracle is not None and oracle.flow != cert.flow:
+        raise CertificateBroken(
+            f"oracle flow {oracle.flow} disagrees with the certified flow {cert.flow}"
+        )
+    doc = flow_certificate_document(cert, path_descriptor=family, oracle=oracle)
     validate_document(doc)
     _emit(dumps_document(doc), config, "flow-certificate.json")
     return EXIT_OK
 
 
-def cmd_components(config: dict) -> int:
+def cmd_components(config: dict, args: argparse.Namespace) -> int:
     options = flow_options_from_config(config)
     report = components_from_config(config, options)
     certification = certify_distinct_components(report, options)
@@ -216,7 +191,7 @@ def cmd_components(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(config: dict) -> int:
+def cmd_spectrum(config: dict, args: argparse.Namespace) -> int:
     family = config.get("family")
     if family is None:
         raise ConfigError("spectrum command needs a family (config file or --family)")
@@ -226,16 +201,11 @@ def cmd_spectrum(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_check(config: dict) -> int:
+def cmd_check(config: dict, args: argparse.Namespace) -> int:
     options = flow_options_from_config(config)
-    block = config.get("check", {})
+    # The schema limits the block to parameter names of check_flow_properties.
     report = check_flow_properties(
-        seed=config.get("seed", 0),
-        invertible_paths=block.get("invertible_paths", 100),
-        concat_pairs=block.get("concat_pairs", 100),
-        homotopies=block.get("homotopies", 50),
-        slices=block.get("slices", 11),
-        options=options,
+        seed=config.get("seed", 0), options=options, **config.get("check", {})
     )
     doc = property_report_document(report)
     validate_document(doc)
@@ -251,25 +221,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_flow = sub.add_parser("flow", help="compute a flow certificate for one family")
-    _add_common_flags(p_flow)
+    p_flow = _add_subcommand(sub, "flow", "compute a flow certificate for one family", cmd_flow)
     _add_family_flags(p_flow)
     p_flow.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
     p_flow.add_argument("--grid", type=int, help="oracle grid (with --oracle)")
 
-    p_comp = sub.add_parser("components", help="build and certify distinct-component paths")
-    _add_common_flags(p_comp)
+    p_comp = _add_subcommand(
+        sub,
+        "components",
+        "build and certify distinct-component paths",
+        cmd_components,
+        components=("k", "ambient_dim", "epsilon", "seed"),
+    )
     p_comp.add_argument("--k", type=int, help="number of paths to construct")
     p_comp.add_argument("--ambient-dim", type=int, dest="ambient_dim", help="fixed operator dimension")
     p_comp.add_argument("--epsilon", type=float, help="generator perturbation bound")
 
-    p_spec = sub.add_parser("spectrum", help="emit eigenvalue curves as CSV")
-    _add_common_flags(p_spec)
+    p_spec = _add_subcommand(sub, "spectrum", "emit eigenvalue curves as CSV", cmd_spectrum)
     _add_family_flags(p_spec)
     p_spec.add_argument("--grid", type=int, help="number of parameter samples")
 
-    p_check = sub.add_parser("check", help="run the flow-axiom property suites")
-    _add_common_flags(p_check)
+    p_check = _add_subcommand(
+        sub,
+        "check",
+        "run the flow-axiom property suites",
+        cmd_check,
+        check=("invertible_paths", "concat_pairs", "homotopies", "slices"),
+    )
     p_check.add_argument("--paths", dest="invertible_paths", type=int, help="invertible-path cases")
     p_check.add_argument("--pairs", dest="concat_pairs", type=int, help="composable-pair cases")
     p_check.add_argument("--homotopies", type=int, help="homotopy cases")
@@ -279,46 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "flow":
-            config = _assemble_config(args)
-            return cmd_flow(config, with_oracle=args.oracle)
-        if args.command == "components":
-            comp = {
-                "k": args.k,
-                "ambient_dim": args.ambient_dim,
-                "epsilon": args.epsilon,
-                "seed": args.seed,
-            }
-            extra = {"components": comp} if any(v is not None for v in comp.values()) else {}
-            config = _assemble_config(args, extra)
-            return cmd_components(config)
-        if args.command == "spectrum":
-            config = _assemble_config(args)
-            return cmd_spectrum(config)
-        if args.command == "check":
-            chk = {
-                "invertible_paths": args.invertible_paths,
-                "concat_pairs": args.concat_pairs,
-                "homotopies": args.homotopies,
-                "slices": args.slices,
-            }
-            extra = {"check": chk} if any(v is not None for v in chk.values()) else {}
-            config = _assemble_config(args, extra)
-            return cmd_check(config)
-        parser.error(f"unknown command {args.command!r}")
-    except _COMPUTE_ERRORS as exc:
-        print(f"specflow: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except _CONFIG_ERRORS as exc:
-        print(f"specflow: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.handler(_assemble_config(args), args)
     except SpectralFlowError as exc:
         print(f"specflow: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    return EXIT_OK
+        return EXIT_CONFIG if isinstance(exc, _CONFIG_ERRORS) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -18,17 +18,11 @@ import numpy as np
 
 from .components import build_distinct_paths, default_component_setup
 from .errors import SpectralFlowError
-from .families import (
-    DEFAULT_BACKGROUND,
-    BaerFamilySpec,
-    baer_family,
-    circle_family,
-    random_family,
-)
+from .families import BaerFamilySpec, baer_family, circle_family, random_family
 from .flow import FlowOptions
 from .gluing import GluingSpec, Spectrum, glue
-from .operators import SelfAdjointOperator, stacked_operators
-from .paths import OperatorPath
+from .operators import SelfAdjointOperator
+from .paths import OperatorPath, _blend
 
 __all__ = [
     "ConfigError",
@@ -164,27 +158,26 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
         raise ConfigError("sample times must be strictly increasing")
     if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise ConfigError("sampled path must cover t=0 and t=1")
-    mats = [SelfAdjointOperator(m).entries for _, m in samples]
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
+    knots = [SelfAdjointOperator(m) for _, m in samples]
+    dim = knots[0].dim
+    if any(op.dim != dim for op in knots):
         raise ConfigError("all sampled matrices must share one dimension")
 
     def build(params: np.ndarray) -> list[SelfAdjointOperator]:
-        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(mats) - 2)
+        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(knots) - 2)
         u = (params - ts[j]) / (ts[j + 1] - ts[j])
         ops: list = [None] * params.size
-        # One stack per knot interval: its two end matrices fix the dtype.
+        # One blend per knot interval: its two end operators fix the dtype.
         for k in np.unique(j).tolist():
             rows = np.flatnonzero(j == k)
-            w = u[rows][:, None, None]
-            stack = stacked_operators((1.0 - w) * mats[k] + w * mats[k + 1], params[rows])
-            for r, op in zip(rows.tolist(), stack):
+            blended = _blend(u[rows], [knots[k]], [knots[k + 1]], params[rows])
+            for r, op in zip(rows.tolist(), blended):
                 ops[r] = op
         return ops
 
     lip = max(
-        float(np.linalg.norm(q - p, 2)) / (t1 - t0)
-        for (t0, p), (t1, q) in zip(zip(ts[:-1], mats[:-1]), zip(ts[1:], mats[1:]))
+        float(np.linalg.norm(q.entries - p.entries, 2)) / (t1 - t0)
+        for (t0, p), (t1, q) in zip(zip(ts[:-1], knots[:-1]), zip(ts[1:], knots[1:]))
     )
     return OperatorPath(dim, build, lipschitz=lip)
 
@@ -201,6 +194,17 @@ def path_samples_to_json(path: OperatorPath, grid: int) -> dict:
     }
 
 
+def _given(block: dict, key: str, name: str | None = None, cast=None) -> dict:
+    """``{name: cast(block[key])}`` if the block sets ``key``, else ``{}``.
+
+    A key the block leaves out passes no argument, so the engine's own
+    default applies.
+    """
+    if key not in block:
+        return {}
+    return {name or key: block[key] if cast is None else cast(block[key])}
+
+
 def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
     """Construct the operator path described by a validated family block.
 
@@ -210,29 +214,26 @@ def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
     kind = family.get("kind")
     try:
         if kind == "baer":
-            spec = BaerFamilySpec(
-                m=family["m"],
-                background=tuple(family.get("background", DEFAULT_BACKGROUND)),
+            return baer_family(
+                BaerFamilySpec(m=family["m"], **_given(family, "background", cast=tuple))
             )
-            return baer_family(spec)
         if kind == "circle":
             return circle_family(
                 modes=family["modes"],
                 winding=family["winding"],
-                spin_shift=float(family.get("shift", 0.5)),
+                **_given(family, "shift", "spin_shift", float),
             )
         if kind == "random":
             return random_family(
                 dim=family["dim"],
                 seed=family.get("seed", default_seed),
-                invertible_ends=family.get("invertible_ends", False),
+                **_given(family, "invertible_ends"),
             )
         if kind == "glue":
             spec = GluingSpec(
                 base=Spectrum(family.get("base_spectrum", DEFAULT_GLUE_BASE)),
                 sphere_family=BaerFamilySpec(
-                    m=family["m"],
-                    background=tuple(family.get("background", DEFAULT_BACKGROUND)),
+                    m=family["m"], **_given(family, "background", cast=tuple)
                 ),
                 epsilon=float(family.get("epsilon", DEFAULT_GLUE_EPSILON)),
                 seed=family.get("seed", default_seed),
@@ -249,12 +250,10 @@ def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
 def components_from_config(config: dict, options: FlowOptions):
     """Run the distinct-components induction described by the config."""
     block = dict(config.get("components", {}))
-    k = block.get("k")
+    k = block.pop("k", None)
     if k is None:
         raise ConfigError("components command needs k >= 1")
-    basepoint, generator = default_component_setup(
-        ambient_dim=block.get("ambient_dim", 24),
-        epsilon=block.get("epsilon", 0.25),
-        seed=block.get("seed", config.get("seed", 0)),
-    )
+    block.setdefault("seed", config.get("seed", 0))
+    # The schema limits the block to k and the parameters of default_component_setup.
+    basepoint, generator = default_component_setup(**block)
     return build_distinct_paths(k, generator, basepoint, options)

@@ -17,6 +17,7 @@ from .components import ComponentCertification, ComponentReport
 from .config import _validate
 from .errors import CertificateBroken
 from .flow import FlowCertificate, FlowOptions
+from .oracle import OracleResult
 from .paths import OperatorPath
 from .properties import PropertyReport
 
@@ -30,26 +31,14 @@ __all__ = [
     "spectrum_csv",
 ]
 
-_KIND_TO_SCHEMA = {
-    "flow-certificate": "flow-certificate",
-    "component-report": "component-report",
-    "property-report": "property-report",
-}
-
-
-def _options_block(options: FlowOptions) -> dict:
-    return {
-        "init_samples": options.init_samples,
-        "max_depth": options.max_depth,
-        "witness_points": options.witness_points,
-        "cluster_tol": options.cluster_tol,
-        "min_margin": options.min_margin,
-    }
+# Document kinds, each validated by the shipped schema of the same name.
+_SCHEMAS = ("flow-certificate", "component-report", "property-report")
 
 
 def flow_certificate_document(
     cert: FlowCertificate,
     path_descriptor: dict | None = None,
+    oracle: OracleResult | None = None,
 ) -> dict:
     segments = []
     for w, (c_lo, c_hi) in zip(cert.witnesses, cert.counts):
@@ -72,10 +61,16 @@ def flow_certificate_document(
         "times": list(cert.times),
         "radii": list(cert.radii),
         "segments": segments,
-        "options": _options_block(cert.options),
+        "options": asdict(cert.options),
     }
     if path_descriptor is not None:
         doc["path"] = path_descriptor
+    if oracle is not None:
+        doc["oracle"] = {
+            "flow": oracle.flow,
+            "grid": oracle.grid,
+            "crossings": [asdict(r) for r in oracle.crossings],
+        }
     return doc
 
 
@@ -93,7 +88,7 @@ def component_report_document(
         "ledger": [asdict(entry) for entry in report.ledger],
         "pairs": [asdict(pair) for pair in certification.pairs],
         "verdict": certification.verdict,
-        "options": _options_block(options),
+        "options": asdict(options),
     }
 
 
@@ -117,10 +112,9 @@ def property_report_document(report: PropertyReport) -> dict:
 def validate_document(doc: dict) -> None:
     """Check a report document against its shipped schema."""
     kind = doc.get("kind")
-    name = _KIND_TO_SCHEMA.get(kind)
-    if name is None:
+    if kind not in _SCHEMAS:
         raise CertificateBroken(f"document kind {kind!r} has no shipped schema")
-    _validate(doc, name)
+    _validate(doc, kind)
 
 
 def dumps_document(doc: dict) -> str:

@@ -9,7 +9,28 @@ import sys
 
 import pytest
 
+import specflow.cli
+import specflow.config
+import specflow.errors
 from specflow.cli import main
+from specflow.config import ConfigError
+
+_ERRORS = [getattr(specflow.errors, name) for name in specflow.errors.__all__] + [ConfigError]
+_EXIT_1 = {"ConfigError", "InvalidSpec", "EndpointMismatch"}
+
+
+def _captured_configs(monkeypatch) -> list[dict]:
+    """Record every config the CLI validates, still validating it."""
+    calls = []
+    original = specflow.config.validate_config
+
+    def counted(config):
+        calls.append(config)
+        original(config)
+
+    monkeypatch.setattr(specflow.config, "validate_config", counted)
+    monkeypatch.setattr(specflow.cli, "validate_config", counted)
+    return calls
 
 
 def run_cli(args: list[str], log_level: str | None = None) -> subprocess.CompletedProcess:
@@ -55,18 +76,7 @@ class TestFlowCommand:
         assert json.loads(capsys.readouterr().out)["flow"] == 3
 
     def test_config_validated_once(self, tmp_path, capsys, monkeypatch):
-        import specflow.cli
-        import specflow.config
-
-        calls = []
-        original = specflow.config.validate_config
-
-        def counted(config):
-            calls.append(config)
-            original(config)
-
-        monkeypatch.setattr(specflow.config, "validate_config", counted)
-        monkeypatch.setattr(specflow.cli, "validate_config", counted)
+        calls = _captured_configs(monkeypatch)
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"family": {"kind": "baer", "m": 1}}))
         assert main(["flow", "--config", str(cfg), "--family", "baer", "--m", "2"]) == 0
@@ -160,6 +170,17 @@ class TestFlowCommand:
         with pytest.raises(ValueError, match="fault inside the flow engine"):
             main(["flow", "--family", "baer", "--m", "1"])
 
+    @pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
+    def test_error_exit_codes(self, error, monkeypatch, capsys):
+        def failing(path, options=None):
+            raise error(f"{error.__name__} raised inside the flow")
+
+        monkeypatch.setattr(specflow.cli, "spectral_flow", failing)
+        expected = 1 if error.__name__ in _EXIT_1 else 2
+        assert main(["flow", "--family", "baer", "--m", "1"]) == expected
+        name = error.__name__
+        assert capsys.readouterr().err == f"specflow: {name}: {name} raised inside the flow\n"
+
     def test_out_dir_written(self, tmp_path, capsys):
         out = tmp_path / "reports"
         assert main(["flow", "--family", "baer", "--m", "1", "--out", str(out)]) == 0
@@ -183,6 +204,14 @@ class TestComponentsCommand:
 
     def test_k0_usage_error(self):
         assert main(["components", "--k", "0"]) == 1
+
+    def test_flags_merge_into_config_block(self, tmp_path, capsys, monkeypatch):
+        calls = _captured_configs(monkeypatch)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"seed": 1, "components": {"seed": 5, "ambient_dim": 16}}))
+        assert main(["components", "--config", str(cfg), "--k", "3", "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["ambient_dim"] == 16
+        assert calls == [{"seed": 7, "components": {"seed": 7, "ambient_dim": 16, "k": 3}}]
 
 
 class TestSpectrumCommand:
@@ -224,6 +253,38 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "property-report"
         assert doc["passed"] is True
+
+    def test_flags_merge_into_config_block(self, tmp_path, capsys, monkeypatch):
+        calls = _captured_configs(monkeypatch)
+        cfg = tmp_path / "exp.json"
+        block = {"homotopies": 1, "concat_pairs": 3, "slices": 5}
+        cfg.write_text(json.dumps({"seed": 2, "check": block}))
+        assert main(["check", "--config", str(cfg), "--paths", "2", "--slices", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        merged = {"homotopies": 1, "concat_pairs": 3, "slices": 3, "invertible_paths": 2}
+        assert calls == [{"seed": 2, "check": merged}]
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("flow", ["--init-samples INIT_SAMPLES", "--max-depth MAX_DEPTH", "--grid GRID"]),
+            ("components", ["--k K", "--ambient-dim AMBIENT_DIM", "--epsilon EPSILON"]),
+            ("spectrum", ["--init-samples INIT_SAMPLES", "--seed SEED"]),
+            (
+                "check",
+                ["--paths INVERTIBLE_PATHS", "--pairs CONCAT_PAIRS", "--homotopies HOMOTOPIES"],
+            ),
+        ],
+    )
+    def test_metavars(self, command, shown, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for text in shown:
+            assert text in out
 
 
 class TestDeterminism:

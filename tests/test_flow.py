@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_endpoint_flow, brute_window_count
 from specflow import (
     BaerFamilySpec,
+    CertificateBroken,
     DepthExceeded,
     FlowOptions,
     baer_family,
@@ -169,3 +171,67 @@ class TestSpectralFlow:
             FlowOptions(witness_points=1)
         with pytest.raises(ValueError):
             FlowOptions(cluster_tol=0.0)
+
+
+class TestVerifyRejectsTampering:
+    """``FlowCertificate.verify`` re-derives each recorded quantity from the path."""
+
+    SEGMENT = 3
+
+    @pytest.fixture
+    def certified(self):
+        path = random_family(6, seed=4)
+        cert = spectral_flow(path)
+        cert.verify(path)
+        return path, cert
+
+    def _with_witness(self, cert, **changes):
+        witnesses = list(cert.witnesses)
+        witnesses[self.SEGMENT] = dataclasses.replace(witnesses[self.SEGMENT], **changes)
+        return dataclasses.replace(cert, witnesses=tuple(witnesses))
+
+    def _broken(self, path, cert) -> str:
+        with pytest.raises(CertificateBroken) as info:
+            cert.verify(path)
+        return str(info.value)
+
+    def test_inflated_margin(self, certified):
+        path, cert = certified
+        w = cert.witnesses[self.SEGMENT]
+        margin = 1.01 * w.margin
+        # first witness whose spectrum comes closer than the claimed margin to +/-radius
+        first = next(
+            t
+            for t in w.grid
+            if np.abs(np.abs(np.linalg.eigvalsh(path.at(t).entries)) - w.radius).min()
+            < margin * (1 - 1e-9)
+        )
+        message = self._broken(path, self._with_witness(cert, margin=margin))
+        assert message == f"window margin violated at t={first}"
+
+    def test_symmetric_count_off_by_one(self, certified):
+        path, cert = certified
+        w = cert.witnesses[self.SEGMENT]
+        tampered = self._with_witness(cert, symmetric_count=w.symmetric_count + 1)
+        assert self._broken(path, tampered) == f"symmetric count drifted at t={w.grid[0]}"
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_count_pair_changed(self, certified, end):
+        path, cert = certified
+        counts = list(cert.counts)
+        pair = list(counts[self.SEGMENT])
+        pair[end] += 1
+        counts[self.SEGMENT] = tuple(pair)
+        tampered = dataclasses.replace(cert, counts=tuple(counts))
+        w = cert.witnesses[self.SEGMENT]
+        t = (w.t_lower, w.t_upper)[end]
+        assert self._broken(path, tampered) == f"count at t={t} drifted"
+
+    def test_flow_off_by_one(self, certified):
+        path, cert = certified
+        tampered = dataclasses.replace(cert, flow=cert.flow + 1)
+        assert self._broken(path, tampered) == "flow does not telescope over the recorded counts"
+
+    def test_other_path(self, certified):
+        _, cert = certified
+        self._broken(random_family(6, seed=5), cert)

@@ -280,3 +280,43 @@ class TestIngestErrorsNameParameter:
     def test_direct_operator_keeps_wording(self):
         with pytest.raises(ValueError, match=r"^matrix is not self-adjoint: .*\)$"):
             SelfAdjointOperator(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def _inline_sampled_operators(knots, mats, params):
+    """Sampled-path operators by the inline knot-interval blend, one stack per interval."""
+    ts = np.asarray(knots)
+    j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(mats) - 2)
+    u = (params - ts[j]) / (ts[j + 1] - ts[j])
+    ops = [None] * params.size
+    for k in np.unique(j).tolist():
+        rows = np.flatnonzero(j == k)
+        w = u[rows][:, None, None]
+        stack = stacked_operators((1.0 - w) * mats[k] + w * mats[k + 1], params[rows])
+        for r, op in zip(rows.tolist(), stack):
+            ops[r] = op
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sampled_path_matches_inline_blend(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 20))
+    count = int(rng.integers(2, 6))
+    knots = [0.0, *np.sort(rng.uniform(0.0, 1.0, count - 2)).tolist(), 1.0]
+    raw = []
+    for _ in knots:
+        g = rng.standard_normal((dim, dim))
+        if rng.random() < 0.5:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        raw.append((g + g.conj().T) / 2)
+    mats = [SelfAdjointOperator(m).entries for m in raw]
+    params = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 40), knots]))
+    got = sampled_path(list(zip(knots, raw)))._operators(params)
+    reference = _inline_sampled_operators(knots, mats, params)
+    for op, ref in zip(got, reference):
+        assert op.entries.dtype == ref.entries.dtype
+        assert op.entries.tobytes() == ref.entries.tobytes()
+    operators.solve_spectra(got)
+    operators.solve_spectra(reference)
+    for op, ref in zip(got, reference):
+        assert op.spectrum.values.tobytes() == ref.spectrum.values.tobytes()
