@@ -79,22 +79,18 @@ class SegmentWitness:
 class FlowCertificate:
     """A computed flow together with everything needed to re-check it.
 
+    ``times`` are the partition points t_0 = 0 < ... < t_N = 1 and
     ``witnesses[i]`` certifies the segment [t_i, t_{i+1}] with its window
-    radius; the partition points t_0 = 0 < ... < t_N = 1 are read from the
-    witnesses as ``times``.  ``counts[i]`` holds the pair (count at t_i,
-    count at t_{i+1}) of eigenvalues in [0, radius]; ``flow`` is their
-    telescoping sum.  ``options`` are the options the flow was computed with.
+    radius.  ``counts[i]`` holds the pair (count at t_i, count at t_{i+1})
+    of eigenvalues in [0, radius]; ``flow`` is their telescoping sum.
+    ``options`` are the options the flow was computed with.
     """
 
+    times: tuple[float, ...]
     witnesses: tuple[SegmentWitness, ...]
     counts: tuple[tuple[int, int], ...]
     flow: int
     options: FlowOptions = field(default_factory=FlowOptions, compare=False)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        """Partition points, read from the witnesses."""
-        return (self.witnesses[0].t_lower, *(w.t_upper for w in self.witnesses))
 
     @property
     def radii(self) -> tuple[float, ...]:
@@ -255,6 +251,7 @@ def spectral_flow(
         counts.append((c_lo, c_hi))
         flow += c_hi - c_lo
     return FlowCertificate(
+        times=tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses]),
         witnesses=tuple(witnesses),
         counts=tuple(counts),
         flow=flow,

@@ -1,8 +1,12 @@
-"""Shared test helpers: brute-force spectral checks independent of the engine."""
+"""Shared test helpers: an eigvalsh counter and brute-force spectral checks
+independent of the engine."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -12,6 +16,28 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")
+
+
+class _CountingEigvalsh:
+    """Counts the matrices handed to ``numpy.linalg.eigvalsh``, stacked or not."""
+
+    def __init__(self, original):
+        self.original = original
+        self.calls = 0
+        self.matrices = 0
+
+    def __call__(self, a, *args, **kwargs):
+        arr = np.asarray(a)
+        self.calls += 1
+        self.matrices += 1 if arr.ndim == 2 else math.prod(arr.shape[:-2])
+        return self.original(a, *args, **kwargs)
+
+
+@pytest.fixture
+def eigvalsh_counter(monkeypatch):
+    counter = _CountingEigvalsh(np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counter)
+    return counter
 
 
 def brute_window_count(path, t: float, radius: float) -> int:

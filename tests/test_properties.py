@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import specflow.properties as properties_module
 from specflow import check_flow_properties
-from specflow.flow import spectral_flow
+from specflow.flow import FlowCertificate, FlowOptions, spectral_flow
 
 
 class TestCheckFlowProperties:
@@ -35,7 +33,13 @@ class TestCheckFlowProperties:
             cert = real_flow(path, options, **kw)
             if state.get("poison") == id(path) and state["armed"]:
                 state["armed"] = False
-                return dataclasses.replace(cert, flow=cert.flow + 1)
+                return FlowCertificate(
+                    times=cert.times,
+                    witnesses=cert.witnesses,
+                    counts=cert.counts,
+                    flow=cert.flow + 1,
+                    options=cert.options or FlowOptions(),
+                )
             return cert
 
         real_family = properties_module.invertible_valued_family

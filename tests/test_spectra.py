@@ -132,28 +132,6 @@ def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_by
         assert row.tobytes() == reference.tobytes()
 
 
-class _CountingEigvalsh:
-    """Counts the matrices handed to ``numpy.linalg.eigvalsh``, stacked or not."""
-
-    def __init__(self, original):
-        self.original = original
-        self.calls = 0
-        self.matrices = 0
-
-    def __call__(self, a, *args, **kwargs):
-        arr = np.asarray(a)
-        self.calls += 1
-        self.matrices += 1 if arr.ndim == 2 else math.prod(arr.shape[:-2])
-        return self.original(a, *args, **kwargs)
-
-
-@pytest.fixture
-def eigvalsh_counter(monkeypatch):
-    counter = _CountingEigvalsh(np.linalg.eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counter)
-    return counter
-
-
 class TestEigensolveCounts:
     def test_oracle_solves_each_parameter_once(self, eigvalsh_counter):
         path = random_family(6, 11, invertible_ends=True)
