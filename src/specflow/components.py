@@ -22,14 +22,7 @@ from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
 from .operators import SelfAdjointOperator, Spectrum
-from .paths import (
-    ENDPOINT_RTOL,
-    OperatorPath,
-    _endpoint_gap,
-    concat,
-    constant_path,
-    straight_segment,
-)
+from .paths import OperatorPath, _endpoint_gap, concat, constant_path, straight_segment
 
 __all__ = [
     "LedgerEntry",
@@ -41,7 +34,7 @@ __all__ = [
     "default_component_setup",
 ]
 
-# Relative size below which the smallest |eigenvalue| counts as singular.
+# Relative size at or below which the smallest |eigenvalue| counts as singular.
 SINGULARITY_RTOL = 1e-8
 BISECTION_STEPS = 60
 
@@ -70,9 +63,9 @@ class PairCertificate:
     """Certified non-connectability of two path endpoints.
 
     ``singular_t`` locates an operator on the straight endpoint segment
-    whose smallest |eigenvalue| is below ``SINGULARITY_RTOL`` times its
-    spectral radius, witnessing that the segment leaves the invertible
-    locus.
+    whose smallest |eigenvalue| is at most ``SINGULARITY_RTOL`` times its
+    spectral radius (the rule :class:`ComponentReport` applies to
+    endpoints), witnessing that the segment leaves the invertible locus.
     """
 
     i: int
@@ -91,9 +84,9 @@ class ComponentCertification:
     verdict: str
 
 
-def _endpoint_invertible(op: SelfAdjointOperator) -> bool:
-    spec = op.spectrum
-    return spec.min_abs > SINGULARITY_RTOL * spec.scale
+def _singular(spec: Spectrum) -> bool:
+    """Smallest |eigenvalue| at most ``SINGULARITY_RTOL`` times ``spec.scale``."""
+    return spec.min_abs <= SINGULARITY_RTOL * spec.scale
 
 
 @dataclass(frozen=True)
@@ -110,16 +103,16 @@ class ComponentReport:
             raise ValueError("paths and flows must have equal length")
         if len(set(self.flows)) != len(self.flows):
             raise ValueError(f"flows must be pairwise distinct, got {self.flows}")
-        if not _endpoint_invertible(self.basepoint):
+        if _singular(self.basepoint.spectrum):
             raise ValueError("basepoint must be invertible")
         for idx, p in enumerate(self.paths):
             if p.dim != self.basepoint.dim:
                 raise ValueError(f"path {idx} has dim {p.dim}, basepoint {self.basepoint.dim}")
-            gap, scale = _endpoint_gap(self.basepoint, p.at(0.0))
-            if gap > ENDPOINT_RTOL * scale:
-                raise ValueError(f"path {idx} does not start at the basepoint (gap {gap:.3e})")
+            gap = _endpoint_gap(self.basepoint, p.at(0.0))
+            if gap is not None:
+                raise ValueError(f"path {idx} does not start at the basepoint ({gap})")
             for t in (0.0, 1.0):
-                if not _endpoint_invertible(p.at(t)):
+                if _singular(p.at(t).spectrum):
                     raise ValueError(f"path {idx} endpoint t={t} is not invertible")
 
 
@@ -136,7 +129,7 @@ def build_distinct_paths(
     flow difference); anything weaker raises :class:`GeneratorFailure`.
     The first path is the constant basepoint path with flow 0.
     """
-    if k < 1:
+    if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     opts = options or FlowOptions()
     paths: list[OperatorPath] = [constant_path(basepoint)]
@@ -165,34 +158,28 @@ def build_distinct_paths(
                 f"{connector_flow} + {fresh_flow}"
             )
         if candidate_flow not in flows:
-            paths.append(candidate)
-            flows.append(candidate_flow)
-            ledger.append(
-                LedgerEntry(
-                    step=step,
-                    bound=bound,
-                    generator_flow=fresh_flow,
-                    connector_flow=connector_flow,
-                    candidate_flow=candidate_flow,
-                    branch="candidate",
-                    collision_with=None,
-                    note=(
-                        f"flow {candidate_flow} is new; kept the concatenated path"
-                    ),
+            kept, kept_flow, branch, collision = candidate, candidate_flow, "candidate", None
+            note = f"flow {candidate_flow} is new; kept the concatenated path"
+        else:
+            collision = flows.index(candidate_flow)
+            if connector_flow in flows:
+                other = flows.index(connector_flow)
+                raise CertificateBroken(
+                    f"connector flow {connector_flow} collides with path {other} while the "
+                    f"concatenation collides with path {collision}: that would force "
+                    f"{flows[collision]} - {flows[other]} = {fresh_flow} > {bound}, which "
+                    f"is impossible for flows already within the bound"
                 )
+            kept, kept_flow, branch = connector, connector_flow, "connector"
+            note = (
+                f"concatenated flow {candidate_flow} collides with path {collision}; "
+                f"kept the connector (flow {connector_flow}). Reusing an existing "
+                f"flow f would force {candidate_flow} - f = {fresh_flow} > bound "
+                f"{bound} >= all pairwise differences, a contradiction, so the "
+                f"connector flow is necessarily new"
             )
-            continue
-        collision = flows.index(candidate_flow)
-        if connector_flow in flows:
-            other = flows.index(connector_flow)
-            raise CertificateBroken(
-                f"connector flow {connector_flow} collides with path {other} while the "
-                f"concatenation collides with path {collision}: that would force "
-                f"{flows[collision]} - {flows[other]} = {fresh_flow} > {bound}, which "
-                f"is impossible for flows already within the bound"
-            )
-        paths.append(connector)
-        flows.append(connector_flow)
+        paths.append(kept)
+        flows.append(kept_flow)
         ledger.append(
             LedgerEntry(
                 step=step,
@@ -200,15 +187,9 @@ def build_distinct_paths(
                 generator_flow=fresh_flow,
                 connector_flow=connector_flow,
                 candidate_flow=candidate_flow,
-                branch="connector",
+                branch=branch,
                 collision_with=collision,
-                note=(
-                    f"concatenated flow {candidate_flow} collides with path {collision}; "
-                    f"kept the connector (flow {connector_flow}). Reusing an existing "
-                    f"flow f would force {candidate_flow} - f = {fresh_flow} > bound "
-                    f"{bound} >= all pairwise differences, a contradiction, so the "
-                    f"connector flow is necessarily new"
-                ),
+                note=note,
             )
         )
     return ComponentReport(
@@ -219,12 +200,11 @@ def build_distinct_paths(
     )
 
 
-def _locate_singular(segment: OperatorPath) -> tuple[float, float, float]:
+def _locate_singular(segment: OperatorPath) -> tuple[float, Spectrum]:
     """Bisect on the negative-eigenvalue count to a zero crossing.
 
-    Returns (t, smallest |eigenvalue| at t, spectral radius at t).  The
-    endpoint counts differ whenever the segment flow is nonzero, so a
-    bracket always exists.
+    Returns t and the spectrum at t.  The endpoint counts differ whenever
+    the segment flow is nonzero, so a bracket always exists.
     """
 
     def neg(t: float) -> int:
@@ -243,8 +223,7 @@ def _locate_singular(segment: OperatorPath) -> tuple[float, float, float]:
         else:
             lo = mid
     t = 0.5 * (lo + hi)
-    spec = segment.at(t).spectrum
-    return t, spec.min_abs, spec.radius
+    return t, segment.at(t).spectrum
 
 
 def certify_distinct_components(
@@ -276,12 +255,12 @@ def certify_distinct_components(
                     f"match the flow difference {expected}; contracting the loop "
                     "would not close"
                 )
-            t, small, rho = _locate_singular(seg)
-            if small >= SINGULARITY_RTOL * rho:
+            t, spec = _locate_singular(seg)
+            if not _singular(spec):
                 raise CertificateBroken(
                     f"no singular operator located on the endpoint segment of pair "
-                    f"({i}, {j}) although flows differ: min |eig| {small:.3e} at "
-                    f"t={t!r} vs threshold {SINGULARITY_RTOL * rho:.3e}"
+                    f"({i}, {j}) although flows differ: min |eig| {spec.min_abs:.3e} at "
+                    f"t={t!r} vs threshold {SINGULARITY_RTOL * spec.scale:.3e}"
                 )
             pairs.append(
                 PairCertificate(
@@ -291,8 +270,8 @@ def certify_distinct_components(
                     flow_j=report.flows[j],
                     segment_flow=seg_flow,
                     singular_t=t,
-                    min_abs_eigenvalue=small,
-                    spectral_radius=rho,
+                    min_abs_eigenvalue=spec.min_abs,
+                    spectral_radius=spec.radius,
                 )
             )
     return ComponentCertification(

@@ -185,13 +185,18 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
         ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
         mu = _invertibility_shift(ends, INVERTIBLE_END_MARGIN)
         a = a + mu * np.eye(dim)
+    return _smooth_path(a, b, c)
+
+
+def _smooth_path(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> OperatorPath:
+    """Path ``A + t B + sin(pi t) C``, built in stacks, bounded by ``|B| + pi |C|``."""
 
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         t = ts[:, None, None]
         return stacked_operators(a + t * b + np.sin(np.pi * t) * c, ts)
 
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return OperatorPath(dim, build, lipschitz=lip)
+    return OperatorPath(a.shape[0], build, lipschitz=lip)
 
 
 def _skew(g: np.ndarray) -> np.ndarray:

@@ -191,13 +191,24 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     return OperatorPath(a.dim, lambda ts: _blend(ts, [a], [b], ts), lipschitz=lip)
 
 
-def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> tuple[float, float]:
+def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:
+    """Why ``y`` differs from ``x`` beyond ``ENDPOINT_RTOL``, or ``None`` if it agrees."""
     if x._diag is not None and y._diag is not None:
         # Two diagonals differ only on the diagonal: the dense off-diagonal gap is 0.
         ex, ey = x._diag, y._diag
     else:
         ex, ey = x.entries, y.entries
-    return float(np.abs(ex - ey).max()), float(np.abs(ex).max())
+    diff, scale = float(np.abs(ex - ey).max()), float(np.abs(ex).max())
+    if diff > ENDPOINT_RTOL * scale:
+        return f"max entry gap {diff:.3e} exceeds {ENDPOINT_RTOL:.0e} * {scale:.3e}"
+    return None
+
+
+def _composite_lipschitz(factor: float, a: OperatorPath, b: OperatorPath) -> float | None:
+    """``factor * max`` of the two path bounds; unknown if either is unknown."""
+    if a.lipschitz is None or b.lipschitz is None:
+        return None
+    return factor * max(a.lipschitz, b.lipschitz)
 
 
 def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
@@ -209,13 +220,9 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot concatenate paths of dims {a.dim} and {b.dim}")
-    a1, b0 = a.at(1.0), b.at(0.0)
-    diff, scale = _endpoint_gap(a1, b0)
-    if diff > ENDPOINT_RTOL * scale:
-        raise EndpointMismatch(
-            f"a(1) != b(0): max entry gap {diff:.3e} exceeds "
-            f"{ENDPOINT_RTOL:.0e} * {scale:.3e}"
-        )
+    gap = _endpoint_gap(a.at(1.0), b.at(0.0))
+    if gap is not None:
+        raise EndpointMismatch(f"a(1) != b(0): {gap}")
 
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
         first = ts <= 0.5
@@ -223,10 +230,7 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
         tail = iter(b._operators(np.minimum(1.0, 2.0 * ts[~first] - 1.0)))
         return [next(head) if f else next(tail) for f in first]
 
-    lip = None
-    if a.lipschitz is not None and b.lipschitz is not None:
-        lip = 2.0 * max(a.lipschitz, b.lipschitz)
-    return OperatorPath(a.dim, build, lipschitz=lip)
+    return OperatorPath(a.dim, build, lipschitz=_composite_lipschitz(2.0, a, b))
 
 
 def reverse(a: OperatorPath) -> OperatorPath:
@@ -235,67 +239,53 @@ def reverse(a: OperatorPath) -> OperatorPath:
 
 
 class Homotopy:
-    """Two-parameter family ``(s, t) -> operator`` on [0, 1]^2.
+    """Straight-line homotopy ``H(s, t) = (1-s) a(t) + s b(t)`` on [0, 1]^2.
 
-    Built by :func:`affine_homotopy` and read through :meth:`slice_at`.
-    ``slice_build(s, ts)`` is the ``build`` of the slice at ``s``;
-    ``slice_lipschitz`` bounds the t-derivative uniformly in s (``None``
-    when unknown) and is inherited by every slice.
+    ``a`` and ``b`` must have one dimension and share both endpoints (the
+    homotopy fixes them in ``s``), which is what the convex parameter
+    space guarantees exists; construction checks both and raises
+    :class:`EndpointMismatch`.  Read it through :meth:`slice_at`.
     """
 
-    __slots__ = ("_dim", "_slice_build", "_slice_lipschitz")
+    __slots__ = ("_a", "_b")
 
-    def __init__(
-        self,
-        dim: int,
-        slice_build: Callable[[float, np.ndarray], list[SelfAdjointOperator]],
-        slice_lipschitz: float | None,
-    ):
-        self._dim = int(dim)
-        self._slice_build = slice_build
-        self._slice_lipschitz = slice_lipschitz
+    def __init__(self, a: OperatorPath, b: OperatorPath):
+        if a.dim != b.dim:
+            raise EndpointMismatch(f"cannot blend paths of dims {a.dim} and {b.dim}")
+        for t in (0.0, 1.0):
+            gap = _endpoint_gap(a.at(t), b.at(t))
+            if gap is not None:
+                raise EndpointMismatch(f"paths disagree at t={t}: {gap}")
+        self._a, self._b = a, b
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._a.dim
 
     def slice_at(self, s: float) -> OperatorPath:
-        """The path ``t -> H(s, t)`` at a fixed deformation parameter."""
+        """The path ``t -> H(s, t)``: ``a`` at s=0, ``b`` at s=1, a blend between.
+
+        Interior slices of two diagonal paths are diagonal.  The slice bound
+        is the larger path bound, ``None`` when either is unknown.
+        """
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
-        build = self._slice_build
-        return OperatorPath(self._dim, lambda ts: build(s, ts), self._slice_lipschitz)
+        a, b = self._a, self._b
+
+        def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+            if s == 0.0:
+                return a._operators(ts)
+            if s == 1.0:
+                return b._operators(ts)
+            return _blend(np.full(ts.size, s), a._operators(ts), b._operators(ts), ts)
+
+        return OperatorPath(a.dim, build, _composite_lipschitz(1.0, a, b))
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
-    """Straight-line homotopy ``H(s, t) = (1-s) a(t) + s b(t)``.
-
-    Both paths must share endpoints (the homotopy fixes them in ``s``),
-    which is what the convex parameter space guarantees exists.  Where
-    both paths are diagonal, so is the slice.
-    """
-    if a.dim != b.dim:
-        raise EndpointMismatch(f"cannot blend paths of dims {a.dim} and {b.dim}")
-    for t in (0.0, 1.0):
-        diff, scale = _endpoint_gap(a.at(t), b.at(t))
-        if diff > ENDPOINT_RTOL * scale:
-            raise EndpointMismatch(
-                f"paths disagree at t={t}: max entry gap {diff:.3e} exceeds "
-                f"{ENDPOINT_RTOL:.0e} * {scale:.3e}"
-            )
-
-    def slice_build(s: float, ts: np.ndarray) -> list[SelfAdjointOperator]:
-        if s == 0.0:
-            return a._operators(ts)
-        if s == 1.0:
-            return b._operators(ts)
-        return _blend(np.full(ts.size, s), a._operators(ts), b._operators(ts), ts)
-
-    lip = None
-    if a.lipschitz is not None and b.lipschitz is not None:
-        lip = max(a.lipschitz, b.lipschitz)
-    return Homotopy(a.dim, slice_build, lip)
+    """The straight-line :class:`Homotopy` from ``a`` to ``b``."""
+    return Homotopy(a, b)
 
 
 def reparametrize(
@@ -305,16 +295,25 @@ def reparametrize(
 ) -> OperatorPath:
     """Precompose with a monotone bijection ``phi`` of [0, 1].
 
-    ``phi`` must fix the endpoints; values are clipped to [0, 1] to guard
-    against rounding at the edges.  ``phi`` is opaque here, so a bound on
-    the composite (``a.lipschitz`` times the slope bound of ``phi``) must
-    be supplied by the caller if certification is to stay rigorous.
+    ``phi`` must fix the endpoints and be finite wherever it is evaluated;
+    a violation raises ``ValueError`` naming the parameter.  Values are
+    clipped to [0, 1] to guard against rounding at the edges.  ``phi`` is
+    opaque here, so a bound on the composite (``a.lipschitz`` times the
+    slope bound of ``phi``) must be supplied by the caller if
+    certification is to stay rigorous.
     """
     for t, expect in ((0.0, 0.0), (1.0, 1.0)):
-        if abs(float(phi(t)) - expect) > 1e-12:
-            raise ValueError(f"phi({t}) = {phi(t)!r}, expected {expect}")
+        u = float(phi(t))
+        if not abs(u - expect) <= 1e-12:
+            raise ValueError(f"phi({t}) = {u!r}, expected {expect}")
+
+    def warp(t: float) -> float:
+        u = float(phi(t))
+        if not np.isfinite(u):
+            raise ValueError(f"phi({t!r}) = {u!r} is not finite")
+        return min(1.0, max(0.0, u))
 
     def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        return a._operators([min(1.0, max(0.0, float(phi(t)))) for t in ts.tolist()])
+        return a._operators([warp(t) for t in ts.tolist()])
 
     return OperatorPath(a.dim, build, lipschitz=lipschitz)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import invertible_valued_family, random_family, random_symmetric
+from .families import _smooth_path, invertible_valued_family, random_family, random_symmetric
 from .flow import FlowOptions, spectral_flow
 from .paths import OperatorPath, affine_homotopy, concat, matrix_path, reverse
 
@@ -49,12 +49,9 @@ def _case_seed(base: int, index: int) -> int:
 def _extension_path(a: OperatorPath, seed: int) -> OperatorPath:
     """Path starting exactly at a(1): fuel for composable pairs."""
     rng = np.random.default_rng(seed)
-    dim = a.dim
-    start = a.at(1.0).entries
-    b = random_symmetric(rng, dim)
-    c = random_symmetric(rng, dim)
-    lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return matrix_path(dim, lambda t: start + t * b + np.sin(np.pi * t) * c, lipschitz=lip)
+    b = random_symmetric(rng, a.dim)
+    c = random_symmetric(rng, a.dim)
+    return _smooth_path(a.at(1.0).entries, b, c)
 
 
 def _perturbation_homotopy(a: OperatorPath, seed: int, scale: float = 0.5):

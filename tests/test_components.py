@@ -10,6 +10,7 @@ from specflow import (
     ComponentReport,
     GeneratorFailure,
     SelfAdjointOperator,
+    Spectrum,
     build_distinct_paths,
     certify_distinct_components,
     constant_path,
@@ -18,6 +19,7 @@ from specflow import (
     oracle_flow,
     spectral_flow,
 )
+from specflow import components
 
 BASEPOINT = SelfAdjointOperator.from_diagonal([5.0, 5.0, -5.0, 7.0])
 
@@ -71,6 +73,10 @@ class TestBuildDistinctPaths:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             build_distinct_paths(0, single_slot_generator, BASEPOINT)
+
+    def test_k_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="k must be a positive integer, got 2.5"):
+            build_distinct_paths(2.5, single_slot_generator, BASEPOINT)
 
     def test_generator_dim_mismatch(self):
         def wrong_dim(bound: int):
@@ -145,6 +151,27 @@ class TestCertifyDistinctComponents:
         )
         with pytest.raises(CertificateBroken):
             certify_distinct_components(report)
+
+
+class TestSingularityRule:
+    """The report and the pair check share one singularity predicate."""
+
+    EDGE = Spectrum([1e-8, 1.0])  # min |eig| exactly SINGULARITY_RTOL * radius
+
+    def test_edge_basepoint_is_singular(self):
+        edge = SelfAdjointOperator.from_diagonal(self.EDGE.values)
+        with pytest.raises(ValueError, match="basepoint must be invertible"):
+            ComponentReport(basepoint=edge, paths=(constant_path(edge),), flows=(0,), ledger=())
+
+    def test_edge_point_certifies_a_pair(self, monkeypatch):
+        base = SelfAdjointOperator.from_diagonal([-5.0, 7.0])
+        climb = matrix_path(2, lambda t: np.diag([-5.0 + 10.0 * t, 7.0]))
+        report = ComponentReport(
+            basepoint=base, paths=(constant_path(base), climb), flows=(0, 1), ledger=()
+        )
+        monkeypatch.setattr(components, "_locate_singular", lambda seg: (0.5, self.EDGE))
+        (pair,) = certify_distinct_components(report).pairs
+        assert (pair.singular_t, pair.min_abs_eigenvalue, pair.spectral_radius) == (0.5, 1e-8, 1.0)
 
 
 class TestDefaultSetup:

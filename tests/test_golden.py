@@ -1,6 +1,6 @@
-"""Byte-identity guard: sha256 of the stdout of four fixed CLI runs.
+"""Byte-identity guard: sha256 of fixed CLI outputs and path-algebra documents.
 
-Each run reads only diagonal paths, so no matrix reaches LAPACK and the
+Each case reads only diagonal paths, so no matrix reaches LAPACK and the
 output does not depend on the BLAS/LAPACK build.  A change that alters
 one of these outputs on purpose updates its digest here and says so in
 CHANGES.md.
@@ -9,10 +9,29 @@ CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from specflow import (
+    BaerFamilySpec,
+    GluingSpec,
+    OperatorPath,
+    SelfAdjointOperator,
+    Spectrum,
+    affine_homotopy,
+    baer_family,
+    build_distinct_paths,
+    concat,
+    glue,
+    reparametrize,
+    reverse,
+    spectral_flow,
+)
 from specflow.cli import main
+from specflow.operators import diagonal_operators
+from specflow.reporting import dumps_document, flow_certificate_document
 
 GOLDEN = {
     "components --k 8": "3385a13e039f01fd4f45a3579240d6ea62bb485066e3c8b95c6c9d2df67730e1",
@@ -29,3 +48,55 @@ def test_stdout_digest(command, capsys, eigvalsh_counter):
     assert captured.err == ""
     assert eigvalsh_counter.matrices == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN[command]
+
+
+def _certificate(path: OperatorPath) -> str:
+    return dumps_document(flow_certificate_document(spectral_flow(path)))
+
+
+def _baer_loop() -> str:
+    baer = baer_family(BaerFamilySpec(m=2))
+    return _certificate(concat(baer, reverse(baer)))
+
+
+def _glue_slice() -> str:
+    glued = glue(GluingSpec(base=Spectrum([5.0, -5.0]), sphere_family=BaerFamilySpec(m=2), epsilon=0.25, seed=4)).path
+    warped = reparametrize(glued, lambda t: t * t, lipschitz=2.0 * glued.lipschitz)
+    return _certificate(affine_homotopy(glued, warped).slice_at(0.3))
+
+
+def _connector_ledger() -> str:
+    basepoint = SelfAdjointOperator.from_diagonal([5.0, 5.0, -5.0, 7.0])
+    static = np.array([5.0, -5.0, 7.0])
+
+    def generator(bound: int) -> OperatorPath:
+        # Slot 0 sweeps -1..1; with the connector's -1 the concatenation
+        # collides with the constant path's flow 0.
+        def build(ts):
+            return diagonal_operators(np.column_stack([2.0 * ts - 1.0, np.tile(static, (ts.size, 1))]), ts)
+
+        return OperatorPath(4, build, 2.0)
+
+    report = build_distinct_paths(2, generator, basepoint)
+    assert report.ledger[-1].branch == "connector"
+    return dumps_document({"ledger": [asdict(entry) for entry in report.ledger]})
+
+
+PATH_ALGEBRA = {
+    "concat(baer, reverse(baer)) certificate": _baer_loop,
+    "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": _glue_slice,
+    "connector-branch ledger": _connector_ledger,
+}
+
+PATH_ALGEBRA_GOLDEN = {
+    "concat(baer, reverse(baer)) certificate": "3bcaf5801569c02b9b3bb8a7f90d26b47498143be2f2b062a965c1994436d30f",
+    "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "f4fdfd043ea0822c94f6f88e94552d484a70f98c648e2c94af98b94df4516c97",
+    "connector-branch ledger": "7cf635dd5a741db9b3e3ec12312064e641a89b61f02424f0b8339c84904805f9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_ALGEBRA))
+def test_path_algebra_digest(name, eigvalsh_counter):
+    text = PATH_ALGEBRA[name]()
+    assert eigvalsh_counter.matrices == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == PATH_ALGEBRA_GOLDEN[name]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_endpoint_flow
 from specflow import (
     EndpointMismatch,
+    Homotopy,
     OperatorPath,
     SelfAdjointOperator,
     affine_homotopy,
@@ -21,7 +22,7 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
-from specflow.operators import stacked_operators
+from specflow.operators import diagonal_operators, stacked_operators
 
 
 def crossing_path(up: bool = True):
@@ -53,8 +54,9 @@ class TestConcat:
     def test_endpoint_mismatch(self):
         a = crossing_path()
         b = constant_path(SelfAdjointOperator.from_diagonal([9.0, 5.0, -5.0]))
-        with pytest.raises(EndpointMismatch):
+        with pytest.raises(EndpointMismatch) as exc:
             concat(a, b)
+        assert str(exc.value) == "a(1) != b(0): max entry gap 8.000e+00 exceeds 1e-10 * 5.000e+00"
 
     def test_dim_mismatch(self):
         with pytest.raises(EndpointMismatch):
@@ -108,8 +110,92 @@ class TestAffineHomotopy:
     def test_endpoint_mismatch(self):
         a = crossing_path()
         b = matrix_path(3, lambda t: np.diag([2 * t - 0.5, 5.0, -5.0]))
-        with pytest.raises(EndpointMismatch):
+        with pytest.raises(EndpointMismatch) as exc:
             affine_homotopy(a, b)
+        assert str(exc.value) == (
+            "paths disagree at t=0.0: max entry gap 5.000e-01 exceeds 1e-10 * 5.000e+00"
+        )
+        end = diagonal_path(lambda t: [2 * t - 1 + 3 * t * t, 5.0, -5.0])
+        with pytest.raises(EndpointMismatch) as exc:
+            affine_homotopy(a, end)
+        assert str(exc.value) == (
+            "paths disagree at t=1.0: max entry gap 3.000e+00 exceeds 1e-10 * 5.000e+00"
+        )
+
+
+def bumped_path(a, seed: int):
+    """Dense path sharing ``a``'s endpoints: ``a(t) + sin(pi t) E``."""
+    e = np.random.default_rng(seed).standard_normal((a.dim, a.dim))
+    e = (e + e.T) / 2
+    return matrix_path(a.dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e)
+
+
+def diagonal_path(values):
+    """Diagonal path ``t -> diag(values(t))``."""
+    return OperatorPath(
+        len(values(0.0)),
+        lambda ts: diagonal_operators(np.array([values(t) for t in ts.tolist()]), ts),
+    )
+
+
+class TestPathAlgebraRules:
+    """Slices, composite bounds and homotopy construction, pinned exactly."""
+
+    def pairs(self):
+        a = random_family(4, seed=5)
+        yield a, bumped_path(a, 6)
+        yield (
+            diagonal_path(lambda t: [2 * t - 1, 5.0, -5.0]),
+            diagonal_path(lambda t: [-np.cos(np.pi * t), 5.0 + t * (1 - t), -5.0]),
+        )
+
+    def test_end_slices_are_the_paths_bit_for_bit(self):
+        for a, b in self.pairs():
+            h = affine_homotopy(a, b)
+            for t in (0.0, 0.3, 1.0):
+                assert np.array_equal(h.slice_at(0.0).at(t).entries, a.at(t).entries)
+                assert np.array_equal(h.slice_at(1.0).at(t).entries, b.at(t).entries)
+
+    def test_interior_slice_is_the_blend(self):
+        for a, b in self.pairs():
+            h = affine_homotopy(a, b)
+            for s in (0.25, 0.7):
+                for t in (0.0, 0.4, 1.0):
+                    blend = (1.0 - s) * a.at(t).entries + s * b.at(t).entries
+                    assert np.array_equal(h.slice_at(s).at(t).entries, blend)
+
+    def test_interior_slice_of_diagonal_paths_is_diagonal(self):
+        a, b = list(self.pairs())[1]
+        assert affine_homotopy(a, b).slice_at(0.5).at(0.4)._diag is not None
+
+    @pytest.mark.parametrize(
+        "la, lb, expect",
+        [(2.0, 3.0, 3.0), (4.0, 1.5, 4.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
+    )
+    def test_slice_bound_is_max(self, la, lb, expect):
+        build = crossing_path()._operators
+        h = affine_homotopy(OperatorPath(3, build, la), OperatorPath(3, build, lb))
+        for s in (0.0, 0.5, 1.0):
+            assert h.slice_at(s).lipschitz == expect
+
+    @pytest.mark.parametrize(
+        "la, lb, expect",
+        [(2.0, 3.0, 6.0), (4.0, 1.5, 8.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
+    )
+    def test_concat_bound_is_twice_max(self, la, lb, expect):
+        a = OperatorPath(3, crossing_path()._operators, la)
+        b = OperatorPath(3, constant_path(a.at(1.0))._operators, lb)
+        assert concat(a, b).lipschitz == expect
+
+    def test_homotopy_checks_endpoints_on_construction(self):
+        a = crossing_path()
+        b = matrix_path(3, lambda t: np.diag([2 * t - 0.5, 5.0, -5.0]))
+        with pytest.raises(EndpointMismatch, match=r"^paths disagree at t=0\.0: "):
+            Homotopy(a, b)
+        with pytest.raises(EndpointMismatch, match="dims 3 and 2"):
+            Homotopy(a, matrix_path(2, lambda t: np.eye(2)))
+        h = Homotopy(a, bumped_path(a, 1))
+        assert h.dim == 3
 
 
 class TestStraightSegment:
@@ -144,6 +230,21 @@ class TestReparametrization:
         a = crossing_path()
         with pytest.raises(ValueError):
             reparametrize(a, lambda t: 0.5 * t)
+
+    def test_rejects_nan_at_an_endpoint(self):
+        with pytest.raises(ValueError, match=r"^phi\(1\.0\) = nan, expected 1\.0$"):
+            reparametrize(crossing_path(), lambda t: float("nan") if t == 1.0 else t)
+
+    def test_rejects_non_finite_interior_value(self):
+        def phi(t: float) -> float:
+            return float("nan") if 0.2 < t < 0.4 else t
+
+        warped = reparametrize(crossing_path(), phi, lipschitz=2.0)
+        assert np.array_equal(warped.at(0.5).entries, crossing_path().at(0.5).entries)
+        with pytest.raises(ValueError, match=r"^phi\(0\.25\) = nan is not finite$"):
+            warped.at(0.25)
+        with pytest.raises(ValueError, match=r"is not finite$"):
+            spectral_flow(warped)
 
 
 class TestPathValidation:

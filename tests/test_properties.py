@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 import specflow.properties as properties_module
-from specflow import check_flow_properties
+from specflow import check_flow_properties, random_family
+from specflow.families import random_symmetric
 from specflow.flow import FlowCertificate, FlowOptions, spectral_flow
 
 
@@ -63,3 +66,18 @@ class TestCheckFlowProperties:
         a = check_flow_properties(seed=1, invertible_paths=5, concat_pairs=5, homotopies=2)
         b = check_flow_properties(seed=1, invertible_paths=5, concat_pairs=5, homotopies=2)
         assert a == b
+
+
+class TestExtensionPath:
+    def test_batched_build_matches_the_scalar_formula(self):
+        # Reference: the per-parameter A + t B + sin(pi t) C the suite
+        # evaluated before extension paths were built in stacks.
+        a = random_family(5, seed=3)
+        ext = properties_module._extension_path(a, seed=4)
+        rng = np.random.default_rng(4)
+        b, c = random_symmetric(rng, 5), random_symmetric(rng, 5)
+        start = a.at(1.0).entries
+        ts = np.linspace(0.0, 1.0, 33)
+        for t, op in zip(ts.tolist(), ext._operators(ts)):
+            assert np.array_equal(op.entries, start + t * b + np.sin(np.pi * t) * c)
+        assert ext.lipschitz == float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
