@@ -58,7 +58,13 @@ class GeneratorFailure(SpectralFlowError):
 
 
 class CertificateBroken(SpectralFlowError):
-    """Internal consistency check failed; indicates a bug, not bad input."""
+    """A certificate does not hold, or an internal consistency check failed.
+
+    Raised by :meth:`FlowCertificate.verify` when the certificate does not
+    hold for the path it is checked against (a stale, tampered or forged
+    certificate, or another path), and by the engine's own cross-checks,
+    where it indicates a bug rather than bad input.
+    """
 
 
 class ResolutionWarning(SpectralFlowError):

@@ -10,17 +10,14 @@ certified partition is as good as any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .errors import BoundaryAmbiguity, CertificateBroken, DepthExceeded
-from .operators import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_MIN_MARGIN,
-    SelfAdjointOperator,
-    solve_spectra,
-)
+from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, SelfAdjointOperator
 from .paths import OperatorPath
 
 __all__ = [
@@ -48,6 +45,10 @@ class FlowOptions:
     min_margin: float = DEFAULT_MIN_MARGIN
 
     def __post_init__(self):
+        for name in ("init_samples", "max_depth", "witness_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.init_samples < 1:
             raise ValueError("init_samples must be positive")
         if self.max_depth < 1:
@@ -56,6 +57,8 @@ class FlowOptions:
             raise ValueError("witness_points must be at least 2")
         if not (self.cluster_tol > 0 and self.min_margin > 0):
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.cluster_tol) and math.isfinite(self.min_margin)):
+            raise ValueError("tolerances must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,60 +101,99 @@ class FlowCertificate:
         return tuple(w.radius for w in self.witnesses)
 
     def verify(self, path: OperatorPath) -> None:
-        """Re-derive every certified quantity; raise CertificateBroken on drift."""
+        """Re-check the certificate against ``path``; raise CertificateBroken if it fails.
+
+        The witnesses must tile [0, 1] in the order of ``times``, with one
+        count pair each, and every witness grid must be the
+        ``options.witness_points``-point grid of its segment.  Each
+        segment's recorded window then passes the certifier's own check
+        (:func:`_check_window`: margin floor, Lipschitz slack, witnessed
+        margin and a constant count equal to ``symmetric_count``), the end
+        counts are recounted, and ``flow`` must telescope over them.
+        """
+        opts = self.options
+        times = self.times
+        if not (
+            len(times) == len(self.witnesses) + 1
+            and times[0] == 0.0
+            and times[-1] == 1.0
+            and all(
+                w.t_lower == a < b == w.t_upper
+                for w, a, b in zip(self.witnesses, times, times[1:])
+            )
+        ):
+            raise CertificateBroken("witnesses do not tile [0, 1] in the order of times")
+        if len(self.counts) != len(self.witnesses):
+            raise CertificateBroken(
+                f"{len(self.counts)} count pairs recorded for {len(self.witnesses)} segments"
+            )
         total = 0
         for w, (c_lo, c_hi) in zip(self.witnesses, self.counts):
-            ops = path._operators(w.grid)
-            solve_spectra(ops)
-            for t, op in zip(w.grid, ops):
-                spec = op.spectrum
-                if spec.min_distance(w.radius) < w.margin * (1 - 1e-9) or (
-                    spec.min_distance(-w.radius) < w.margin * (1 - 1e-9)
-                ):
-                    raise CertificateBroken(f"window margin violated at t={t}")
-                if spec.count_between(-w.radius, w.radius) != w.symmetric_count:
-                    raise CertificateBroken(f"symmetric count drifted at t={t}")
-            if _upper_count(path.at(w.t_lower), w.radius, self.options.cluster_tol) != c_lo:
-                raise CertificateBroken(f"count at t={w.t_lower} drifted")
-            if _upper_count(path.at(w.t_upper), w.radius, self.options.cluster_tol) != c_hi:
-                raise CertificateBroken(f"count at t={w.t_upper} drifted")
+            lo, hi = w.t_lower, w.t_upper
+            ts = np.linspace(lo, hi, opts.witness_points)
+            if w.grid != tuple(ts.tolist()):
+                raise CertificateBroken(
+                    f"segment [{lo!r}, {hi!r}]: witness grid is not the "
+                    f"{opts.witness_points}-point grid of the segment"
+                )
+            count = _check_window(path, ts, path.spectra(ts), w.radius, w.margin, opts)
+            if isinstance(count, str):
+                raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {count}")
+            if count != w.symmetric_count:
+                raise CertificateBroken(f"symmetric count drifted at t={w.grid[0]}")
+            ends = _end_counts(path, w, opts.cluster_tol)
+            for t, recorded, recounted in zip((lo, hi), (c_lo, c_hi), ends):
+                if recorded != recounted:
+                    raise CertificateBroken(f"count at t={t} drifted")
             total += c_hi - c_lo
         if total != self.flow:
             raise CertificateBroken("flow does not telescope over the recorded counts")
 
 
-def _certify_segment(
-    path: OperatorPath, lo: float, hi: float, opts: FlowOptions
-) -> SegmentWitness | str:
-    """Certify [lo, hi] as a single segment, or say why it cannot be.
+def _widest_gap(spectra: np.ndarray) -> tuple[float, float] | str:
+    """Midpoint and half-width of the widest gap in the pooled magnitudes, or why none exists.
 
-    The window radius is the midpoint of the widest gap in the pooled
-    eigenvalue magnitudes over the witness grid (0 is always a level, so
-    the radius stays positive).  The segment is rejected when every
-    witnessed eigenvalue is zero, the margin is below the floor, the
-    margin is within the Lipschitz slack, or the symmetric count is not
-    constant on the grid; the rejection is returned as a message that
-    names the reason and its numbers.
-
-    When the path carries a Lipschitz bound L the certificate is rigorous,
-    not sampled: eigenvalues move at most L*h/2 between a parameter and
-    its nearest witness (Weyl), so a margin above that bound proves the
-    count constant on the whole segment.
+    0 is always a level, so the radius stays positive.  Repeated levels
+    only add empty gaps, and ``argmax`` takes the first widest one, so
+    sorting gives the gap that the distinct levels would.
     """
-    ts = np.linspace(lo, hi, opts.witness_points)
-    spectra = path.spectra(ts)
-    pooled = np.unique(np.concatenate([[0.0], np.abs(spectra).ravel()]))
-    if pooled.size < 2:
-        return "all zero: every witnessed eigenvalue is 0, so no window radius exists"
+    pooled = np.sort(np.concatenate([[0.0], np.abs(spectra).ravel()]))
     widths = np.diff(pooled)
     k = int(np.argmax(widths))
-    radius = float(0.5 * (pooled[k] + pooled[k + 1]))
-    margin = float(0.5 * widths[k])
-    floor = opts.min_margin * float(pooled[-1])
+    if widths[k] == 0.0:
+        return "all zero: every witnessed eigenvalue is 0, so no window radius exists"
+    return float(0.5 * (pooled[k] + pooled[k + 1])), float(0.5 * widths[k])
+
+
+def _check_window(
+    path: OperatorPath,
+    ts: np.ndarray,
+    spectra: np.ndarray,
+    radius: float,
+    margin: float,
+    opts: FlowOptions,
+) -> int | str:
+    """The segment acceptance rule: the constant window count, or why it fails.
+
+    ``spectra`` holds the eigenvalues on the equally spaced witness grid
+    ``ts``.  The window [-radius, radius] is rejected, in this order, when
+    ``margin`` is below the floor (``min_margin`` times the largest
+    witnessed magnitude), within the Lipschitz slack, or more than the
+    distance of some witnessed magnitude to the radius, or when the count
+    in the window is not constant on the grid.  A rejection is a message
+    that names the reason and its numbers.
+
+    When the path carries a Lipschitz bound L the check is rigorous, not
+    sampled: eigenvalues move at most L*h/2 between a parameter and its
+    nearest witness (Weyl), so a margin above that bound proves the count
+    constant on the whole segment.
+    """
+    mags = np.abs(spectra)
+    floor = opts.min_margin * float(mags.max())
     if margin < floor:
         return f"margin floor: margin {margin:.3e} is below the floor {floor:.3e}"
     if path.lipschitz is not None and path.lipschitz > 0:
-        step = (hi - lo) / (opts.witness_points - 1)
+        step = float(ts[-1] - ts[0]) / (len(ts) - 1)
         slack = 0.5 * path.lipschitz * step
         if margin <= slack:
             # An eigenvalue could reach the boundary between witnesses.
@@ -159,7 +201,14 @@ def _certify_segment(
                 f"Lipschitz slack: margin {margin:.3e} does not exceed "
                 f"0.5 * L * step = {slack:.3e} with L = {path.lipschitz:.3e}, step = {step:.3e}"
             )
-    counts = np.count_nonzero((spectra >= -radius) & (spectra <= radius), axis=1)
+    # The certifier's own window always passes; the relative 1e-9 absorbs
+    # the rounding of radius and margin.
+    distance = np.abs(mags - radius)
+    least = margin * (1 - 1e-9)
+    if distance.min() < least:
+        j = int(np.argmax(distance.min(axis=1) < least))
+        return f"window margin violated at t={float(ts[j])!r}"
+    counts = np.count_nonzero(mags <= radius, axis=1)
     drift = np.flatnonzero(counts != counts[0])
     if drift.size:
         j = int(drift[0])
@@ -167,13 +216,33 @@ def _certify_segment(
             f"count drift: the count in [-{radius:.3e}, {radius:.3e}] is {counts[0]} "
             f"at t={float(ts[0])!r} but {counts[j]} at t={float(ts[j])!r}"
         )
+    return int(counts[0])
+
+
+def _certify_segment(
+    path: OperatorPath, lo: float, hi: float, opts: FlowOptions
+) -> SegmentWitness | str:
+    """Certify [lo, hi] as a single segment, or say why it cannot be.
+
+    :func:`_widest_gap` chooses the window; :func:`_check_window`, which
+    :meth:`FlowCertificate.verify` also runs, accepts it or names the reason.
+    """
+    ts = np.linspace(lo, hi, opts.witness_points)
+    spectra = path.spectra(ts)
+    window = _widest_gap(spectra)
+    if isinstance(window, str):
+        return window
+    radius, margin = window
+    count = _check_window(path, ts, spectra, radius, margin, opts)
+    if isinstance(count, str):
+        return count
     return SegmentWitness(
         t_lower=float(lo),
         t_upper=float(hi),
         radius=radius,
         margin=margin,
         grid=tuple(float(t) for t in ts),
-        symmetric_count=int(counts[0]),
+        symmetric_count=count,
     )
 
 
@@ -216,6 +285,14 @@ def _upper_count(op: SelfAdjointOperator, radius: float, cluster_tol: float) -> 
     return int(np.count_nonzero((vals >= -zero_tol) & (vals <= radius)))
 
 
+def _end_counts(path: OperatorPath, w: SegmentWitness, cluster_tol: float) -> tuple[int, int]:
+    """The counts in [0, w.radius] at both ends of the witness's segment."""
+    return (
+        _upper_count(path.at(w.t_lower), w.radius, cluster_tol),
+        _upper_count(path.at(w.t_upper), w.radius, cluster_tol),
+    )
+
+
 def spectral_flow(
     path: OperatorPath,
     options: FlowOptions | None = None,
@@ -243,17 +320,11 @@ def spectral_flow(
     witnesses: list[SegmentWitness] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         _refine(path, float(lo), float(hi), 0, opts, witnesses)
-    counts: list[tuple[int, int]] = []
-    flow = 0
-    for w in witnesses:
-        c_lo = _upper_count(path.at(w.t_lower), w.radius, opts.cluster_tol)
-        c_hi = _upper_count(path.at(w.t_upper), w.radius, opts.cluster_tol)
-        counts.append((c_lo, c_hi))
-        flow += c_hi - c_lo
+    counts = tuple(_end_counts(path, w, opts.cluster_tol) for w in witnesses)
     return FlowCertificate(
         times=tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses]),
         witnesses=tuple(witnesses),
-        counts=tuple(counts),
-        flow=flow,
+        counts=counts,
+        flow=sum(hi - lo for lo, hi in counts),
         options=opts,
     )

@@ -151,8 +151,16 @@ class TestFlowCommand:
                 {"family": {"kind": "baer", "m": 1}, "flow_options": {"cluster_tol": float("nan")}},
                 "ConfigError: tolerances must be positive",
             ),
+            (
+                {"family": {"kind": "baer", "m": 1}, "flow_options": {"min_margin": float("inf")}},
+                "ConfigError: tolerances must be finite",
+            ),
+            (
+                {"family": {"kind": "baer", "m": 1}, "flow_options": {"cluster_tol": float("inf")}},
+                "ConfigError: tolerances must be finite",
+            ),
         ],
-        ids=["background-inf", "base-spectrum-nan", "cluster-tol-nan"],
+        ids=["background-inf", "base-spectrum-nan", "cluster-tol-nan", "min-margin-inf", "cluster-tol-inf"],
     )
     def test_non_finite_config_values_exit_1(self, config, message, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

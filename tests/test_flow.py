@@ -7,19 +7,28 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import brute_endpoint_flow, brute_window_count
 from specflow import (
     BaerFamilySpec,
     CertificateBroken,
     DepthExceeded,
+    FlowCertificate,
     FlowOptions,
+    GluingSpec,
+    SegmentWitness,
+    Spectrum,
+    affine_homotopy,
     baer_family,
+    circle_family,
+    concat,
+    glue,
     matrix_path,
     oracle_flow,
     random_family,
     reparametrize,
+    reverse,
     spectral_flow,
 )
 
@@ -171,6 +180,9 @@ class TestSpectralFlow:
             FlowOptions(witness_points=1)
         with pytest.raises(ValueError):
             FlowOptions(cluster_tol=0.0)
+        for name, value in [("init_samples", 2.5), ("max_depth", 20.0), ("witness_points", "9"), ("init_samples", True)]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+                FlowOptions(**{name: value})
 
 
 class TestVerifyRejectsTampering:
@@ -207,7 +219,7 @@ class TestVerifyRejectsTampering:
             < margin * (1 - 1e-9)
         )
         message = self._broken(path, self._with_witness(cert, margin=margin))
-        assert message == f"window margin violated at t={first}"
+        assert message == f"segment [{w.t_lower!r}, {w.t_upper!r}]: window margin violated at t={first}"
 
     def test_symmetric_count_off_by_one(self, certified):
         path, cert = certified
@@ -235,3 +247,126 @@ class TestVerifyRejectsTampering:
     def test_other_path(self, certified):
         _, cert = certified
         self._broken(random_family(6, seed=5), cert)
+
+    def test_middle_witness_dropped(self, certified):
+        path, cert = certified
+        k = len(cert.witnesses) // 2
+        counts = cert.counts[:k] + cert.counts[k + 1 :]
+        tampered = FlowCertificate(
+            times=cert.times[: k + 1] + cert.times[k + 2 :],
+            witnesses=cert.witnesses[:k] + cert.witnesses[k + 1 :],
+            counts=counts,
+            flow=sum(hi - lo for lo, hi in counts),
+            options=cert.options,
+        )
+        assert self._broken(path, tampered) == "witnesses do not tile [0, 1] in the order of times"
+
+    def test_times_reversed(self, certified):
+        path, cert = certified
+        tampered = dataclasses.replace(cert, times=cert.times[::-1])
+        assert self._broken(path, tampered) == "witnesses do not tile [0, 1] in the order of times"
+
+    def test_two_point_grid(self, certified):
+        path, cert = certified
+        w = cert.witnesses[self.SEGMENT]
+        tampered = self._with_witness(cert, grid=(w.t_lower, w.t_upper))
+        assert self._broken(path, tampered) == (
+            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the 9-point grid of the segment"
+        )
+
+    def test_last_count_pair_dropped(self, certified):
+        path, cert = certified
+        counts = cert.counts[:-1]
+        tampered = dataclasses.replace(cert, counts=counts, flow=sum(hi - lo for lo, hi in counts))
+        # The last segment carries a crossing, so the forged flow is off by one.
+        assert (tampered.flow, cert.flow) == (1, 2)
+        n = len(cert.witnesses)
+        assert self._broken(path, tampered) == f"{n - 1} count pairs recorded for {n} segments"
+
+
+class TestVerifyRejectsForgery:
+    """A hand-made certificate for a path it does not hold on."""
+
+    @staticmethod
+    def _forged(witness_points: int):
+        # Flow 0: 0.5 + 1.5t stays positive and -2 + 1.5t negative.  The one
+        # forged window [-1, 1] has margin 0.5 at both witnesses t=0 and t=1,
+        # yet both eigenvalues cross its edges in between.
+        path = matrix_path(3, lambda t: np.diag([0.5 + 1.5 * t, -2.0 + 1.5 * t, 5.0]), lipschitz=1.5)
+        witness = SegmentWitness(0.0, 1.0, radius=1.0, margin=0.5, grid=(0.0, 1.0), symmetric_count=1)
+        cert = FlowCertificate(
+            times=(0.0, 1.0),
+            witnesses=(witness,),
+            counts=((1, 0),),
+            flow=-1,
+            options=FlowOptions(witness_points=witness_points),
+        )
+        return path, cert
+
+    @pytest.mark.parametrize(
+        "witness_points, reason",
+        [
+            (9, "witness grid is not the 9-point grid of the segment"),
+            # Two witnesses are the right grid; only the Lipschitz slack rejects it.
+            (
+                2,
+                "Lipschitz slack: margin 5.000e-01 does not exceed 0.5 * L * step = 7.500e-01 "
+                "with L = 1.500e+00, step = 1.000e+00",
+            ),
+        ],
+    )
+    def test_forged_flow_rejected(self, witness_points, reason):
+        path, cert = self._forged(witness_points)
+        assert spectral_flow(path).flow == 0 == oracle_flow(path).flow
+        with pytest.raises(CertificateBroken) as info:
+            cert.verify(path)
+        assert str(info.value) == f"segment [0.0, 1.0]: {reason}"
+
+
+def _glued(seed: int):
+    spec = GluingSpec(
+        base=Spectrum([-7.0, -3.0, 3.0, 7.0]),
+        sphere_family=BaerFamilySpec(m=1 + seed % 2),
+        epsilon=0.4,
+        seed=seed,
+    )
+    return glue(spec).path
+
+
+def _squared(a):
+    return reparametrize(a, lambda t: t * t, lipschitz=2.0 * a.lipschitz)
+
+
+# One fresh path per call, so a second call has an empty cache.
+VERIFIED_PATHS = {
+    "random": lambda seed: random_family(2 + seed % 5, seed),
+    "baer": lambda seed: baer_family(BaerFamilySpec(m=1 + seed % 3)),
+    "circle": lambda seed: circle_family(3, seed % 7 - 3),
+    "glue": _glued,
+    "concat": lambda seed: concat(random_family(3, seed), reverse(random_family(3, seed))),
+    "reverse": lambda seed: reverse(random_family(4, seed)),
+    "reparametrize": lambda seed: _squared(random_family(4, seed)),
+    "homotopy slice": lambda seed: affine_homotopy(
+        random_family(4, seed), _squared(random_family(4, seed))
+    ).slice_at((seed % 5) / 4),
+}
+
+
+class TestEveryCertificateVerifies:
+    @given(
+        st.sampled_from(sorted(VERIFIED_PATHS)),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    def test_certificate_verifies_without_new_eigensolves(
+        self, eigvalsh_counter, kind, seed, witness_points, init_samples
+    ):
+        path = VERIFIED_PATHS[kind](seed)
+        cert = spectral_flow(path, FlowOptions(witness_points=witness_points, init_samples=init_samples))
+        eigvalsh_counter.matrices = 0
+        cert.verify(path)
+        assert eigvalsh_counter.matrices == 0
+        cert.verify(VERIFIED_PATHS[kind](seed))
+        assert eigvalsh_counter.matrices <= len({t for w in cert.witnesses for t in w.grid})

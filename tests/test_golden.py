@@ -1,4 +1,4 @@
-"""Byte-identity guard: sha256 of fixed CLI outputs and path-algebra documents.
+"""Byte-identity guard: sha256 of fixed CLI outputs, certificates and path-algebra documents.
 
 Each case reads only diagonal paths, so no matrix reaches LAPACK and the
 output does not depend on the BLAS/LAPACK build.  A change that alters
@@ -16,6 +16,7 @@ import pytest
 
 from specflow import (
     BaerFamilySpec,
+    FlowOptions,
     GluingSpec,
     OperatorPath,
     SelfAdjointOperator,
@@ -23,6 +24,7 @@ from specflow import (
     affine_homotopy,
     baer_family,
     build_distinct_paths,
+    circle_family,
     concat,
     glue,
     reparametrize,
@@ -50,8 +52,8 @@ def test_stdout_digest(command, capsys, eigvalsh_counter):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN[command]
 
 
-def _certificate(path: OperatorPath) -> str:
-    return dumps_document(flow_certificate_document(spectral_flow(path)))
+def _certificate(path: OperatorPath, options: FlowOptions | None = None) -> str:
+    return dumps_document(flow_certificate_document(spectral_flow(path, options)))
 
 
 def _baer_loop() -> str:
@@ -82,13 +84,20 @@ def _connector_ledger() -> str:
     return dumps_document({"ledger": [asdict(entry) for entry in report.ledger]})
 
 
+def _circle_coarse() -> str:
+    # Non-default witness_points pin the Lipschitz slack for a 3-point grid.
+    return _certificate(circle_family(4, -2), FlowOptions(witness_points=3, init_samples=2))
+
+
 PATH_ALGEBRA = {
+    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": _circle_coarse,
     "concat(baer, reverse(baer)) certificate": _baer_loop,
     "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": _glue_slice,
     "connector-branch ledger": _connector_ledger,
 }
 
 PATH_ALGEBRA_GOLDEN = {
+    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "efc6102afe3ee9eb8c02e64e03003cb9cadc2b1f70c1db18dfef326d36248b47",
     "concat(baer, reverse(baer)) certificate": "3bcaf5801569c02b9b3bb8a7f90d26b47498143be2f2b062a965c1994436d30f",
     "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "f4fdfd043ea0822c94f6f88e94552d484a70f98c648e2c94af98b94df4516c97",
     "connector-branch ledger": "7cf635dd5a741db9b3e3ec12312064e641a89b61f02424f0b8339c84904805f9",
