@@ -22,12 +22,7 @@ from .errors import (
     SpectralFlowError,
     WindowCountViolation,
 )
-from .operators import (
-    EigenCount,
-    SelfAdjointOperator,
-    Spectrum,
-    eigen_count,
-)
+from .operators import SelfAdjointOperator, Spectrum
 from .paths import (
     Homotopy,
     OperatorPath,
@@ -85,8 +80,6 @@ __all__ = [
     # operators
     "SelfAdjointOperator",
     "Spectrum",
-    "EigenCount",
-    "eigen_count",
     # paths
     "OperatorPath",
     "Homotopy",

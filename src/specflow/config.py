@@ -43,6 +43,10 @@ __all__ = [
 DEFAULT_GLUE_BASE = (-7.0, -3.0, 3.0, 7.0)
 DEFAULT_GLUE_EPSILON = 0.4
 
+# What the engine raises on input the schema accepts: a value no path or
+# option allows, or an integer literal too large for float64.
+_INPUT_ERRORS = (ValueError, OverflowError)
+
 
 class ConfigError(SpectralFlowError):
     """Configuration file or flags failed validation."""
@@ -54,13 +58,20 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _is_json_integer(checker, instance) -> bool:
+    # The schema's "integer" is a JSON integer: not 64.0, which the draft
+    # itself accepts, and not true.
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
 @functools.cache
 def _schema_validator(name: str):
     # The schema is checked against its metaschema once per process.
     schema = load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    checker = cls.TYPE_CHECKER.redefine("integer", _is_json_integer)
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def _validate(doc: dict, name: str) -> None:
@@ -128,7 +139,7 @@ def flow_options_from_config(config: dict) -> FlowOptions:
         raise ConfigError(f"unknown flow options: {sorted(unknown)}")
     try:
         return FlowOptions(**block)
-    except ValueError as exc:
+    except _INPUT_ERRORS as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -242,7 +253,7 @@ def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
         if kind == "sampled":
             samples = [(s["t"], _matrix_from_json(s["matrix"])) for s in family["samples"]]
             return sampled_path(samples)
-    except ValueError as exc:
+    except _INPUT_ERRORS as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown family kind {kind!r}")
 

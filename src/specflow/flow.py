@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BoundaryAmbiguity, CertificateBroken, DepthExceeded
-from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, SelfAdjointOperator
+from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, spectral_scale
 from .paths import OperatorPath
 
 __all__ = [
@@ -109,7 +109,8 @@ class FlowCertificate:
         segment's recorded window then passes the certifier's own check
         (:func:`_check_window`: margin floor, Lipschitz slack, witnessed
         margin and a constant count equal to ``symmetric_count``), the end
-        counts are recounted, and ``flow`` must telescope over them.
+        counts are recounted from the grid's first and last rows, and
+        ``flow`` must telescope over them.
         """
         opts = self.options
         times = self.times
@@ -136,12 +137,13 @@ class FlowCertificate:
                     f"segment [{lo!r}, {hi!r}]: witness grid is not the "
                     f"{opts.witness_points}-point grid of the segment"
                 )
-            count = _check_window(path, ts, path.spectra(ts), w.radius, w.margin, opts)
+            spectra = path.spectra(ts)
+            count = _check_window(path, ts, spectra, w.radius, w.margin, opts)
             if isinstance(count, str):
                 raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {count}")
             if count != w.symmetric_count:
                 raise CertificateBroken(f"symmetric count drifted at t={w.grid[0]}")
-            ends = _end_counts(path, w, opts.cluster_tol)
+            ends = [_upper_count(spectra[j], w.radius, opts.cluster_tol) for j in (0, -1)]
             for t, recorded, recounted in zip((lo, hi), (c_lo, c_hi), ends):
                 if recorded != recounted:
                     raise CertificateBroken(f"count at t={t} drifted")
@@ -267,30 +269,20 @@ def _refine(
     _refine(path, mid, hi, depth + 1, opts, out)
 
 
-def _upper_count(op: SelfAdjointOperator, radius: float, cluster_tol: float) -> int:
-    """Count eigenvalues in [0, radius], closed at 0.
+def _upper_count(values: np.ndarray, radius: float, cluster_tol: float) -> int:
+    """Count the eigenvalues of one ``path.spectra`` row in [0, radius], closed at 0.
 
     The lower endpoint is inclusive with a small tolerance so a kernel
     eigenvalue sitting exactly at a partition point is counted the same
     way by both adjacent segments.  The upper endpoint is certified away
     from the spectrum; a collision there means the certificate is stale.
     """
-    spec = op.spectrum
-    zero_tol = cluster_tol * spec.scale
-    if spec.min_distance(radius) < zero_tol:
+    zero_tol = cluster_tol * float(spectral_scale(values))
+    if float(np.abs(values - radius).min()) < zero_tol:
         raise BoundaryAmbiguity(
             f"eigenvalue within {zero_tol:.3e} of certified window radius {radius!r}"
         )
-    vals = spec.values
-    return int(np.count_nonzero((vals >= -zero_tol) & (vals <= radius)))
-
-
-def _end_counts(path: OperatorPath, w: SegmentWitness, cluster_tol: float) -> tuple[int, int]:
-    """The counts in [0, w.radius] at both ends of the witness's segment."""
-    return (
-        _upper_count(path.at(w.t_lower), w.radius, cluster_tol),
-        _upper_count(path.at(w.t_upper), w.radius, cluster_tol),
-    )
+    return int(np.count_nonzero((values >= -zero_tol) & (values <= radius)))
 
 
 def spectral_flow(
@@ -320,9 +312,15 @@ def spectral_flow(
     witnesses: list[SegmentWitness] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         _refine(path, float(lo), float(hi), 0, opts, witnesses)
-    counts = tuple(_end_counts(path, w, opts.cluster_tol) for w in witnesses)
+    times = tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses])
+    # Every partition point ends a witness grid, so these rows are cached.
+    rows = path.spectra(times)
+    counts = tuple(
+        tuple(_upper_count(row, w.radius, opts.cluster_tol) for row in rows[i : i + 2])
+        for i, w in enumerate(witnesses)
+    )
     return FlowCertificate(
-        times=tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses]),
+        times=times,
         witnesses=tuple(witnesses),
         counts=counts,
         flow=sum(hi - lo for lo, hi in counts),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, WindowCountViolation
+from .errors import BoundaryAmbiguity, InvalidSpec, WindowCountViolation
 from .families import BaerFamilySpec, crossing_eigenvalues
-from .operators import Spectrum, diagonal_operators, eigen_count, solve_spectra
+from .operators import DEFAULT_CLUSTER_TOL, Spectrum, diagonal_operators, spectral_scale
 from .paths import OperatorPath
 
 __all__ = [
@@ -171,23 +171,37 @@ def window_count_constancy(
 ) -> WindowCountReport:
     """Verify the window count of ``path`` is constant on a parameter grid.
 
-    Counts go through :func:`eigen_count`, so an eigenvalue sitting on the
-    window boundary raises :class:`BoundaryAmbiguity` rather than being
-    silently assigned a side.  Takes any path (``glue(spec).path`` or a
-    deliberately broken merge); a changing count raises
-    :class:`WindowCountViolation` with the offending parameter and
-    spectrum.
+    The grid is read with one ``path.spectra`` call.  An eigenvalue within
+    ``DEFAULT_CLUSTER_TOL`` times its row's scale of -radius or +radius
+    raises :class:`BoundaryAmbiguity` rather than being silently assigned a
+    side.  Takes any path (``glue(spec).path`` or a deliberately broken
+    merge); a changing count raises :class:`WindowCountViolation` with the
+    offending parameter and spectrum.
     """
+    if grid < 1:
+        raise ValueError(f"window count grid must be at least 1, got {grid!r}")
+    if not radius >= 0:
+        raise ValueError(f"window radius must be non-negative, got {radius!r}")
+    lo, hi = -float(radius), float(radius)
     ts = np.linspace(0.0, 1.0, grid)
-    ops = path._operators(ts)
-    solve_spectra(ops)
-    counts = [eigen_count(op, (-radius, radius)).count for op in ops]
-    first = counts[0]
-    for t, op, c in zip(ts.tolist(), ops, counts):
-        if c != first:
-            raise WindowCountViolation(
-                f"window count changed from {first} to {c} at t={t!r}",
-                t=t,
-                spectrum=op.spectrum.values,
-            )
+    rows = path.spectra(ts)
+    tol = DEFAULT_CLUSTER_TOL * spectral_scale(rows)
+    dist = np.stack([np.abs(rows - x).min(axis=1) for x in (lo, hi)], axis=1)
+    close = dist < tol[:, None]
+    if close.any():
+        j, side = divmod(int(np.argmax(close)), 2)
+        raise BoundaryAmbiguity(
+            f"eigenvalue within {tol[j]:.3e} of interval endpoint {(lo, hi)[side]!r} "
+            f"(distance {dist[j, side]:.3e}); move the endpoint off the spectrum"
+        )
+    counts = np.count_nonzero((rows >= lo) & (rows <= hi), axis=1)
+    first = int(counts[0])
+    j = int(np.argmax(counts != first))
+    if counts[j] != first:
+        t = float(ts[j])
+        raise WindowCountViolation(
+            f"window count changed from {first} to {counts[j]} at t={t!r}",
+            t=t,
+            spectrum=rows[j],
+        )
     return WindowCountReport(count=first, radius=radius, grid=grid)

@@ -1,4 +1,4 @@
-"""Finite self-adjoint operators and certified eigenvalue counts.
+"""Finite self-adjoint operators and their spectra.
 
 Operators are finite Hermitian matrices, stored either densely or, for a
 diagonal operator, as its real diagonal.  Ingestion symmetrizes dense input
@@ -11,11 +11,9 @@ something reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BoundaryAmbiguity, EigensolverError
+from .errors import EigensolverError
 
 __all__ = [
     "SelfAdjointOperator",
@@ -23,8 +21,7 @@ __all__ = [
     "diagonal_operators",
     "solve_spectra",
     "Spectrum",
-    "EigenCount",
-    "eigen_count",
+    "spectral_scale",
     "HERMITICITY_RTOL",
     "DEFAULT_CLUSTER_TOL",
     "DEFAULT_MIN_MARGIN",
@@ -195,33 +192,26 @@ class Spectrum:
 
     @property
     def scale(self) -> float:
-        """The unit of relative tolerances: the radius, or 1.0 for the zero operator."""
-        r = self.radius
-        return r if r > 0 else 1.0
+        """The unit of relative tolerances: see :func:`spectral_scale`."""
+        return float(spectral_scale(self._values))
 
     @property
     def min_abs(self) -> float:
         """Distance of the spectrum to zero."""
         return float(np.abs(self._values).min())
 
-    def count_between(self, lo: float, hi: float) -> int:
-        """Raw inclusive count in [lo, hi]; no boundary guards."""
-        return int(np.count_nonzero((self._values >= lo) & (self._values <= hi)))
-
-    def min_distance(self, x: float) -> float:
-        return float(np.abs(self._values - x).min())
-
     def __repr__(self) -> str:
         return f"Spectrum({np.array2string(self._values, precision=6)})"
 
 
-@dataclass(frozen=True)
-class EigenCount:
-    """Eigenvalue count (with multiplicity) on a closed interval."""
+def spectral_scale(values: np.ndarray) -> np.ndarray:
+    """The unit of relative tolerances for each row of eigenvalues ``(..., d)``.
 
-    lower: float
-    upper: float
-    count: int
+    It is the row's radius, its largest eigenvalue magnitude, or 1.0 for
+    the zero spectrum.
+    """
+    radius = np.abs(values).max(axis=-1)
+    return np.where(radius > 0, radius, 1.0)
 
 
 def _sorted_rows(values: np.ndarray) -> np.ndarray:
@@ -275,32 +265,3 @@ def solve_spectra(ops) -> None:
             values = _solve_spectrum(np.stack([op._entries for op in chunk]))
             for op, spec in zip(chunk, _spectra(values)):
                 op._spectrum = spec
-
-
-def eigen_count(
-    op: SelfAdjointOperator,
-    interval: tuple[float, float],
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> EigenCount:
-    """Count eigenvalues of ``op`` in the closed interval ``[lo, hi]``.
-
-    ``cluster_tol`` is relative to :attr:`Spectrum.scale`.  If any eigenvalue
-    lies within that distance of either endpoint the count is ambiguous
-    and :class:`BoundaryAmbiguity` is raised: the caller must move the
-    endpoint off the spectrum.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo <= hi:
-        raise ValueError(f"interval is empty: [{lo}, {hi}]")
-    if not cluster_tol > 0:
-        raise ValueError("cluster_tol must be positive")
-    spec = op.spectrum
-    tol = cluster_tol * spec.scale
-    for endpoint in (lo, hi):
-        d = spec.min_distance(endpoint)
-        if d < tol:
-            raise BoundaryAmbiguity(
-                f"eigenvalue within {tol:.3e} of interval endpoint {endpoint!r} "
-                f"(distance {d:.3e}); move the endpoint off the spectrum"
-            )
-    return EigenCount(lo, hi, spec.count_between(lo, hi))

@@ -80,14 +80,10 @@ def _grid_flow(path: OperatorPath, grid: int) -> OracleResult:
     return OracleResult(flow=negs[0] - negs[-1], crossings=tuple(records), grid=grid)
 
 
-def oracle_flow(
-    path: OperatorPath,
-    grid: int = DEFAULT_GRID,
-    zero_band: float = DEFAULT_ZERO_BAND,
-) -> OracleResult:
+def oracle_flow(path: OperatorPath, grid: int = DEFAULT_GRID) -> OracleResult:
     """Signed zero-crossing count of ``path`` on a fine grid.
 
-    ``zero_band`` (relative to ``Spectrum.scale``) guards the path
+    ``DEFAULT_ZERO_BAND`` (relative to ``Spectrum.scale``) guards the path
     endpoints: an eigenvalue that close to zero there makes the crossing
     count ill-defined.  The run is repeated on a doubled grid and any
     disagreement (net flow or number of detected crossings) raises
@@ -97,9 +93,10 @@ def oracle_flow(
         raise ValueError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     for t in (0.0, 1.0):
         spec = path.at(t).spectrum
-        if spec.min_abs < zero_band * spec.scale:
+        band = DEFAULT_ZERO_BAND * spec.scale
+        if spec.min_abs < band:
             raise BoundaryAmbiguity(
-                f"endpoint t={t} has an eigenvalue within {zero_band * spec.scale:.3e} of 0; "
+                f"endpoint t={t} has an eigenvalue within {band:.3e} of 0; "
                 "the signed crossing count is ill-defined there"
             )
     result = _grid_flow(path, grid)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .components import _singular
 from .families import _smooth_path, invertible_valued_family, random_family, random_symmetric
 from .flow import FlowOptions, spectral_flow
 from .paths import OperatorPath, affine_homotopy, concat, matrix_path, reverse
@@ -108,7 +109,7 @@ def check_flow_properties(
         slice_paths = [h.slice_at(float(s)) for s in s_grid]
         # Ends are pinned in s and invertible by construction; verify at
         # every sampled slice anyway before trusting the flows.
-        ends_ok = all(p.at(t).spectrum.min_abs > 0.0 for p in slice_paths for t in (0.0, 1.0))
+        ends_ok = not any(_singular(p.at(t).spectrum) for p in slice_paths for t in (0.0, 1.0))
         if not ends_ok:
             homotopy_failures.append(cs)
             continue

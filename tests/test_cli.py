@@ -196,6 +196,100 @@ class TestFlowCommand:
         assert (out / "flow-certificate.json").read_text() == stdout
 
 
+_BAER = {"kind": "baer", "m": 1}
+_CHECK = {"invertible_paths": 1, "concat_pairs": 0, "homotopies": 0}
+# An integer literal too large for float64.
+_HUGE = "1" + "0" * 400
+
+
+class TestSchemaRulesExit1:
+    """Integer fields take JSON integers only, seeds are 0 or more, and an
+    integer literal too large for float64 is bad input: each exits 1 with
+    one ConfigError line.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["spectrum"], {"family": _BAER, "grid": 11.0}),
+            (["flow", "--oracle"], {"family": _BAER, "grid": 64.0}),
+            (["flow"], {"family": {"kind": "random", "dim": 4.0}}),
+            (["components"], {"components": {"k": 2, "ambient_dim": 24.0}}),
+            (["check"], {"check": {**_CHECK, "invertible_paths": 1.0}}),
+            (["check"], {"check": {**_CHECK, "slices": 3.0}}),
+            (["flow"], {"family": {"kind": "random", "dim": 3, "seed": 3.0}}),
+            (["flow"], {"family": {"kind": "glue", "m": 1}, "seed": 3.0}),
+            (["check"], {"check": _CHECK, "seed": 3.0}),
+            (["components"], {"components": {"k": 2, "seed": 2.0}}),
+            (["components", "--k", "3", "--seed", "-1"], None),
+            (["check", "--seed", "-1"], None),
+            (["flow", "--family", "random", "--dim", "3", "--seed", "-1"], None),
+            (["flow", "--family", "glue", "--m", "1", "--seed", "-1"], None),
+            (
+                ["flow"],
+                '{"family": {"kind": "sampled", "samples": [{"t": 0, "matrix": [['
+                + _HUGE
+                + ']]}, {"t": 1, "matrix": [[1]]}]}}',
+            ),
+            (
+                ["flow"],
+                '{"family": {"kind": "baer", "m": 1}, "flow_options": {"cluster_tol": '
+                + _HUGE
+                + "}}",
+            ),
+            (["flow"], {"family": {"kind": "baer", "m": 2.0}}),
+            (["flow"], {"family": {"kind": "circle", "modes": 3.0, "winding": 1}}),
+            (["flow"], {"family": {"kind": "circle", "modes": 3, "winding": 1.0}}),
+            (["components"], {"components": {"k": 3.0}}),
+        ],
+        ids=[
+            "spectrum-grid-float",
+            "oracle-grid-float",
+            "random-dim-float",
+            "components-ambient-dim-float",
+            "check-invertible-paths-float",
+            "check-slices-float",
+            "random-seed-float",
+            "glue-top-level-seed-float",
+            "check-top-level-seed-float",
+            "components-seed-float",
+            "components-seed-negative",
+            "check-seed-negative",
+            "random-seed-negative",
+            "glue-seed-negative",
+            "sampled-entry-overflow",
+            "cluster-tol-overflow",
+            "baer-m-float",
+            "circle-modes-float",
+            "circle-winding-float",
+            "components-k-float",
+        ],
+    )
+    def test_exit_1_with_one_config_error_line(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("specflow: ConfigError: ")
+
+    def test_messages_name_the_field(self, tmp_path, capsys):
+        assert main(["check", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: config invalid at seed: -1 is less than the minimum of 0\n"
+        )
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"family": _BAER, "grid": 11.0}))
+        assert main(["spectrum", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: config invalid at grid: 11.0 is not of type 'integer'\n"
+        )
+
+
 class TestComponentsCommand:
     def test_k1_single_zero_flow(self, capsys):
         assert main(["components", "--k", "1"]) == 0

@@ -27,6 +27,8 @@ DELETED = (
     "refine_partition",
     "WindowTooSmall",
     "BASEPOINT_RTOL",
+    "eigen_count",
+    "EigenCount",
 )
 
 
@@ -58,4 +60,4 @@ def test_glue_is_the_only_gluing_constructor_exported():
 
 
 def test_oracle_flow_has_no_doubling_switch():
-    assert list(inspect.signature(specflow.oracle_flow).parameters) == ["path", "grid", "zero_band"]
+    assert list(inspect.signature(specflow.oracle_flow).parameters) == ["path", "grid"]

@@ -1,4 +1,4 @@
-"""Operator ingestion, eigenvalues, spectrum scale, and counts."""
+"""Operator ingestion, eigenvalues and spectrum scale."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 
 from specflow import (
     BaerFamilySpec,
-    BoundaryAmbiguity,
     GluingSpec,
     SelfAdjointOperator,
     Spectrum,
     baer_family,
-    eigen_count,
     glue,
 )
 from specflow.operators import diagonal_operators
@@ -135,72 +133,3 @@ class TestEigenvalues:
         residual = np.abs(vecs @ np.diag(vals) @ vecs.T - op.entries).max()
         norm = max(np.abs(op.entries).max(), 1e-30)
         assert residual <= 1e-12 * dim * max(norm, 1.0)
-
-
-class TestEigenCount:
-    @pytest.mark.parametrize(
-        "diag,interval,expected",
-        [
-            ([-1.0, 0.5, 3.0], (0.0, 2.0), 1),
-            ([-1.0, 0.5, 3.0], (-2.0, 2.0), 2),
-            ([1.0, 1.0, 1.0, 1.0], (0.0, 2.0), 4),
-        ],
-    )
-    def test_direct_counts(self, diag, interval, expected):
-        op = SelfAdjointOperator.from_diagonal(diag)
-        assert eigen_count(op, interval, 1e-9).count == expected
-
-    def test_empty_interval_rejected(self):
-        op = SelfAdjointOperator.from_diagonal([1.0])
-        with pytest.raises(ValueError, match="empty"):
-            eigen_count(op, (2.0, 1.0))
-
-    def test_boundary_ambiguity(self):
-        op = SelfAdjointOperator.from_diagonal([-1.0, 0.5, 3.0])
-        with pytest.raises(BoundaryAmbiguity):
-            eigen_count(op, (0.5, 2.0), 1e-9)
-
-    def test_zero_operator_uses_unit_scale(self):
-        zero = SelfAdjointOperator(np.zeros((2, 2)))
-        with pytest.raises(BoundaryAmbiguity, match=r"within 1\.000e-09 of interval endpoint 0\.0"):
-            eigen_count(zero, (0.0, 1.0))
-
-    def test_boundary_ambiguity_relative_scale(self):
-        # tolerance scales with the spectral radius
-        op = SelfAdjointOperator.from_diagonal([1e6, 1.0])
-        with pytest.raises(BoundaryAmbiguity):
-            eigen_count(op, (0.0, 1.0 + 1e-5), 1e-9)
-
-    @given(
-        st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=12),
-        st.integers(min_value=-20, max_value=18),
-        st.integers(min_value=0, max_value=4),
-        st.integers(min_value=0, max_value=4),
-    )
-    def test_count_additive_over_disjoint_intervals(self, diag, lo2, len1, gap):
-        # Integer eigenvalues, half-integer endpoints: boundaries never collide.
-        op = SelfAdjointOperator.from_diagonal([float(v) for v in diag])
-        a, b = lo2 + 0.5, lo2 + 0.5 + len1
-        c, d = b + gap + 1.0, b + gap + 3.0
-        total = eigen_count(op, (a, b)).count + eigen_count(op, (c, d)).count
-        whole = op.spectrum.count_between(a, b) + op.spectrum.count_between(c, d)
-        assert total == whole
-        # also against direct enumeration
-        vals = np.array(diag, dtype=float)
-        direct = int(np.sum((vals >= a) & (vals <= b)) + np.sum((vals >= c) & (vals <= d)))
-        assert total == direct
-
-
-class TestWindowMonotonicity:
-    @given(
-        st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=12),
-        st.integers(min_value=0, max_value=9),
-        st.integers(min_value=0, max_value=9),
-    )
-    def test_count_monotone_in_radius(self, diag, a_idx, extra):
-        op = SelfAdjointOperator.from_diagonal([float(v) for v in diag])
-        a = a_idx + 0.5
-        a2 = a + extra
-        small = op.spectrum.count_between(-a, a)
-        large = op.spectrum.count_between(-a2, a2)
-        assert small <= large
