@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .components import certify_distinct_components
 from .config import (
@@ -149,6 +151,14 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _check_grid(grid: int, points: int) -> None:
+    """Raise ConfigError if numpy cannot allocate the ``points`` parameters of ``grid``."""
+    try:
+        np.empty(points)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"grid {grid} is too large to allocate") from exc
+
+
 def _emit(text: str, config: dict, filename: str) -> None:
     sys.stdout.write(text)
     out = config.get("out")
@@ -166,8 +176,11 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
         raise ConfigError("flow command needs a family (config file or --family)")
     options = flow_options_from_config(config)
     grid = config.get("grid", DEFAULT_GRID)
-    if args.oracle and grid < _MIN_GRID:
-        raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
+    if args.oracle:
+        if grid < _MIN_GRID:
+            raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
+        # The oracle repeats its run on the doubled grid.
+        _check_grid(grid, 2 * grid + 1)
     path = build_family_path(family, config.get("seed", 0))
     cert = spectral_flow(path, options)
     oracle = oracle_flow(path, grid=grid) if args.oracle else None
@@ -195,8 +208,10 @@ def cmd_spectrum(config: dict, args: argparse.Namespace) -> int:
     family = config.get("family")
     if family is None:
         raise ConfigError("spectrum command needs a family (config file or --family)")
+    grid = config.get("grid", 101)
+    _check_grid(grid, grid)
     path = build_family_path(family, config.get("seed", 0))
-    text = spectrum_csv(path, config.get("grid", 101))
+    text = spectrum_csv(path, grid)
     _emit(text, config, "spectrum.csv")
     return EXIT_OK
 

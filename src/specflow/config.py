@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -85,12 +86,70 @@ def _validate(doc: dict, name: str) -> None:
         raise error
 
 
+# The entry types json.loads produces; any other type takes the full rule.
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _is_number(value) -> bool:
+    # jsonschema's own "number" rule, so numpy scalars pass too.
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+def _check_sampled_matrices(samples: list[dict]) -> None:
+    """Entries, row lengths and part shapes of schema-valid sampled matrices.
+
+    The first entry that is not a number is named as the schema named it:
+    samples in order, the ``imag`` part before ``real`` (the order of
+    jsonschema's error paths), rows in order.  A ragged row or a pair of
+    parts with different shapes is named only when every entry is a number.
+    """
+    shape_error = None
+    for k, sample in enumerate(samples):
+        where = f"family/samples/{k}/matrix"
+        matrix = sample["matrix"]
+        if isinstance(matrix, dict):
+            parts = [("imag", matrix["imag"]), ("real", matrix["real"])]
+        else:
+            parts = [("", matrix)]
+        shapes = {}
+        for name, rows in parts:
+            at = f"{where}/{name}" if name else where
+            width = len(rows[0]) if rows else 0
+            for i, row in enumerate(rows):
+                if not _JSON_NUMBERS.issuperset(map(type, row)):
+                    for j, value in enumerate(row):
+                        if not _is_number(value):
+                            raise ConfigError(
+                                f"config invalid at {at}/{i}/{j}: {value!r} is not of type 'number'"
+                            )
+                if len(row) != width and shape_error is None:
+                    shape_error = (
+                        f"config invalid at {at}/{i}: row has {len(row)} entries, row 0 has {width}"
+                    )
+            shapes[name] = (len(rows), width)
+        if len(set(shapes.values())) > 1 and shape_error is None:
+            shape_error = (
+                f"config invalid at {where}: real part has shape {shapes['real']}, "
+                f"imag part has shape {shapes['imag']}"
+            )
+    if shape_error is not None:
+        raise ConfigError(shape_error)
+
+
 def validate_config(config: dict) -> None:
+    """Check ``config`` against the experiment-config schema.
+
+    The schema checks the structure of a sampled matrix; its entries and
+    shapes are checked here in one pass, after the schema.
+    """
     try:
         _validate(config, "experiment-config")
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    family = config.get("family", {})
+    if family.get("kind") == "sampled":
+        _check_sampled_matrices(family["samples"])
 
 
 def read_config_file(path: str | Path) -> dict:

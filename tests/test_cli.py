@@ -88,8 +88,7 @@ class TestFlowCommand:
         cfg.write_text('{"family": {"kind": "baer"}}')  # m missing
         assert main(["flow", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
-            "specflow: ConfigError: config invalid at family: {'kind': 'baer'} "
-            "is not valid under any of the given schemas\n"
+            "specflow: ConfigError: config invalid at family: 'm' is a required property\n"
         )
 
     def test_missing_family_exit_1(self):
@@ -288,6 +287,93 @@ class TestSchemaRulesExit1:
         assert capsys.readouterr().err == (
             "specflow: ConfigError: config invalid at grid: 11.0 is not of type 'integer'\n"
         )
+
+
+_DIAG = [[2, 0], [0, -1]]
+
+
+def _sampled(first, t0=0):
+    """Config of a two-sample path whose first matrix is ``first``."""
+    samples = [{"t": t0, "matrix": first}, {"t": 1, "matrix": _DIAG}]
+    return {"family": {"kind": "sampled", "samples": samples}}
+
+
+class TestSampledMatrixMessages:
+    """Bad sampled matrices exit 1 with one ConfigError line naming the entry,
+    row or matrix; a grid numpy cannot allocate names the grid."""
+
+    @pytest.mark.parametrize(
+        "config, where, message",
+        [
+            (_sampled([[2, "x"], [0, -1]]), "matrix/0/1", "'x' is not of type 'number'"),
+            (_sampled([[2, True], [0, -1]]), "matrix/0/1", "True is not of type 'number'"),
+            (_sampled([[2, 0], [None, -1]]), "matrix/1/0", "None is not of type 'number'"),
+            (
+                _sampled({"real": [[2, "x"], [0, -1]], "imag": [[0, 0], [0, 0]]}),
+                "matrix/real/0/1",
+                "'x' is not of type 'number'",
+            ),
+            (
+                _sampled({"real": _DIAG, "imag": [[0, True], [0, 0]]}),
+                "matrix/imag/0/1",
+                "True is not of type 'number'",
+            ),
+            (
+                _sampled({"real": _DIAG, "imag": [[0, None], [0, 0]]}),
+                "matrix/imag/0/1",
+                "None is not of type 'number'",
+            ),
+            (
+                _sampled({"real": _DIAG, "imag": _DIAG, "x": 1}),
+                "matrix",
+                "Additional properties are not allowed ('x' was unexpected)",
+            ),
+            (_sampled([[2, 0], 1]), "matrix/1", "1 is not of type 'array'"),
+            (_sampled(_DIAG, t0="0"), "t", "'0' is not of type 'number'"),
+            (_sampled([[2, 0], [0]]), "matrix/1", "row has 1 entries, row 0 has 2"),
+            (_sampled([[2, 0, 0], [0], [0, 0, None]]), "matrix/2/2", "None is not of type 'number'"),
+            (
+                _sampled({"real": _DIAG, "imag": [[0.0]]}),
+                "matrix",
+                "real part has shape (2, 2), imag part has shape (1, 1)",
+            ),
+            (
+                _sampled({"real": _DIAG, "imag": [[0.0, 0.5]]}),
+                "matrix",
+                "real part has shape (2, 2), imag part has shape (1, 2)",
+            ),
+        ],
+        ids=[
+            "string",
+            "true",
+            "null",
+            "complex-real-string",
+            "complex-imag-true",
+            "complex-imag-null",
+            "extra-key",
+            "row-not-array",
+            "t-string",
+            "ragged-row",
+            "bad-entry-named-before-ragged-row",
+            "part-shapes-differ",
+            "imag-row-would-broadcast",
+        ],
+    )
+    def test_config_error_names_the_place(self, config, where, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"specflow: ConfigError: config invalid at family/samples/0/{where}: {message}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["flow", "--oracle"]])
+    def test_grid_too_large_to_allocate(self, argv, capsys):
+        grid = "100000000000000000000"
+        assert main([*argv, "--family", "baer", "--m", "1", "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"specflow: ConfigError: grid {grid} is too large to allocate\n"
 
 
 class TestComponentsCommand:

@@ -1,14 +1,17 @@
 """Byte-identity guard: sha256 of fixed CLI outputs, certificates and path-algebra documents.
 
-Each case reads only diagonal paths, so no matrix reaches LAPACK and the
-output does not depend on the BLAS/LAPACK build.  A change that alters
-one of these outputs on purpose updates its digest here and says so in
-CHANGES.md.
+Each case except the sampled ones reads only diagonal paths, so no matrix
+reaches LAPACK and the output does not depend on the BLAS/LAPACK build.
+The sampled cases run ``flow --config`` on small dense paths; their
+digests were recorded with the OpenBLAS build that numpy 2.4.6 bundles.
+A change that alters one of these outputs on purpose updates its digest
+here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -50,6 +53,36 @@ def test_stdout_digest(command, capsys, eigvalsh_counter):
     assert captured.err == ""
     assert eigvalsh_counter.matrices == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN[command]
+
+
+SAMPLED = {
+    "real 3x3, three knots": [
+        {"t": 0.0, "matrix": [[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]]},
+        {"t": 0.5, "matrix": [[-1.0, 0.5, 0.125], [0.5, -1.0, 0.25], [0.125, 0.25, 2.0]]},
+        {"t": 1.0, "matrix": [[-2.0, 0.25, 0.0], [0.25, 1.5, 0.5], [0.0, 0.5, -1.0]]},
+    ],
+    "complex 2x2, two knots": [
+        {"t": 0.0, "matrix": {"real": [[1.5, 0.25], [0.25, -1.0]], "imag": [[0.0, 0.5], [-0.5, 0.0]]}},
+        {"t": 1.0, "matrix": {"real": [[-1.0, 0.0], [0.0, -2.0]], "imag": [[0.0, -0.25], [0.25, 0.0]]}},
+    ],
+}
+
+# (stdout sha256, matrices handed to eigvalsh)
+SAMPLED_GOLDEN = {
+    "real 3x3, three knots": ("c60ef516310af361ee59247b49fa8362e293cacc9835d9d145bb8191f255f09e", 65),
+    "complex 2x2, two knots": ("0b3cf16bdb5a9656c78b7c7e1ffe9f3fbccbc834dee29d0933a78b044b19cba1", 65),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sampled_flow_digest(name, tmp_path, capsys, eigvalsh_counter):
+    cfg = tmp_path / "sampled.json"
+    cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": SAMPLED[name]}}))
+    assert main(["flow", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert (digest, eigvalsh_counter.matrices) == SAMPLED_GOLDEN[name]
 
 
 def _certificate(path: OperatorPath, options: FlowOptions | None = None) -> str:

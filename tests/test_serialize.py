@@ -128,8 +128,7 @@ class TestConfigSchema:
             load_schema(name)["title"] for name in ("experiment-config", "flow-certificate")
         )
         assert capsys.readouterr().err == (
-            "specflow: ConfigError: config invalid at family: {'kind': 'baer'} "
-            "is not valid under any of the given schemas\n"
+            "specflow: ConfigError: config invalid at family: 'm' is a required property\n"
         )
 
     @pytest.mark.parametrize(
@@ -154,6 +153,88 @@ class TestConfigSchema:
         for name in ("experiment-config", "flow-certificate", "component-report", "property-report"):
             schema = load_schema(name)
             assert schema["$schema"].startswith("https://json-schema.org/")
+
+
+# The per-entry schema fragments that the one-pass entry check replaced.
+_ROWS_OF_NUMBERS = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
+_PER_ENTRY_MATRIX = {
+    "oneOf": [
+        _ROWS_OF_NUMBERS,
+        {
+            "type": "object",
+            "required": ["real", "imag"],
+            "additionalProperties": False,
+            "properties": {"real": _ROWS_OF_NUMBERS, "imag": _ROWS_OF_NUMBERS},
+        },
+    ]
+}
+_FAMILY_KINDS = ("baer", "circle", "random", "glue", "sampled")
+_BAD_ENTRIES = (True, "x", None, [1.0], {"a": 1})
+
+
+def _per_entry_validator():
+    schema = load_schema("experiment-config")
+    schema["properties"]["family"] = {"oneOf": [{"$ref": f"#/$defs/{k}"} for k in _FAMILY_KINDS]}
+    schema["$defs"]["matrix"] = _PER_ENTRY_MATRIX
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _sampled_docs(rng, count: int):
+    """Sampled configs of small real and complex matrices with 0-3 entries replaced.
+
+    Replacements are the bad JSON entries and, through the Python API, numpy
+    scalars, which both rules accept.
+    """
+    replacements = [*_BAD_ENTRIES, np.float64(0.5), np.int64(2)]
+    for _ in range(count):
+        dim = int(rng.integers(1, 4))
+        samples = []
+        for t in (0.0, 0.5, 1.0):
+            real = rng.integers(-3, 4, (dim, dim)).astype(float).tolist()
+            if rng.random() < 0.5:
+                matrix = real
+            else:
+                imag = rng.integers(-3, 4, (dim, dim)).astype(float).tolist()
+                matrix = {"real": real, "imag": imag}
+            samples.append({"t": t, "matrix": matrix})
+        for _ in range(int(rng.integers(0, 4))):
+            matrix = samples[int(rng.integers(3))]["matrix"]
+            if isinstance(matrix, dict):
+                matrix = matrix[["real", "imag"][int(rng.integers(2))]]
+            value = replacements[int(rng.integers(len(replacements)))]
+            matrix[int(rng.integers(dim))][int(rng.integers(dim))] = value
+        yield {"family": {"kind": "sampled", "samples": samples}}
+
+
+class TestSampledMatrixEntries:
+    def test_same_verdict_and_path_as_per_entry_schema(self):
+        old = _per_entry_validator()
+        rejected = 0
+        for doc in _sampled_docs(np.random.default_rng(0), 300):
+            expected = jsonschema.exceptions.best_match(old.iter_errors(doc))
+            if expected is None:
+                validate_config(doc)
+                continue
+            rejected += 1
+            with pytest.raises(ConfigError) as got:
+                validate_config(doc)
+            where = "/".join(str(p) for p in expected.absolute_path)
+            assert str(got.value) == f"config invalid at {where}: {expected.message}"
+        assert 100 < rejected < 300
+
+    def test_numpy_scalars_accepted(self):
+        matrix = [[np.float64(1.0), np.int64(0)], [0.0, np.float64(-1.0)]]
+        samples = [{"t": 0, "matrix": matrix}, {"t": 1, "matrix": matrix}]
+        validate_config({"family": {"kind": "sampled", "samples": samples}})
+
+    def test_bad_entry_in_imag_part_named_first(self):
+        matrix = {"real": [[None, 0], [0, 1]], "imag": [[0, 0], [0, "i"]]}
+        samples = [{"t": 0, "matrix": matrix}, {"t": 1, "matrix": [[1]]}]
+        with pytest.raises(ConfigError) as got:
+            validate_config({"family": {"kind": "sampled", "samples": samples}})
+        assert str(got.value) == (
+            "config invalid at family/samples/0/matrix/imag/1/1: 'i' is not of type 'number'"
+        )
 
 
 class TestFamilyBlocks:
