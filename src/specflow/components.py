@@ -21,7 +21,7 @@ from .errors import CertificateBroken, GeneratorFailure, InvalidSpec
 from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
-from .operators import SelfAdjointOperator, Spectrum
+from .operators import SelfAdjointOperator, Spectrum, spectral_scale
 from .paths import OperatorPath, _endpoint_gap, concat, constant_path, straight_segment
 
 __all__ = [
@@ -84,9 +84,9 @@ class ComponentCertification:
     verdict: str
 
 
-def _singular(spec: Spectrum) -> bool:
-    """Smallest |eigenvalue| at most ``SINGULARITY_RTOL`` times ``spec.scale``."""
-    return spec.min_abs <= SINGULARITY_RTOL * spec.scale
+def _singular(values: np.ndarray) -> bool:
+    """Smallest |eigenvalue| at most ``SINGULARITY_RTOL`` times the row's scale."""
+    return float(np.abs(values).min()) <= SINGULARITY_RTOL * float(spectral_scale(values))
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ComponentReport:
             raise ValueError("paths and flows must have equal length")
         if len(set(self.flows)) != len(self.flows):
             raise ValueError(f"flows must be pairwise distinct, got {self.flows}")
-        if _singular(self.basepoint.spectrum):
+        if _singular(self.basepoint.spectrum.values):
             raise ValueError("basepoint must be invertible")
         for idx, p in enumerate(self.paths):
             if p.dim != self.basepoint.dim:
@@ -111,8 +111,8 @@ class ComponentReport:
             gap = _endpoint_gap(self.basepoint, p.at(0.0))
             if gap is not None:
                 raise ValueError(f"path {idx} does not start at the basepoint ({gap})")
-            for t in (0.0, 1.0):
-                if _singular(p.at(t).spectrum):
+            for t, row in zip((0.0, 1.0), p.spectra([0.0, 1.0])):
+                if _singular(row):
                     raise ValueError(f"path {idx} endpoint t={t} is not invertible")
 
 
@@ -205,10 +205,12 @@ def _locate_singular(segment: OperatorPath) -> tuple[float, Spectrum]:
 
     Returns t and the spectrum at t.  The endpoint counts differ whenever
     the segment flow is nonzero, so a bracket always exists.
+    Counts read cached rows: the segment's flow has solved its endpoints
+    and every witness point the bisection revisits.
     """
 
     def neg(t: float) -> int:
-        return int(np.count_nonzero(segment.at(t).spectrum.values < 0.0))
+        return int(np.count_nonzero(segment.spectra([t]) < 0.0))
 
     lo, hi = 0.0, 1.0
     n_lo, n_hi = neg(lo), neg(hi)
@@ -218,12 +220,14 @@ def _locate_singular(segment: OperatorPath) -> tuple[float, Spectrum]:
         )
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: every later step keeps the bracket
         if neg(mid) != n_lo:
             hi = mid
         else:
             lo = mid
     t = 0.5 * (lo + hi)
-    return t, segment.at(t).spectrum
+    return t, Spectrum(segment.spectra([t])[0])
 
 
 def certify_distinct_components(
@@ -244,9 +248,10 @@ def certify_distinct_components(
     opts = options or FlowOptions()
     pairs: list[PairCertificate] = []
     n = len(report.paths)
+    ends = [p.at(1.0) for p in report.paths]
     for i in range(n):
         for j in range(i + 1, n):
-            seg = straight_segment(report.paths[i].at(1.0), report.paths[j].at(1.0))
+            seg = straight_segment(ends[i], ends[j])
             seg_flow = spectral_flow(seg, opts).flow
             expected = report.flows[j] - report.flows[i]
             if seg_flow != expected:
@@ -256,7 +261,7 @@ def certify_distinct_components(
                     "would not close"
                 )
             t, spec = _locate_singular(seg)
-            if not _singular(spec):
+            if not _singular(spec.values):
                 raise CertificateBroken(
                     f"no singular operator located on the endpoint segment of pair "
                     f"({i}, {j}) although flows differ: min |eig| {spec.min_abs:.3e} at "

@@ -96,25 +96,21 @@ def _is_number(value) -> bool:
 
 
 def _check_sampled_matrices(samples: list[dict]) -> None:
-    """Entries, row lengths and part shapes of schema-valid sampled matrices.
+    """Entries of schema-valid sampled matrices are numbers.
 
     The first entry that is not a number is named as the schema named it:
     samples in order, the ``imag`` part before ``real`` (the order of
-    jsonschema's error paths), rows in order.  A ragged row or a pair of
-    parts with different shapes is named only when every entry is a number.
+    jsonschema's error paths), rows in order.  Row lengths and part shapes
+    are checked when the matrix is built, by :func:`_matrix_from_json`.
     """
-    shape_error = None
     for k, sample in enumerate(samples):
         where = f"family/samples/{k}/matrix"
         matrix = sample["matrix"]
         if isinstance(matrix, dict):
-            parts = [("imag", matrix["imag"]), ("real", matrix["real"])]
+            parts = [(f"{where}/imag", matrix["imag"]), (f"{where}/real", matrix["real"])]
         else:
-            parts = [("", matrix)]
-        shapes = {}
-        for name, rows in parts:
-            at = f"{where}/{name}" if name else where
-            width = len(rows[0]) if rows else 0
+            parts = [(where, matrix)]
+        for at, rows in parts:
             for i, row in enumerate(rows):
                 if not _JSON_NUMBERS.issuperset(map(type, row)):
                     for j, value in enumerate(row):
@@ -122,25 +118,14 @@ def _check_sampled_matrices(samples: list[dict]) -> None:
                             raise ConfigError(
                                 f"config invalid at {at}/{i}/{j}: {value!r} is not of type 'number'"
                             )
-                if len(row) != width and shape_error is None:
-                    shape_error = (
-                        f"config invalid at {at}/{i}: row has {len(row)} entries, row 0 has {width}"
-                    )
-            shapes[name] = (len(rows), width)
-        if len(set(shapes.values())) > 1 and shape_error is None:
-            shape_error = (
-                f"config invalid at {where}: real part has shape {shapes['real']}, "
-                f"imag part has shape {shapes['imag']}"
-            )
-    if shape_error is not None:
-        raise ConfigError(shape_error)
 
 
 def validate_config(config: dict) -> None:
     """Check ``config`` against the experiment-config schema.
 
-    The schema checks the structure of a sampled matrix; its entries and
-    shapes are checked here in one pass, after the schema.
+    The schema checks the structure of a sampled matrix and its entries
+    are checked here in one pass, after the schema; its shapes are checked
+    when the path is built.
     """
     try:
         _validate(config, "experiment-config")
@@ -202,12 +187,38 @@ def flow_options_from_config(config: dict) -> FlowOptions:
         raise ConfigError(str(exc)) from exc
 
 
-def _matrix_from_json(obj) -> np.ndarray:
+def _matrix_part(rows, where: str) -> np.ndarray:
+    """One real matrix of a sampled block; a ragged row raises :class:`ConfigError`."""
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            for i, row in enumerate(rows):
+                if len(row) != len(rows[0]):
+                    raise ConfigError(
+                        f"config invalid at {where}/{i}: row has {len(row)} entries, "
+                        f"row 0 has {len(rows[0])}"
+                    ) from None
+        raise
+
+
+def _matrix_from_json(obj, where: str) -> np.ndarray:
+    """The matrix of a sampled block at config path ``where``.
+
+    Row lengths, then the shapes of the ``imag`` and ``real`` parts, must
+    agree; a mismatch raises :class:`ConfigError` naming the place, so
+    parts of different shapes are never broadcast.
+    """
     if isinstance(obj, dict):
-        real = np.asarray(obj["real"], dtype=np.float64)
-        imag = np.asarray(obj["imag"], dtype=np.float64)
+        imag = _matrix_part(obj["imag"], f"{where}/imag")
+        real = _matrix_part(obj["real"], f"{where}/real")
+        if real.shape != imag.shape:
+            raise ConfigError(
+                f"config invalid at {where}: real part has shape {real.shape}, "
+                f"imag part has shape {imag.shape}"
+            )
         return real + 1j * imag
-    return np.asarray(obj, dtype=np.float64)
+    return _matrix_part(obj, where)
 
 
 def _matrix_to_json(entries: np.ndarray):
@@ -310,7 +321,10 @@ def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
             )
             return glue(spec).path
         if kind == "sampled":
-            samples = [(s["t"], _matrix_from_json(s["matrix"])) for s in family["samples"]]
+            samples = [
+                (s["t"], _matrix_from_json(s["matrix"], f"family/samples/{k}/matrix"))
+                for k, s in enumerate(family["samples"])
+            ]
             return sampled_path(samples)
     except _INPUT_ERRORS as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,10 +1,14 @@
 """Operator paths over [0, 1] and the algebra on them.
 
 A path is an immutable wrapper around one vectorized ``build`` that maps
-an array of parameters to one operator each.  ``at(t)`` is a batch of one and
-``spectra(ts)`` a batch of many; both go through one per-path cache, so
-partition refinement, which revisits segment endpoints, reuses cached
-spectra.
+an array of parameters to one operator each.  ``at(t)`` builds the operator
+at one parameter and caches nothing.  ``spectra(ts)`` is the cached read:
+the path's one cache maps each parameter to its sorted eigenvalue row, so
+partition refinement, which revisits segment endpoints, reuses rows, and
+no operator outlives the solve that needed it.  Paths that only
+reparametrize others (``concat``, ``reverse``, ``reparametrize`` and the end
+slices of a homotopy) read their rows from their parts' caches, so a row
+is solved once per base path.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ class OperatorPath:
     must not depend on which other parameters share its batch, down to the
     last bit.  A function of one parameter goes through :func:`matrix_path`.
 
+    :meth:`at` builds an operator and keeps nothing; :meth:`spectra` caches
+    one read-only row of ``dim`` sorted eigenvalues per parameter, never an
+    operator, so a path holds ``8 * dim`` bytes per parameter it has solved.
+
     ``lipschitz`` is an optional bound L on the operator norm of the
     derivative; ``None`` means unknown.  Certification relies on it: a
     segment whose window margin does not exceed ``0.5 * L * step``
@@ -81,7 +89,7 @@ class OperatorPath:
         self._dim = int(dim)
         self._build = build
         self._lipschitz = None if lipschitz is None else float(lipschitz)
-        self._cache: dict[float, SelfAdjointOperator] = {}
+        self._cache: dict[float, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -92,49 +100,90 @@ class OperatorPath:
         return self._lipschitz
 
     def at(self, t: float) -> SelfAdjointOperator:
-        """Evaluate the path at parameter ``t`` in [0, 1]: a batch of one."""
-        op = self._cache.get(float(t))
-        return self._operators([t])[0] if op is None else op
+        """Build the operator at parameter ``t`` in [0, 1]: a batch of one, not cached."""
+        return self._operators([t])[0]
 
     def _operators(self, ts) -> list[SelfAdjointOperator]:
-        """Operators at every parameter in ``ts``; misses are built in batches."""
+        """Build the operators at every parameter in ``ts``, in stacked chunks."""
         keys = _params(ts)
-        missing = list(dict.fromkeys(t for t in keys if t not in self._cache))
-        if missing:
-            self._evaluate(missing)
-        return [self._cache[t] for t in keys]
+        step = stack_chunk(self._dim)
+        ops: list[SelfAdjointOperator] = []
+        for i in range(0, len(keys), step):
+            ops += self._build_chunk(keys[i : i + step])
+        return ops
+
+    def _build_chunk(self, chunk: list[float]) -> list[SelfAdjointOperator]:
+        """One call of ``build``, enforcing its contract."""
+        ops = self._build(np.array(chunk))
+        if len(ops) != len(chunk):
+            raise ValueError(
+                f"path build returned {len(ops)} operators for {len(chunk)} parameters"
+            )
+        for op in ops:
+            if op.dim != self._dim:
+                raise ValueError(f"path build returned dimension {op.dim}, expected {self._dim}")
+        return ops
 
     def spectra(self, ts) -> np.ndarray:
         """Sorted eigenvalues ``(len(ts), dim)`` at every parameter in ``ts``.
 
-        Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum.values``; missing
-        spectra are solved with stacked eigensolves.
+        Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum.values``.  Rows
+        come from the path's cache; missing ones are built and solved with
+        stacked eigensolves, and only the rows are kept.
         """
-        ops = self._operators(ts)
-        solve_spectra(ops)
-        if not ops:
-            return np.empty((0, self._dim))
-        return np.stack([op.spectrum.values for op in ops])
+        rows = self._rows(ts)
+        return np.array(rows) if rows else np.empty((0, self._dim))
 
-    def _evaluate(self, ts: list[float]) -> None:
-        """Build and cache the operators at ``ts``, enforcing the build contract."""
+    def _rows(self, ts) -> list[np.ndarray]:
+        """The cached row at every parameter in ``ts``, filling misses first."""
+        keys = _params(ts)
+        cache = self._cache
+        missing = list(dict.fromkeys(t for t in keys if t not in cache))
+        if missing:
+            self._solve(missing)
+        return [cache[t] for t in keys]
+
+    def _solve(self, ts: list[float]) -> None:
+        """Cache the rows at ``ts``: build and solve a chunk at a time, drop the operators."""
         step = stack_chunk(self._dim)
         for i in range(0, len(ts), step):
             chunk = ts[i : i + step]
-            ops = self._build(np.array(chunk))
-            if len(ops) != len(chunk):
-                raise ValueError(
-                    f"path build returned {len(ops)} operators for {len(chunk)} parameters"
-                )
+            ops = self._build_chunk(chunk)
+            solve_spectra(ops)
             for t, op in zip(chunk, ops):
-                if op.dim != self._dim:
-                    raise ValueError(
-                        f"path build returned dimension {op.dim}, expected {self._dim}"
-                    )
-                self._cache[t] = op
+                self._cache[t] = op.spectrum.values
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"
+
+
+class _Reparametrized(OperatorPath):
+    """A path whose value at each parameter is one of its parts' values.
+
+    ``route(ts)`` lists ``(part, idx, us)`` triples: the path at ``ts[idx]``
+    is ``part`` at ``us``.  Operators are the parts' builds; rows are the
+    parts' cached rows, so a composite solves nothing its parts have solved
+    and a cache hit is one lookup in its own dict.
+    """
+
+    __slots__ = ("_route",)
+
+    def __init__(self, dim: int, route, lipschitz: float | None):
+        def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+            ops: list = [None] * ts.size
+            for part, idx, us in route(ts):
+                for i, op in zip(idx, part._operators(us)):
+                    ops[i] = op
+            return ops
+
+        # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
+        super().__init__(dim, build, lipschitz)
+        self._route = route
+
+    def _solve(self, ts: list[float]) -> None:
+        for part, idx, us in self._route(np.array(ts)):
+            for i, row in zip(idx, part._rows(us)):
+                self._cache[ts[i]] = row
 
 
 def matrix_path(
@@ -172,10 +221,10 @@ def _blend(
     ingest.
     """
     if all(op._diag is not None for op in (*xs, *ys)):
-        x, y = np.stack([op._diag for op in xs]), np.stack([op._diag for op in ys])
+        x, y = np.array([op._diag for op in xs]), np.array([op._diag for op in ys])
         wd = w[:, None]
         return diagonal_operators((1.0 - wd) * x + wd * y, ts)
-    x, y = np.stack([op.entries for op in xs]), np.stack([op.entries for op in ys])
+    x, y = np.array([op.entries for op in xs]), np.array([op.entries for op in ys])
     wd = w[:, None, None]
     return stacked_operators((1.0 - wd) * x + wd * y, ts)
 
@@ -224,18 +273,24 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     if gap is not None:
         raise EndpointMismatch(f"a(1) != b(0): {gap}")
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+    def route(ts: np.ndarray):
         first = ts <= 0.5
-        head = iter(a._operators(np.minimum(1.0, 2.0 * ts[first])))
-        tail = iter(b._operators(np.minimum(1.0, 2.0 * ts[~first] - 1.0)))
-        return [next(head) if f else next(tail) for f in first]
+        return [
+            (a, np.flatnonzero(first).tolist(), np.minimum(1.0, 2.0 * ts[first])),
+            (b, np.flatnonzero(~first).tolist(), np.minimum(1.0, 2.0 * ts[~first] - 1.0)),
+        ]
 
-    return OperatorPath(a.dim, build, lipschitz=_composite_lipschitz(2.0, a, b))
+    return _Reparametrized(a.dim, route, _composite_lipschitz(2.0, a, b))
+
+
+def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
+    """The route reading every parameter ``t`` off ``a`` at ``warp(ts)``."""
+    return lambda ts: [(a, range(ts.size), warp(ts))]
 
 
 def reverse(a: OperatorPath) -> OperatorPath:
     """Time-reversed path ``t -> a(1-t)``."""
-    return OperatorPath(a.dim, lambda ts: a._operators(1.0 - ts), lipschitz=a.lipschitz)
+    return _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), a.lipschitz)
 
 
 class Homotopy:
@@ -272,15 +327,14 @@ class Homotopy:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
         a, b = self._a, self._b
+        lip = _composite_lipschitz(1.0, a, b)
+        if s in (0.0, 1.0):
+            return _Reparametrized(a.dim, _whole(b if s else a, lambda ts: ts), lip)
 
         def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-            if s == 0.0:
-                return a._operators(ts)
-            if s == 1.0:
-                return b._operators(ts)
             return _blend(np.full(ts.size, s), a._operators(ts), b._operators(ts), ts)
 
-        return OperatorPath(a.dim, build, _composite_lipschitz(1.0, a, b))
+        return OperatorPath(a.dim, build, lip)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
@@ -313,7 +367,4 @@ def reparametrize(
             raise ValueError(f"phi({t!r}) = {u!r} is not finite")
         return min(1.0, max(0.0, u))
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        return a._operators([warp(t) for t in ts.tolist()])
-
-    return OperatorPath(a.dim, build, lipschitz=lipschitz)
+    return _Reparametrized(a.dim, _whole(a, lambda ts: [warp(t) for t in ts.tolist()]), lipschitz)

@@ -109,7 +109,7 @@ def check_flow_properties(
         slice_paths = [h.slice_at(float(s)) for s in s_grid]
         # Ends are pinned in s and invertible by construction; verify at
         # every sampled slice anyway before trusting the flows.
-        ends_ok = not any(_singular(p.at(t).spectrum) for p in slice_paths for t in (0.0, 1.0))
+        ends_ok = not any(_singular(row) for p in slice_paths for row in p.spectra([0.0, 1.0]))
         if not ends_ok:
             homotopy_failures.append(cs)
             continue

@@ -110,16 +110,16 @@ class TestGlue:
     def test_freed_without_cycle_collector(self):
         # The path's build must not refer back to the glued path: with the cycle
         # collector off, dropping the last reference frees the path and the
-        # operators in its cache.
+        # rows in its cache.
         gc.disable()
         try:
             g = glue(make_spec(m=2, epsilon=0.3, seed=1))
             g.path.spectra(np.linspace(0.0, 1.0, 17))
             alive = weakref.ref(g)
-            entries = weakref.ref(g.path.at(0.5).entries)
+            row = weakref.ref(g.path._cache[0.5])
             del g
             assert alive() is None
-            assert entries() is None
+            assert row() is None
         finally:
             gc.enable()
 

@@ -259,6 +259,28 @@ class TestFamilyBlocks:
         with pytest.raises(ConfigError):
             build_family_path({"kind": "torus"})
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (
+                {"real": [[2, 0], [0, -1]], "imag": [[0.0]]},
+                "family/samples/1/matrix: real part has shape (2, 2), imag part has shape (1, 1)",
+            ),
+            ([[2, 0], [0]], "family/samples/1/matrix/1: row has 1 entries, row 0 has 2"),
+            (
+                {"real": [[2, 0], [0, -1]], "imag": [[0, 0], [0, 0, 1]]},
+                "family/samples/1/matrix/imag/1: row has 3 entries, row 0 has 2",
+            ),
+        ],
+        ids=["part-shapes-differ", "ragged-row", "ragged-imag-row"],
+    )
+    def test_sampled_shapes_checked_without_validation(self, matrix, message):
+        # build_family_path on its own must not broadcast or report numpy's text.
+        samples = [{"t": 0.0, "matrix": [[2, 0], [0, -1]]}, {"t": 1.0, "matrix": matrix}]
+        with pytest.raises(ConfigError) as got:
+            build_family_path({"kind": "sampled", "samples": samples})
+        assert str(got.value) == f"config invalid at {message}"
+
 
 class TestSampledPaths:
     def test_linear_family_round_trips_exactly(self):

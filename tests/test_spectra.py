@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -120,8 +121,7 @@ def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_by
     """
     batched, single = PATHS[name](seed), PATHS[name](seed)
     with mock.patch.object(operators, "STACK_BYTES", stack_bytes):
-        for t in cached:
-            batched.at(t)
+        batched.spectra(cached)
         got = batched.spectra(ts + cached)
     assert got.shape == (len(ts) + len(cached), batched.dim)
     for row, t in zip(got, ts + cached):
@@ -130,6 +130,64 @@ def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_by
         assert batched.at(t).entries.tobytes() == op.entries.tobytes()
         reference = Spectrum(np.linalg.eigvalsh(op.entries)).values
         assert row.tobytes() == reference.tobytes()
+
+
+def _dense_composites():
+    """A dense path ``a``, and each composite with the ``a``-parameters it reads.
+
+    Every composite parameter maps exactly onto the grid ``u`` or ``u**2``.
+    """
+    a = random_family(5, 2)
+    u = np.linspace(0.0, 1.0, 9)
+    tail = straight_segment(a.at(1.0), invertible_valued_family(5, 2).at(0.0))
+    bump = np.diag(np.linspace(-0.5, 0.5, 5))
+    bumped = matrix_path(5, lambda t: a.at(t).entries + np.sin(np.pi * t) * bump)
+    composites = {
+        "reverse": (reverse(a), u, 1.0 - u),
+        "concat": (concat(a, tail), u / 2, u),
+        "reparametrize": (reparametrize(a, lambda t: t * t), u, u**2),
+        "slice-start": (affine_homotopy(a, bumped).slice_at(0.0), u, u),
+    }
+    return a, np.concatenate([u, u**2]), composites
+
+
+class TestRowCache:
+    @pytest.mark.parametrize("name", ["reverse", "concat", "reparametrize", "slice-start"])
+    def test_composites_read_their_parts_rows(self, eigvalsh_counter, name):
+        a, solved, composites = _dense_composites()
+        a.spectra(solved)
+        before = eigvalsh_counter.matrices
+        path, ts, us = composites[name]
+        assert path.spectra(ts).tobytes() == a.spectra(us).tobytes()
+        assert eigvalsh_counter.matrices == before
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_flow_caches_rows_and_leaves_entries_unchanged(self, name):
+        path, fresh = PATHS[name](5), PATHS[name](5)
+        cert = spectral_flow(path)
+        assert set(cert.times) <= set(path._cache)
+        for row in path._cache.values():
+            assert type(row) is np.ndarray and row.dtype == np.float64
+            assert row.shape == (path.dim,) and not row.flags.writeable
+        for t in cert.times:
+            assert path.at(t).entries.tobytes() == fresh.at(t).entries.tobytes()
+
+    def test_sampled_flow_peak_memory(self):
+        # 64-dim complex knots: an operator is 64 KiB, an eigenvalue row 512 B.
+        # Keeping the operators this flow builds would peak at about 16 MiB.
+        rng = np.random.default_rng(0)
+        knots = []
+        for t in (0.0, 0.5, 1.0):
+            g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+            knots.append((t, (g + g.conj().T) / 2))
+        path = sampled_path(knots)
+        tracemalloc.start()
+        try:
+            spectral_flow(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEigensolveCounts:
