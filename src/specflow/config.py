@@ -23,7 +23,7 @@ from .families import BaerFamilySpec, baer_family, circle_family, random_family
 from .flow import FlowOptions
 from .gluing import GluingSpec, Spectrum, glue
 from .operators import SelfAdjointOperator
-from .paths import OperatorPath, _blend
+from .paths import OperatorPath, _Reparametrized, straight_segment
 
 __all__ = [
     "ConfigError",
@@ -230,7 +230,9 @@ def _matrix_to_json(entries: np.ndarray):
 def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     """Path through sampled operators with linear interpolation.
 
-    Sample times must be strictly increasing and cover [0, 1].
+    Sample times must be strictly increasing and cover [0, 1].  Each knot
+    interval is read off its own :func:`straight_segment`, so an interval
+    between two real knots stays real next to a complex one.
     """
     if len(samples) < 2:
         raise ConfigError("sampled path needs at least two samples")
@@ -243,34 +245,33 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     dim = knots[0].dim
     if any(op.dim != dim for op in knots):
         raise ConfigError("all sampled matrices must share one dimension")
+    segments = [straight_segment(p, q) for p, q in zip(knots, knots[1:])]
 
-    def build(params: np.ndarray) -> list[SelfAdjointOperator]:
-        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(knots) - 2)
+    def route(params: np.ndarray):
+        # End knots within 1e-12 of 0 and 1 extrapolate their intervals.
+        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(segments) - 1)
         u = (params - ts[j]) / (ts[j + 1] - ts[j])
-        ops: list = [None] * params.size
-        # One blend per knot interval: its two end operators fix the dtype.
+        out = []
         for k in np.unique(j).tolist():
-            rows = np.flatnonzero(j == k)
-            blended = _blend(u[rows], [knots[k]], [knots[k + 1]], params[rows])
-            for r, op in zip(rows.tolist(), blended):
-                ops[r] = op
-        return ops
+            idx = np.flatnonzero(j == k)
+            out.append((segments[k], idx.tolist(), u[idx]))
+        return out
 
-    lip = max(
-        float(np.linalg.norm(q.entries - p.entries, 2)) / (t1 - t0)
-        for (t0, p), (t1, q) in zip(zip(ts[:-1], knots[:-1]), zip(ts[1:], knots[1:]))
-    )
-    return OperatorPath(dim, build, lipschitz=lip)
+    lip = max(seg.lipschitz / (t1 - t0) for seg, t0, t1 in zip(segments, ts[:-1], ts[1:]))
+    return _Reparametrized(dim, route, lip)
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:
-    """Serialize a path as a sampled family block (the JSON round-trip form)."""
-    ts = np.linspace(0.0, 1.0, grid)
+    """Serialize a path as a sampled family block (the JSON round-trip form).
+
+    Each sample is built on its own, so its matrix keeps the dtype of the
+    part of the path it comes from.
+    """
     return {
         "kind": "sampled",
         "samples": [
-            {"t": t, "matrix": _matrix_to_json(op.entries)}
-            for t, op in zip(ts.tolist(), path._operators(ts))
+            {"t": t, "matrix": _matrix_to_json(path.at(t).entries)}
+            for t in np.linspace(0.0, 1.0, grid).tolist()
         ],
     }
 

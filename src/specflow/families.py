@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .operators import SelfAdjointOperator, diagonal_operators, stacked_operators
+from .operators import SelfAdjointOperator
 from .paths import OperatorPath
 
 __all__ = [
@@ -81,8 +81,8 @@ def baer_family(spec: BaerFamilySpec) -> OperatorPath:
     mult = spec.multiplicity
     bg = np.asarray(spec.background, dtype=np.float64)
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        return diagonal_operators(crossing_eigenvalues(ts, mult, bg), ts)
+    def build(ts: np.ndarray) -> np.ndarray:
+        return crossing_eigenvalues(ts, mult, bg)
 
     return OperatorPath(spec.dim, build, lipschitz=2.0)
 
@@ -140,8 +140,8 @@ def circle_family(modes: int, winding: int, spin_shift: float = 0.5) -> Operator
             "crossings would leave the modeled spectrum"
         )
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        return diagonal_operators(_circle_eigenvalues(spec, float(winding) * ts), ts)
+    def build(ts: np.ndarray) -> np.ndarray:
+        return _circle_eigenvalues(spec, float(winding) * ts)
 
     return OperatorPath(spec.dim, build, lipschitz=float(abs(winding)))
 
@@ -191,9 +191,9 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
 def _smooth_path(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> OperatorPath:
     """Path ``A + t B + sin(pi t) C``, built in stacks, bounded by ``|B| + pi |C|``."""
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+    def build(ts: np.ndarray) -> np.ndarray:
         t = ts[:, None, None]
-        return stacked_operators(a + t * b + np.sin(np.pi * t) * c, ts)
+        return a + t * b + np.sin(np.pi * t) * c
 
     lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
     return OperatorPath(a.shape[0], build, lipschitz=lip)
@@ -232,12 +232,12 @@ def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
 
     idx = np.arange(dim)
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
+    def build(ts: np.ndarray) -> np.ndarray:
         t = ts[:, None, None]
         d = np.zeros((ts.size, dim, dim))
         d[:, idx, idx] = signs * (0.6 + 0.4 * np.sin(alpha + beta * ts[:, None]))
         q = _cayley(t * k1 + np.sin(np.pi * t) * k2)
-        return stacked_operators(q @ d @ _transpose(q), ts)
+        return q @ d @ _transpose(q)
 
     # |d/dt| <= 2 ||Q'|| ||D|| + ||D'|| with ||Q'|| <= 2 ||K'|| (Cayley,
     # ||(I+K)^-1|| <= 1), ||D|| <= 1 and ||D'|| <= 0.4 pi.

@@ -108,9 +108,9 @@ class FlowCertificate:
         ``options.witness_points``-point grid of its segment.  Each
         segment's recorded window then passes the certifier's own check
         (:func:`_check_window`: margin floor, Lipschitz slack, witnessed
-        margin and a constant count equal to ``symmetric_count``), the end
-        counts are recounted from the grid's first and last rows, and
-        ``flow`` must telescope over them.
+        margin, a constant count equal to ``symmetric_count`` and a constant
+        count below the window), the end counts are recounted from the
+        grid's first and last rows, and ``flow`` must telescope over them.
         """
         opts = self.options
         times = self.times
@@ -181,9 +181,11 @@ def _check_window(
     ``ts``.  The window [-radius, radius] is rejected, in this order, when
     ``margin`` is below the floor (``min_margin`` times the largest
     witnessed magnitude), within the Lipschitz slack, or more than the
-    distance of some witnessed magnitude to the radius, or when the count
-    in the window is not constant on the grid.  A rejection is a message
-    that names the reason and its numbers.
+    distance of some witnessed magnitude to the radius, when the count in
+    the window is not constant on the grid, or when the count below
+    -radius is not: an eigenvalue that jumps across the whole window
+    between two witnesses keeps the window count but changes the flow.  A
+    rejection is a message that names the reason and its numbers.
 
     When the path carries a Lipschitz bound L the check is rigorous, not
     sampled: eigenvalues move at most L*h/2 between a parameter and its
@@ -217,6 +219,14 @@ def _check_window(
         return (
             f"count drift: the count in [-{radius:.3e}, {radius:.3e}] is {counts[0]} "
             f"at t={float(ts[0])!r} but {counts[j]} at t={float(ts[j])!r}"
+        )
+    below = np.count_nonzero(spectra < -radius, axis=1)
+    jump = np.flatnonzero(below != below[0])
+    if jump.size:
+        j = int(jump[0])
+        return (
+            f"jump across the window: {below[0]} eigenvalues below -{radius:.3e} "
+            f"at t={float(ts[0])!r} but {below[j]} at t={float(ts[j])!r}"
         )
     return int(counts[0])
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoundaryAmbiguity, InvalidSpec, WindowCountViolation
 from .families import BaerFamilySpec, crossing_eigenvalues
-from .operators import DEFAULT_CLUSTER_TOL, Spectrum, diagonal_operators, spectral_scale
+from .operators import DEFAULT_CLUSTER_TOL, Spectrum, spectral_scale
 from .paths import OperatorPath
 
 __all__ = [
@@ -117,11 +117,11 @@ class GluedPath:
         rng = np.random.default_rng(spec.seed)
         self._knots = rng.uniform(-1.0, 1.0, size=(spec.dim, _NOISE_KNOTS)) * _NOISE_HEADROOM
         # The build holds the arrays it needs and not self, so a glued
-        # path and its cached operators are freed by reference counting.
+        # path and its cached rows are freed by reference counting.
         args = (spec.sphere_family.multiplicity, self._static, self._knots, spec.epsilon)
 
-        def build(ts: np.ndarray):
-            return diagonal_operators(_perturbed(ts, *args), ts)
+        def build(ts: np.ndarray) -> np.ndarray:
+            return _perturbed(ts, *args)
 
         lip = 2.0 + spec.epsilon * 1.5 * (_NOISE_KNOTS - 1) * 2.0
         self.path = OperatorPath(spec.dim, build, lipschitz=lip)

@@ -6,7 +6,9 @@ that is Hermitian up to rounding and rejects anything genuinely
 non-self-adjoint, so downstream code can rely on exact Hermiticity and a
 real spectrum.  A diagonal operator is its own eigendecomposition: its
 spectrum is its sorted diagonal, and its dense entries are built only when
-something reads them.
+something reads them.  Paths never build operator objects to solve:
+they check whole stacks (:func:`_ingest_stack`, :func:`_ingest_diagonal`)
+and solve them with :func:`_spectrum_rows`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from .errors import EigensolverError
 
 __all__ = [
     "SelfAdjointOperator",
-    "stacked_operators",
-    "diagonal_operators",
-    "solve_spectra",
     "Spectrum",
     "spectral_scale",
     "HERMITICITY_RTOL",
@@ -82,33 +81,37 @@ def _ingest_stack(stack, ts=None) -> np.ndarray:
     return h
 
 
-def stacked_operators(matrices, ts) -> list["SelfAdjointOperator"]:
-    """Operators from a stack ``(n, d, d)`` of matrices at parameters ``ts``.
+def _ingest_diagonal(rows, ts=None) -> np.ndarray:
+    """Check diagonal rows ``(n, d)``: a read-only float64 copy, every entry finite.
 
-    Every matrix passes the same ingest checks as
-    :class:`SelfAdjointOperator`; an error names the parameter of the
-    offending matrix.  Spectra stay unsolved until asked for.
+    A real diagonal is Hermitian as it stands, so finiteness is the one
+    ingest check; ``ts`` (one parameter per row) only labels errors.
     """
-    return [SelfAdjointOperator._trusted(h) for h in _ingest_stack(matrices, ts)]
-
-
-def diagonal_operators(eigenvalues, ts) -> list["SelfAdjointOperator"]:
-    """Diagonal operators from eigenvalue rows ``(n, d)`` at parameters ``ts``.
-
-    Each operator stores its row, read-only; the spectrum of a diagonal
-    matrix is its sorted diagonal, so no eigensolver runs.  A real diagonal
-    is Hermitian as it stands, so finiteness is the one ingest check; an
-    error names the parameter of the offending row.
-    """
-    rows = np.array(eigenvalues, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] < 1:
-        raise ValueError("diagonal must be a non-empty 1-d sequence")
+    rows = np.array(rows, dtype=np.float64)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ValueError("operator entries must be finite" + _at(ts, int(np.argmin(finite))))
     rows.setflags(write=False)
-    spectra = _spectra(rows)
-    return [SelfAdjointOperator._trusted(diag=r, spectrum=s) for r, s in zip(rows, spectra)]
+    return rows
+
+
+def _dense(stack: np.ndarray) -> np.ndarray:
+    """A checked stack as matrices: diagonal rows ``(n, d)`` become ``(n, d, d)``."""
+    if stack.ndim == 3:
+        return stack
+    n, d = stack.shape
+    out = np.zeros((n, d, d))
+    out[:, np.arange(d), np.arange(d)] = stack
+    return out
+
+
+def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalue rows ``(n, d)`` of a checked stack, read-only.
+
+    A dense stack ``(n, d, d)`` takes one stacked eigensolve; diagonal rows
+    ``(n, d)`` are their own spectra and are only sorted.
+    """
+    return _sorted_rows(stack if stack.ndim == 2 else _solve_spectrum(stack))
 
 
 class SelfAdjointOperator:
@@ -116,9 +119,9 @@ class SelfAdjointOperator:
 
     Entries Hermitian within rounding are symmetrized exactly on ingestion;
     an already-Hermitian matrix passes through bit-for-bit.  A diagonal
-    operator (from :func:`diagonal_operators`) stores only its diagonal and
-    builds ``entries`` on first read.  Instances are immutable and cache
-    their spectrum.
+    operator (from :meth:`from_diagonal`, or a path whose build returns
+    diagonal rows) stores only its diagonal and builds ``entries`` on first
+    read.  Instances are immutable and cache their spectrum.
     """
 
     __slots__ = ("_entries", "_diag", "_spectrum")
@@ -129,19 +132,26 @@ class SelfAdjointOperator:
         self._spectrum: Spectrum | None = None
 
     @classmethod
-    def _trusted(cls, entries=None, diag=None, spectrum: "Spectrum | None" = None):
-        # Either entries that already went through _ingest_stack, or a
-        # finite, read-only diagonal row with its spectrum.
+    def _checked(cls, row: np.ndarray) -> "SelfAdjointOperator":
+        # One entry of a checked stack: ingested entries (d, d), or a finite,
+        # read-only diagonal (d,).
         op = cls.__new__(cls)
-        op._entries = entries
-        op._diag = diag
-        op._spectrum = spectrum
+        op._entries, op._diag = (row, None) if row.ndim == 2 else (None, row)
+        op._spectrum = None
         return op
 
     @classmethod
     def from_diagonal(cls, values) -> "SelfAdjointOperator":
         """Operator with the given real diagonal (eigenvalues as stated)."""
-        return diagonal_operators(np.asarray(values, dtype=np.float64)[None], None)[0]
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1 or vals.size < 1:
+            raise ValueError("diagonal must be a non-empty 1-d sequence")
+        return cls._checked(_ingest_diagonal(vals[None])[0])
+
+    @property
+    def _stack(self) -> np.ndarray:
+        """The operator as a checked stack of one: ``(1, d, d)`` or a ``(1, d)`` diagonal."""
+        return (self._entries if self._diag is None else self._diag)[None]
 
     @property
     def entries(self) -> np.ndarray:
@@ -160,7 +170,7 @@ class SelfAdjointOperator:
     def spectrum(self) -> "Spectrum":
         """Sorted eigenvalues with multiplicity (computed once, cached)."""
         if self._spectrum is None:
-            solve_spectra((self,))
+            self._spectrum = Spectrum(_spectrum_rows(self._stack)[0])
         return self._spectrum
 
     def __repr__(self) -> str:
@@ -222,16 +232,6 @@ def _sorted_rows(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _spectra(values: np.ndarray) -> list[Spectrum]:
-    """One :class:`Spectrum` per row of ``values`` ``(n, d)``."""
-    out = []
-    for row in _sorted_rows(values):
-        spec = Spectrum.__new__(Spectrum)
-        spec._values = row
-        out.append(spec)
-    return out
-
-
 def _solve_spectrum(entries: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack ``(n, d, d)`` of Hermitian matrices, one LAPACK call."""
     try:
@@ -243,25 +243,3 @@ def _solve_spectrum(entries: np.ndarray) -> np.ndarray:
             f"dense Hermitian eigensolver failed to converge: dim={dim}, "
             f"max|entry|={norm:.3e} ({exc})"
         ) from exc
-
-
-def solve_spectra(ops) -> None:
-    """Compute every missing spectrum among ``ops`` with stacked eigensolves.
-
-    Operators are grouped by dtype and dimension (a stack must share both)
-    and solved in chunks of :func:`stack_chunk`; an operator listed twice
-    is solved once.  Diagonal operators always carry their spectrum, so
-    only dense ones are solved.
-    """
-    groups: dict[tuple, dict[int, SelfAdjointOperator]] = {}
-    for op in ops:
-        if op._spectrum is None:
-            groups.setdefault((op._entries.dtype, op.dim), {})[id(op)] = op
-    for (_, dim), group in groups.items():
-        pending = list(group.values())
-        step = stack_chunk(dim)
-        for i in range(0, len(pending), step):
-            chunk = pending[i : i + step]
-            values = _solve_spectrum(np.stack([op._entries for op in chunk]))
-            for op, spec in zip(chunk, _spectra(values)):
-                op._spectrum = spec

@@ -1,14 +1,15 @@
 """Operator paths over [0, 1] and the algebra on them.
 
 A path is an immutable wrapper around one vectorized ``build`` that maps
-an array of parameters to one operator each.  ``at(t)`` builds the operator
-at one parameter and caches nothing.  ``spectra(ts)`` is the cached read:
-the path's one cache maps each parameter to its sorted eigenvalue row, so
-partition refinement, which revisits segment endpoints, reuses rows, and
-no operator outlives the solve that needed it.  Paths that only
-reparametrize others (``concat``, ``reverse``, ``reparametrize`` and the end
-slices of a homotopy) read their rows from their parts' caches, so a row
-is solved once per base path.
+an array of parameters to one stack: dense matrices ``(n, d, d)`` or
+diagonal rows ``(n, d)``.  ``at(t)`` builds the operator at one parameter
+and caches nothing.  ``spectra(ts)`` is the cached read: the path's one
+cache maps each parameter to its sorted eigenvalue row, solved a stacked
+chunk at a time, so partition refinement, which revisits segment
+endpoints, reuses rows and no per-parameter object is built.  Paths that only reparametrize others
+(``concat``, ``reverse``, ``reparametrize``, ``constant_path``, the end
+slices of a homotopy and sampled config paths) read their rows from their
+parts' caches, so a row is solved once per base path.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import numpy as np
 from .errors import EndpointMismatch
 from .operators import (
     SelfAdjointOperator,
-    diagonal_operators,
-    solve_spectra,
+    _dense,
+    _ingest_diagonal,
+    _ingest_stack,
+    _spectrum_rows,
     stack_chunk,
-    stacked_operators,
 )
 
 __all__ = [
@@ -57,16 +59,18 @@ def _params(ts) -> list[float]:
 class OperatorPath:
     """Continuous family ``t -> SelfAdjointOperator`` on [0, 1].
 
-    ``build`` maps a 1-d float64 array of distinct parameters to one
-    operator per parameter, usually through
-    :func:`~specflow.operators.stacked_operators` or
-    :func:`~specflow.operators.diagonal_operators`.  The operator at ``t``
-    must not depend on which other parameters share its batch, down to the
-    last bit.  A function of one parameter goes through :func:`matrix_path`.
+    ``build`` maps a 1-d float64 array of ``n`` distinct parameters to one
+    array: ``n`` dense matrices ``(n, dim, dim)`` or ``n`` real diagonals
+    ``(n, dim)``, of one dtype.  The path checks every array it builds:
+    matrices pass the ingest of :class:`SelfAdjointOperator`, diagonals must
+    be finite, and an error names the offending parameter.  The value at
+    ``t`` must not depend on which other parameters share its batch, down
+    to the last bit.  A function of one parameter goes through
+    :func:`matrix_path`.
 
     :meth:`at` builds an operator and keeps nothing; :meth:`spectra` caches
-    one read-only row of ``dim`` sorted eigenvalues per parameter, never an
-    operator, so a path holds ``8 * dim`` bytes per parameter it has solved.
+    one read-only row of ``dim`` sorted eigenvalues per parameter, never a
+    matrix, so a path holds ``8 * dim`` bytes per parameter it has solved.
 
     ``lipschitz`` is an optional bound L on the operator norm of the
     derivative; ``None`` means unknown.  Certification relies on it: a
@@ -81,7 +85,7 @@ class OperatorPath:
     def __init__(
         self,
         dim: int,
-        build: Callable[[np.ndarray], list[SelfAdjointOperator]],
+        build: Callable[[np.ndarray], np.ndarray],
         lipschitz: float | None = None,
     ):
         if dim < 1:
@@ -101,42 +105,36 @@ class OperatorPath:
 
     def at(self, t: float) -> SelfAdjointOperator:
         """Build the operator at parameter ``t`` in [0, 1]: a batch of one, not cached."""
-        return self._operators([t])[0]
+        return SelfAdjointOperator._checked(self._build_chunk(_params([t]))[0])
 
-    def _operators(self, ts) -> list[SelfAdjointOperator]:
-        """Build the operators at every parameter in ``ts``, in stacked chunks."""
-        keys = _params(ts)
-        step = stack_chunk(self._dim)
-        ops: list[SelfAdjointOperator] = []
-        for i in range(0, len(keys), step):
-            ops += self._build_chunk(keys[i : i + step])
-        return ops
-
-    def _build_chunk(self, chunk: list[float]) -> list[SelfAdjointOperator]:
-        """One call of ``build``, enforcing its contract."""
-        ops = self._build(np.array(chunk))
-        if len(ops) != len(chunk):
+    def _build_chunk(self, chunk) -> np.ndarray:
+        """One checked call of ``build``; ``chunk`` is not range-checked (composites' parts)."""
+        n, d = len(chunk), self._dim
+        built = np.asarray(self._build(np.array(chunk, dtype=np.float64)))
+        if built.shape[:1] == (n,) and built.ndim in (2, 3):
+            built = (_ingest_stack if built.ndim == 3 else _ingest_diagonal)(built, chunk)
+        if built.shape not in ((n, d, d), (n, d)):
             raise ValueError(
-                f"path build returned {len(ops)} operators for {len(chunk)} parameters"
+                f"path build returned shape {built.shape} for {n} parameters of dimension {d}"
             )
-        for op in ops:
-            if op.dim != self._dim:
-                raise ValueError(f"path build returned dimension {op.dim}, expected {self._dim}")
-        return ops
+        return built
 
     def spectra(self, ts) -> np.ndarray:
         """Sorted eigenvalues ``(len(ts), dim)`` at every parameter in ``ts``.
 
         Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum.values``.  Rows
-        come from the path's cache; missing ones are built and solved with
-        stacked eigensolves, and only the rows are kept.
+        come from the path's cache; missing ones are built and solved a
+        stacked chunk at a time, and only the rows are kept.
         """
-        rows = self._rows(ts)
+        rows = self._rows(_params(ts))
         return np.array(rows) if rows else np.empty((0, self._dim))
 
-    def _rows(self, ts) -> list[np.ndarray]:
-        """The cached row at every parameter in ``ts``, filling misses first."""
-        keys = _params(ts)
+    def _rows(self, keys: list[float]) -> list[np.ndarray]:
+        """The cached row at every parameter in ``keys``, filling misses first.
+
+        ``keys`` are not range-checked: a sampled path's end intervals reach
+        a rounding past 0 and 1.
+        """
         cache = self._cache
         missing = list(dict.fromkeys(t for t in keys if t not in cache))
         if missing:
@@ -144,37 +142,46 @@ class OperatorPath:
         return [cache[t] for t in keys]
 
     def _solve(self, ts: list[float]) -> None:
-        """Cache the rows at ``ts``: build and solve a chunk at a time, drop the operators."""
+        """Cache the rows at ``ts``: build and solve a chunk at a time, keep only the rows."""
         step = stack_chunk(self._dim)
         for i in range(0, len(ts), step):
             chunk = ts[i : i + step]
-            ops = self._build_chunk(chunk)
-            solve_spectra(ops)
-            for t, op in zip(chunk, ops):
-                self._cache[t] = op.spectrum.values
+            self._cache.update(zip(chunk, _spectrum_rows(self._build_chunk(chunk))))
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"
+
+
+def _assemble(n: int, parts: list) -> np.ndarray:
+    """One stack of ``n`` entries from ``(idx, stack)`` parts: ``stack[k]`` is entry ``idx[k]``.
+
+    Diagonal parts become dense when another part is dense, and the dtype
+    is the parts' common one.
+    """
+    stacks = [stack for _, stack in parts]
+    if len({stack.ndim for stack in stacks}) > 1:
+        stacks = [_dense(stack) for stack in stacks]
+    out = np.empty((n, *stacks[0].shape[1:]), dtype=np.result_type(*stacks))
+    for (idx, _), stack in zip(parts, stacks):
+        out[idx] = stack
+    return out
 
 
 class _Reparametrized(OperatorPath):
     """A path whose value at each parameter is one of its parts' values.
 
     ``route(ts)`` lists ``(part, idx, us)`` triples: the path at ``ts[idx]``
-    is ``part`` at ``us``.  Operators are the parts' builds; rows are the
-    parts' cached rows, so a composite solves nothing its parts have solved
-    and a cache hit is one lookup in its own dict.
+    is ``part`` at ``us``.  A build assembles the parts' stacks; rows are
+    the parts' cached rows, so a composite solves nothing its parts have
+    solved and a cache hit is one lookup in its own dict.
     """
 
     __slots__ = ("_route",)
 
     def __init__(self, dim: int, route, lipschitz: float | None):
-        def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-            ops: list = [None] * ts.size
-            for part, idx, us in route(ts):
-                for i, op in zip(idx, part._operators(us)):
-                    ops[i] = op
-            return ops
+        def build(ts: np.ndarray) -> np.ndarray:
+            parts = [(idx, part._build_chunk(us)) for part, idx, us in route(ts) if len(idx)]
+            return _assemble(ts.size, parts)
 
         # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
         super().__init__(dim, build, lipschitz)
@@ -182,7 +189,8 @@ class _Reparametrized(OperatorPath):
 
     def _solve(self, ts: list[float]) -> None:
         for part, idx, us in self._route(np.array(ts)):
-            for i, row in zip(idx, part._rows(us)):
+            rows = part._rows(np.asarray(us, dtype=np.float64).tolist())
+            for i, row in zip(idx, rows):
                 self._cache[ts[i]] = row
 
 
@@ -193,40 +201,40 @@ def matrix_path(
 ) -> OperatorPath:
     """Path from a function returning raw Hermitian matrices.
 
-    ``fn`` is called once per parameter; an ingest error names that
-    parameter.
+    ``fn`` is called once per parameter and its matrices are ingested as
+    one stack; an ingest error names the parameter.  A stack has one dtype:
+    if ``fn`` returns complex matrices at some parameters, its real ones
+    are solved as complex too.
     """
 
-    def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-        return [stacked_operators(np.asarray(fn(t))[None], [t])[0] for t in ts.tolist()]
+    def build(ts: np.ndarray) -> np.ndarray:
+        stack = np.array([fn(t) for t in ts.tolist()])
+        if stack.ndim != 3:  # vectors would pass as diagonal rows
+            shape = stack.shape[1:]
+            raise ValueError(f"operator entries must be a square matrix, got shape {shape}")
+        return stack
 
     return OperatorPath(dim, build, lipschitz)
 
 
 def constant_path(op: SelfAdjointOperator) -> OperatorPath:
-    return OperatorPath(op.dim, lambda ts: [op] * len(ts), lipschitz=0.0)
+    """The path ``t -> op``: every parameter reads one cached row, solved once."""
+    stack = op._stack
+    point = OperatorPath(op.dim, lambda ts: np.broadcast_to(stack, (ts.size, *stack.shape[1:])))
+    return _Reparametrized(op.dim, _whole(point, np.zeros_like), lipschitz=0.0)
 
 
-def _blend(
-    w: np.ndarray,
-    xs: list[SelfAdjointOperator],
-    ys: list[SelfAdjointOperator],
-    ts: np.ndarray,
-) -> list[SelfAdjointOperator]:
-    """Operators ``(1 - w) x + w y`` at parameters ``ts``, one per weight in ``w``.
+def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The stack ``(1 - w) x + w y``, one entry per weight in ``w``.
 
-    ``xs`` and ``ys`` hold one operator per weight, or one for all of them.
-    Diagonal operands give diagonal operators, blended entry by entry on
-    the diagonals; any dense operand sends the whole stack through dense
-    ingest.
+    ``x`` and ``y`` are checked stacks with one entry per weight, or one
+    for all of them.  Two diagonal stacks blend entry by entry on the
+    diagonals; a dense operand makes the blend dense.
     """
-    if all(op._diag is not None for op in (*xs, *ys)):
-        x, y = np.array([op._diag for op in xs]), np.array([op._diag for op in ys])
-        wd = w[:, None]
-        return diagonal_operators((1.0 - wd) * x + wd * y, ts)
-    x, y = np.array([op.entries for op in xs]), np.array([op.entries for op in ys])
-    wd = w[:, None, None]
-    return stacked_operators((1.0 - wd) * x + wd * y, ts)
+    if x.ndim != y.ndim:
+        x, y = _dense(x), _dense(y)
+    wd = w.reshape(w.shape + (1,) * (x.ndim - 1))
+    return (1.0 - wd) * x + wd * y
 
 
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
@@ -237,7 +245,8 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
     lip = float(np.linalg.norm(b.entries - a.entries, 2))
-    return OperatorPath(a.dim, lambda ts: _blend(ts, [a], [b], ts), lipschitz=lip)
+    x, y = a._stack, b._stack
+    return OperatorPath(a.dim, lambda ts: _blend(ts, x, y), lipschitz=lip)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:
@@ -331,8 +340,9 @@ class Homotopy:
         if s in (0.0, 1.0):
             return _Reparametrized(a.dim, _whole(b if s else a, lambda ts: ts), lip)
 
-        def build(ts: np.ndarray) -> list[SelfAdjointOperator]:
-            return _blend(np.full(ts.size, s), a._operators(ts), b._operators(ts), ts)
+        def build(ts: np.ndarray) -> np.ndarray:
+            keys = ts.tolist()
+            return _blend(np.full(ts.size, s), a._build_chunk(keys), b._build_chunk(keys))
 
         return OperatorPath(a.dim, build, lip)
 

@@ -29,6 +29,9 @@ DELETED = (
     "BASEPOINT_RTOL",
     "eigen_count",
     "EigenCount",
+    "stacked_operators",
+    "diagonal_operators",
+    "solve_spectra",
 )
 
 
@@ -50,6 +53,7 @@ def test_deleted_name_not_importable(name):
 
 def test_one_path_constructor_and_one_homotopy_reader():
     assert not hasattr(specflow.OperatorPath, "batched")
+    assert not hasattr(specflow.OperatorPath, "_operators")
     assert not hasattr(specflow.Homotopy, "at")
 
 

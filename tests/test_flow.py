@@ -24,13 +24,18 @@ from specflow import (
     circle_family,
     concat,
     glue,
+    invertible_valued_family,
     matrix_path,
     oracle_flow,
     random_family,
     reparametrize,
     reverse,
     spectral_flow,
+    straight_segment,
 )
+from specflow.config import sampled_path
+from specflow.flow import _check_window, _widest_gap
+from specflow.operators import spectral_scale
 
 
 class TestRefinePartition:
@@ -370,3 +375,115 @@ class TestEveryCertificateVerifies:
         assert eigvalsh_counter.matrices == 0
         cert.verify(VERIFIED_PATHS[kind](seed))
         assert eigvalsh_counter.matrices <= len({t for w in cert.witnesses for t in w.grid})
+
+
+def _tanh_jump():
+    # The eigenvalue -2 tanh(1e6 (t - 0.44)) goes from 2 to -2 between two
+    # witnesses, so every witnessed magnitude is 2 and the window count
+    # stays constant while the flow is -1.
+    return matrix_path(1, lambda t: [[-2.0 * np.tanh(1e6 * (t - 0.44))]])
+
+
+class TestJumpAcrossTheWindow:
+    def test_check_window_names_the_jump(self):
+        path = _tanh_jump()
+        ts = np.linspace(0.375, 0.5, 9)
+        spectra = path.spectra(ts)
+        radius, margin = _widest_gap(spectra)
+        assert _check_window(path, ts, spectra, radius, margin, FlowOptions()) == (
+            "jump across the window: 0 eigenvalues below -1.000e+00 at t=0.375 "
+            "but 1 at t=0.453125"
+        )
+
+    def test_path_is_not_certified(self):
+        path = _tanh_jump()
+        assert oracle_flow(path).flow == -1
+        with pytest.raises(DepthExceeded, match=r"^segment \[0\.43999"):
+            spectral_flow(path)
+
+    def test_verify_rejects_the_flow_zero_certificate(self):
+        # One segment whose nine witnesses all have |eigenvalue| 2: the
+        # window [-1, 1] keeps count 0 while the eigenvalue jumps across it.
+        grid = tuple(np.linspace(0.0, 1.0, 9).tolist())
+        witness = SegmentWitness(0.0, 1.0, radius=1.0, margin=1.0, grid=grid, symmetric_count=0)
+        cert = FlowCertificate(
+            times=(0.0, 1.0),
+            witnesses=(witness,),
+            counts=((0, 0),),
+            flow=0,
+            options=FlowOptions(init_samples=1),
+        )
+        with pytest.raises(CertificateBroken) as info:
+            cert.verify(_tanh_jump())
+        assert str(info.value) == (
+            "segment [0.0, 1.0]: jump across the window: 0 eigenvalues below -1.000e+00 "
+            "at t=0.0 but 1 at t=0.5"
+        )
+
+
+def _random_sampled(seed: int, complex_knots: tuple[bool, ...]):
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 4
+    knots = []
+    for t, cplx in zip(np.linspace(0.0, 1.0, len(complex_knots)).tolist(), complex_knots):
+        g = rng.standard_normal((dim, dim))
+        if cplx:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        knots.append((t, (g + g.conj().T) / 2))
+    return sampled_path(knots)
+
+
+def _bumped_slice(seed: int, s: float):
+    a = random_family(2 + seed % 6, seed, invertible_ends=True)
+    bump = np.diag(np.linspace(-0.5, 0.5, a.dim))
+    bumped = matrix_path(
+        a.dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * bump, a.lipschitz + 0.5 * np.pi
+    )
+    return affine_homotopy(a, bumped).slice_at(s)
+
+
+def _resolvable_warp(seed: int):
+    # Interior knots at least 1/80 apart, so the slope stays below 80.
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.05, 1.0, 2 + seed % 3)
+    xs = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    xs[-1] = 1.0
+    ys = np.linspace(0.0, 1.0, xs.size)
+    slope = float(np.max(np.diff(ys) / np.diff(xs)))
+    a = random_family(2 + seed % 5, seed)
+    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=a.lipschitz * slope)
+
+
+def _concat_segment(seed: int):
+    a = random_family(3, seed)
+    return concat(a, straight_segment(a.at(1.0), invertible_valued_family(3, seed).at(0.0)))
+
+
+INERTIA_PATHS = {
+    "random": lambda seed: random_family(2 + seed % 11, seed),
+    "invertible-valued": lambda seed: invertible_valued_family(2 + seed % 7, seed),
+    "baer": lambda seed: baer_family(BaerFamilySpec(m=1 + seed % 5)),
+    "circle": lambda seed: circle_family(4, seed % 9 - 4),
+    "glue": _glued,
+    "sampled real": lambda seed: _random_sampled(seed, (False, False, False)),
+    "sampled complex": lambda seed: _random_sampled(seed, (True, True, True)),
+    "sampled mixed": lambda seed: _random_sampled(seed, (False, False, True, False)),
+    "concat": _concat_segment,
+    "reverse": lambda seed: reverse(random_family(2 + seed % 6, seed)),
+    "interior slice": lambda seed: _bumped_slice(seed, 0.3),
+    "end slice": lambda seed: _bumped_slice(seed, 1.0),
+    "warp": _resolvable_warp,
+}
+
+
+class TestEndpointInertia:
+    """In finite dimensions the flow is endpoint data: ``neg(A(0)) - neg(A(1))``."""
+
+    @given(st.sampled_from(sorted(INERTIA_PATHS)), st.integers(min_value=0, max_value=10_000))
+    def test_flow_is_the_drop_in_negative_count(self, kind, seed):
+        path = INERTIA_PATHS[kind](seed)
+        cert = spectral_flow(path)
+        ends = path.spectra([0.0, 1.0])
+        zero_tol = cert.options.cluster_tol * spectral_scale(ends)
+        neg = np.count_nonzero(ends < -zero_tol[:, None], axis=1)
+        assert cert.flow == int(neg[0] - neg[1])

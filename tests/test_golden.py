@@ -35,7 +35,7 @@ from specflow import (
     spectral_flow,
 )
 from specflow.cli import main
-from specflow.operators import diagonal_operators
+from specflow.config import sampled_path
 from specflow.reporting import dumps_document, flow_certificate_document
 
 GOLDEN = {
@@ -108,7 +108,7 @@ def _connector_ledger() -> str:
         # Slot 0 sweeps -1..1; with the connector's -1 the concatenation
         # collides with the constant path's flow 0.
         def build(ts):
-            return diagonal_operators(np.column_stack([2.0 * ts - 1.0, np.tile(static, (ts.size, 1))]), ts)
+            return np.column_stack([2.0 * ts - 1.0, np.tile(static, (ts.size, 1))])
 
         return OperatorPath(4, build, 2.0)
 
@@ -142,3 +142,42 @@ def test_path_algebra_digest(name, eigvalsh_counter):
     text = PATH_ALGEBRA[name]()
     assert eigvalsh_counter.matrices == 0
     assert hashlib.sha256(text.encode()).hexdigest() == PATH_ALGEBRA_GOLDEN[name]
+
+
+# One interval blends two real knots, the next a real and a complex one:
+# each interval keeps its own dtype, so no real matrix is solved as complex.
+_REAL = [
+    np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]]),
+    np.array([[-1.0, 0.5, 0.125], [0.5, -1.0, 0.25], [0.125, 0.25, 2.0]]),
+    np.array([[-2.0, 0.25, 0.0], [0.25, 1.5, 0.5], [0.0, 0.5, -1.0]]),
+]
+_COMPLEX = np.array([[0.5, 0.25 + 0.5j, 0.0], [0.25 - 0.5j, -1.5, 0.75j], [0.0, -0.75j, 1.0]])
+
+
+def _sampled_document(knots) -> str:
+    """Spectra on a 33-point grid, then the certificate, of the sampled path through ``knots``."""
+    path = sampled_path(knots)
+    rows = path.spectra(np.linspace(0.0, 1.0, 33))
+    return rows.tobytes().hex() + "\n" + _certificate(path)
+
+
+DTYPE_TRAPS = {
+    "sampled knots real, real, complex, real": lambda: _sampled_document(
+        list(zip([0.0, 0.3, 0.6, 1.0], [_REAL[0], _REAL[1], _COMPLEX, _REAL[2]]))
+    ),
+    # The ends extrapolate the first and last intervals by about 2e-13.
+    "sampled knots at 1e-13 and 1 - 1e-13": lambda: _sampled_document(
+        list(zip([1e-13, 0.5, 1.0 - 1e-13], _REAL))
+    ),
+}
+
+DTYPE_TRAPS_GOLDEN = {
+    "sampled knots real, real, complex, real": "29908ac176ddbf03b6d453389011196e251cc4503204447bf9affd9e3484f686",
+    "sampled knots at 1e-13 and 1 - 1e-13": "1c49dbb2c06ea3a597f83e0375ded9fdb77b8ab0ac0cf95d6f4e80af182384eb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_TRAPS))
+def test_sampled_dtype_digest(name):
+    text = DTYPE_TRAPS[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == DTYPE_TRAPS_GOLDEN[name]

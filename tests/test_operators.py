@@ -14,7 +14,7 @@ from specflow import (
     baer_family,
     glue,
 )
-from specflow.operators import diagonal_operators
+from specflow.paths import OperatorPath
 
 _reals = st.floats(-1e300, 1e300, allow_nan=False)
 
@@ -88,7 +88,7 @@ class TestDiagonalOperator:
             SelfAdjointOperator.from_diagonal([1.0, np.nan])
         rows = np.array([[1.0, 2.0], [np.inf, 2.0], [np.nan, 1.0]])
         with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
-            diagonal_operators(rows, [0.0, 0.5, 1.0])
+            OperatorPath(2, lambda ts: rows).spectra([0.0, 0.5, 1.0])
 
     def test_non_finite_family_row_names_parameter(self):
         # Specs validate their inputs, so the non-finite value is forced past

@@ -22,7 +22,6 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
-from specflow.operators import diagonal_operators, stacked_operators
 
 
 def crossing_path(up: bool = True):
@@ -134,7 +133,7 @@ def diagonal_path(values):
     """Diagonal path ``t -> diag(values(t))``."""
     return OperatorPath(
         len(values(0.0)),
-        lambda ts: diagonal_operators(np.array([values(t) for t in ts.tolist()]), ts),
+        lambda ts: np.array([values(t) for t in ts.tolist()]),
     )
 
 
@@ -173,7 +172,7 @@ class TestPathAlgebraRules:
         [(2.0, 3.0, 3.0), (4.0, 1.5, 4.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
     )
     def test_slice_bound_is_max(self, la, lb, expect):
-        build = crossing_path()._operators
+        build = crossing_path()._build
         h = affine_homotopy(OperatorPath(3, build, la), OperatorPath(3, build, lb))
         for s in (0.0, 0.5, 1.0):
             assert h.slice_at(s).lipschitz == expect
@@ -183,8 +182,8 @@ class TestPathAlgebraRules:
         [(2.0, 3.0, 6.0), (4.0, 1.5, 8.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
     )
     def test_concat_bound_is_twice_max(self, la, lb, expect):
-        a = OperatorPath(3, crossing_path()._operators, la)
-        b = OperatorPath(3, constant_path(a.at(1.0))._operators, lb)
+        a = OperatorPath(3, crossing_path()._build, la)
+        b = OperatorPath(3, constant_path(a.at(1.0))._build, lb)
         assert concat(a, b).lipschitz == expect
 
     def test_homotopy_checks_endpoints_on_construction(self):
@@ -259,10 +258,16 @@ class TestPathValidation:
 
     def test_build_must_return_one_operator_per_parameter(self):
         def short(ts):
-            return stacked_operators(np.repeat(np.eye(2)[None], ts.size, axis=0), ts)[:-1]
+            return np.repeat(np.eye(2)[None], ts.size, axis=0)[:-1]
 
         p = OperatorPath(2, short)
-        with pytest.raises(ValueError, match=r"^path build returned 2 operators for 3 parameters$"):
+        with pytest.raises(
+            ValueError,
+            match=r"^path build returned shape \(2, 2, 2\) for 3 parameters of dimension 2$",
+        ):
             p.spectra([0.0, 0.5, 1.0])
-        with pytest.raises(ValueError, match=r"^path build returned 0 operators for 1 parameters$"):
+        with pytest.raises(
+            ValueError,
+            match=r"^path build returned shape \(0, 2, 2\) for 1 parameters of dimension 2$",
+        ):
             p.at(1.0)

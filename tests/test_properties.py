@@ -78,6 +78,6 @@ class TestExtensionPath:
         b, c = random_symmetric(rng, 5), random_symmetric(rng, 5)
         start = a.at(1.0).entries
         ts = np.linspace(0.0, 1.0, 33)
-        for t, op in zip(ts.tolist(), ext._operators(ts)):
-            assert np.array_equal(op.entries, start + t * b + np.sin(np.pi * t) * c)
+        for t, entries in zip(ts.tolist(), ext._build_chunk(ts.tolist())):
+            assert np.array_equal(entries, start + t * b + np.sin(np.pi * t) * c)
         assert ext.lipschitz == float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))

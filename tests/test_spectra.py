@@ -34,7 +34,7 @@ from specflow import (
 from specflow import operators
 from specflow.cli import main
 from specflow.config import sampled_path
-from specflow.operators import stack_chunk, stacked_operators
+from specflow.operators import _dense, _ingest_stack, stack_chunk
 from specflow.paths import OperatorPath
 
 
@@ -257,9 +257,9 @@ class TestDiagonalBlend:
         dense = (1.0 - t) * np.diag(a) + t * np.diag(b)
         _assert_diagonal_spectra(seg.spectra(ts), dense)
         assert seg.lipschitz == float(np.linalg.norm(np.diag(b) - np.diag(a), 2))
-        for op, m in zip(seg._operators(ts), dense):
-            assert op._diag is not None
-            assert op.entries.tobytes() == m.tobytes()
+        built = seg._build_chunk(ts)
+        assert built.ndim == 2
+        assert _dense(built).tobytes() == dense.tobytes()
 
     @given(seed=st.integers(0, 10_000), ts=st.lists(_params, min_size=1, max_size=20, unique=True))
     def test_segment_from_diagonal_to_dense(self, seed, ts):
@@ -272,9 +272,7 @@ class TestDiagonalBlend:
         dense = (1.0 - t) * np.diag(a) + t * h
         assert seg.spectra(ts).tobytes() == np.linalg.eigvalsh(dense).tobytes()
         assert seg.lipschitz == float(np.linalg.norm(h - np.diag(a), 2))
-        for op, m in zip(seg._operators(ts), dense):
-            assert op._diag is None
-            assert op.entries.tobytes() == m.tobytes()
+        assert seg._build_chunk(ts).tobytes() == dense.tobytes()
 
     @given(
         seed=st.integers(0, 10_000),
@@ -289,9 +287,9 @@ class TestDiagonalBlend:
         eb = np.stack([b.at(t).entries for t in ts])
         dense = ea if s == 0.0 else eb if s == 1.0 else (1.0 - s) * ea + s * eb
         _assert_diagonal_spectra(sl.spectra(ts), dense)
-        for op, m in zip(sl._operators(ts), dense):
-            assert op._diag is not None
-            assert op.entries.tobytes() == m.tobytes()
+        built = sl._build_chunk(ts)
+        assert built.ndim == 2
+        assert _dense(built).tobytes() == dense.tobytes()
 
 
 class TestIngestErrorsNameParameter:
@@ -307,7 +305,7 @@ class TestIngestErrorsNameParameter:
         def build(ts):
             stack = np.repeat(np.eye(2)[None], ts.size, axis=0)
             stack[ts == 0.5, 0, 1] = np.nan
-            return stacked_operators(stack, ts)
+            return stack
 
         p = OperatorPath(2, build)
         with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
@@ -318,23 +316,25 @@ class TestIngestErrorsNameParameter:
             SelfAdjointOperator(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-def _inline_sampled_operators(knots, mats, params):
-    """Sampled-path operators by the inline knot-interval blend, one stack per interval."""
+def _inline_sampled_entries(knots, mats, params):
+    """Sampled-path matrices by the inline knot-interval blend, one stack per interval."""
     ts = np.asarray(knots)
     j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(mats) - 2)
     u = (params - ts[j]) / (ts[j + 1] - ts[j])
-    ops = [None] * params.size
+    entries = [None] * params.size
     for k in np.unique(j).tolist():
         rows = np.flatnonzero(j == k)
         w = u[rows][:, None, None]
-        stack = stacked_operators((1.0 - w) * mats[k] + w * mats[k + 1], params[rows])
-        for r, op in zip(rows.tolist(), stack):
-            ops[r] = op
-    return ops
+        stack = _ingest_stack((1.0 - w) * mats[k] + w * mats[k + 1], params[rows])
+        for r, m in zip(rows.tolist(), stack):
+            entries[r] = m
+    return entries
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sampled_path_matches_inline_blend(seed):
+    # Each interval keeps the dtype of its two knots: a real interval next
+    # to a complex knot is built and solved as real.
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 20))
     count = int(rng.integers(2, 6))
@@ -347,12 +347,11 @@ def test_sampled_path_matches_inline_blend(seed):
         raw.append((g + g.conj().T) / 2)
     mats = [SelfAdjointOperator(m).entries for m in raw]
     params = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 40), knots]))
-    got = sampled_path(list(zip(knots, raw)))._operators(params)
-    reference = _inline_sampled_operators(knots, mats, params)
-    for op, ref in zip(got, reference):
-        assert op.entries.dtype == ref.entries.dtype
-        assert op.entries.tobytes() == ref.entries.tobytes()
-    operators.solve_spectra(got)
-    operators.solve_spectra(reference)
-    for op, ref in zip(got, reference):
-        assert op.spectrum.values.tobytes() == ref.spectrum.values.tobytes()
+    path = sampled_path(list(zip(knots, raw)))
+    reference = _inline_sampled_entries(knots, mats, params)
+    for t, ref in zip(params.tolist(), reference):
+        got = path.at(t).entries
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    for row, ref in zip(path.spectra(params), reference):
+        assert row.tobytes() == np.linalg.eigvalsh(ref).tobytes()
