@@ -6,6 +6,15 @@ inside the window is constant on a witness grid, and the flow is the
 telescoping sum of upper-half counts at the partition points.  The result
 is an integer independent of the partition (a tested property), so any
 certified partition is as good as any other.
+
+Refinement is batched and runs left to right.  Pending segments wait on a
+stack in depth-first order.  Each round reads the witness grids of the
+leftmost ones with one ``spectra`` call and decides them all with one
+array kernel (:func:`_widest_gaps`, then :func:`_check_windows`, the one
+acceptance rule, which :meth:`FlowCertificate.verify` also runs).  Until a
+segment certifies, a round takes one segment, so a path that certifies
+nothing solves what depth-first order solves; after that it takes
+``max(1, 64 >> depth)``.
 """
 
 from __future__ import annotations
@@ -104,13 +113,16 @@ class FlowCertificate:
         """Re-check the certificate against ``path``; raise CertificateBroken if it fails.
 
         The witnesses must tile [0, 1] in the order of ``times``, with one
-        count pair each, and every witness grid must be the
-        ``options.witness_points``-point grid of its segment.  Each
-        segment's recorded window then passes the certifier's own check
-        (:func:`_check_window`: margin floor, Lipschitz slack, witnessed
+        count pair each.  Every witness grid is then read with one
+        ``spectra`` call, and segment by segment, from the left, the grid
+        must be the ``options.witness_points``-point grid of its segment,
+        the recorded window must pass the certifier's own rule
+        (:func:`_check_windows`: margin floor, Lipschitz slack, witnessed
         margin, a constant count equal to ``symmetric_count`` and a constant
-        count below the window), the end counts are recounted from the
-        grid's first and last rows, and ``flow`` must telescope over them.
+        count below the window), and the end counts recounted from the
+        grid's first and last rows must match.  ``flow`` must telescope over
+        them.  The error names the leftmost broken segment and its first
+        reason.
         """
         opts = self.options
         times = self.times
@@ -128,22 +140,28 @@ class FlowCertificate:
             raise CertificateBroken(
                 f"{len(self.counts)} count pairs recorded for {len(self.witnesses)} segments"
             )
+        ts, spectra = _witness_spectra(
+            path, [w.t_lower for w in self.witnesses], [w.t_upper for w in self.witnesses], opts
+        )
+        radius = np.array([w.radius for w in self.witnesses])
+        counts, reasons = _check_windows(
+            path, ts, spectra, radius, np.array([w.margin for w in self.witnesses]), opts
+        )
         total = 0
-        for w, (c_lo, c_hi) in zip(self.witnesses, self.counts):
+        for i, (w, grid, reason, (c_lo, c_hi)) in enumerate(
+            zip(self.witnesses, ts.tolist(), reasons, self.counts)
+        ):
             lo, hi = w.t_lower, w.t_upper
-            ts = np.linspace(lo, hi, opts.witness_points)
-            if w.grid != tuple(ts.tolist()):
+            if w.grid != tuple(grid):
                 raise CertificateBroken(
                     f"segment [{lo!r}, {hi!r}]: witness grid is not the "
                     f"{opts.witness_points}-point grid of the segment"
                 )
-            spectra = path.spectra(ts)
-            count = _check_window(path, ts, spectra, w.radius, w.margin, opts)
-            if isinstance(count, str):
-                raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {count}")
-            if count != w.symmetric_count:
+            if reason is not None:
+                raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {reason}")
+            if counts[i] != w.symmetric_count:
                 raise CertificateBroken(f"symmetric count drifted at t={w.grid[0]}")
-            ends = [_upper_count(spectra[j], w.radius, opts.cluster_tol) for j in (0, -1)]
+            ends = _upper_count(spectra[i, [0, -1]], radius[[i, i]], opts.cluster_tol)
             for t, recorded, recounted in zip((lo, hi), (c_lo, c_hi), ends):
                 if recorded != recounted:
                     raise CertificateBroken(f"count at t={t} drifted")
@@ -152,40 +170,54 @@ class FlowCertificate:
             raise CertificateBroken("flow does not telescope over the recorded counts")
 
 
-def _widest_gap(spectra: np.ndarray) -> tuple[float, float] | str:
-    """Midpoint and half-width of the widest gap in the pooled magnitudes, or why none exists.
+# Once the refinement has certified a segment, it reads the leftmost
+# ``max(1, _BATCH >> depth)`` pending segments with one ``spectra`` call.
+_BATCH = 64
 
-    0 is always a level, so the radius stays positive.  Repeated levels
-    only add empty gaps, and ``argmax`` takes the first widest one, so
-    sorting gives the gap that the distinct levels would.
+_ALL_ZERO = "all zero: every witnessed eigenvalue is 0, so no window radius exists"
+
+
+def _widest_gaps(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window of each segment of ``spectra`` ``(S, W, dim)``: radius, margin and "no gap".
+
+    The window is the midpoint and half-width of the widest gap in the
+    segment's pooled magnitudes.  0 is always a level, so the radius stays
+    positive.  Repeated levels only add empty gaps, and ``argmax`` takes
+    the first widest one, so sorting gives the gap that the distinct levels
+    would.  A segment whose widest gap is empty has no window.
     """
-    pooled = np.sort(np.concatenate([[0.0], np.abs(spectra).ravel()]))
-    widths = np.diff(pooled)
-    k = int(np.argmax(widths))
-    if widths[k] == 0.0:
-        return "all zero: every witnessed eigenvalue is 0, so no window radius exists"
-    return float(0.5 * (pooled[k] + pooled[k + 1])), float(0.5 * widths[k])
+    s = len(spectra)
+    pooled = np.sort(
+        np.concatenate([np.zeros((s, 1)), np.abs(spectra).reshape(s, -1)], axis=1), axis=1
+    )
+    widths = np.diff(pooled, axis=1)
+    k = np.argmax(widths, axis=1)
+    rows = np.arange(s)
+    width = widths[rows, k]
+    return 0.5 * (pooled[rows, k] + pooled[rows, k + 1]), 0.5 * width, width == 0.0
 
 
-def _check_window(
+def _check_windows(
     path: OperatorPath,
     ts: np.ndarray,
     spectra: np.ndarray,
-    radius: float,
-    margin: float,
+    radius: np.ndarray,
+    margin: np.ndarray,
     opts: FlowOptions,
-) -> int | str:
-    """The segment acceptance rule: the constant window count, or why it fails.
+) -> tuple[np.ndarray, list[str | None]]:
+    """The segment acceptance rule: each segment's window count, and why it fails or ``None``.
 
-    ``spectra`` holds the eigenvalues on the equally spaced witness grid
-    ``ts``.  The window [-radius, radius] is rejected, in this order, when
-    ``margin`` is below the floor (``min_margin`` times the largest
-    witnessed magnitude), within the Lipschitz slack, or more than the
-    distance of some witnessed magnitude to the radius, when the count in
-    the window is not constant on the grid, or when the count below
+    Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
+    equally spaced witness grid ``ts[i]`` and the window
+    [-radius[i], radius[i]] with ``margin[i]``.  The window is rejected, in
+    this order, when the margin is below the floor (``min_margin`` times the
+    largest witnessed magnitude), within the Lipschitz slack, or more than
+    the distance of some witnessed magnitude to the radius, when the count
+    in the window is not constant on the grid, or when the count below
     -radius is not: an eigenvalue that jumps across the whole window
     between two witnesses keeps the window count but changes the flow.  A
-    rejection is a message that names the reason and its numbers.
+    rejection is a message that names the first failing reason and its
+    numbers.
 
     When the path carries a Lipschitz bound L the check is rigorous, not
     sampled: eigenvalues move at most L*h/2 between a parameter and its
@@ -193,106 +225,76 @@ def _check_window(
     constant on the whole segment.
     """
     mags = np.abs(spectra)
-    floor = opts.min_margin * float(mags.max())
-    if margin < floor:
-        return f"margin floor: margin {margin:.3e} is below the floor {floor:.3e}"
-    if path.lipschitz is not None and path.lipschitz > 0:
-        step = float(ts[-1] - ts[0]) / (len(ts) - 1)
-        slack = 0.5 * path.lipschitz * step
-        if margin <= slack:
-            # An eigenvalue could reach the boundary between witnesses.
-            return (
-                f"Lipschitz slack: margin {margin:.3e} does not exceed "
-                f"0.5 * L * step = {slack:.3e} with L = {path.lipschitz:.3e}, step = {step:.3e}"
-            )
+    floor = opts.min_margin * mags.max(axis=(1, 2))
+    lip = path.lipschitz
+    step = (ts[:, -1] - ts[:, 0]) / (ts.shape[1] - 1)
+    slack = 0.5 * lip * step if lip is not None and lip > 0 else np.full(len(ts), -np.inf)
     # The certifier's own window always passes; the relative 1e-9 absorbs
     # the rounding of radius and margin.
-    distance = np.abs(mags - radius)
-    least = margin * (1 - 1e-9)
-    if distance.min() < least:
-        j = int(np.argmax(distance.min(axis=1) < least))
-        return f"window margin violated at t={float(ts[j])!r}"
-    counts = np.count_nonzero(mags <= radius, axis=1)
-    drift = np.flatnonzero(counts != counts[0])
-    if drift.size:
-        j = int(drift[0])
-        return (
-            f"count drift: the count in [-{radius:.3e}, {radius:.3e}] is {counts[0]} "
-            f"at t={float(ts[0])!r} but {counts[j]} at t={float(ts[j])!r}"
-        )
-    below = np.count_nonzero(spectra < -radius, axis=1)
-    jump = np.flatnonzero(below != below[0])
-    if jump.size:
-        j = int(jump[0])
-        return (
-            f"jump across the window: {below[0]} eigenvalues below -{radius:.3e} "
-            f"at t={float(ts[0])!r} but {below[j]} at t={float(ts[j])!r}"
-        )
-    return int(counts[0])
+    touched = np.abs(mags - radius[:, None, None]).min(axis=2) < (margin * (1 - 1e-9))[:, None]
+    counts = np.count_nonzero(mags <= radius[:, None, None], axis=2)
+    below = np.count_nonzero(spectra < -radius[:, None, None], axis=2)
+    drift = counts != counts[:, :1]
+    jump = below != below[:, :1]
+    low = margin < floor
+    slipped = margin <= slack
+    failed = low | slipped | (touched | drift | jump).any(axis=1)
+    reasons: list[str | None] = [None] * len(ts)
+    for i in np.flatnonzero(failed).tolist():
+        r, m, t = float(radius[i]), float(margin[i]), ts[i]
+        if low[i]:
+            reasons[i] = f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
+        elif slipped[i]:
+            # An eigenvalue could reach the boundary between witnesses.
+            reasons[i] = (
+                f"Lipschitz slack: margin {m:.3e} does not exceed "
+                f"0.5 * L * step = {slack[i]:.3e} with L = {lip:.3e}, step = {step[i]:.3e}"
+            )
+        elif touched[i].any():
+            j = int(np.argmax(touched[i]))
+            reasons[i] = f"window margin violated at t={float(t[j])!r}"
+        elif drift[i].any():
+            j = int(np.argmax(drift[i]))
+            reasons[i] = (
+                f"count drift: the count in [-{r:.3e}, {r:.3e}] is {counts[i, 0]} "
+                f"at t={float(t[0])!r} but {counts[i, j]} at t={float(t[j])!r}"
+            )
+        else:
+            j = int(np.argmax(jump[i]))
+            reasons[i] = (
+                f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
+                f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
+            )
+    return counts[:, 0], reasons
 
 
-def _certify_segment(
-    path: OperatorPath, lo: float, hi: float, opts: FlowOptions
-) -> SegmentWitness | str:
-    """Certify [lo, hi] as a single segment, or say why it cannot be.
+def _witness_spectra(path: OperatorPath, lo, hi, opts: FlowOptions) -> tuple[np.ndarray, np.ndarray]:
+    """The witness grids ``(S, W)`` of the segments [lo[i], hi[i]] and their spectra ``(S, W, dim)``.
 
-    :func:`_widest_gap` chooses the window; :func:`_check_window`, which
-    :meth:`FlowCertificate.verify` also runs, accepts it or names the reason.
+    Row ``i`` of the grids is bit for bit ``np.linspace(lo[i], hi[i], W)``;
+    every grid is read with one ``spectra`` call.
     """
-    ts = np.linspace(lo, hi, opts.witness_points)
-    spectra = path.spectra(ts)
-    window = _widest_gap(spectra)
-    if isinstance(window, str):
-        return window
-    radius, margin = window
-    count = _check_window(path, ts, spectra, radius, margin, opts)
-    if isinstance(count, str):
-        return count
-    return SegmentWitness(
-        t_lower=float(lo),
-        t_upper=float(hi),
-        radius=radius,
-        margin=margin,
-        grid=tuple(float(t) for t in ts),
-        symmetric_count=count,
-    )
+    ts = np.linspace(lo, hi, opts.witness_points, axis=1)
+    return ts, path.spectra(ts.ravel()).reshape(*ts.shape, -1)
 
 
-def _refine(
-    path: OperatorPath,
-    lo: float,
-    hi: float,
-    depth: int,
-    opts: FlowOptions,
-    out: list[SegmentWitness],
-) -> None:
-    w = _certify_segment(path, lo, hi, opts)
-    if isinstance(w, SegmentWitness):
-        out.append(w)
-        return
-    if depth >= opts.max_depth:
-        raise DepthExceeded(
-            f"segment [{lo:.9g}, {hi:.9g}] not certifiable at bisection depth {depth} ({w})"
-        )
-    mid = 0.5 * (lo + hi)
-    _refine(path, lo, mid, depth + 1, opts, out)
-    _refine(path, mid, hi, depth + 1, opts, out)
-
-
-def _upper_count(values: np.ndarray, radius: float, cluster_tol: float) -> int:
-    """Count the eigenvalues of one ``path.spectra`` row in [0, radius], closed at 0.
+def _upper_count(rows: np.ndarray, radius: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Count the eigenvalues of each ``path.spectra`` row in [0, radius[i]], closed at 0.
 
     The lower endpoint is inclusive with a small tolerance so a kernel
     eigenvalue sitting exactly at a partition point is counted the same
     way by both adjacent segments.  The upper endpoint is certified away
-    from the spectrum; a collision there means the certificate is stale.
+    from the spectrum; a collision there means the certificate is stale,
+    and :class:`BoundaryAmbiguity` names the first such row.
     """
-    zero_tol = cluster_tol * float(spectral_scale(values))
-    if float(np.abs(values - radius).min()) < zero_tol:
+    zero_tol = cluster_tol * spectral_scale(rows)
+    near = np.abs(rows - radius[:, None]).min(axis=1) < zero_tol
+    if near.any():
+        i = int(np.argmax(near))
         raise BoundaryAmbiguity(
-            f"eigenvalue within {zero_tol:.3e} of certified window radius {radius!r}"
+            f"eigenvalue within {zero_tol[i]:.3e} of certified window radius {float(radius[i])!r}"
         )
-    return int(np.count_nonzero((values >= -zero_tol) & (values <= radius)))
+    return np.count_nonzero((rows >= -zero_tol[:, None]) & (rows <= radius[:, None]), axis=1)
 
 
 def spectral_flow(
@@ -305,8 +307,12 @@ def spectral_flow(
 
     The partition starts from ``init_samples`` equal segments and is
     bisected wherever certification fails, up to ``max_depth``; beyond
-    that :class:`DepthExceeded` names the segment and the reason.  The two
-    arguments override the fields of ``options`` of the same name.
+    that :class:`DepthExceeded` names the leftmost such segment and its
+    reason, the one depth-first refinement would name.  Segments are
+    certified in batches of the leftmost pending ones (see the module
+    docstring), so a path that fails after certifying something may have
+    solved rows to the right of the failure.  The two arguments override
+    the fields of ``options`` of the same name.
 
     The flow is the net number of eigenvalues crossing zero upward,
     evaluated as the telescoping sum of counts in [0, radius_i] over the
@@ -318,20 +324,59 @@ def spectral_flow(
         opts = replace(opts, init_samples=init_samples)
     if max_depth is not None:
         opts = replace(opts, max_depth=max_depth)
-    edges = np.linspace(0.0, 1.0, opts.init_samples + 1)
-    witnesses: list[SegmentWitness] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        _refine(path, float(lo), float(hi), 0, opts, witnesses)
-    times = tuple([witnesses[0].t_lower] + [w.t_upper for w in witnesses])
+    edges = np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
+    # Pending (lo, hi, depth, failure) in depth-first order, the leftmost
+    # last.  A segment rejected at max_depth stays as a marker with its
+    # DepthExceeded text; no batch reads past it, and it is raised once it is
+    # the leftmost, so it names the segment depth-first order would.
+    pending = [(lo, hi, 0, None) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
+    leaves: list[SegmentWitness] = []
+    while pending:
+        depth, failure = pending[-1][2:]
+        if failure is not None:
+            raise DepthExceeded(failure)
+        # One segment at a time until something certifies, so a path that
+        # certifies nothing solves what depth-first order solves.
+        size = max(1, _BATCH >> depth) if leaves else 1
+        batch = []
+        while pending and len(batch) < size and pending[-1][3] is None:
+            batch.append(pending.pop())
+        bounds = np.array([seg[:2] for seg in batch])
+        ts, spectra = _witness_spectra(path, bounds[:, 0], bounds[:, 1], opts)
+        radius, margin, empty = _widest_gaps(spectra)
+        counts, reasons = _check_windows(path, ts, spectra, radius, margin, opts)
+        grids = ts.tolist()
+        for i in reversed(range(len(batch))):
+            lo, hi, depth, _ = batch[i]
+            reason = _ALL_ZERO if empty[i] else reasons[i]
+            if reason is None:
+                leaves.append(
+                    SegmentWitness(
+                        t_lower=lo,
+                        t_upper=hi,
+                        radius=float(radius[i]),
+                        margin=float(margin[i]),
+                        grid=tuple(grids[i]),
+                        symmetric_count=int(counts[i]),
+                    )
+                )
+            elif depth >= opts.max_depth:
+                text = f"not certifiable at bisection depth {depth} ({reason})"
+                pending.append((lo, hi, depth, f"segment [{lo:.9g}, {hi:.9g}] {text}"))
+            else:
+                mid = 0.5 * (lo + hi)
+                pending += [(mid, hi, depth + 1, None), (lo, mid, depth + 1, None)]
+    leaves.sort(key=lambda w: w.t_lower)
+    times = tuple([leaves[0].t_lower] + [w.t_upper for w in leaves])
     # Every partition point ends a witness grid, so these rows are cached.
     rows = path.spectra(times)
-    counts = tuple(
-        tuple(_upper_count(row, w.radius, opts.cluster_tol) for row in rows[i : i + 2])
-        for i, w in enumerate(witnesses)
-    )
+    radii = np.array([w.radius for w in leaves])
+    ends = np.stack([rows[:-1], rows[1:]], axis=1).reshape(-1, rows.shape[1])
+    pairs = _upper_count(ends, np.repeat(radii, 2), opts.cluster_tol).reshape(-1, 2)
+    counts = tuple(map(tuple, pairs.tolist()))
     return FlowCertificate(
         times=times,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(leaves),
         counts=counts,
         flow=sum(hi - lo for lo, hi in counts),
         options=opts,

@@ -53,7 +53,8 @@ def _ingest_stack(stack, ts=None) -> np.ndarray:
     """Check and symmetrize a stack ``(n, d, d)`` of matrices.
 
     Each matrix must be finite and Hermitian up to ``HERMITICITY_RTOL``
-    times its own largest entry; it is then symmetrized exactly.  ``ts``
+    times its own largest entry; it is then symmetrized exactly, and the
+    symmetrization must not overflow (entries near the float64 limit).  ``ts``
     (one parameter per matrix) only labels errors.
     """
     a = np.asarray(stack)
@@ -76,7 +77,14 @@ def _ingest_stack(stack, ts=None) -> np.ndarray:
             f"matrix is not self-adjoint: asymmetry {asym[i]:.3e} exceeds "
             f"{HERMITICITY_RTOL:.0e} * norm ({scale[i]:.3e})" + _at(ts, i)
         )
-    h = (a + adjoint) / 2
+    with np.errstate(over="ignore"):
+        h = (a + adjoint) / 2
+    overflow = ~np.isfinite(h).all(axis=(-2, -1))
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise ValueError(
+            "operator entries overflow float64 when symmetrized as (A + A^H) / 2" + _at(ts, i)
+        )
     h.setflags(write=False)
     return h
 

@@ -3,9 +3,12 @@
 Deliberately naive and fully independent of the certified engine: dense
 eigendecomposition on a fine parameter grid, signed zero crossings
 detected from negative-eigenvalue count differences between adjacent grid
-cells, each crossing refined by bisection.  Multiplicity > 1 crossings
-are handled by count differences, never by eigenvalue-curve pairing,
-which is ambiguous at collisions.
+cells, each crossing refined by bisection.  All cells that hold a crossing
+are bisected together, left to right and one level at a time, with one
+``spectra`` read of the level's midpoints: the same midpoints, and so the
+same rows, as bisecting one cell after another.  Multiplicity > 1
+crossings are handled by count differences, never by eigenvalue-curve
+pairing, which is ambiguous at collisions.
 """
 
 from __future__ import annotations
@@ -47,37 +50,38 @@ def _negative_counts(path: OperatorPath, ts) -> list[int]:
     return np.count_nonzero(path.spectra(ts) < 0.0, axis=1).tolist()
 
 
-def _refine_cell(
-    path: OperatorPath,
-    lo: float,
-    hi: float,
-    n_lo: int,
-    n_hi: int,
-    out: list[CrossingRecord],
-) -> None:
-    if hi - lo <= REFINE_WIDTH:
-        net = n_lo - n_hi  # upward crossings reduce the negative count
-        direction = 1 if net > 0 else -1
-        mid = 0.5 * (lo + hi)
-        for _ in range(abs(net)):
-            out.append(CrossingRecord(lo, hi, direction, mid))
-        return
-    mid = 0.5 * (lo + hi)
-    (n_mid,) = _negative_counts(path, [mid])
-    if n_mid != n_lo:
-        _refine_cell(path, lo, mid, n_lo, n_mid, out)
-    if n_mid != n_hi:
-        _refine_cell(path, mid, hi, n_mid, n_hi, out)
-
-
 def _grid_flow(path: OperatorPath, grid: int) -> OracleResult:
-    """Signed crossing count on ``grid`` equal cells, each crossing bisected."""
+    """Signed crossing count on ``grid`` equal cells, each crossing bisected.
+
+    All cells that hold a crossing are bisected one level at a time, with
+    one ``spectra`` read for the level's midpoints.  A cell emits its
+    records once it is at most ``REFINE_WIDTH`` wide; on a non-dyadic grid
+    cells get there at different levels, so the records are sorted by
+    ``t_lower``.
+    """
     ts = np.linspace(0.0, 1.0, grid + 1)
     negs = _negative_counts(path, ts)
+    edges = ts.tolist()
+    cells = [
+        (edges[j], edges[j + 1], negs[j], negs[j + 1]) for j in range(grid) if negs[j] != negs[j + 1]
+    ]
     records: list[CrossingRecord] = []
-    for j in range(grid):
-        if negs[j] != negs[j + 1]:
-            _refine_cell(path, float(ts[j]), float(ts[j + 1]), negs[j], negs[j + 1], records)
+    while cells:
+        wide = []
+        for lo, hi, n_lo, n_hi in cells:
+            if hi - lo > REFINE_WIDTH:
+                wide.append((lo, hi, n_lo, n_hi))
+                continue
+            net = n_lo - n_hi  # upward crossings reduce the negative count
+            records += [CrossingRecord(lo, hi, 1 if net > 0 else -1, 0.5 * (lo + hi))] * abs(net)
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in wide]
+        cells = []
+        for (lo, hi, n_lo, n_hi), mid, n_mid in zip(wide, mids, _negative_counts(path, mids)):
+            if n_mid != n_lo:
+                cells.append((lo, mid, n_lo, n_mid))
+            if n_mid != n_hi:
+                cells.append((mid, hi, n_mid, n_hi))
+    records.sort(key=lambda r: r.t_lower)
     return OracleResult(flow=negs[0] - negs[-1], crossings=tuple(records), grid=grid)
 
 

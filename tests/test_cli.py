@@ -129,6 +129,21 @@ class TestFlowCommand:
             "exceeds 1e-12 * norm (2.000e+00)\n"
         )
 
+    @pytest.mark.parametrize("command", ["flow", "spectrum"])
+    def test_sampled_symmetrization_overflow_exit_1(self, command, tmp_path, capsys):
+        # 1e308 is finite, but 1e308 + 1e308 is not: the sum in (A + A^H) / 2 overflows.
+        cfg = tmp_path / "exp.json"
+        samples = [
+            {"t": 0.0, "matrix": [[1e308, 0.0], [0.0, 1.0]]},
+            {"t": 1.0, "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+        ]
+        cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: operator entries overflow float64 when symmetrized "
+            "as (A + A^H) / 2\n"
+        )
+
     def test_oracle_grid_below_minimum_exit_1(self, capsys):
         assert main(["flow", "--family", "baer", "--m", "1", "--oracle", "--grid", "32"]) == 1
         assert capsys.readouterr().err == (

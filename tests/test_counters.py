@@ -2,7 +2,9 @@
 
 The counts are machine-independent, so a change that makes any of them
 larger solves more than it needs to.  A change that lowers one on purpose
-updates the table here and says so in CHANGES.md.
+updates the table here and says so in CHANGES.md.  The failing cases also
+pin their ``DepthExceeded`` text: batched refinement must name the segment
+depth-first order names.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from specflow import (
+    DepthExceeded,
     SelfAdjointOperator,
     affine_homotopy,
     concat,
@@ -67,6 +70,23 @@ def _dense_constant():
     return constant_path(SelfAdjointOperator((g + g.T) / 2))
 
 
+def _knot_warp(a, knots):
+    # Piecewise-linear bijection through the interior knots, with its slope bound.
+    xs = np.concatenate([[0.0], np.sort(knots), [1.0]])
+    ys = np.linspace(0.0, 1.0, xs.size)
+    slope = float(np.max(np.diff(ys) / np.diff(xs)))
+    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), a.lipschitz * slope)
+
+
+def _depth_exceeded(make, text):
+    def run(_):
+        with pytest.raises(DepthExceeded) as info:
+            spectral_flow(make())
+        assert str(info.value) == text
+
+    return run
+
+
 def _components(tmp_path):
     assert main(["components", "--k", "4", "--out", str(tmp_path)]) == 0
 
@@ -82,7 +102,23 @@ CASES = {
     "flow+verify complex sampled": lambda _: _flow_and_verify(_complex_sampled),
     "flow+verify dense constant_path": lambda _: _flow_and_verify(_dense_constant),
     "oracle_flow(grid=64) random_family(6, 7)": lambda _: oracle_flow(random_family(6, 7), grid=64),
+    # A non-dyadic grid: its two crossing cells reach REFINE_WIDTH at different levels.
+    "oracle_flow(grid=100) random_family(6, 1)": lambda _: oracle_flow(random_family(6, 1), grid=100),
     "components --k 4": _components,
+    # Certifies nothing, so it is refined one segment at a time, depth first.
+    "DepthExceeded: warp between adjacent floats": _depth_exceeded(
+        lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
+        "segment [0, 1.1920929e-07] not certifiable at bisection depth 20 (Lipschitz slack: "
+        "margin 4.898e-01 does not exceed 0.5 * L * step = 2.972e+08 with L = 3.988e+16, "
+        "step = 1.490e-08)",
+    ),
+    # Certifies [0, 0.5) first, so later batches also solve rows right of 0.5.
+    "DepthExceeded: zero eigenvalue at t=0.5": _depth_exceeded(
+        lambda: matrix_path(1, lambda t: [[t - 0.5]], lipschitz=1.0),
+        "segment [0.499999881, 0.5] not certifiable at bisection depth 20 (Lipschitz slack: "
+        "margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
+        "step = 1.490e-08)",
+    ),
 }
 
 EIGENSOLVES = {
@@ -96,7 +132,11 @@ EIGENSOLVES = {
     "flow+verify complex sampled": 130,
     "flow+verify dense constant_path": 2,
     "oracle_flow(grid=64) random_family(6, 7)": 129,
+    "oracle_flow(grid=100) random_family(6, 1)": 253,
     "components --k 4": 0,
+    "DepthExceeded: warp between adjacent floats": 89,
+    # 193 with depth-first refinement, which stops at the failure.
+    "DepthExceeded: zero eigenvalue at t=0.5": 257,
 }
 
 

@@ -34,7 +34,7 @@ from specflow import (
     straight_segment,
 )
 from specflow.config import sampled_path
-from specflow.flow import _check_window, _widest_gap
+from specflow.flow import _check_windows, _widest_gaps, _witness_spectra
 from specflow.operators import spectral_scale
 
 
@@ -244,6 +244,25 @@ class TestVerifyRejectsTampering:
         t = (w.t_lower, w.t_upper)[end]
         assert self._broken(path, tampered) == f"count at t={t} drifted"
 
+    def test_leftmost_broken_segment_is_named(self, certified):
+        # Segment 1 has a wrong count pair, segment 3 an inflated margin.  The
+        # window rule runs for every segment at once, yet the error is segment
+        # 1's: the leftmost broken segment, with its first reason.
+        path, cert = certified
+        counts = list(cert.counts)
+        counts[1] = (counts[1][0] + 1, counts[1][1])
+        w = cert.witnesses[self.SEGMENT]
+        tampered = dataclasses.replace(
+            self._with_witness(cert, margin=2 * w.margin), counts=tuple(counts)
+        )
+        assert self._broken(path, tampered) == f"count at t={cert.witnesses[1].t_lower} drifted"
+        witnesses = list(tampered.witnesses)
+        witnesses[1] = dataclasses.replace(witnesses[1], radius=0.5 * witnesses[1].radius)
+        tampered = dataclasses.replace(tampered, witnesses=tuple(witnesses))
+        assert self._broken(path, tampered).startswith(
+            f"segment [{witnesses[1].t_lower!r}, {witnesses[1].t_upper!r}]: "
+        )
+
     def test_flow_off_by_one(self, certified):
         path, cert = certified
         tampered = dataclasses.replace(cert, flow=cert.flow + 1)
@@ -387,13 +406,14 @@ def _tanh_jump():
 class TestJumpAcrossTheWindow:
     def test_check_window_names_the_jump(self):
         path = _tanh_jump()
-        ts = np.linspace(0.375, 0.5, 9)
-        spectra = path.spectra(ts)
-        radius, margin = _widest_gap(spectra)
-        assert _check_window(path, ts, spectra, radius, margin, FlowOptions()) == (
+        ts, spectra = _witness_spectra(path, [0.375], [0.5], FlowOptions())
+        radius, margin, empty = _widest_gaps(spectra)
+        assert not empty[0]
+        counts, reasons = _check_windows(path, ts, spectra, radius, margin, FlowOptions())
+        assert reasons == [
             "jump across the window: 0 eigenvalues below -1.000e+00 at t=0.375 "
             "but 1 at t=0.453125"
-        )
+        ]
 
     def test_path_is_not_certified(self):
         path = _tanh_jump()
@@ -419,6 +439,75 @@ class TestJumpAcrossTheWindow:
             "segment [0.0, 1.0]: jump across the window: 0 eigenvalues below -1.000e+00 "
             "at t=0.0 but 1 at t=0.5"
         )
+
+
+class TestBatchKernel:
+    """The window choice and the acceptance rule decide a batch of segments at once."""
+
+    def test_each_segment_gets_its_first_failing_rule(self):
+        # One kernel call over six segments (three witnesses, two
+        # eigenvalues each).  Segments 2-4 also fail a later rule, which
+        # must not win.
+        path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
+        rows = {
+            "ok": [[-2, 3], [-2, 3], [-2, 3]],
+            "drift": [[-2, 3], [0.5, 3], [-2, 3]],
+            "touch": [[-2, 3], [1.5, 3], [2, 3]],
+            "count": [[-2, 3], [-2, 3], [0, 3]],
+            "jump": [[-2, 3], [2, 3], [2, 3]],
+        }
+        spectra = np.array([rows[k] for k in ("ok", "ok", "drift", "touch", "count", "jump")], float)
+        ts = np.tile([0.0, 0.05, 0.1], (6, 1))
+        margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
+        counts, reasons = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
+        assert counts[0] == 0
+        assert reasons == [
+            None,
+            "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
+            "Lipschitz slack: margin 1.000e-02 does not exceed 0.5 * L * step = 2.500e-02 "
+            "with L = 1.000e+00, step = 5.000e-02",
+            "window margin violated at t=0.05",
+            "count drift: the count in [-1.000e+00, 1.000e+00] is 0 at t=0.0 but 1 at t=0.1",
+            "jump across the window: 1 eigenvalues below -1.000e+00 at t=0.0 but 0 at t=0.05",
+        ]
+
+    def test_widest_gaps_flags_an_all_zero_segment(self):
+        spectra = np.array([[[0.0, 0.0], [0.0, 0.0]], [[-1.0, 3.0], [-1.0, 4.0]]])
+        radius, margin, empty = _widest_gaps(spectra)
+        assert empty.tolist() == [True, False]
+        # Levels 0, 1, 3, 4: the widest gap is (1, 3).
+        assert (radius[1], margin[1]) == (2.0, 1.0)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([None, 0.0, 3.0]),
+        st.sampled_from([1e-6, 0.3]),
+    )
+    def test_a_batch_decides_each_segment_as_it_would_alone(self, seed, s, w, d, lip, floor):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so ties, empty gaps and all-zero segments are common.
+        spectra = np.sort(rng.integers(-3, 4, (s, w, d)) * rng.choice([0.5, 1.0]), axis=2)
+        ts = np.linspace(0.5 * rng.random(s), 0.5 + 0.5 * rng.random(s), w, axis=1)
+        path = matrix_path(d, lambda t: np.eye(d), lipschitz=lip)
+        opts = FlowOptions(min_margin=floor)
+        radius, margin, empty = _widest_gaps(spectra)
+        counts, reasons = _check_windows(path, ts, spectra, radius, margin, opts)
+        for i in range(s):
+            one = slice(i, i + 1)
+            alone = _widest_gaps(spectra[one])
+            assert (alone[0][0], alone[1][0], alone[2][0]) == (radius[i], margin[i], empty[i])
+            c, r = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
+            assert (c[0], r[0]) == (counts[i], reasons[i])
+            # The widest gap between the distinct levels, 0 among them.
+            levels = sorted({0.0, *np.abs(spectra[i]).ravel().tolist()})
+            assert empty[i] == (len(levels) == 1)
+            if len(levels) > 1:
+                k = max(range(len(levels) - 1), key=lambda j: (levels[j + 1] - levels[j], -j))
+                assert radius[i] == 0.5 * (levels[k] + levels[k + 1])
+                assert margin[i] == 0.5 * (levels[k + 1] - levels[k])
 
 
 def _random_sampled(seed: int, complex_knots: tuple[bool, ...]):

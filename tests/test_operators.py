@@ -90,6 +90,11 @@ class TestDiagonalOperator:
         with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
             OperatorPath(2, lambda ts: rows).spectra([0.0, 0.5, 1.0])
 
+    def test_symmetrization_overflow_names_parameter(self):
+        stack = np.array([np.eye(2), [[1e308, 1e308], [1e308, 1.0]], np.eye(2)])
+        with pytest.raises(ValueError, match=r"^operator entries overflow float64 .* at t=0\.5$"):
+            OperatorPath(2, lambda ts: stack).spectra([0.0, 0.5, 1.0])
+
     def test_non_finite_family_row_names_parameter(self):
         # Specs validate their inputs, so the non-finite value is forced past
         # validation to reach the families' own builds.
