@@ -7,22 +7,30 @@ connector-plus-generator concatenation or, on a flow collision, the
 connector alone (the collision itself guarantees the connector's flow is
 fresh).  A separate certifier then checks, pair by pair, that the
 straight segment between path endpoints must leave the invertible locus,
-locating a singular operator on it by bisection.
+locating a singular operator on every segment in one lockstep bisection.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import CertificateBroken, GeneratorFailure, InvalidSpec
+from .errors import CertificateBroken, GeneratorFailure, InvalidSpec, SpectralFlowError
 from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
 from .operators import SelfAdjointOperator, Spectrum, spectral_scale
-from .paths import OperatorPath, _endpoint_gap, concat, constant_path, straight_segment
+from .paths import (
+    OperatorPath,
+    _endpoint_gap,
+    _segment_rows,
+    concat,
+    constant_path,
+    straight_segment,
+)
 
 __all__ = [
     "LedgerEntry",
@@ -200,34 +208,46 @@ def build_distinct_paths(
     )
 
 
-def _locate_singular(segment: OperatorPath) -> tuple[float, Spectrum]:
-    """Bisect on the negative-eigenvalue count to a zero crossing.
+def _locate_singular(segments: list[OperatorPath]) -> list[tuple[float, Spectrum] | None]:
+    """Bisect every straight segment on its negative-eigenvalue count, in lockstep.
 
-    Returns t and the spectrum at t.  The endpoint counts differ whenever
-    the segment flow is nonzero, so a bracket always exists.
-    Counts read cached rows: the segment's flow has solved its endpoints
-    and every witness point the bisection revisits.
+    Returns, per segment, t and the spectrum at t, or ``None`` when the
+    endpoint counts are equal and there is no crossing to bracket; they
+    differ whenever the segment flow is nonzero.  Each segment keeps its
+    own bracket and leaves the bisection once its midpoint is no longer
+    strictly inside it; each level reads the midpoints of every segment
+    still bisecting with one :func:`paths._segment_rows` call.  Rows at
+    the endpoints and the final t are cached reads: the segment's flow
+    solved the endpoints, and the bisection the points it revisits.
     """
+    n = len(segments)
+    if not n:
+        return []
 
-    def neg(t: float) -> int:
-        return int(np.count_nonzero(segment.spectra([t]) < 0.0))
+    def neg(idx: np.ndarray, ts: list[float]) -> np.ndarray:
+        rows = _segment_rows([segments[k] for k in idx], ts)
+        return np.count_nonzero(np.array(rows) < 0.0, axis=1)
 
-    lo, hi = 0.0, 1.0
-    n_lo, n_hi = neg(lo), neg(hi)
-    if n_lo == n_hi:
-        raise CertificateBroken(
-            "segment endpoints have equal negative counts; no crossing to locate"
-        )
+    every = np.arange(n)
+    n_lo, n_hi = neg(every, [0.0] * n), neg(every, [1.0] * n)
+    crossing = np.flatnonzero(n_lo != n_hi)
+    lo, hi = np.zeros(n), np.ones(n)
+    live = crossing
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: every later step keeps the bracket
-        if neg(mid) != n_lo:
-            hi = mid
-        else:
-            lo = mid
-    t = 0.5 * (lo + hi)
-    return t, Spectrum(segment.spectra([t])[0])
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (lo[live] < mid) & (mid < hi[live])  # adjacent floats keep their bracket
+        live, mid = live[inside], mid[inside]
+        if not live.size:
+            break
+        flipped = neg(live, mid.tolist()) != n_lo[live]
+        hi[live[flipped]] = mid[flipped]
+        lo[live[~flipped]] = mid[~flipped]
+    ts = (0.5 * (lo[crossing] + hi[crossing])).tolist()
+    rows = _segment_rows([segments[k] for k in crossing], ts)
+    located: list[tuple[float, Spectrum] | None] = [None] * n
+    for k, t, row in zip(crossing.tolist(), ts, rows):
+        located[k] = (t, Spectrum(row))
+    return located
 
 
 def certify_distinct_components(
@@ -240,45 +260,64 @@ def certify_distinct_components(
     segment contracts affinely in the convex model, so its flow vanishes
     and the segment flow must equal the flow difference; since flows
     differ, the segment cannot stay invertible.  The certifier re-derives
-    the segment flow, locates a singular operator on the segment by
-    bisection, and raises :class:`CertificateBroken` if a segment stays
-    invertible even though the flows differ (a bug detector, not an
-    expected outcome).
+    every segment flow, locates a singular operator on every segment in
+    one lockstep bisection (:func:`_locate_singular`), and raises
+    :class:`CertificateBroken` if a segment stays invertible even though
+    the flows differ (a bug detector, not an expected outcome).  Errors
+    are raised for the first failing pair in ``(i, j)`` order: the flows
+    stop at the first pair whose flow fails, and the pairs before it are
+    located and checked before that error is raised.
     """
     opts = options or FlowOptions()
-    pairs: list[PairCertificate] = []
     n = len(report.paths)
     ends = [p.at(1.0) for p in report.paths]
-    for i in range(n):
-        for j in range(i + 1, n):
-            seg = straight_segment(ends[i], ends[j])
+    segments: list[OperatorPath] = []
+    checked: list[tuple[int, int, int]] = []
+    failure: SpectralFlowError | None = None
+    for i, j in combinations(range(n), 2):
+        seg = straight_segment(ends[i], ends[j])
+        try:
             seg_flow = spectral_flow(seg, opts).flow
-            expected = report.flows[j] - report.flows[i]
-            if seg_flow != expected:
-                raise CertificateBroken(
-                    f"segment flow {seg_flow} between endpoints {i} and {j} does not "
-                    f"match the flow difference {expected}; contracting the loop "
-                    "would not close"
-                )
-            t, spec = _locate_singular(seg)
-            if not _singular(spec.values):
-                raise CertificateBroken(
-                    f"no singular operator located on the endpoint segment of pair "
-                    f"({i}, {j}) although flows differ: min |eig| {spec.min_abs:.3e} at "
-                    f"t={t!r} vs threshold {SINGULARITY_RTOL * spec.scale:.3e}"
-                )
-            pairs.append(
-                PairCertificate(
-                    i=i,
-                    j=j,
-                    flow_i=report.flows[i],
-                    flow_j=report.flows[j],
-                    segment_flow=seg_flow,
-                    singular_t=t,
-                    min_abs_eigenvalue=spec.min_abs,
-                    spectral_radius=spec.radius,
-                )
+        except SpectralFlowError as exc:
+            failure = exc
+            break
+        expected = report.flows[j] - report.flows[i]
+        if seg_flow != expected:
+            failure = CertificateBroken(
+                f"segment flow {seg_flow} between endpoints {i} and {j} does not "
+                f"match the flow difference {expected}; contracting the loop "
+                "would not close"
             )
+            break
+        segments.append(seg)
+        checked.append((i, j, seg_flow))
+    pairs: list[PairCertificate] = []
+    for (i, j, seg_flow), located in zip(checked, _locate_singular(segments)):
+        if located is None:
+            raise CertificateBroken(
+                "segment endpoints have equal negative counts; no crossing to locate"
+            )
+        t, spec = located
+        if not _singular(spec.values):
+            raise CertificateBroken(
+                f"no singular operator located on the endpoint segment of pair "
+                f"({i}, {j}) although flows differ: min |eig| {spec.min_abs:.3e} at "
+                f"t={t!r} vs threshold {SINGULARITY_RTOL * spec.scale:.3e}"
+            )
+        pairs.append(
+            PairCertificate(
+                i=i,
+                j=j,
+                flow_i=report.flows[i],
+                flow_j=report.flows[j],
+                segment_flow=seg_flow,
+                singular_t=t,
+                min_abs_eigenvalue=spec.min_abs,
+                spectral_radius=spec.radius,
+            )
+        )
+    if failure is not None:
+        raise failure
     return ComponentCertification(
         pairs=tuple(pairs),
         verdict="distinct components certified in the convex model",

@@ -109,15 +109,7 @@ class OperatorPath:
 
     def _build_chunk(self, chunk) -> np.ndarray:
         """One checked call of ``build``; ``chunk`` is not range-checked (composites' parts)."""
-        n, d = len(chunk), self._dim
-        built = np.asarray(self._build(np.array(chunk, dtype=np.float64)))
-        if built.shape[:1] == (n,) and built.ndim in (2, 3):
-            built = (_ingest_stack if built.ndim == 3 else _ingest_diagonal)(built, chunk)
-        if built.shape not in ((n, d, d), (n, d)):
-            raise ValueError(
-                f"path build returned shape {built.shape} for {n} parameters of dimension {d}"
-            )
-        return built
+        return _checked_build(self._build(np.array(chunk, dtype=np.float64)), chunk, self._dim)
 
     def spectra(self, ts) -> np.ndarray:
         """Sorted eigenvalues ``(len(ts), dim)`` at every parameter in ``ts``.
@@ -150,6 +142,19 @@ class OperatorPath:
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"
+
+
+def _checked_build(built, chunk, d: int) -> np.ndarray:
+    """The stack a build returned for the parameters in ``chunk``, ingested and shape-checked."""
+    n = len(chunk)
+    built = np.asarray(built)
+    if built.shape[:1] == (n,) and built.ndim in (2, 3):
+        built = (_ingest_stack if built.ndim == 3 else _ingest_diagonal)(built, chunk)
+    if built.shape not in ((n, d, d), (n, d)):
+        raise ValueError(
+            f"path build returned shape {built.shape} for {n} parameters of dimension {d}"
+        )
+    return built
 
 
 def _assemble(n: int, parts: list) -> np.ndarray:
@@ -237,6 +242,17 @@ def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (1.0 - wd) * x + wd * y
 
 
+class _Segment(OperatorPath):
+    """The path ``t -> (1-t) a + t b``, keeping its endpoint stacks for :func:`_segment_rows`."""
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, lipschitz: float):
+        # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
+        super().__init__(x.shape[1], lambda ts: _blend(ts, x, y), lipschitz)
+        self._ends = (x, y)
+
+
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
     """Affine segment ``t -> (1-t) a + t b`` in the convex operator space.
 
@@ -244,9 +260,36 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
-    lip = float(np.linalg.norm(b.entries - a.entries, 2))
-    x, y = a._stack, b._stack
-    return OperatorPath(a.dim, lambda ts: _blend(ts, x, y), lipschitz=lip)
+    return _Segment(a._stack, b._stack, float(np.linalg.norm(b.entries - a.entries, 2)))
+
+
+def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]:
+    """The row of ``segments[k]`` at ``ts[k]`` for every ``k``: one stacked read.
+
+    Cached rows are read as they are.  The misses are grouped by the kind
+    (diagonal or dense) and dtypes of their blend operands, and each group
+    is blended, ingested and solved a ``stack_chunk`` at a time.  A row so
+    has the bits of ``segments[k].spectra([ts[k]])``: a real row is never
+    solved as complex nor a diagonal one as dense.  Every row is cached.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, (seg, t) in enumerate(zip(segments, ts)):
+        if t not in seg._cache:
+            x, y = seg._ends
+            groups.setdefault((seg.dim, max(x.ndim, y.ndim), x.dtype, y.dtype), []).append(k)
+    for (dim, ndim, _, _), members in groups.items():
+        step = stack_chunk(dim)
+        for i in range(0, len(members), step):
+            chunk = members[i : i + step]
+            ws = [ts[k] for k in chunk]
+            x, y = (
+                np.concatenate([_dense(e) if ndim == 3 else e for e in side])
+                for side in zip(*(segments[k]._ends for k in chunk))
+            )
+            built = _checked_build(_blend(np.array(ws), x, y), ws, dim)
+            for k, w, row in zip(chunk, ws, _spectrum_rows(built)):
+                segments[k]._cache[w] = row
+    return [seg._cache[t] for seg, t in zip(segments, ts)]
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:

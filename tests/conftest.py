@@ -66,3 +66,40 @@ def brute_endpoint_flow(path) -> int:
     partition engine never uses.
     """
     return brute_negative_count(path, 0.0) - brute_negative_count(path, 1.0)
+
+
+def rotated_report(neg_counts, kinds, dim: int, seed: int):
+    """Component report of straight paths from a diagonal basepoint to rotated diagonals.
+
+    Path ``k`` ends at ``U diag(v) U^H`` where ``v`` has ``neg_counts[k]``
+    negative entries of magnitude in [0.5, 3] and ``U`` is the identity
+    (``kinds[k] == "diagonal"``), a random orthogonal (``"real"``) or a
+    random unitary (``"complex"``) matrix.  A path's flow is the drop in the
+    negative count from the basepoint, so distinct ``neg_counts`` give
+    pairwise-distinct flows.
+    """
+    from specflow import ComponentReport, SelfAdjointOperator, straight_segment
+
+    rng = np.random.default_rng(seed)
+
+    def values(negatives: int) -> np.ndarray:
+        v = rng.uniform(0.5, 3.0, dim)
+        v[rng.permutation(dim)[:negatives]] *= -1.0
+        return v
+
+    base_values = values(dim // 2)
+    basepoint = SelfAdjointOperator.from_diagonal(base_values)
+    paths, flows = [], []
+    for negatives, kind in zip(neg_counts, kinds):
+        v = values(negatives)
+        if kind == "diagonal":
+            end = SelfAdjointOperator.from_diagonal(v)
+        else:
+            g = rng.standard_normal((dim, dim))
+            if kind == "complex":
+                g = g + 1j * rng.standard_normal((dim, dim))
+            u = np.linalg.qr(g)[0]
+            end = SelfAdjointOperator((u * v) @ u.conj().T)
+        paths.append(straight_segment(basepoint, end))
+        flows.append(int(np.count_nonzero(base_values < 0)) - negatives)
+    return ComponentReport(basepoint=basepoint, paths=tuple(paths), flows=tuple(flows), ledger=())

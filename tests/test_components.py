@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import rotated_report
 from specflow import (
     CertificateBroken,
     ComponentReport,
@@ -18,6 +20,7 @@ from specflow import (
     matrix_path,
     oracle_flow,
     spectral_flow,
+    straight_segment,
 )
 from specflow import components
 
@@ -153,6 +156,112 @@ class TestCertifyDistinctComponents:
             certify_distinct_components(report)
 
 
+def _reference_locate(segment):
+    """The per-pair bisection the lockstep one replaced: one single-point read per step."""
+
+    def neg(t: float) -> int:
+        return int(np.count_nonzero(segment.spectra([t]) < 0.0))
+
+    lo, hi = 0.0, 1.0
+    n_lo = neg(lo)
+    assert n_lo != neg(hi)
+    for _ in range(components.BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if neg(mid) != n_lo:
+            hi = mid
+        else:
+            lo = mid
+    t = 0.5 * (lo + hi)
+    return t, Spectrum(segment.spectra([t])[0])
+
+
+REPORT_KINDS = {
+    "diagonal": ("diagonal",),
+    "dense real": ("real",),
+    "complex": ("complex",),
+    "mixed diagonal/dense": ("diagonal", "real"),
+    "mixed real/complex": ("real", "complex"),
+}
+
+
+class TestLockstepBisection:
+    @settings(max_examples=30)
+    @given(
+        kind=st.sampled_from(sorted(REPORT_KINDS)),
+        counts=st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True),
+        spare=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    # Real and complex pairs bisect side by side: a shared stack would solve real rows as complex.
+    @example(kind="mixed real/complex", counts=[0, 1, 2, 3, 4], spare=0, seed=0)
+    def test_matches_per_pair_bisection(self, kind, counts, spare, seed):
+        dim = max(2, *counts) + spare
+        cycle = REPORT_KINDS[kind]
+        kinds = [cycle[k % len(cycle)] for k in range(len(counts))]
+        report = rotated_report(counts, kinds, dim, seed)
+        cert = certify_distinct_components(report)
+        ends = [p.at(1.0) for p in report.paths]
+        expected = []
+        for i in range(len(ends)):
+            for j in range(i + 1, len(ends)):
+                seg = straight_segment(ends[i], ends[j])
+                spectral_flow(seg)
+                t, spec = _reference_locate(seg)
+                expected.append((i, j, t, spec.min_abs, spec.radius))
+        got = [
+            (p.i, p.j, p.singular_t, p.min_abs_eigenvalue, p.spectral_radius) for p in cert.pairs
+        ]
+        assert got == expected
+
+    def test_one_path_has_no_pairs(self):
+        report = rotated_report((1,), ("real",), 3, 0)
+        assert certify_distinct_components(report).pairs == ()
+        assert components._locate_singular([]) == []
+
+    def test_equal_endpoint_counts_locate_nothing(self):
+        a = SelfAdjointOperator.from_diagonal([1.0, -2.0])
+        b = SelfAdjointOperator.from_diagonal([-3.0, 4.0])
+        c = SelfAdjointOperator.from_diagonal([-1.0, -1.0])
+        none, (t, spec) = components._locate_singular(
+            [straight_segment(a, b), straight_segment(a, c)]
+        )
+        ref_t, ref_spec = _reference_locate(straight_segment(a, c))
+        assert none is None
+        assert t == ref_t
+        assert np.array_equal(spec.values, ref_spec.values)
+
+
+class TestErrorOrder:
+    """Errors come from the first failing pair in (i, j) order."""
+
+    @staticmethod
+    def _lying_report():
+        # Pair (0, 1) is consistent; pairs (0, 2) and (1, 2) both lie about path 2's flow.
+        honest = rotated_report((0, 1, 3), ("diagonal",) * 3, 4, 0)
+        f0, f1, f2 = honest.flows
+        return ComponentReport(
+            basepoint=honest.basepoint, paths=honest.paths, flows=(f0, f1, f2 + 4), ledger=()
+        )
+
+    def test_first_lying_pair_is_named(self):
+        with pytest.raises(CertificateBroken) as info:
+            certify_distinct_components(self._lying_report())
+        assert str(info.value) == (
+            "segment flow -3 between endpoints 0 and 2 does not match the flow difference 1; "
+            "contracting the loop would not close"
+        )
+
+    def test_earlier_pair_without_singular_point_comes_first(self, monkeypatch):
+        invertible = Spectrum([1.0, 2.0])
+        monkeypatch.setattr(
+            components, "_locate_singular", lambda segs: [(0.5, invertible)] * len(segs)
+        )
+        with pytest.raises(CertificateBroken, match=r"pair \(0, 1\) although flows differ"):
+            certify_distinct_components(self._lying_report())
+
+
 class TestSingularityRule:
     """The report and the pair check share one singularity predicate."""
 
@@ -169,7 +278,9 @@ class TestSingularityRule:
         report = ComponentReport(
             basepoint=base, paths=(constant_path(base), climb), flows=(0, 1), ledger=()
         )
-        monkeypatch.setattr(components, "_locate_singular", lambda seg: (0.5, self.EDGE))
+        monkeypatch.setattr(
+            components, "_locate_singular", lambda segs: [(0.5, self.EDGE)] * len(segs)
+        )
         (pair,) = certify_distinct_components(report).pairs
         assert (pair.singular_t, pair.min_abs_eigenvalue, pair.spectral_radius) == (0.5, 1e-8, 1.0)
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import rotated_report
 from specflow import (
     DepthExceeded,
     SelfAdjointOperator,
     affine_homotopy,
+    certify_distinct_components,
     concat,
     constant_path,
     invertible_valued_family,
@@ -105,6 +107,13 @@ CASES = {
     # A non-dyadic grid: its two crossing cells reach REFINE_WIDTH at different levels.
     "oracle_flow(grid=100) random_family(6, 1)": lambda _: oracle_flow(random_family(6, 1), grid=100),
     "components --k 4": _components,
+    # Dense pairs: the bisection's final reads hit the rows its levels cached.
+    "certify_distinct_components, 3 rotated real paths": lambda _: certify_distinct_components(
+        rotated_report((0, 1, 3), ("real",) * 3, 4, 0)
+    ),
+    "certify_distinct_components, 3 rotated complex paths": lambda _: certify_distinct_components(
+        rotated_report((0, 2, 3), ("complex",) * 3, 4, 0)
+    ),
     # Certifies nothing, so it is refined one segment at a time, depth first.
     "DepthExceeded: warp between adjacent floats": _depth_exceeded(
         lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
@@ -134,6 +143,8 @@ EIGENSOLVES = {
     "oracle_flow(grid=64) random_family(6, 7)": 129,
     "oracle_flow(grid=100) random_family(6, 1)": 253,
     "components --k 4": 0,
+    "certify_distinct_components, 3 rotated real paths": 344,
+    "certify_distinct_components, 3 rotated complex paths": 345,
     "DepthExceeded: warp between adjacent floats": 89,
     # 193 with depth-first refinement, which stops at the failure.
     "DepthExceeded: zero eigenvalue at t=0.5": 257,

@@ -39,7 +39,10 @@ from specflow.config import sampled_path
 from specflow.reporting import dumps_document, flow_certificate_document
 
 GOLDEN = {
+    "components --k 1": "2f1f5cf1ff792c8d6993b89b1226cf2d32e4eb4b84bb8fc431bb50dd13d9a64b",
+    "components --k 5 --ambient-dim 16 --seed 3": "2bfdc5185060eda691dbd125aec2dcfa98aa3c964a0c7339c1b4e319ee0cdb34",
     "components --k 8": "3385a13e039f01fd4f45a3579240d6ea62bb485066e3c8b95c6c9d2df67730e1",
+    "components --k 20": "87e3e8be11490c58e913798f5d9169348393c59f342305a149029a115d2d13cc",
     "flow --family glue --m 3 --seed 7 --oracle": "c3e5627644f41c4f4e77c6584b9dc27a5d6f6c1f25c876216b15cfa9ad865baa",
     "flow --family circle --modes 4 --winding -2 --oracle --grid 64": "d212a5a882a1ef09ce3a2ce08566ff5a73b2524626d422cc98fe5ad9c67d8b70",
     "spectrum --family baer --m 1": "0db02600cb2e5cac5227a3b76cac5caf5579554d42f254a50911f94b42614f1a",
@@ -47,12 +50,14 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_stdout_digest(command, capsys, eigvalsh_counter):
-    assert main(command.split()) == 0
+def test_stdout_digest(command, tmp_path, capsys, eigvalsh_counter):
+    assert main([*command.split(), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert eigvalsh_counter.matrices == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN[command]
+    (written,) = tmp_path.iterdir()
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == GOLDEN[command]
 
 
 SAMPLED = {
