@@ -13,8 +13,15 @@ leftmost ones with one ``spectra`` call and decides them all with one
 array kernel (:func:`_widest_gaps`, then :func:`_check_windows`, the one
 acceptance rule, which :meth:`FlowCertificate.verify` also runs).  Until a
 segment certifies, a round takes one segment, so a path that certifies
-nothing solves what depth-first order solves; after that it takes
-``max(1, 64 >> depth)``.
+nothing solves what depth-first order solves.  After that a round takes
+``max(1, 64 >> depth)`` segments, and a round that so far holds only
+children of resolution-limited parents goes on taking them, up to 64, at
+any depth.  A parent is resolution-limited when it failed on the
+Lipschitz slack alone and its ends have as many negative eigenvalues, so
+no net crossing lies inside and only finer witnesses are missing.  So the
+depth cap stays where a crossing or another rejection sits, which is where
+refinement can fail.  The schedule changes no leaf: a segment's decision
+depends on its own ends alone.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ class FlowCertificate:
             path, [w.t_lower for w in self.witnesses], [w.t_upper for w in self.witnesses], opts
         )
         radius = np.array([w.radius for w in self.witnesses])
-        counts, reasons = _check_windows(
+        counts, reasons, _ = _check_windows(
             path, ts, spectra, radius, np.array([w.margin for w in self.witnesses]), opts
         )
         total = 0
@@ -171,7 +178,9 @@ class FlowCertificate:
 
 
 # Once the refinement has certified a segment, it reads the leftmost
-# ``max(1, _BATCH >> depth)`` pending segments with one ``spectra`` call.
+# ``max(1, _BATCH >> depth)`` pending segments with one ``spectra`` call,
+# or up to ``_BATCH`` of them while they are children of resolution-limited
+# parents.
 _BATCH = 64
 
 _ALL_ZERO = "all zero: every witnessed eigenvalue is 0, so no window radius exists"
@@ -204,7 +213,7 @@ def _check_windows(
     radius: np.ndarray,
     margin: np.ndarray,
     opts: FlowOptions,
-) -> tuple[np.ndarray, list[str | None]]:
+) -> tuple[np.ndarray, list[str | None], set[int]]:
     """The segment acceptance rule: each segment's window count, and why it fails or ``None``.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
@@ -217,7 +226,8 @@ def _check_windows(
     -radius is not: an eigenvalue that jumps across the whole window
     between two witnesses keeps the window count but changes the flow.  A
     rejection is a message that names the first failing reason and its
-    numbers.
+    numbers.  The third value holds the segments that fail on the
+    Lipschitz slack and on nothing else.
 
     When the path carries a Lipschitz bound L the check is rigorous, not
     sampled: eigenvalues move at most L*h/2 between a parameter and its
@@ -238,14 +248,18 @@ def _check_windows(
     jump = below != below[:, :1]
     low = margin < floor
     slipped = margin <= slack
-    failed = low | slipped | (touched | drift | jump).any(axis=1)
+    witnessed = (touched | drift | jump).any(axis=1)
+    failed = low | slipped | witnessed
     reasons: list[str | None] = [None] * len(ts)
+    slack_only: set[int] = set()
     for i in np.flatnonzero(failed).tolist():
         r, m, t = float(radius[i]), float(margin[i]), ts[i]
         if low[i]:
             reasons[i] = f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
         elif slipped[i]:
             # An eigenvalue could reach the boundary between witnesses.
+            if not witnessed[i]:
+                slack_only.add(i)
             reasons[i] = (
                 f"Lipschitz slack: margin {m:.3e} does not exceed "
                 f"0.5 * L * step = {slack[i]:.3e} with L = {lip:.3e}, step = {step[i]:.3e}"
@@ -265,7 +279,7 @@ def _check_windows(
                 f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
                 f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
             )
-    return counts[:, 0], reasons
+    return counts[:, 0], reasons, slack_only
 
 
 def _witness_spectra(path: OperatorPath, lo, hi, opts: FlowOptions) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +323,13 @@ def spectral_flow(
     bisected wherever certification fails, up to ``max_depth``; beyond
     that :class:`DepthExceeded` names the leftmost such segment and its
     reason, the one depth-first refinement would name.  Segments are
-    certified in batches of the leftmost pending ones (see the module
-    docstring), so a path that fails after certifying something may have
-    solved rows to the right of the failure.  The two arguments override
-    the fields of ``options`` of the same name.
+    certified in batches of the leftmost pending ones: ``max(1, 64 >> depth)``
+    of them, or up to 64 at any depth where only the witness spacing was
+    too coarse (see the module docstring).  So a path that fails after
+    certifying something may have solved rows to the right of the failure,
+    while the certificate of a path that succeeds does not depend on the
+    batches.  The two arguments override the fields of ``options`` of the
+    same name.
 
     The flow is the net number of eigenvalues crossing zero upward,
     evaluated as the telescoping sum of counts in [0, radius_i] over the
@@ -325,29 +342,35 @@ def spectral_flow(
     if max_depth is not None:
         opts = replace(opts, max_depth=max_depth)
     edges = np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
-    # Pending (lo, hi, depth, failure) in depth-first order, the leftmost
-    # last.  A segment rejected at max_depth stays as a marker with its
+    # Pending (lo, hi, depth, failure, limited) in depth-first order, the
+    # leftmost last.  ``limited`` marks a child of a resolution-limited
+    # parent.  A segment rejected at max_depth stays as a marker with its
     # DepthExceeded text; no batch reads past it, and it is raised once it is
     # the leftmost, so it names the segment depth-first order would.
-    pending = [(lo, hi, 0, None) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
+    pending = [(lo, hi, 0, None, False) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
     leaves: list[SegmentWitness] = []
     while pending:
-        depth, failure = pending[-1][2:]
+        depth, failure = pending[-1][2:4]
         if failure is not None:
             raise DepthExceeded(failure)
         # One segment at a time until something certifies, so a path that
-        # certifies nothing solves what depth-first order solves.
+        # certifies nothing solves what depth-first order solves.  A round
+        # that is a run of limited segments grows to _BATCH at any depth.
         size = max(1, _BATCH >> depth) if leaves else 1
+        run = bool(leaves)
         batch = []
-        while pending and len(batch) < size and pending[-1][3] is None:
+        while pending and pending[-1][3] is None:
+            run = run and pending[-1][4]
+            if len(batch) >= (_BATCH if run else size):
+                break
             batch.append(pending.pop())
         bounds = np.array([seg[:2] for seg in batch])
         ts, spectra = _witness_spectra(path, bounds[:, 0], bounds[:, 1], opts)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, reasons = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, reasons, slack_only = _check_windows(path, ts, spectra, radius, margin, opts)
         grids = ts.tolist()
         for i in reversed(range(len(batch))):
-            lo, hi, depth, _ = batch[i]
+            lo, hi, depth = batch[i][:3]
             reason = _ALL_ZERO if empty[i] else reasons[i]
             if reason is None:
                 leaves.append(
@@ -362,10 +385,18 @@ def spectral_flow(
                 )
             elif depth >= opts.max_depth:
                 text = f"not certifiable at bisection depth {depth} ({reason})"
-                pending.append((lo, hi, depth, f"segment [{lo:.9g}, {hi:.9g}] {text}"))
+                pending.append((lo, hi, depth, f"segment [{lo:.9g}, {hi:.9g}] {text}", False))
             else:
+                # Resolution-limited: only the witness spacing failed and the
+                # ends have as many negative eigenvalues (rows are sorted).
+                rows = spectra[i]
+                limited = (
+                    i in slack_only
+                    and not empty[i]
+                    and np.searchsorted(rows[0], 0.0) == np.searchsorted(rows[-1], 0.0)
+                )
                 mid = 0.5 * (lo + hi)
-                pending += [(mid, hi, depth + 1, None), (lo, mid, depth + 1, None)]
+                pending += [(mid, hi, depth + 1, None, limited), (lo, mid, depth + 1, None, limited)]
     leaves.sort(key=lambda w: w.t_lower)
     times = tuple([leaves[0].t_lower] + [w.t_upper for w in leaves])
     # Every partition point ends a witness grid, so these rows are cached.

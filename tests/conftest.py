@@ -68,6 +68,22 @@ def brute_endpoint_flow(path) -> int:
     return brute_negative_count(path, 0.0) - brute_negative_count(path, 1.0)
 
 
+def mixed_matrix_path(seed: int):
+    """A 3-dim ``matrix_path`` that is real up to t = 0.5, then complex."""
+    from specflow import matrix_path
+
+    rng = np.random.default_rng(seed)
+    g, k = rng.standard_normal((2, 3, 3))
+    h, k = (g + g.T) / 2, k - k.T
+
+    def fn(t):
+        real = np.cos(3 * t) * h + np.diag([t, -t, 2 * t])
+        # An imaginary antisymmetric part grows in after t = 0.5.
+        return real if t <= 0.5 else real + 1j * (t - 0.5) * k
+
+    return matrix_path(3, fn, lipschitz=3 * np.linalg.norm(h, 2) + 2 + np.linalg.norm(k, 2))
+
+
 def rotated_report(neg_counts, kinds, dim: int, seed: int):
     """Component report of straight paths from a diagonal basepoint to rotated diagonals.
 

@@ -1,4 +1,5 @@
-"""Counter gate: the exact number of matrices each fixed workload hands to ``eigvalsh``.
+"""Counter gate: the exact number of matrices each fixed workload hands to ``eigvalsh``,
+and the number of refinement rounds of a few flows.
 
 The counts are machine-independent, so a change that makes any of them
 larger solves more than it needs to.  A change that lowers one on purpose
@@ -29,6 +30,7 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
+from specflow import flow
 from specflow.cli import main
 from specflow.config import sampled_path
 
@@ -93,6 +95,10 @@ def _components(tmp_path):
     assert main(["components", "--k", "4", "--out", str(tmp_path)]) == 0
 
 
+def _tanh(scale, lipschitz):
+    return matrix_path(1, lambda t: [[-2.0 * np.tanh(scale * (t - 0.44))]], lipschitz)
+
+
 CASES = {
     "flow+verify random_family(2, 6)": lambda _: _flow_and_verify(lambda: random_family(2, 6)),
     "flow+verify random_family(5, 2)": lambda _: _flow_and_verify(lambda: random_family(5, 2)),
@@ -128,6 +134,38 @@ CASES = {
         "margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
         "step = 1.490e-08)",
     ),
+    "DepthExceeded: (t - 0.5) I_4": _depth_exceeded(
+        lambda: matrix_path(4, lambda t: (t - 0.5) * np.eye(4), lipschitz=1.0),
+        "segment [0.499999881, 0.5] not certifiable at bisection depth 20 (Lipschitz slack: "
+        "margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
+        "step = 1.490e-08)",
+    ),
+    "DepthExceeded: zero eigenvalue at t=0.3": _depth_exceeded(
+        lambda: matrix_path(1, lambda t: [[t - 0.3]], lipschitz=1.0),
+        "segment [0.299999952, 0.300000072] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
+        "step = 1.490e-08)",
+    ),
+    "DepthExceeded: two eigenvalues zero at t=1/3": _depth_exceeded(
+        lambda: matrix_path(2, lambda t: np.diag([t - 1 / 3, 2 * t - 2 / 3]), lipschitz=2.0),
+        "segment [0.333333254, 0.333333373] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 1.490e-08 does not exceed 0.5 * L * step = 1.490e-08 with L = 2.000e+00, "
+        "step = 1.490e-08)",
+    ),
+    # No bound, so nothing fails on the slack: a count drift at the jump.
+    "DepthExceeded: tanh jump without a bound": _depth_exceeded(
+        lambda: _tanh(1e6, None),
+        "segment [0.439999938, 0.440000057] not certifiable at bisection depth 20 (count drift: "
+        "the count in [-1.490e-02, 1.490e-02] is 0 at t=0.43999993801116943 but 1 at "
+        "t=0.4399999976158142)",
+    ),
+    # Bounded: resolution-limited segments on both sides of the crossing.
+    "DepthExceeded: tanh with L = 2e3": _depth_exceeded(
+        lambda: _tanh(1e3, 2e3),
+        "segment [0.439999938, 0.440000057] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 1.013e-05 does not exceed 0.5 * L * step = 1.490e-05 with L = 2.000e+03, "
+        "step = 1.490e-08)",
+    ),
 }
 
 EIGENSOLVES = {
@@ -148,6 +186,12 @@ EIGENSOLVES = {
     "DepthExceeded: warp between adjacent floats": 89,
     # 193 with depth-first refinement, which stops at the failure.
     "DepthExceeded: zero eigenvalue at t=0.5": 257,
+    "DepthExceeded: (t - 0.5) I_4": 257,
+    "DepthExceeded: zero eigenvalue at t=0.3": 197,
+    "DepthExceeded: two eigenvalues zero at t=1/3": 193,
+    "DepthExceeded: tanh jump without a bound": 201,
+    # 713 with the depth cap alone.
+    "DepthExceeded: tanh with L = 2e3": 705,
 }
 
 
@@ -155,3 +199,44 @@ EIGENSOLVES = {
 def test_eigensolve_count(name, eigvalsh_counter, tmp_path, capsys):
     CASES[name](tmp_path)
     assert eigvalsh_counter.matrices == EIGENSOLVES[name]
+
+
+def _warp_of_slope(slope):
+    return lambda _: spectral_flow(_knot_warp(random_family(5, 0), [0.5, 0.5 + 1 / (3 * slope)]))
+
+
+# Calls of ``flow._witness_spectra``: one per refinement round, and one per
+# ``verify`` (the components report verifies every certificate).  The
+# comments give the counts of refinement with the depth cap alone, which
+# read ``max(1, 64 >> depth)`` segments per round.
+ROUND_CASES = {
+    # 581: after depth 6 one segment per round, though no crossing lies there.
+    "warp of slope 300": _warp_of_slope(300),
+    # 99.
+    "warp of slope 100": _warp_of_slope(100),
+    # 14, mostly rounds of 8 at depth 3.
+    "invertible_valued_family(12, 0)": lambda _: spectral_flow(invertible_valued_family(12, 0)),
+    # 37: its segments cross, so their rounds keep the depth cap.
+    "components --k 4": _components,
+}
+
+ROUNDS = {
+    "warp of slope 300": 29,
+    "warp of slope 100": 18,
+    "invertible_valued_family(12, 0)": 7,
+    "components --k 4": 37,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_CASES))
+def test_refinement_rounds(name, monkeypatch, tmp_path, capsys):
+    calls = []
+    original = flow._witness_spectra
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(flow, "_witness_spectra", counted)
+    ROUND_CASES[name](tmp_path)
+    assert len(calls) == ROUNDS[name]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import brute_endpoint_flow, brute_window_count
+from conftest import brute_endpoint_flow, brute_window_count, mixed_matrix_path
 from specflow import (
     BaerFamilySpec,
     CertificateBroken,
@@ -33,9 +34,11 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
+from specflow import flow
 from specflow.config import sampled_path
 from specflow.flow import _check_windows, _widest_gaps, _witness_spectra
 from specflow.operators import spectral_scale
+from specflow.reporting import dumps_document, flow_certificate_document
 
 
 class TestRefinePartition:
@@ -409,7 +412,7 @@ class TestJumpAcrossTheWindow:
         ts, spectra = _witness_spectra(path, [0.375], [0.5], FlowOptions())
         radius, margin, empty = _widest_gaps(spectra)
         assert not empty[0]
-        counts, reasons = _check_windows(path, ts, spectra, radius, margin, FlowOptions())
+        counts, reasons, _ = _check_windows(path, ts, spectra, radius, margin, FlowOptions())
         assert reasons == [
             "jump across the window: 0 eigenvalues below -1.000e+00 at t=0.375 "
             "but 1 at t=0.453125"
@@ -459,8 +462,10 @@ class TestBatchKernel:
         spectra = np.array([rows[k] for k in ("ok", "ok", "drift", "touch", "count", "jump")], float)
         ts = np.tile([0.0, 0.05, 0.1], (6, 1))
         margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
-        counts, reasons = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
+        counts, reasons, slack_only = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
         assert counts[0] == 0
+        # The slack segment also drifts, so it does not fail on the slack alone.
+        assert slack_only == set()
         assert reasons == [
             None,
             "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
@@ -470,6 +475,24 @@ class TestBatchKernel:
             "count drift: the count in [-1.000e+00, 1.000e+00] is 0 at t=0.0 but 1 at t=0.1",
             "jump across the window: 1 eigenvalues below -1.000e+00 at t=0.0 but 0 at t=0.05",
         ]
+
+    def test_slack_only_names_the_segments_that_fail_on_nothing_else(self):
+        # Segment 0 certifies, 1 fails only on the slack, 2 on the slack and
+        # a drift, 3 on the margin floor (its margin is also within the slack).
+        path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
+        spectra = np.array(
+            [[[-2, 3]] * 3, [[-2, 3]] * 3, [[-2, 3], [0.5, 3], [-2, 3]], [[-2, 3]] * 3], float
+        )
+        ts = np.tile([0.0, 0.05, 0.1], (4, 1))
+        margin = np.array([1.0, 0.01, 0.01, 1e-9])
+        _, reasons, slack_only = _check_windows(path, ts, spectra, np.ones(4), margin, FlowOptions())
+        assert [r is None or r.split(":")[0] for r in reasons] == [
+            True,
+            "Lipschitz slack",
+            "Lipschitz slack",
+            "margin floor",
+        ]
+        assert slack_only == {1}
 
     def test_widest_gaps_flags_an_all_zero_segment(self):
         spectra = np.array([[[0.0, 0.0], [0.0, 0.0]], [[-1.0, 3.0], [-1.0, 4.0]]])
@@ -494,13 +517,13 @@ class TestBatchKernel:
         path = matrix_path(d, lambda t: np.eye(d), lipschitz=lip)
         opts = FlowOptions(min_margin=floor)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, reasons = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, reasons, slack_only = _check_windows(path, ts, spectra, radius, margin, opts)
         for i in range(s):
             one = slice(i, i + 1)
             alone = _widest_gaps(spectra[one])
             assert (alone[0][0], alone[1][0], alone[2][0]) == (radius[i], margin[i], empty[i])
-            c, r = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
-            assert (c[0], r[0]) == (counts[i], reasons[i])
+            c, r, only = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
+            assert (c[0], r[0], 0 in only) == (counts[i], reasons[i], i in slack_only)
             # The widest gap between the distinct levels, 0 among them.
             levels = sorted({0.0, *np.abs(spectra[i]).ravel().tolist()})
             assert empty[i] == (len(levels) == 1)
@@ -576,3 +599,49 @@ class TestEndpointInertia:
         zero_tol = cert.options.cluster_tol * spectral_scale(ends)
         neg = np.count_nonzero(ends < -zero_tol[:, None], axis=1)
         assert cert.flow == int(neg[0] - neg[1])
+
+
+def _outcome(path, opts: FlowOptions) -> str:
+    """The certificate document of ``path``, or the ``DepthExceeded`` text."""
+    try:
+        return dumps_document(flow_certificate_document(spectral_flow(path, opts)))
+    except DepthExceeded as exc:
+        return f"DepthExceeded: {exc}"
+
+
+SCHEDULE_PATHS = {
+    **INERTIA_PATHS,
+    "matrix path mixed": mixed_matrix_path,
+    # Paths that fail at depth 20: crossings that no margin resolves.
+    "zero at a dyadic point": lambda seed: matrix_path(
+        2, lambda t: np.diag([t - 0.5, 1.0 + seed % 5]), lipschitz=1.0
+    ),
+    "tanh with a bound": lambda seed: matrix_path(
+        1, lambda t: [[-2.0 * np.tanh(1e3 * (t - 0.44))]], lipschitz=2e3
+    ),
+    "tanh without a bound": lambda seed: _tanh_jump(),
+}
+
+
+class TestScheduleParity:
+    """Batched refinement decides what depth-first refinement decides.
+
+    With ``_BATCH`` at 1 every round reads one segment, depth first.  The
+    certificate bytes, or the ``DepthExceeded`` text, must not change.
+    """
+
+    @given(
+        st.sampled_from(sorted(SCHEDULE_PATHS)),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([2, 4, 20]),
+        st.integers(min_value=2, max_value=9),
+    )
+    def test_batched_matches_depth_first(self, kind, seed, init_samples, max_depth, witness_points):
+        opts = FlowOptions(
+            init_samples=init_samples, max_depth=max_depth, witness_points=witness_points
+        )
+        batched = _outcome(SCHEDULE_PATHS[kind](seed), opts)
+        with mock.patch.object(flow, "_BATCH", 1):
+            depth_first = _outcome(SCHEDULE_PATHS[kind](seed), opts)
+        assert batched == depth_first

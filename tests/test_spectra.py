@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mixed_matrix_path
 from specflow import (
     BaerFamilySpec,
     GluingSpec,
@@ -99,6 +100,7 @@ PATHS = {
     "slice-end": lambda seed: _slice(seed, 1.0),
     "sampled": _sampled,
     "matrix-path": _user_matrix_path,
+    "matrix-path-mixed": mixed_matrix_path,
     "constant": lambda seed: constant_path(SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5])),
 }
 
@@ -290,6 +292,20 @@ class TestDiagonalBlend:
         built = sl._build_chunk(ts)
         assert built.ndim == 2
         assert _dense(built).tobytes() == dense.tobytes()
+
+
+class TestMixedDtypeMatrixPath:
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.4])
+    def test_real_row_alone_and_in_a_mixed_batch(self, t):
+        # The complex parameters share the real one's batch and its chunk;
+        # the real matrix is still solved as real.  Solved in one complex
+        # stack, these rows differed in their last bits.
+        alone = mixed_matrix_path(1).spectra([t])
+        mixed = mixed_matrix_path(1).spectra([0.75, t, 1.0])
+        real = np.linalg.eigvalsh(mixed_matrix_path(1).at(t).entries)
+        assert mixed_matrix_path(1).at(t).entries.dtype == np.float64
+        assert alone.tobytes() == mixed[1].tobytes() == real.tobytes()
+        assert mixed[[0, 2]].tobytes() == mixed_matrix_path(1).spectra([0.75, 1.0]).tobytes()
 
 
 class TestIngestErrorsNameParameter:
