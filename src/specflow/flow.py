@@ -213,7 +213,7 @@ def _check_windows(
     radius: np.ndarray,
     margin: np.ndarray,
     opts: FlowOptions,
-) -> tuple[np.ndarray, list[str | None], set[int]]:
+) -> tuple[np.ndarray, list[str | None], np.ndarray]:
     """The segment acceptance rule: each segment's window count, and why it fails or ``None``.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
@@ -226,7 +226,7 @@ def _check_windows(
     -radius is not: an eigenvalue that jumps across the whole window
     between two witnesses keeps the window count but changes the flow.  A
     rejection is a message that names the first failing reason and its
-    numbers.  The third value holds the segments that fail on the
+    numbers.  The third value is a mask of the segments that fail on the
     Lipschitz slack and on nothing else.
 
     When the path carries a Lipschitz bound L the check is rigorous, not
@@ -251,15 +251,12 @@ def _check_windows(
     witnessed = (touched | drift | jump).any(axis=1)
     failed = low | slipped | witnessed
     reasons: list[str | None] = [None] * len(ts)
-    slack_only: set[int] = set()
     for i in np.flatnonzero(failed).tolist():
         r, m, t = float(radius[i]), float(margin[i]), ts[i]
         if low[i]:
             reasons[i] = f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
         elif slipped[i]:
             # An eigenvalue could reach the boundary between witnesses.
-            if not witnessed[i]:
-                slack_only.add(i)
             reasons[i] = (
                 f"Lipschitz slack: margin {m:.3e} does not exceed "
                 f"0.5 * L * step = {slack[i]:.3e} with L = {lip:.3e}, step = {step[i]:.3e}"
@@ -279,7 +276,7 @@ def _check_windows(
                 f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
                 f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
             )
-    return counts[:, 0], reasons, slack_only
+    return counts[:, 0], reasons, slipped & ~(low | witnessed)
 
 
 def _witness_spectra(path: OperatorPath, lo, hi, opts: FlowOptions) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +388,7 @@ def spectral_flow(
                 # ends have as many negative eigenvalues (rows are sorted).
                 rows = spectra[i]
                 limited = (
-                    i in slack_only
+                    slack_only[i]
                     and not empty[i]
                     and np.searchsorted(rows[0], 0.0) == np.searchsorted(rows[-1], 0.0)
                 )

@@ -209,26 +209,38 @@ def _matrix_stack(mats: list) -> np.ndarray:
 
 
 class _FunctionPath(OperatorPath):
-    """A :func:`matrix_path`: its real and complex matrices are solved in separate stacks."""
+    """A :func:`matrix_path`: ``build`` returns the list of ``fn``'s matrices.
 
-    __slots__ = ("_fn",)
+    A checked build stacks the whole list.  ``spectra`` solves the real and
+    the complex matrices of a chunk in separate stacks, so a real row does
+    not depend on which parameters share its batch.
+    """
 
-    def __init__(self, dim: int, fn: Callable[[float], np.ndarray], lipschitz: float | None):
-        # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
-        super().__init__(dim, lambda ts: _matrix_stack([fn(t) for t in ts.tolist()]), lipschitz)
-        self._fn = fn
+    __slots__ = ()
+
+    def _build_chunk(self, chunk) -> np.ndarray:
+        mats = self._build(np.array(chunk, dtype=np.float64))
+        return _checked_build(_matrix_stack(mats), chunk, self._dim)
 
     def _solve(self, ts: list[float]) -> None:
         step = stack_chunk(self._dim)
         for i in range(0, len(ts), step):
             chunk = ts[i : i + step]
-            mats = [np.asarray(self._fn(t)) for t in chunk]
+            mats = self._build(np.array(chunk, dtype=np.float64))
             kinds = [np.iscomplexobj(m) for m in mats]
-            for kind in dict.fromkeys(kinds):
-                idx = [k for k, c in enumerate(kinds) if c == kind]
-                keys = [chunk[k] for k in idx]
-                built = _checked_build(_matrix_stack([mats[k] for k in idx]), keys, self._dim)
-                self._cache.update(zip(keys, _spectrum_rows(built)))
+            groups = [[k for k, c in enumerate(kinds) if c == x] for x in dict.fromkeys(kinds)]
+            keyed = [[chunk[k] for k in idx] for idx in groups]
+            try:
+                built = [
+                    _checked_build(_matrix_stack([mats[k] for k in idx]), keys, self._dim)
+                    for idx, keys in zip(groups, keyed)
+                ]
+            except ValueError:
+                # Name the chunk's first offending parameter, as one stack's ingest does.
+                _checked_build(_matrix_stack(mats), chunk, self._dim)
+                raise
+            for keys, stack in zip(keyed, built):
+                self._cache.update(zip(keys, _spectrum_rows(stack)))
 
 
 def matrix_path(
@@ -243,7 +255,7 @@ def matrix_path(
     real and the complex matrices of a batch in separate stacks, so a row
     does not depend on which parameters share its batch.
     """
-    return _FunctionPath(dim, fn, lipschitz)
+    return _FunctionPath(dim, lambda ts: [fn(t) for t in ts.tolist()], lipschitz)
 
 
 def constant_path(op: SelfAdjointOperator) -> OperatorPath:

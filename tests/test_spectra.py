@@ -317,6 +317,19 @@ class TestIngestErrorsNameParameter:
         with pytest.raises(ValueError, match=r"at t=0\.75$"):
             p.at(0.75)
 
+    def test_mixed_dtype_batch_names_its_first_offending_parameter(self):
+        # The real and complex matrices are ingested in separate stacks; the
+        # error still names the batch's first bad parameter, not its group's.
+        def fn(t):
+            m = np.eye(2, dtype=float if t == 0.5 else complex)
+            m[0, 0] = np.nan if t > 0.25 else 1.0
+            return m
+
+        with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
+            matrix_path(2, fn).spectra([0.25, 0.5, 0.75])
+        with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.75$"):
+            matrix_path(2, fn).spectra([0.25, 0.75])
+
     def test_stacked_batch_names_offending_matrix(self):
         def build(ts):
             stack = np.repeat(np.eye(2)[None], ts.size, axis=0)
