@@ -231,8 +231,9 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     """Path through sampled operators with linear interpolation.
 
     Sample times must be strictly increasing and cover [0, 1].  Each knot
-    interval is read off its own :func:`straight_segment`, so an interval
-    between two real knots stays real next to a complex one.
+    interval is read off its own :func:`straight_segment`, with its own
+    Lipschitz bound and row cache, and ``at(t)`` keeps the dtype of the
+    interval's knots, so a real interval exports as real.
     """
     if len(samples) < 2:
         raise ConfigError("sampled path needs at least two samples")

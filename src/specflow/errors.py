@@ -36,12 +36,21 @@ class BoundaryAmbiguity(SpectralFlowError):
 class DepthExceeded(SpectralFlowError):
     """Recursive bisection hit its depth limit without certifying a segment.
 
-    The message names the segment and why its last attempt was rejected:
-    every witnessed eigenvalue is zero, the margin is below the floor, the
-    margin is within the Lipschitz slack ``0.5 * L * step``, or the window
-    count drifts over the witness grid.  Callers may raise ``max_depth``
-    or ``witness_points``, loosen ``min_margin``, or supply a smaller
-    valid Lipschitz bound, depending on the reason.
+    The message names the segment and the first of six reasons its last
+    attempt was rejected for, in the order they are tested:
+
+    - all zero: every witnessed eigenvalue is zero;
+    - margin floor: the margin is below ``min_margin`` times the largest
+      witnessed magnitude;
+    - Lipschitz slack: the margin does not exceed ``0.5 * L * step``;
+    - window margin violated: a witnessed magnitude is closer to the window
+      radius than the margin;
+    - count drift: the count in the window changes over the witness grid;
+    - jump across the window: the count below the window changes.
+
+    Callers may raise ``max_depth`` or ``witness_points``, loosen
+    ``min_margin``, or supply a smaller valid Lipschitz bound, depending on
+    the reason.
     """
 
 

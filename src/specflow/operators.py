@@ -116,10 +116,23 @@ def _dense(stack: np.ndarray) -> np.ndarray:
 def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue rows ``(n, d)`` of a checked stack, read-only.
 
-    A dense stack ``(n, d, d)`` takes one stacked eigensolve; diagonal rows
-    ``(n, d)`` are their own spectra and are only sorted.
+    Diagonal rows ``(n, d)`` are their own spectra and are only sorted.  A
+    dense stack ``(n, d, d)`` is solved as real where a matrix's imaginary
+    part is exactly zero and as complex elsewhere, one stacked eigensolve
+    each, so a row depends on its matrix's values alone, never on the
+    dtype of the stack that holds it.
     """
-    return _sorted_rows(stack if stack.ndim == 2 else _solve_spectrum(stack))
+    if stack.ndim == 2:
+        return _sorted_rows(stack)
+    if np.iscomplexobj(stack):
+        real = ~stack.imag.any(axis=(-2, -1))
+        if real.any():
+            rows = np.empty(stack.shape[:2])
+            rows[real] = _solve_spectrum(stack[real].real)
+            if not real.all():
+                rows[~real] = _solve_spectrum(stack[~real])
+            return _sorted_rows(rows)
+    return _sorted_rows(_solve_spectrum(stack))
 
 
 class SelfAdjointOperator:

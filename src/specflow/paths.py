@@ -61,12 +61,13 @@ class OperatorPath:
 
     ``build`` maps a 1-d float64 array of ``n`` distinct parameters to one
     array: ``n`` dense matrices ``(n, dim, dim)`` or ``n`` real diagonals
-    ``(n, dim)``, of one dtype.  The path checks every array it builds:
-    matrices pass the ingest of :class:`SelfAdjointOperator`, diagonals must
-    be finite, and an error names the offending parameter.  The value at
-    ``t`` must not depend on which other parameters share its batch, down
-    to the last bit.  A function of one parameter goes through
-    :func:`matrix_path`.
+    ``(n, dim)``.  The path checks every array it builds: matrices pass the
+    ingest of :class:`SelfAdjointOperator`, diagonals must be finite, and an
+    error names the offending parameter.  The values at ``t`` must not
+    depend on which other parameters share its batch, down to the last bit;
+    a row is then a function of its matrix's values, whatever its batch,
+    its dtype or the path that built it.  A function of one parameter goes
+    through :func:`matrix_path`.
 
     :meth:`at` builds an operator and keeps nothing; :meth:`spectra` caches
     one read-only row of ``dim`` sorted eigenvalues per parameter, never a
@@ -208,41 +209,6 @@ def _matrix_stack(mats: list) -> np.ndarray:
     return stack
 
 
-class _FunctionPath(OperatorPath):
-    """A :func:`matrix_path`: ``build`` returns the list of ``fn``'s matrices.
-
-    A checked build stacks the whole list.  ``spectra`` solves the real and
-    the complex matrices of a chunk in separate stacks, so a real row does
-    not depend on which parameters share its batch.
-    """
-
-    __slots__ = ()
-
-    def _build_chunk(self, chunk) -> np.ndarray:
-        mats = self._build(np.array(chunk, dtype=np.float64))
-        return _checked_build(_matrix_stack(mats), chunk, self._dim)
-
-    def _solve(self, ts: list[float]) -> None:
-        step = stack_chunk(self._dim)
-        for i in range(0, len(ts), step):
-            chunk = ts[i : i + step]
-            mats = self._build(np.array(chunk, dtype=np.float64))
-            kinds = [np.iscomplexobj(m) for m in mats]
-            groups = [[k for k, c in enumerate(kinds) if c == x] for x in dict.fromkeys(kinds)]
-            keyed = [[chunk[k] for k in idx] for idx in groups]
-            try:
-                built = [
-                    _checked_build(_matrix_stack([mats[k] for k in idx]), keys, self._dim)
-                    for idx, keys in zip(groups, keyed)
-                ]
-            except ValueError:
-                # Name the chunk's first offending parameter, as one stack's ingest does.
-                _checked_build(_matrix_stack(mats), chunk, self._dim)
-                raise
-            for keys, stack in zip(keyed, built):
-                self._cache.update(zip(keys, _spectrum_rows(stack)))
-
-
 def matrix_path(
     dim: int,
     fn: Callable[[float], np.ndarray],
@@ -251,11 +217,9 @@ def matrix_path(
     """Path from a function returning raw Hermitian matrices.
 
     ``fn`` is called once per parameter and its matrices are ingested as
-    one stack; an ingest error names the parameter.  ``spectra`` solves the
-    real and the complex matrices of a batch in separate stacks, so a row
-    does not depend on which parameters share its batch.
+    one stack; an ingest error names the parameter.
     """
-    return _FunctionPath(dim, lambda ts: [fn(t) for t in ts.tolist()], lipschitz)
+    return OperatorPath(dim, lambda ts: _matrix_stack([fn(t) for t in ts.tolist()]), lipschitz)
 
 
 def constant_path(op: SelfAdjointOperator) -> OperatorPath:
@@ -302,18 +266,18 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
 def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]:
     """The row of ``segments[k]`` at ``ts[k]`` for every ``k``: one stacked read.
 
-    Cached rows are read as they are.  The misses are grouped by the kind
-    (diagonal or dense) and dtypes of their blend operands, and each group
-    is blended, ingested and solved a ``stack_chunk`` at a time.  A row so
-    has the bits of ``segments[k].spectra([ts[k]])``: a real row is never
-    solved as complex nor a diagonal one as dense.  Every row is cached.
+    Cached rows are read as they are.  The misses are grouped by dimension
+    and kind (diagonal or dense), and each group is blended, ingested and
+    solved a ``stack_chunk`` at a time.  A row so has the bits of
+    ``segments[k].spectra([ts[k]])``: a diagonal row is never solved as
+    dense, and a row depends on its matrix alone.  Every row is cached.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (seg, t) in enumerate(zip(segments, ts)):
         if t not in seg._cache:
             x, y = seg._ends
-            groups.setdefault((seg.dim, max(x.ndim, y.ndim), x.dtype, y.dtype), []).append(k)
-    for (dim, ndim, _, _), members in groups.items():
+            groups.setdefault((seg.dim, max(x.ndim, y.ndim)), []).append(k)
+    for (dim, ndim), members in groups.items():
         step = stack_chunk(dim)
         for i in range(0, len(members), step):
             chunk = members[i : i + step]

@@ -194,7 +194,7 @@ class TestLockstepBisection:
         spare=st.integers(0, 2),
         seed=st.integers(0, 2**16),
     )
-    # Real and complex pairs bisect side by side: a shared stack would solve real rows as complex.
+    # Real and complex pairs bisect side by side in one stack; each row keeps its own bits.
     @example(kind="mixed real/complex", counts=[0, 1, 2, 3, 4], spare=0, seed=0)
     def test_matches_per_pair_bisection(self, kind, counts, spare, seed):
         dim = max(2, *counts) + spare

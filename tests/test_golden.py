@@ -149,8 +149,9 @@ def test_path_algebra_digest(name, eigvalsh_counter):
     assert hashlib.sha256(text.encode()).hexdigest() == PATH_ALGEBRA_GOLDEN[name]
 
 
-# One interval blends two real knots, the next a real and a complex one:
-# each interval keeps its own dtype, so no real matrix is solved as complex.
+# One interval blends two real knots, the next a real and a complex one.
+# A row depends on its matrix alone: a matrix with zero imaginary part is
+# solved as real, also where a complex stack holds it.
 _REAL = [
     np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]]),
     np.array([[-1.0, 0.5, 0.125], [0.5, -1.0, 0.25], [0.125, 0.25, 2.0]]),

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import mixed_matrix_path
 from specflow import (
@@ -34,9 +34,10 @@ from specflow import (
 )
 from specflow import operators
 from specflow.cli import main
-from specflow.config import sampled_path
+from specflow.config import build_family_path, sampled_path
 from specflow.operators import _dense, _ingest_stack, stack_chunk
-from specflow.paths import OperatorPath
+from specflow.paths import Homotopy, OperatorPath
+from specflow.reporting import dumps_document, flow_certificate_document
 
 
 def _glued(seed: int) -> OperatorPath:
@@ -65,6 +66,15 @@ def _slice(seed: int, s: float) -> OperatorPath:
     e = np.diag(np.linspace(-0.5, 0.5, 6))
     bumped = matrix_path(6, lambda t: a.at(t).entries + np.sin(np.pi * t) * e)
     return affine_homotopy(a, bumped).slice_at(s)
+
+
+def _slice_mixed(seed: int) -> OperatorPath:
+    # Interior slices blend the stacks their two paths build, so complex
+    # matrices from t > 0.5 share a stack with the real ones before it.
+    m = mixed_matrix_path(seed)
+    bump = np.diag([1.0, 0.0, -1.0])
+    bumped = matrix_path(3, lambda t: m.at(t).entries + np.sin(np.pi * t) * bump)
+    return Homotopy(m, bumped).slice_at(0.3)
 
 
 def _sampled(seed: int) -> OperatorPath:
@@ -98,6 +108,7 @@ PATHS = {
     "reparametrize": lambda seed: reparametrize(random_family(4, seed), lambda t: t * t),
     "slice-interior": lambda seed: _slice(seed, 0.3),
     "slice-end": lambda seed: _slice(seed, 1.0),
+    "slice-interior-mixed": _slice_mixed,
     "sampled": _sampled,
     "matrix-path": _user_matrix_path,
     "matrix-path-mixed": mixed_matrix_path,
@@ -107,6 +118,11 @@ PATHS = {
 _params = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
+def _eigvalsh(entries: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of ``entries``, of its real part when the imaginary part is all zero."""
+    return np.linalg.eigvalsh(entries if np.imag(entries).any() else entries.real)
+
+
 @given(
     name=st.sampled_from(sorted(PATHS)),
     seed=st.integers(0, 10_000),
@@ -114,12 +130,21 @@ _params = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     cached=st.lists(_params, max_size=6),
     stack_bytes=st.sampled_from([1 << 12, operators.STACK_BYTES]),
 )
+# The real row at t = 0.1 shares a stack with the complex ones at 0.75 and 1.
+@example(
+    name="slice-interior-mixed",
+    seed=0,
+    ts=[0.1, 0.75, 1.0],
+    cached=[],
+    stack_bytes=operators.STACK_BYTES,
+)
 def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_bytes):
     """spectra(ts) on one path equals at(t) on a fresh path, bit for bit.
 
     Parameters already cached, parameters repeated within the batch and
     small stack chunks (4 KiB) must not change a single bit; the reference
-    spectrum is the per-matrix ``eigvalsh`` of the entries.
+    spectrum is the per-matrix ``eigvalsh`` of the entries, solved as real
+    when their imaginary part is all zero.
     """
     batched, single = PATHS[name](seed), PATHS[name](seed)
     with mock.patch.object(operators, "STACK_BYTES", stack_bytes):
@@ -130,7 +155,7 @@ def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_by
         op = single.at(t)
         assert row.tobytes() == op.spectrum.values.tobytes()
         assert batched.at(t).entries.tobytes() == op.entries.tobytes()
-        reference = Spectrum(np.linalg.eigvalsh(op.entries)).values
+        reference = Spectrum(_eigvalsh(op.entries)).values
         assert row.tobytes() == reference.tobytes()
 
 
@@ -297,9 +322,9 @@ class TestDiagonalBlend:
 class TestMixedDtypeMatrixPath:
     @pytest.mark.parametrize("t", [0.1, 0.25, 0.4])
     def test_real_row_alone_and_in_a_mixed_batch(self, t):
-        # The complex parameters share the real one's batch and its chunk;
-        # the real matrix is still solved as real.  Solved in one complex
-        # stack, these rows differed in their last bits.
+        # The complex parameters share the real one's batch, its chunk and
+        # its complex stack; the real matrix is still solved as real.
+        # Solved as complex, these rows differed in their last bits.
         alone = mixed_matrix_path(1).spectra([t])
         mixed = mixed_matrix_path(1).spectra([0.75, t, 1.0])
         real = np.linalg.eigvalsh(mixed_matrix_path(1).at(t).entries)
@@ -318,8 +343,8 @@ class TestIngestErrorsNameParameter:
             p.at(0.75)
 
     def test_mixed_dtype_batch_names_its_first_offending_parameter(self):
-        # The real and complex matrices are ingested in separate stacks; the
-        # error still names the batch's first bad parameter, not its group's.
+        # The real and complex matrices are ingested in one stack; the error
+        # names the batch's first bad parameter.
         def fn(t):
             m = np.eye(2, dtype=float if t == 0.5 else complex)
             m[0, 0] = np.nan if t > 0.25 else 1.0
@@ -362,8 +387,9 @@ def _inline_sampled_entries(knots, mats, params):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sampled_path_matches_inline_blend(seed):
-    # Each interval keeps the dtype of its two knots: a real interval next
-    # to a complex knot is built and solved as real.
+    # Each interval's entries keep the dtype of its two knots, and a row is
+    # solved as real wherever its matrix is: a real knot that a mixed
+    # interval reads has the bits of its own spectrum.
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 20))
     count = int(rng.integers(2, 6))
@@ -382,5 +408,35 @@ def test_sampled_path_matches_inline_blend(seed):
         got = path.at(t).entries
         assert got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
-    for row, ref in zip(path.spectra(params), reference):
-        assert row.tobytes() == np.linalg.eigvalsh(ref).tobytes()
+    rows = path.spectra(params)
+    for row, ref in zip(rows, reference):
+        assert row.tobytes() == _eigvalsh(ref).tobytes()
+    at = dict(zip(params.tolist(), rows))
+    for t, m in zip(knots, raw):
+        assert at[t].tobytes() == SelfAdjointOperator(m).spectrum.values.tobytes()
+
+
+def _sampled_family(seed: int, zero_imag: bool) -> dict:
+    """Three random real knots of dimension 2-7, optionally written as ``{real, imag: 0}``."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 8))
+    samples = []
+    for t in (0.0, 0.5, 1.0):
+        g = rng.standard_normal((dim, dim))
+        matrix = ((g + g.T) / 2).tolist()
+        if zero_imag:
+            matrix = {"real": matrix, "imag": np.zeros((dim, dim)).tolist()}
+        samples.append({"t": t, "matrix": matrix})
+    return {"kind": "sampled", "samples": samples}
+
+
+# Seeds 0-5 all certified with different bytes when zero-imaginary knots
+# were solved as complex.  The documents carry no path block, which would
+# echo the two spellings of the matrices.
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_imaginary_config_certifies_as_real(seed):
+    docs = [
+        dumps_document(flow_certificate_document(spectral_flow(build_family_path(family))))
+        for family in (_sampled_family(seed, False), _sampled_family(seed, True))
+    ]
+    assert docs[0] == docs[1]
