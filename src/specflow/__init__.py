@@ -26,6 +26,7 @@ from .operators import SelfAdjointOperator, Spectrum
 from .paths import (
     Homotopy,
     OperatorPath,
+    add,
     affine_homotopy,
     concat,
     constant_path,
@@ -87,6 +88,7 @@ __all__ = [
     "constant_path",
     "straight_segment",
     "concat",
+    "add",
     "reverse",
     "affine_homotopy",
     "reparametrize",

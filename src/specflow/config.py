@@ -242,10 +242,19 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
         raise ConfigError("sample times must be strictly increasing")
     if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise ConfigError("sampled path must cover t=0 and t=1")
-    knots = [SelfAdjointOperator(m) for _, m in samples]
+    knots = []
+    for t, m in samples:
+        try:
+            knots.append(SelfAdjointOperator(m))
+        except ValueError as exc:
+            raise ConfigError(f"{exc} at t={float(t)!r}") from exc
     dim = knots[0].dim
-    if any(op.dim != dim for op in knots):
-        raise ConfigError("all sampled matrices must share one dimension")
+    k = next((k for k, op in enumerate(knots) if op.dim != dim), None)
+    if k is not None:
+        raise ConfigError(
+            f"all sampled matrices must share one dimension: dimension {knots[k].dim} "
+            f"at t={float(ts[k])!r}, dimension {dim} at t={float(ts[0])!r}"
+        )
     segments = [straight_segment(p, q) for p, q in zip(knots, knots[1:])]
 
     def route(params: np.ndarray):

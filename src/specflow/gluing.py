@@ -6,6 +6,13 @@ merged eigenvalue is perturbed by a smooth seeded amount strictly inside
 (-epsilon, epsilon).  The merge preserves the window count and keeps +/-2
 off the spectrum, so the flow of the merged path equals the crossing
 multiplicity m + 1 > m.
+
+Only the net count is m + 1: a crossing slot need not be monotone.  The
+noise slope reaches 21 * epsilon (smoothstep slope 1.5, 7 knot intervals,
+knot values in [-1, 1]) against the crossing's slope of 2, so at
+epsilon = 0.4 a slot can cross zero up, down and up again.  Two such
+crossings of opposite sign can fall in one cell of a sampling grid and
+cancel there.
 """
 
 from __future__ import annotations

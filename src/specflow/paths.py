@@ -6,10 +6,13 @@ diagonal rows ``(n, d)``.  ``at(t)`` builds the operator at one parameter
 and caches nothing.  ``spectra(ts)`` is the cached read: the path's one
 cache maps each parameter to its sorted eigenvalue row, solved a stacked
 chunk at a time, so partition refinement, which revisits segment
-endpoints, reuses rows and no per-parameter object is built.  Paths that only reparametrize others
-(``concat``, ``reverse``, ``reparametrize``, ``constant_path``, the end
-slices of a homotopy and sampled config paths) read their rows from their
-parts' caches, so a row is solved once per base path.
+endpoints, reuses rows and no per-parameter object is built.  Paths that
+only reparametrize others (``concat``, ``reverse``, ``reparametrize``,
+``constant_path``, the end slices of a homotopy and sampled config paths)
+read their rows from their parts' caches, so a row is solved once per
+base path.  ``add`` and interior homotopy slices combine their parts'
+stacks built at the same parameters; no path builds from another path's
+``at``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "constant_path",
     "straight_segment",
     "concat",
+    "add",
     "reverse",
     "affine_homotopy",
     "reparametrize",
@@ -345,6 +349,35 @@ def reverse(a: OperatorPath) -> OperatorPath:
     return _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), a.lipschitz)
 
 
+def _pointwise(a: OperatorPath, b: OperatorPath, combine, lipschitz) -> OperatorPath:
+    """The path ``t -> combine(x, y)``, ``x`` and ``y`` being ``a``'s and ``b``'s checked stacks.
+
+    Both parts build at the same parameters.  Two diagonal stacks combine
+    on their diagonals; a dense one makes both dense.
+    """
+
+    def build(ts: np.ndarray) -> np.ndarray:
+        keys = ts.tolist()
+        x, y = a._build_chunk(keys), b._build_chunk(keys)
+        if x.ndim != y.ndim:
+            x, y = _dense(x), _dense(y)
+        return combine(x, y)
+
+    return OperatorPath(a.dim, build, lipschitz)
+
+
+def add(a: OperatorPath, b: OperatorPath) -> OperatorPath:
+    """Pointwise sum ``t -> a(t) + b(t)``, bounded by the sum of the two bounds.
+
+    The bound is unknown when either part's is.  The sum of two diagonal
+    paths is diagonal.
+    """
+    if a.dim != b.dim:
+        raise EndpointMismatch(f"cannot add paths of dims {a.dim} and {b.dim}")
+    lip = None if a.lipschitz is None or b.lipschitz is None else a.lipschitz + b.lipschitz
+    return _pointwise(a, b, np.add, lip)
+
+
 class Homotopy:
     """Straight-line homotopy ``H(s, t) = (1-s) a(t) + s b(t)`` on [0, 1]^2.
 
@@ -372,8 +405,11 @@ class Homotopy:
     def slice_at(self, s: float) -> OperatorPath:
         """The path ``t -> H(s, t)``: ``a`` at s=0, ``b`` at s=1, a blend between.
 
-        Interior slices of two diagonal paths are diagonal.  The slice bound
-        is the larger path bound, ``None`` when either is unknown.
+        The end slices read ``a``'s and ``b``'s rows.  An interior slice
+        blends the two paths' stacks built at the same parameters, by the
+        builder :func:`add` uses, so slices of two diagonal paths are
+        diagonal.  The slice bound is the larger path bound, ``None`` when
+        either is unknown.
         """
         s = float(s)
         if not 0.0 <= s <= 1.0:
@@ -382,12 +418,7 @@ class Homotopy:
         lip = _composite_lipschitz(1.0, a, b)
         if s in (0.0, 1.0):
             return _Reparametrized(a.dim, _whole(b if s else a, lambda ts: ts), lip)
-
-        def build(ts: np.ndarray) -> np.ndarray:
-            keys = ts.tolist()
-            return _blend(np.full(ts.size, s), a._build_chunk(keys), b._build_chunk(keys))
-
-        return OperatorPath(a.dim, build, lip)
+        return _pointwise(a, b, lambda x, y: _blend(np.full(len(x), s), x, y), lip)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:

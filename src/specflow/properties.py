@@ -16,7 +16,7 @@ import numpy as np
 from .components import _singular
 from .families import _smooth_path, invertible_valued_family, random_family, random_symmetric
 from .flow import FlowOptions, spectral_flow
-from .paths import OperatorPath, affine_homotopy, concat, matrix_path, reverse
+from .paths import Homotopy, OperatorPath, add, concat, reverse
 
 __all__ = ["PropertyCheck", "PropertyReport", "check_flow_properties"]
 
@@ -55,16 +55,17 @@ def _extension_path(a: OperatorPath, seed: int) -> OperatorPath:
     return _smooth_path(a.at(1.0).entries, b, c)
 
 
-def _perturbation_homotopy(a: OperatorPath, seed: int, scale: float = 0.5):
-    """Affine homotopy from ``a`` to a bump-perturbed copy with equal ends."""
-    rng = np.random.default_rng(seed)
-    dim = a.dim
-    e = random_symmetric(rng, dim) * scale
-    lip = None
-    if a.lipschitz is not None:
-        lip = a.lipschitz + np.pi * float(np.linalg.norm(e, 2))
-    bumped = matrix_path(dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, lipschitz=lip)
-    return affine_homotopy(a, bumped)
+def _perturbation_homotopy(a: OperatorPath, seed: int) -> Homotopy:
+    """Straight-line homotopy from ``a`` to ``a + sin(pi t) E``, which has ``a``'s ends.
+
+    ``E`` is half the symmetric part of a seeded normal draw.  The bump is
+    a path of its own, bounded by ``pi * ||E||_2``, and the perturbed path
+    is :func:`add` of the two, built a stack at a time.
+    """
+    e = random_symmetric(np.random.default_rng(seed), a.dim) * 0.5
+    lip = np.pi * float(np.linalg.norm(e, 2))
+    bump = OperatorPath(a.dim, lambda ts: np.sin(np.pi * ts)[:, None, None] * e, lip)
+    return Homotopy(a, add(a, bump))
 
 
 def check_flow_properties(

@@ -84,6 +84,23 @@ def mixed_matrix_path(seed: int):
     return matrix_path(3, fn, lipschitz=3 * np.linalg.norm(h, 2) + 2 + np.linalg.norm(k, 2))
 
 
+def dense_sum(seed: int):
+    """``add`` of two dense random families of one dimension."""
+    from specflow import add, random_family
+
+    dim = 2 + seed % 8
+    return add(random_family(dim, seed), random_family(dim, seed + 1))
+
+
+def diagonal_sum(seed: int):
+    """``add`` of a crossing family and a constant diagonal shift in [-0.5, 0.5)."""
+    from specflow import BaerFamilySpec, SelfAdjointOperator, add, baer_family, constant_path
+
+    a = baer_family(BaerFamilySpec(m=1 + seed % 4))
+    shift = np.random.default_rng(seed).uniform(-0.5, 0.5, a.dim)
+    return add(a, constant_path(SelfAdjointOperator.from_diagonal(shift)))
+
+
 def rotated_report(neg_counts, kinds, dim: int, seed: int):
     """Component report of straight paths from a diagonal basepoint to rotated diagonals.
 

@@ -126,7 +126,36 @@ class TestFlowCommand:
         assert main(["flow", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "specflow: ConfigError: matrix is not self-adjoint: asymmetry 1.000e+00 "
-            "exceeds 1e-12 * norm (2.000e+00)\n"
+            "exceeds 1e-12 * norm (2.000e+00) at t=0.0\n"
+        )
+
+    def test_sampled_nan_knot_names_its_sample(self, tmp_path, capsys):
+        # json.loads reads NaN, and the schema accepts it as a number.
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(
+            '{"family": {"kind": "sampled", "samples": ['
+            '{"t": 0.0, "matrix": [[1.0, 0.0], [0.0, -1.0]]}, '
+            '{"t": 0.5, "matrix": [[NaN, 0.0], [0.0, 1.0]]}, '
+            '{"t": 1.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}}'
+        )
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: operator entries must be finite at t=0.5\n"
+        )
+
+    def test_sampled_dimension_mismatch_names_both_dimensions(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        samples = [
+            {"t": 0.0, "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+            {"t": 0.25, "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+            {"t": 0.5, "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            {"t": 1.0, "matrix": [[1.0]]},
+        ]
+        cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: all sampled matrices must share one dimension: "
+            "dimension 3 at t=0.5, dimension 2 at t=0.0\n"
         )
 
     @pytest.mark.parametrize("command", ["flow", "spectrum"])
@@ -141,7 +170,7 @@ class TestFlowCommand:
         assert main([command, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "specflow: ConfigError: operator entries overflow float64 when symmetrized "
-            "as (A + A^H) / 2\n"
+            "as (A + A^H) / 2 at t=0.0\n"
         )
 
     def test_oracle_grid_below_minimum_exit_1(self, capsys):

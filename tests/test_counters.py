@@ -16,9 +16,11 @@ import pytest
 from conftest import rotated_report
 from specflow import (
     DepthExceeded,
+    OperatorPath,
     SelfAdjointOperator,
     affine_homotopy,
     certify_distinct_components,
+    check_flow_properties,
     concat,
     constant_path,
     invertible_valued_family,
@@ -30,7 +32,7 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
-from specflow import flow
+from specflow import flow, paths
 from specflow.cli import main
 from specflow.config import sampled_path
 
@@ -240,3 +242,23 @@ def test_refinement_rounds(name, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(flow, "_witness_spectra", counted)
     ROUND_CASES[name](tmp_path)
     assert len(calls) == ROUNDS[name]
+
+
+def test_property_suite_builds_no_path_one_parameter_at_a_time(monkeypatch):
+    # The perturbed path is ``add(a, bump)``, built a stack at a time, so the
+    # only ``at`` calls are the homotopy's endpoint checks, four per case.
+    # Built per parameter from ``a.at(t)`` it read 408 calls and 453 ingests.
+    calls = {"at": 0, "ingest": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(OperatorPath, "at", counted("at", OperatorPath.at))
+    monkeypatch.setattr(paths, "_ingest_stack", counted("ingest", paths._ingest_stack))
+    report = check_flow_properties(seed=0, invertible_paths=0, concat_pairs=0, homotopies=3, slices=3)
+    assert report.passed
+    assert calls == {"at": 12, "ingest": 105}

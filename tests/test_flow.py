@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import brute_endpoint_flow, brute_window_count, mixed_matrix_path
+from conftest import (
+    brute_endpoint_flow,
+    brute_window_count,
+    dense_sum,
+    diagonal_sum,
+    mixed_matrix_path,
+)
 from specflow import (
     BaerFamilySpec,
     CertificateBroken,
@@ -585,6 +591,8 @@ INERTIA_PATHS = {
     "interior slice": lambda seed: _bumped_slice(seed, 0.3),
     "end slice": lambda seed: _bumped_slice(seed, 1.0),
     "warp": _resolvable_warp,
+    "add dense": dense_sum,
+    "add diagonal": diagonal_sum,
 }
 
 

@@ -8,10 +8,13 @@ import pytest
 from specflow import (
     BaerFamilySpec,
     BoundaryAmbiguity,
+    GluingSpec,
     ResolutionWarning,
     baer_family,
+    glue,
     matrix_path,
     oracle_flow,
+    spectral_flow,
 )
 
 
@@ -92,3 +95,23 @@ class TestOracleFlow:
         assert res.flow == sum(r.direction for r in res.crossings)
         assert res.flow == -1  # cos(3 pi t): + -> -, three crossings net -1
         assert len(res.crossings) == 3
+
+    def test_cancelling_crossings_in_one_cell_need_the_doubled_grid(self):
+        # The m = 4 glue that oracle-grid draws at seed 805.  Slot 0 crosses
+        # up at 0.3868, down at 0.5076 and up again at 0.5992; slot 2 crosses
+        # up at 0.5059.  The down and up crossings near 0.507 share one cell
+        # of width 1/512 and cancel in its count; grid 1024 separates them.
+        spec = GluingSpec(
+            base=(-7.0, -3.0, 3.0, 7.0),
+            sphere_family=BaerFamilySpec(m=4),
+            epsilon=0.4,
+            seed=31385948,
+        )
+        path = glue(spec).path
+        assert spectral_flow(path).flow == 5
+        with pytest.raises(ResolutionWarning, match="512 -> 1024: 5 -> 7"):
+            oracle_flow(path, grid=512)
+        res = oracle_flow(path, grid=1024)
+        assert res.flow == 5
+        assert len(res.crossings) == 7
+        assert [r.direction for r in res.crossings].count(-1) == 1

@@ -12,6 +12,7 @@ from specflow import (
     Homotopy,
     OperatorPath,
     SelfAdjointOperator,
+    add,
     affine_homotopy,
     concat,
     constant_path,
@@ -195,6 +196,39 @@ class TestPathAlgebraRules:
             Homotopy(a, matrix_path(2, lambda t: np.eye(2)))
         h = Homotopy(a, bumped_path(a, 1))
         assert h.dim == 3
+
+
+class TestAdd:
+    def test_dim_mismatch(self):
+        with pytest.raises(EndpointMismatch, match="^cannot add paths of dims 3 and 2$"):
+            add(crossing_path(), matrix_path(2, lambda t: np.eye(2)))
+
+    @pytest.mark.parametrize(
+        "la, lb, expect",
+        [(2.0, 3.0, 5.0), (0.0, 1.5, 1.5), (None, 3.0, None), (2.0, None, None), (None, None, None)],
+    )
+    def test_bound_is_the_sum(self, la, lb, expect):
+        build = crossing_path()._build
+        assert add(OperatorPath(3, build, la), OperatorPath(3, build, lb)).lipschitz == expect
+
+    def test_diagonal_plus_diagonal_is_diagonal(self):
+        a = diagonal_path(lambda t: [2 * t - 1, 5.0, -5.0])
+        b = diagonal_path(lambda t: [np.sin(t), t, -t])
+        op = add(a, b).at(0.4)
+        assert op._diag is not None
+        assert np.array_equal(op._diag, a.at(0.4)._diag + b.at(0.4)._diag)
+
+    def test_entries_are_the_pointwise_sum_bit_for_bit(self):
+        a = random_family(4, seed=5)
+        cases = [
+            (a, bumped_path(a, 6)),
+            (a, diagonal_path(lambda t: [t, -t, 2 * t, 0.5])),
+            (diagonal_path(lambda t: [t, -t, 2 * t, 0.5]), a),
+        ]
+        for x, y in cases:
+            total = add(x, y)
+            for t in (0.0, 0.3, 0.71, 1.0):
+                assert total.at(t).entries.tobytes() == (x.at(t).entries + y.at(t).entries).tobytes()
 
 
 class TestStraightSegment:

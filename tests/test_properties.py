@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import specflow.properties as properties_module
-from specflow import check_flow_properties, random_family
+from specflow import Homotopy, check_flow_properties, matrix_path, random_family
 from specflow.families import random_symmetric
 from specflow.flow import FlowCertificate, FlowOptions, spectral_flow
+from specflow.reporting import dumps_document, flow_certificate_document
 
 
 class TestCheckFlowProperties:
@@ -81,3 +83,29 @@ class TestExtensionPath:
         for t, entries in zip(ts.tolist(), ext._build_chunk(ts.tolist())):
             assert np.array_equal(entries, start + t * b + np.sin(np.pi * t) * c)
         assert ext.lipschitz == float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
+
+
+def _per_parameter_homotopy(a, seed: int) -> Homotopy:
+    # Reference: the suite's homotopy before ``add``, its bumped path built
+    # one parameter at a time from ``a.at(t)``.
+    e = random_symmetric(np.random.default_rng(seed), a.dim) * 0.5
+    lip = a.lipschitz + np.pi * float(np.linalg.norm(e, 2))
+    return Homotopy(a, matrix_path(a.dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, lip))
+
+
+class TestPerturbationHomotopy:
+    @pytest.mark.parametrize("idx", range(5))
+    def test_same_bytes_as_the_per_parameter_bump(self, idx):
+        # The first homotopy cases of ``check --seed 0``.
+        seed = properties_module._case_seed(2, idx)
+        dim = properties_module.DEFAULT_DIMS[idx]
+        a = random_family(dim, seed, invertible_ends=True)
+        new = properties_module._perturbation_homotopy(a, seed + 7)
+        old = _per_parameter_homotopy(random_family(dim, seed, invertible_ends=True), seed + 7)
+        grid = np.linspace(0.0, 1.0, 17)
+        for s in np.linspace(0.0, 1.0, 11).tolist():
+            p, q = new.slice_at(s), old.slice_at(s)
+            doc = dumps_document(flow_certificate_document(spectral_flow(p)))
+            assert doc == dumps_document(flow_certificate_document(spectral_flow(q)))
+            assert p.spectra(grid).tobytes() == q.spectra(grid).tobytes()
+            assert p.at(0.37).entries.tobytes() == q.at(0.37).entries.tobytes()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import mixed_matrix_path
+from conftest import dense_sum, diagonal_sum, mixed_matrix_path
 from specflow import (
     BaerFamilySpec,
     GluingSpec,
@@ -113,6 +113,8 @@ PATHS = {
     "matrix-path": _user_matrix_path,
     "matrix-path-mixed": mixed_matrix_path,
     "constant": lambda seed: constant_path(SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5])),
+    "add-dense": dense_sum,
+    "add-diagonal": diagonal_sum,
 }
 
 _params = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
