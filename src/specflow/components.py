@@ -22,7 +22,7 @@ from .errors import CertificateBroken, GeneratorFailure, InvalidSpec, SpectralFl
 from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
-from .operators import SelfAdjointOperator, Spectrum, spectral_scale
+from .operators import SelfAdjointOperator, spectral_scale
 from .paths import (
     OperatorPath,
     _endpoint_gap,
@@ -111,7 +111,7 @@ class ComponentReport:
             raise ValueError("paths and flows must have equal length")
         if len(set(self.flows)) != len(self.flows):
             raise ValueError(f"flows must be pairwise distinct, got {self.flows}")
-        if _singular(self.basepoint.spectrum.values):
+        if _singular(self.basepoint.spectrum):
             raise ValueError("basepoint must be invertible")
         for idx, p in enumerate(self.paths):
             if p.dim != self.basepoint.dim:
@@ -208,17 +208,18 @@ def build_distinct_paths(
     )
 
 
-def _locate_singular(segments: list[OperatorPath]) -> list[tuple[float, Spectrum] | None]:
+def _locate_singular(segments: list[OperatorPath]) -> list[tuple[float, np.ndarray] | None]:
     """Bisect every straight segment on its negative-eigenvalue count, in lockstep.
 
-    Returns, per segment, t and the spectrum at t, or ``None`` when the
-    endpoint counts are equal and there is no crossing to bracket; they
-    differ whenever the segment flow is nonzero.  Each segment keeps its
-    own bracket and leaves the bisection once its midpoint is no longer
-    strictly inside it; each level reads the midpoints of every segment
-    still bisecting with one :func:`paths._segment_rows` call.  Rows at
-    the endpoints and the final t are cached reads: the segment's flow
-    solved the endpoints, and the bisection the points it revisits.
+    Returns, per segment, t and the segment's read-only row at t, or
+    ``None`` when the endpoint counts are equal and there is no crossing
+    to bracket; they differ whenever the segment flow is nonzero.  Each
+    segment keeps its own bracket and leaves the bisection once its
+    midpoint is no longer strictly inside it; each level reads the
+    midpoints of every segment still bisecting with one
+    :func:`paths._segment_rows` call.  Rows at the endpoints and the final
+    t are cached reads: the segment's flow solved the endpoints, and the
+    bisection the points it revisits.
     """
     n = len(segments)
     if not n:
@@ -244,9 +245,9 @@ def _locate_singular(segments: list[OperatorPath]) -> list[tuple[float, Spectrum
         lo[live[~flipped]] = mid[~flipped]
     ts = (0.5 * (lo[crossing] + hi[crossing])).tolist()
     rows = _segment_rows([segments[k] for k in crossing], ts)
-    located: list[tuple[float, Spectrum] | None] = [None] * n
+    located: list[tuple[float, np.ndarray] | None] = [None] * n
     for k, t, row in zip(crossing.tolist(), ts, rows):
-        located[k] = (t, Spectrum(row))
+        located[k] = (t, row)
     return located
 
 
@@ -297,12 +298,13 @@ def certify_distinct_components(
             raise CertificateBroken(
                 "segment endpoints have equal negative counts; no crossing to locate"
             )
-        t, spec = located
-        if not _singular(spec.values):
+        t, row = located
+        min_abs, radius = float(np.abs(row).min()), float(np.abs(row).max())
+        if not _singular(row):
             raise CertificateBroken(
                 f"no singular operator located on the endpoint segment of pair "
-                f"({i}, {j}) although flows differ: min |eig| {spec.min_abs:.3e} at "
-                f"t={t!r} vs threshold {SINGULARITY_RTOL * spec.scale:.3e}"
+                f"({i}, {j}) although flows differ: min |eig| {min_abs:.3e} at "
+                f"t={t!r} vs threshold {SINGULARITY_RTOL * spectral_scale(row):.3e}"
             )
         pairs.append(
             PairCertificate(
@@ -312,8 +314,8 @@ def certify_distinct_components(
                 flow_j=report.flows[j],
                 segment_flow=seg_flow,
                 singular_t=t,
-                min_abs_eigenvalue=spec.min_abs,
-                spectral_radius=spec.radius,
+                min_abs_eigenvalue=min_abs,
+                spectral_radius=radius,
             )
         )
     if failure is not None:
@@ -355,7 +357,7 @@ def default_component_setup(
             )
         static = pool[: ambient_dim - mult]
         spec = GluingSpec(
-            base=Spectrum(static[2:]),
+            base=static[2:],
             sphere_family=BaerFamilySpec(m=m, background=static[:2]),
             epsilon=epsilon,
             seed=seed * 1000003 + m,

@@ -21,7 +21,7 @@ from .components import build_distinct_paths, default_component_setup
 from .errors import SpectralFlowError
 from .families import BaerFamilySpec, baer_family, circle_family, random_family
 from .flow import FlowOptions
-from .gluing import GluingSpec, Spectrum, glue
+from .gluing import GluingSpec, glue
 from .operators import SelfAdjointOperator
 from .paths import OperatorPath, _Reparametrized, straight_segment
 
@@ -323,7 +323,7 @@ def build_family_path(family: dict, default_seed: int = 0) -> OperatorPath:
             )
         if kind == "glue":
             spec = GluingSpec(
-                base=Spectrum(family.get("base_spectrum", DEFAULT_GLUE_BASE)),
+                base=family.get("base_spectrum", DEFAULT_GLUE_BASE),
                 sphere_family=BaerFamilySpec(
                     m=family["m"], **_given(family, "background", cast=tuple)
                 ),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, _spectrum_rows
 from .paths import OperatorPath
 
 __all__ = [
@@ -30,6 +30,10 @@ __all__ = [
 # Endpoint spectra of seeded random paths clear zero by at least this much
 # when invertible ends are requested.
 INVERTIBLE_END_MARGIN = 1e-3
+
+# Half-width of the counting window [-2, 2]: the crossing eigenvalue sweeps
+# [-1, 1] inside it, and every static eigenvalue stays outside it.
+WINDOW_RADIUS = 2.0
 
 # Default background spectrum: outside [-2, 2] with room to spare.
 DEFAULT_BACKGROUND = (5.0, -5.0, 7.0, -7.0)
@@ -55,7 +59,7 @@ class BaerFamilySpec:
         for v in self.background:
             if not np.isfinite(v):
                 raise InvalidSpec(f"background value {v!r} is not finite")
-            if abs(v) <= 2.0:
+            if abs(v) <= WINDOW_RADIUS:
                 raise InvalidSpec(
                     f"background value {v!r} lies in [-2, 2]; the crossing eigenvalue "
                     "must be the only one in the window"
@@ -182,7 +186,7 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
     b = random_symmetric(rng, dim)
     c = random_symmetric(rng, dim)
     if invertible_ends:
-        ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
+        ends = _spectrum_rows(np.stack([a, a + b])).ravel()
         mu = _invertibility_shift(ends, INVERTIBLE_END_MARGIN)
         a = a + mu * np.eye(dim)
     return _smooth_path(a, b, c)

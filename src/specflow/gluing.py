@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryAmbiguity, InvalidSpec, WindowCountViolation
-from .families import BaerFamilySpec, crossing_eigenvalues
+from .families import WINDOW_RADIUS, BaerFamilySpec, crossing_eigenvalues
 from .operators import DEFAULT_CLUSTER_TOL, Spectrum, spectral_scale
 from .paths import OperatorPath
 
@@ -34,7 +34,6 @@ __all__ = [
     "WINDOW_RADIUS",
 ]
 
-WINDOW_RADIUS = 2.0
 _NOISE_KNOTS = 8
 # Keeps the perturbation strictly below epsilon even when a knot draws the
 # extreme of the uniform range.

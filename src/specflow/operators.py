@@ -113,6 +113,13 @@ def _dense(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _common_kind(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Checked stacks of one kind: unchanged if all are diagonal or all dense, else all dense."""
+    if len({stack.ndim for stack in stacks}) > 1:
+        return tuple(_dense(stack) for stack in stacks)
+    return stacks
+
+
 def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue rows ``(n, d)`` of a checked stack, read-only.
 
@@ -150,7 +157,7 @@ class SelfAdjointOperator:
     def __init__(self, entries):
         self._entries = _ingest_stack(np.asarray(entries)[None])[0]
         self._diag = None
-        self._spectrum: Spectrum | None = None
+        self._spectrum: np.ndarray | None = None
 
     @classmethod
     def _checked(cls, row: np.ndarray) -> "SelfAdjointOperator":
@@ -188,10 +195,10 @@ class SelfAdjointOperator:
         return self._entries.shape[0] if self._diag is None else self._diag.size
 
     @property
-    def spectrum(self) -> "Spectrum":
-        """Sorted eigenvalues with multiplicity (computed once, cached)."""
+    def spectrum(self) -> np.ndarray:
+        """Sorted eigenvalues with multiplicity: one cached read-only row, as ``spectra`` gives."""
         if self._spectrum is None:
-            self._spectrum = Spectrum(_spectrum_rows(self._stack)[0])
+            self._spectrum = _spectrum_rows(self._stack)[0]
         return self._spectrum
 
     def __repr__(self) -> str:
@@ -199,7 +206,7 @@ class SelfAdjointOperator:
 
 
 class Spectrum:
-    """Nondecreasing real eigenvalue sequence of one operator."""
+    """Nondecreasing real eigenvalues, kept as the type of ``GluingSpec.base``; elsewhere, rows."""
 
     __slots__ = ("_values",)
 
@@ -215,21 +222,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self._values.size
-
-    @property
-    def radius(self) -> float:
-        """Largest eigenvalue magnitude."""
-        return float(np.abs(self._values).max())
-
-    @property
-    def scale(self) -> float:
-        """The unit of relative tolerances: see :func:`spectral_scale`."""
-        return float(spectral_scale(self._values))
-
-    @property
-    def min_abs(self) -> float:
-        """Distance of the spectrum to zero."""
-        return float(np.abs(self._values).min())
 
     def __repr__(self) -> str:
         return f"Spectrum({np.array2string(self._values, precision=6)})"

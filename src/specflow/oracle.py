@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryAmbiguity, ResolutionWarning
-from .operators import spectral_scale
+from .operators import DEFAULT_CLUSTER_TOL, spectral_scale
 from .paths import OperatorPath
 
 __all__ = ["CrossingRecord", "OracleResult", "oracle_flow"]
 
 DEFAULT_GRID = 512
 _MIN_GRID = 64
-DEFAULT_ZERO_BAND = 1e-9
 REFINE_WIDTH = 1e-10
 
 
@@ -88,9 +87,10 @@ def _grid_flow(path: OperatorPath, grid: int) -> OracleResult:
 def oracle_flow(path: OperatorPath, grid: int = DEFAULT_GRID) -> OracleResult:
     """Signed zero-crossing count of ``path`` on a fine grid.
 
-    ``DEFAULT_ZERO_BAND`` (relative to the endpoint's spectral scale) guards
-    the path endpoints: an eigenvalue that close to zero there makes the
-    crossing count ill-defined.  The flow is endpoint data, the drop in the
+    ``operators.DEFAULT_CLUSTER_TOL`` (relative to the endpoint's spectral
+    scale), the engine's own boundary-collision tolerance, guards the path
+    endpoints: an eigenvalue that close to zero there makes the crossing
+    count ill-defined.  The flow is endpoint data, the drop in the
     negative count from t=0 to t=1, which every grid reads alike; what the
     oracle checks independently is the list of crossings.  So the run is
     repeated on a doubled grid, and a different number of detected
@@ -101,7 +101,7 @@ def oracle_flow(path: OperatorPath, grid: int = DEFAULT_GRID) -> OracleResult:
         raise ValueError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     for t in (0.0, 1.0):
         (row,) = path.spectra([t])
-        band = DEFAULT_ZERO_BAND * float(spectral_scale(row))
+        band = DEFAULT_CLUSTER_TOL * float(spectral_scale(row))
         if float(np.abs(row).min()) < band:
             raise BoundaryAmbiguity(
                 f"endpoint t={t} has an eigenvalue within {band:.3e} of 0; "

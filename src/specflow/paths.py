@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EndpointMismatch
 from .operators import (
     SelfAdjointOperator,
-    _dense,
+    _common_kind,
     _ingest_diagonal,
     _ingest_stack,
     _spectrum_rows,
@@ -119,7 +119,7 @@ class OperatorPath:
     def spectra(self, ts) -> np.ndarray:
         """Sorted eigenvalues ``(len(ts), dim)`` at every parameter in ``ts``.
 
-        Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum.values``.  Rows
+        Row ``i`` is bit-for-bit ``self.at(ts[i]).spectrum``.  Rows
         come from the path's cache; missing ones are built and solved a
         stacked chunk at a time, and only the rows are kept.
         """
@@ -165,12 +165,10 @@ def _checked_build(built, chunk, d: int) -> np.ndarray:
 def _assemble(n: int, parts: list) -> np.ndarray:
     """One stack of ``n`` entries from ``(idx, stack)`` parts: ``stack[k]`` is entry ``idx[k]``.
 
-    Diagonal parts become dense when another part is dense, and the dtype
-    is the parts' common one.
+    The parts take their common kind (:func:`operators._common_kind`) and
+    their common dtype.
     """
-    stacks = [stack for _, stack in parts]
-    if len({stack.ndim for stack in stacks}) > 1:
-        stacks = [_dense(stack) for stack in stacks]
+    stacks = _common_kind(*(stack for _, stack in parts))
     out = np.empty((n, *stacks[0].shape[1:]), dtype=np.result_type(*stacks))
     for (idx, _), stack in zip(parts, stacks):
         out[idx] = stack
@@ -236,12 +234,10 @@ def constant_path(op: SelfAdjointOperator) -> OperatorPath:
 def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The stack ``(1 - w) x + w y``, one entry per weight in ``w``.
 
-    ``x`` and ``y`` are checked stacks with one entry per weight, or one
-    for all of them.  Two diagonal stacks blend entry by entry on the
-    diagonals; a dense operand makes the blend dense.
+    ``x`` and ``y`` are checked stacks of one kind, with one entry per
+    weight or one for all of them; two diagonal stacks blend on their
+    diagonals.
     """
-    if x.ndim != y.ndim:
-        x, y = _dense(x), _dense(y)
     wd = w.reshape(w.shape + (1,) * (x.ndim - 1))
     return (1.0 - wd) * x + wd * y
 
@@ -260,36 +256,34 @@ class _Segment(OperatorPath):
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
     """Affine segment ``t -> (1-t) a + t b`` in the convex operator space.
 
-    Diagonal endpoints give a segment of diagonal operators.
+    Diagonal endpoints give a segment of diagonal operators, mixed ones a
+    dense segment.  The bound is the operator norm of ``b - a``.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
-    return _Segment(a._stack, b._stack, float(np.linalg.norm(b.entries - a.entries, 2)))
+    x, y = _common_kind(a._stack, b._stack)
+    return _Segment(x, y, float(np.linalg.norm(b.entries - a.entries, 2)))
 
 
 def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]:
     """The row of ``segments[k]`` at ``ts[k]`` for every ``k``: one stacked read.
 
     Cached rows are read as they are.  The misses are grouped by dimension
-    and kind (diagonal or dense), and each group is blended, ingested and
-    solved a ``stack_chunk`` at a time.  A row so has the bits of
-    ``segments[k].spectra([ts[k]])``: a diagonal row is never solved as
-    dense, and a row depends on its matrix alone.  Every row is cached.
+    and by the kind of their ends (one per segment), and each group is
+    blended, ingested and solved a ``stack_chunk`` at a time.  A row so has
+    the bits of ``segments[k].spectra([ts[k]])``: a diagonal row is never
+    solved as dense, and a row depends on its matrix alone.  Every row is cached.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (seg, t) in enumerate(zip(segments, ts)):
         if t not in seg._cache:
-            x, y = seg._ends
-            groups.setdefault((seg.dim, max(x.ndim, y.ndim)), []).append(k)
-    for (dim, ndim), members in groups.items():
+            groups.setdefault((seg.dim, seg._ends[0].ndim), []).append(k)
+    for (dim, _), members in groups.items():
         step = stack_chunk(dim)
         for i in range(0, len(members), step):
             chunk = members[i : i + step]
             ws = [ts[k] for k in chunk]
-            x, y = (
-                np.concatenate([_dense(e) if ndim == 3 else e for e in side])
-                for side in zip(*(segments[k]._ends for k in chunk))
-            )
+            x, y = (np.concatenate(side) for side in zip(*(segments[k]._ends for k in chunk)))
             built = _checked_build(_blend(np.array(ws), x, y), ws, dim)
             for k, w, row in zip(chunk, ws, _spectrum_rows(built)):
                 segments[k]._cache[w] = row
@@ -298,22 +292,18 @@ def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:
     """Why ``y`` differs from ``x`` beyond ``ENDPOINT_RTOL``, or ``None`` if it agrees."""
-    if x._diag is not None and y._diag is not None:
-        # Two diagonals differ only on the diagonal: the dense off-diagonal gap is 0.
-        ex, ey = x._diag, y._diag
-    else:
-        ex, ey = x.entries, y.entries
+    ex, ey = _common_kind(x._stack, y._stack)
     diff, scale = float(np.abs(ex - ey).max()), float(np.abs(ex).max())
     if diff > ENDPOINT_RTOL * scale:
         return f"max entry gap {diff:.3e} exceeds {ENDPOINT_RTOL:.0e} * {scale:.3e}"
     return None
 
 
-def _composite_lipschitz(factor: float, a: OperatorPath, b: OperatorPath) -> float | None:
-    """``factor * max`` of the two path bounds; unknown if either is unknown."""
+def _composite_lipschitz(combine, a: OperatorPath, b: OperatorPath) -> float | None:
+    """``combine`` of the two path bounds (concat, slices, add); unknown if either is unknown."""
     if a.lipschitz is None or b.lipschitz is None:
         return None
-    return factor * max(a.lipschitz, b.lipschitz)
+    return combine(a.lipschitz, b.lipschitz)
 
 
 def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
@@ -336,7 +326,7 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
             (b, np.flatnonzero(~first).tolist(), np.minimum(1.0, 2.0 * ts[~first] - 1.0)),
         ]
 
-    return _Reparametrized(a.dim, route, _composite_lipschitz(2.0, a, b))
+    return _Reparametrized(a.dim, route, _composite_lipschitz(lambda p, q: 2.0 * max(p, q), a, b))
 
 
 def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
@@ -352,16 +342,14 @@ def reverse(a: OperatorPath) -> OperatorPath:
 def _pointwise(a: OperatorPath, b: OperatorPath, combine, lipschitz) -> OperatorPath:
     """The path ``t -> combine(x, y)``, ``x`` and ``y`` being ``a``'s and ``b``'s checked stacks.
 
-    Both parts build at the same parameters.  Two diagonal stacks combine
-    on their diagonals; a dense one makes both dense.
+    Both parts build at the same parameters and combine in their common
+    kind (:func:`operators._common_kind`), so two diagonal stacks combine
+    on their diagonals.
     """
 
     def build(ts: np.ndarray) -> np.ndarray:
         keys = ts.tolist()
-        x, y = a._build_chunk(keys), b._build_chunk(keys)
-        if x.ndim != y.ndim:
-            x, y = _dense(x), _dense(y)
-        return combine(x, y)
+        return combine(*_common_kind(a._build_chunk(keys), b._build_chunk(keys)))
 
     return OperatorPath(a.dim, build, lipschitz)
 
@@ -374,8 +362,7 @@ def add(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot add paths of dims {a.dim} and {b.dim}")
-    lip = None if a.lipschitz is None or b.lipschitz is None else a.lipschitz + b.lipschitz
-    return _pointwise(a, b, np.add, lip)
+    return _pointwise(a, b, np.add, _composite_lipschitz(lambda p, q: p + q, a, b))
 
 
 class Homotopy:
@@ -415,7 +402,7 @@ class Homotopy:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
         a, b = self._a, self._b
-        lip = _composite_lipschitz(1.0, a, b)
+        lip = _composite_lipschitz(max, a, b)
         if s in (0.0, 1.0):
             return _Reparametrized(a.dim, _whole(b if s else a, lambda ts: ts), lip)
         return _pointwise(a, b, lambda x, y: _blend(np.full(len(x), s), x, y), lip)

@@ -101,6 +101,28 @@ def diagonal_sum(seed: int):
     return add(a, constant_path(SelfAdjointOperator.from_diagonal(shift)))
 
 
+def mixed_sum(seed: int):
+    """``add`` of a crossing family (diagonal) and a dense random family of its dimension."""
+    from specflow import BaerFamilySpec, add, baer_family, random_family
+
+    a = baer_family(BaerFamilySpec(m=1 + seed % 4))
+    return add(a, random_family(a.dim, seed))
+
+
+def mixed_concat(seed: int):
+    """``concat`` of a crossing family (diagonal) and a segment from its end to a dense operator."""
+    from specflow import (
+        BaerFamilySpec,
+        baer_family,
+        concat,
+        invertible_valued_family,
+        straight_segment,
+    )
+
+    a = baer_family(BaerFamilySpec(m=1 + seed % 4))
+    return concat(a, straight_segment(a.at(1.0), invertible_valued_family(a.dim, seed).at(0.0)))
+
+
 def rotated_report(neg_counts, kinds, dim: int, seed: int):
     """Component report of straight paths from a diagonal basepoint to rotated diagonals.
 

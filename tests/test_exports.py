@@ -32,6 +32,7 @@ DELETED = (
     "stacked_operators",
     "diagonal_operators",
     "solve_spectra",
+    "DEFAULT_ZERO_BAND",
 )
 
 
@@ -55,6 +56,11 @@ def test_one_path_constructor_and_one_homotopy_reader():
     assert not hasattr(specflow.OperatorPath, "batched")
     assert not hasattr(specflow.OperatorPath, "_operators")
     assert not hasattr(specflow.Homotopy, "at")
+
+
+def test_spectrum_holds_values_only():
+    for name in ("radius", "scale", "min_abs"):
+        assert not hasattr(specflow.Spectrum, name)
 
 
 def test_glue_is_the_only_gluing_constructor_exported():

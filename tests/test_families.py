@@ -63,11 +63,11 @@ class TestBaerFamily:
 class TestCircleDirac:
     def test_nontrivial_structure_spectrum(self):
         op = circle_dirac(CircleDiracSpec(modes=2, spin_shift=0.5))
-        assert op.spectrum.values.tolist() == [-1.5, -0.5, 0.5, 1.5, 2.5]
+        assert op.spectrum.tolist() == [-1.5, -0.5, 0.5, 1.5, 2.5]
 
     def test_trivial_structure_has_zero_mode(self):
         op = circle_dirac(CircleDiracSpec(modes=2, spin_shift=0.0))
-        assert 0.0 in op.spectrum.values.tolist()
+        assert 0.0 in op.spectrum.tolist()
 
     def test_single_winding_flow(self):
         p = circle_family(modes=3, winding=1)

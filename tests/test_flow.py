@@ -15,7 +15,9 @@ from conftest import (
     brute_window_count,
     dense_sum,
     diagonal_sum,
+    mixed_concat,
     mixed_matrix_path,
+    mixed_sum,
 )
 from specflow import (
     BaerFamilySpec,
@@ -593,6 +595,8 @@ INERTIA_PATHS = {
     "warp": _resolvable_warp,
     "add dense": dense_sum,
     "add diagonal": diagonal_sum,
+    "add mixed": mixed_sum,
+    "concat mixed": mixed_concat,
 }
 
 

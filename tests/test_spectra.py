@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import dense_sum, diagonal_sum, mixed_matrix_path
+from conftest import dense_sum, diagonal_sum, mixed_concat, mixed_matrix_path, mixed_sum
 from specflow import (
     BaerFamilySpec,
     GluingSpec,
@@ -115,6 +115,8 @@ PATHS = {
     "constant": lambda seed: constant_path(SelfAdjointOperator.from_diagonal([3.0, -1.0, 0.5])),
     "add-dense": dense_sum,
     "add-diagonal": diagonal_sum,
+    "add-mixed": mixed_sum,
+    "concat-mixed": mixed_concat,
 }
 
 _params = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
@@ -155,7 +157,7 @@ def test_spectra_bitwise_equal_to_one_at_a_time(name, seed, ts, cached, stack_by
     assert got.shape == (len(ts) + len(cached), batched.dim)
     for row, t in zip(got, ts + cached):
         op = single.at(t)
-        assert row.tobytes() == op.spectrum.values.tobytes()
+        assert row.tobytes() == op.spectrum.tobytes()
         assert batched.at(t).entries.tobytes() == op.entries.tobytes()
         reference = Spectrum(_eigvalsh(op.entries)).values
         assert row.tobytes() == reference.tobytes()
@@ -415,7 +417,7 @@ def test_sampled_path_matches_inline_blend(seed):
         assert row.tobytes() == _eigvalsh(ref).tobytes()
     at = dict(zip(params.tolist(), rows))
     for t, m in zip(knots, raw):
-        assert at[t].tobytes() == SelfAdjointOperator(m).spectrum.values.tobytes()
+        assert at[t].tobytes() == SelfAdjointOperator(m).spectrum.tobytes()
 
 
 def _sampled_family(seed: int, zero_imag: bool) -> dict:
