@@ -23,7 +23,7 @@ from .families import BaerFamilySpec, baer_family, circle_family, random_family
 from .flow import FlowOptions
 from .gluing import GluingSpec, glue
 from .operators import SelfAdjointOperator
-from .paths import OperatorPath, _Reparametrized, straight_segment
+from .paths import OperatorPath, _Reparametrized, _with_gauge, straight_segment
 
 __all__ = [
     "ConfigError",
@@ -233,7 +233,9 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     Sample times must be strictly increasing and cover [0, 1].  Each knot
     interval is read off its own :func:`straight_segment`, with its own
     Lipschitz bound and row cache, and ``at(t)`` keeps the dtype of the
-    interval's knots, so a real interval exports as real.
+    interval's knots, so a real interval exports as real.  The gauge is
+    the cumulative ``||M_{k+1} - M_k||_2`` across the knots, linear on each
+    interval; the reported bound is the steepest interval's slope.
     """
     if len(samples) < 2:
         raise ConfigError("sampled path needs at least two samples")
@@ -256,19 +258,29 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
             f"at t={float(ts[k])!r}, dimension {dim} at t={float(ts[0])!r}"
         )
     segments = [straight_segment(p, q) for p, q in zip(knots, knots[1:])]
+    norms = np.array([seg.lipschitz for seg in segments])
+    offsets = np.concatenate([[0.0], np.cumsum(norms)[:-1]])
+
+    def locate(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The interval of each parameter and its place in it.  End knots
+        # within 1e-12 of 0 and 1 extrapolate their intervals.
+        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(segments) - 1)
+        return j, (params - ts[j]) / (ts[j + 1] - ts[j])
 
     def route(params: np.ndarray):
-        # End knots within 1e-12 of 0 and 1 extrapolate their intervals.
-        j = np.clip(np.searchsorted(ts, params, side="right") - 1, 0, len(segments) - 1)
-        u = (params - ts[j]) / (ts[j + 1] - ts[j])
+        j, u = locate(params)
         out = []
         for k in np.unique(j).tolist():
             idx = np.flatnonzero(j == k)
             out.append((segments[k], idx.tolist(), u[idx]))
         return out
 
+    def gauge(params: np.ndarray) -> np.ndarray:
+        j, u = locate(params)
+        return offsets[j] + norms[j] * u
+
     lip = max(seg.lipschitz / (t1 - t0) for seg, t0, t1 in zip(segments, ts[:-1], ts[1:]))
-    return _Reparametrized(dim, route, lip)
+    return _with_gauge(_Reparametrized(dim, route, lip), gauge)
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:

@@ -33,7 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BoundaryAmbiguity, CertificateBroken, DepthExceeded
-from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, spectral_scale
+from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, _zero_band, spectral_scale
 from .paths import OperatorPath
 
 __all__ = [
@@ -229,16 +229,22 @@ def _check_windows(
     numbers.  The third value is a mask of the segments that fail on the
     Lipschitz slack and on nothing else.
 
-    When the path carries a Lipschitz bound L the check is rigorous, not
-    sampled: eigenvalues move at most L*h/2 between a parameter and its
-    nearest witness (Weyl), so a margin above that bound proves the count
-    constant on the whole segment.
+    When the path carries a gauge ``g`` (:attr:`OperatorPath.gauge`) the
+    check is rigorous, not sampled: between a parameter and its nearest
+    witness an eigenvalue moves at most half the gauge step of their
+    interval (Weyl), so a margin above the slack ``0.5 * max_j (g(t_{j+1})
+    - g(t_j))`` proves the count constant on the whole segment.  The
+    message names the segment's local slope ``L``, its largest gauge step
+    over the witness spacing ``step``.
     """
     mags = np.abs(spectra)
     floor = opts.min_margin * mags.max(axis=(1, 2))
-    lip = path.lipschitz
     step = (ts[:, -1] - ts[:, 0]) / (ts.shape[1] - 1)
-    slack = 0.5 * lip * step if lip is not None and lip > 0 else np.full(len(ts), -np.inf)
+    gauge = path.gauge
+    if gauge is None:
+        slack = np.full(len(ts), -np.inf)
+    else:
+        slack = 0.5 * np.diff(gauge(ts.ravel()).reshape(ts.shape), axis=1).max(axis=1)
     # The certifier's own window always passes; the relative 1e-9 absorbs
     # the rounding of radius and margin.
     touched = np.abs(mags - radius[:, None, None]).min(axis=2) < (margin * (1 - 1e-9))[:, None]
@@ -258,8 +264,8 @@ def _check_windows(
         elif slipped[i]:
             # An eigenvalue could reach the boundary between witnesses.
             reasons[i] = (
-                f"Lipschitz slack: margin {m:.3e} does not exceed "
-                f"0.5 * L * step = {slack[i]:.3e} with L = {lip:.3e}, step = {step[i]:.3e}"
+                f"Lipschitz slack: margin {m:.3e} does not exceed 0.5 * L * step = "
+                f"{slack[i]:.3e} with L = {2.0 * slack[i] / step[i]:.3e}, step = {step[i]:.3e}"
             )
         elif touched[i].any():
             j = int(np.argmax(touched[i]))
@@ -292,20 +298,23 @@ def _witness_spectra(path: OperatorPath, lo, hi, opts: FlowOptions) -> tuple[np.
 def _upper_count(rows: np.ndarray, radius: np.ndarray, cluster_tol: float) -> np.ndarray:
     """Count the eigenvalues of each ``path.spectra`` row in [0, radius[i]], closed at 0.
 
-    The lower endpoint is inclusive with a small tolerance so a kernel
-    eigenvalue sitting exactly at a partition point is counted the same
-    way by both adjacent segments.  The upper endpoint is certified away
-    from the spectrum; a collision there means the certificate is stale,
-    and :class:`BoundaryAmbiguity` names the first such row.
+    The lower endpoint is inclusive down to the zero band
+    (:func:`operators._zero_band`), so a kernel eigenvalue sitting exactly
+    at a partition point is counted the same way by both adjacent
+    segments, whatever the rounding of its solve.  The upper endpoint is
+    certified away from the spectrum; an eigenvalue within ``cluster_tol``
+    times the row's scale of it means the certificate is stale, and
+    :class:`BoundaryAmbiguity` names the first such row.
     """
-    zero_tol = cluster_tol * spectral_scale(rows)
-    near = np.abs(rows - radius[:, None]).min(axis=1) < zero_tol
+    near_tol = cluster_tol * spectral_scale(rows)
+    near = np.abs(rows - radius[:, None]).min(axis=1) < near_tol
     if near.any():
         i = int(np.argmax(near))
         raise BoundaryAmbiguity(
-            f"eigenvalue within {zero_tol[i]:.3e} of certified window radius {float(radius[i])!r}"
+            f"eigenvalue within {near_tol[i]:.3e} of certified window radius {float(radius[i])!r}"
         )
-    return np.count_nonzero((rows >= -zero_tol[:, None]) & (rows <= radius[:, None]), axis=1)
+    band = _zero_band(rows)[:, None]
+    return np.count_nonzero((rows >= -band) & (rows <= radius[:, None]), axis=1)
 
 
 def spectral_flow(

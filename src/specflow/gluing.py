@@ -60,7 +60,7 @@ class GluingSpec:
         for v in self.base.values:
             if abs(v) <= WINDOW_RADIUS:
                 raise InvalidSpec(
-                    f"base eigenvalue {v!r} lies in [-2, 2]; rescale the base "
+                    f"base eigenvalue {float(v)!r} lies in [-2, 2]; rescale the base "
                     "spectrum out of the window first"
                 )
         if not 0.0 <= self.epsilon < 0.5:

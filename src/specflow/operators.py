@@ -237,6 +237,16 @@ def spectral_scale(values: np.ndarray) -> np.ndarray:
     return np.where(radius > 0, radius, 1.0)
 
 
+def _zero_band(values: np.ndarray) -> np.ndarray:
+    """Half-width of the band around 0 whose eigenvalues count as zero, per row ``(..., d)``.
+
+    It is ``8 * d * eps * scale``: an eigensolver's backward error, so only
+    an eigenvalue that rounding alone can put on the wrong side of 0 counts
+    as zero, and a small eigenvalue next to a large one keeps its sign.
+    """
+    return 8 * values.shape[-1] * np.finfo(np.float64).eps * spectral_scale(values)
+
+
 def _sorted_rows(values: np.ndarray) -> np.ndarray:
     vals = np.sort(values, axis=-1)
     if not np.all(np.isfinite(vals)):

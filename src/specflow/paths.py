@@ -12,7 +12,9 @@ only reparametrize others (``concat``, ``reverse``, ``reparametrize``,
 read their rows from their parts' caches, so a row is solved once per
 base path.  ``add`` and interior homotopy slices combine their parts'
 stacks built at the same parameters; no path builds from another path's
-``at``.
+``at``.  Every composite also derives its variation gauge
+(:attr:`OperatorPath.gauge`) from its parts' gauges, so a path that is
+steep in one place is steep there alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ __all__ = [
 ENDPOINT_RTOL = 1e-10
 
 
+Gauge = Callable[[np.ndarray], np.ndarray]
+
+
+def _linear_gauge(lipschitz: float | None) -> Gauge | None:
+    """The gauge ``L t`` of a path with the Lipschitz bound ``L``, ``None`` if unknown."""
+    if lipschitz is None:
+        return None
+    return lambda ts: lipschitz * ts
+
+
+def _with_gauge(path: OperatorPath, gauge: Gauge | None) -> OperatorPath:
+    """``path`` with ``gauge`` in place of the ``L t`` its constructor set."""
+    path._gauge = gauge
+    return path
+
+
 def _params(ts) -> list[float]:
     arr = np.asarray(ts, dtype=np.float64)
     if arr.ndim != 1:
@@ -78,14 +96,13 @@ class OperatorPath:
     matrix, so a path holds ``8 * dim`` bytes per parameter it has solved.
 
     ``lipschitz`` is an optional bound L on the operator norm of the
-    derivative; ``None`` means unknown.  Certification relies on it: a
-    segment whose window margin does not exceed ``0.5 * L * step``
-    (``step`` being the witness spacing) is rejected, and a margin above it
-    proves the count constant between witnesses.  A bound that is too
-    small makes certificates unsound.
+    derivative; ``None`` means unknown.  It sets the path's :attr:`gauge`
+    to ``L t``; the composites of this module replace that by the gauge
+    they derive from their parts.  A bound that is too small makes
+    certificates unsound.
     """
 
-    __slots__ = ("_dim", "_build", "_lipschitz", "_cache")
+    __slots__ = ("_dim", "_build", "_lipschitz", "_gauge", "_cache")
 
     def __init__(
         self,
@@ -98,6 +115,7 @@ class OperatorPath:
         self._dim = int(dim)
         self._build = build
         self._lipschitz = None if lipschitz is None else float(lipschitz)
+        self._gauge = _linear_gauge(self._lipschitz)
         self._cache: dict[float, np.ndarray] = {}
 
     @property
@@ -107,6 +125,21 @@ class OperatorPath:
     @property
     def lipschitz(self) -> float | None:
         return self._lipschitz
+
+    @property
+    def gauge(self) -> Gauge | None:
+        """The variation gauge, or ``None`` when the path's variation is unknown.
+
+        The gauge maps a 1-d float64 array of parameters to an array of
+        values.  It is nondecreasing, and ``||A(s) - A(t)||_2 <= |g(s) -
+        g(t)|`` for all ``s`` and ``t``.  Certification relies on it: by
+        Weyl's inequality an eigenvalue moves at most half the largest
+        gauge step between a parameter and its nearest witness, so a
+        segment whose window margin does not exceed that slack is rejected,
+        and a margin above it proves the count constant on the segment.
+        Without a gauge the check is sampled, not rigorous.
+        """
+        return self._gauge
 
     def at(self, t: float) -> SelfAdjointOperator:
         """Build the operator at parameter ``t`` in [0, 1]: a batch of one, not cached."""
@@ -311,7 +344,9 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
 
     Requires ``a(1) == b(0)`` up to ``ENDPOINT_RTOL`` relative to the
     junction norm.  The flow is reparametrization invariant, so the
-    midpoint split is immaterial.
+    midpoint split is immaterial.  The gauge is ``g_a(2t)`` on the first
+    half and ``g_a(1) + g_b(2t - 1) - g_b(0)`` on the second, so each half
+    keeps its part's local variation.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot concatenate paths of dims {a.dim} and {b.dim}")
@@ -326,7 +361,21 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
             (b, np.flatnonzero(~first).tolist(), np.minimum(1.0, 2.0 * ts[~first] - 1.0)),
         ]
 
-    return _Reparametrized(a.dim, route, _composite_lipschitz(lambda p, q: 2.0 * max(p, q), a, b))
+    path = _Reparametrized(a.dim, route, _composite_lipschitz(lambda p, q: 2.0 * max(p, q), a, b))
+    ga, gb = a.gauge, b.gauge
+    if ga is None or gb is None:
+        return _with_gauge(path, None)
+    ga1, gb0 = float(ga(np.ones(1))[0]), float(gb(np.zeros(1))[0])
+
+    def gauge(ts: np.ndarray) -> np.ndarray:
+        (_, first, u), (_, second, v) = route(ts)
+        out = np.empty(ts.shape)
+        out[first] = ga(u)
+        # g_b(v) - g_b(0) is never negative, so the gauge never steps down at the junction.
+        out[second] = ga1 + (gb(v) - gb0)
+        return out
+
+    return _with_gauge(path, gauge)
 
 
 def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
@@ -335,34 +384,40 @@ def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
 
 
 def reverse(a: OperatorPath) -> OperatorPath:
-    """Time-reversed path ``t -> a(1-t)``."""
-    return _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), a.lipschitz)
+    """Time-reversed path ``t -> a(1-t)``, with the gauge ``-g_a(1 - t)``."""
+    path = _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), a.lipschitz)
+    ga = a.gauge
+    return _with_gauge(path, None if ga is None else lambda ts: -ga(1.0 - ts))
 
 
-def _pointwise(a: OperatorPath, b: OperatorPath, combine, lipschitz) -> OperatorPath:
-    """The path ``t -> combine(x, y)``, ``x`` and ``y`` being ``a``'s and ``b``'s checked stacks.
+def _pointwise(a: OperatorPath, b: OperatorPath, wa: float, wb: float, lipschitz) -> OperatorPath:
+    """The path ``t -> wa a(t) + wb b(t)`` for weights ``wa, wb >= 0``.
 
     Both parts build at the same parameters and combine in their common
     kind (:func:`operators._common_kind`), so two diagonal stacks combine
-    on their diagonals.
+    on their diagonals.  The gauge is ``wa g_a + wb g_b``, unknown when
+    either part's is.
     """
 
     def build(ts: np.ndarray) -> np.ndarray:
         keys = ts.tolist()
-        return combine(*_common_kind(a._build_chunk(keys), b._build_chunk(keys)))
+        x, y = _common_kind(a._build_chunk(keys), b._build_chunk(keys))
+        return wa * x + wb * y
 
-    return OperatorPath(a.dim, build, lipschitz)
+    ga, gb = a.gauge, b.gauge
+    gauge = None if ga is None or gb is None else lambda ts: wa * ga(ts) + wb * gb(ts)
+    return _with_gauge(OperatorPath(a.dim, build, lipschitz), gauge)
 
 
 def add(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     """Pointwise sum ``t -> a(t) + b(t)``, bounded by the sum of the two bounds.
 
-    The bound is unknown when either part's is.  The sum of two diagonal
-    paths is diagonal.
+    The bound is unknown when either part's is, and so is the gauge
+    ``g_a + g_b``.  The sum of two diagonal paths is diagonal.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot add paths of dims {a.dim} and {b.dim}")
-    return _pointwise(a, b, np.add, _composite_lipschitz(lambda p, q: p + q, a, b))
+    return _pointwise(a, b, 1.0, 1.0, _composite_lipschitz(lambda p, q: p + q, a, b))
 
 
 class Homotopy:
@@ -392,11 +447,12 @@ class Homotopy:
     def slice_at(self, s: float) -> OperatorPath:
         """The path ``t -> H(s, t)``: ``a`` at s=0, ``b`` at s=1, a blend between.
 
-        The end slices read ``a``'s and ``b``'s rows.  An interior slice
-        blends the two paths' stacks built at the same parameters, by the
-        builder :func:`add` uses, so slices of two diagonal paths are
-        diagonal.  The slice bound is the larger path bound, ``None`` when
-        either is unknown.
+        The end slices read ``a``'s and ``b``'s rows and take their gauges.
+        An interior slice blends the two paths' stacks built at the same
+        parameters, by the builder :func:`add` uses, so slices of two
+        diagonal paths are diagonal; its gauge is ``(1 - s) g_a + s g_b``.
+        The slice bound is the larger path bound, ``None`` when either is
+        unknown.
         """
         s = float(s)
         if not 0.0 <= s <= 1.0:
@@ -404,8 +460,9 @@ class Homotopy:
         a, b = self._a, self._b
         lip = _composite_lipschitz(max, a, b)
         if s in (0.0, 1.0):
-            return _Reparametrized(a.dim, _whole(b if s else a, lambda ts: ts), lip)
-        return _pointwise(a, b, lambda x, y: _blend(np.full(len(x), s), x, y), lip)
+            end = b if s else a
+            return _with_gauge(_Reparametrized(a.dim, _whole(end, lambda ts: ts), lip), end.gauge)
+        return _pointwise(a, b, 1.0 - s, s, lip)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
@@ -422,10 +479,12 @@ def reparametrize(
 
     ``phi`` must fix the endpoints and be finite wherever it is evaluated;
     a violation raises ``ValueError`` naming the parameter.  Values are
-    clipped to [0, 1] to guard against rounding at the edges.  ``phi`` is
-    opaque here, so a bound on the composite (``a.lipschitz`` times the
-    slope bound of ``phi``) must be supplied by the caller if
-    certification is to stay rigorous.
+    clipped to [0, 1] to guard against rounding at the edges.  When ``a``
+    has a gauge, the composite's gauge is ``g_a(phi(t))``, which needs no
+    slope bound of ``phi`` but is a gauge only because ``phi`` is
+    nondecreasing.  ``lipschitz`` is the reported bound of the composite
+    (``a.lipschitz`` times the slope bound of ``phi``); it sets the gauge
+    ``L t`` only when ``a`` has no gauge.
     """
     for t, expect in ((0.0, 0.0), (1.0, 1.0)):
         u = float(phi(t))
@@ -438,4 +497,11 @@ def reparametrize(
             raise ValueError(f"phi({t!r}) = {u!r} is not finite")
         return min(1.0, max(0.0, u))
 
-    return _Reparametrized(a.dim, _whole(a, lambda ts: [warp(t) for t in ts.tolist()]), lipschitz)
+    def warps(ts: np.ndarray) -> list[float]:
+        return [warp(t) for t in ts.tolist()]
+
+    path = _Reparametrized(a.dim, _whole(a, warps), lipschitz)
+    ga = a.gauge
+    if ga is None:
+        return path
+    return _with_gauge(path, lambda ts: ga(np.array(warps(ts), dtype=np.float64)))

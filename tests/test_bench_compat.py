@@ -5,6 +5,9 @@ positional build, ``at``, ``_cache``, ``operators._solve_spectrum``, the
 ``cli`` entry point, ...) to record per-layer spans.  The tracer is loaded
 read-only in a child process, so its class patches cannot leak into this
 one, and three CLI runs must still succeed with every path build seen.
+Paths whose gauge is not ``L t`` (a sampled config, a warp) must certify
+byte for byte as they do untraced, so the wrapped constructor keeps every
+gauge.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,20 +44,67 @@ print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
-def test_tracer_instruments_cli_runs():
+# argv: the tracer's file, or "" to run untraced, and a sampled config file.
+PARITY_SCRIPT = """
+import contextlib, importlib.util, io, json, sys
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    tracer.item_id = 0
+import numpy as np
+import specflow as sf
+import specflow.cli
+from specflow.reporting import dumps_document, flow_certificate_document
+sampled = io.StringIO()
+with contextlib.redirect_stdout(sampled):
+    code = specflow.cli.main(["flow", "--config", sys.argv[2]])
+a = sf.random_family(5, 0)
+xs, ys = [0.0, 0.5, 0.5 + 1 / 900, 1.0], [0.0, 1 / 3, 2 / 3, 1.0]
+warped = sf.reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=300 * a.lipschitz)
+cert = sf.spectral_flow(warped)
+print(json.dumps({"code": code, "sampled": sampled.getvalue(),
+                  "warped": dumps_document(flow_certificate_document(cert))}))
+"""
+
+
+def _run(script: str, *args: str) -> dict:
+    """The JSON line ``script`` prints last, run with ``args`` in a child process."""
     env = dict(os.environ)
     env.pop("SPECFLOW_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # -B: loading the tracer must not write bytecode next to it.
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "bench" / "tracing.py")],
+        [sys.executable, "-B", "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_instruments_cli_runs():
+    result = _run(SCRIPT, str(ROOT / "bench" / "tracing.py"))
     assert result["codes"] == [0, 0, 0]
     assert result["calls"]["paths.eval"] > 0
     assert result["calls"]["cli.main"] == 3
+
+
+def test_traced_gauged_paths_certify_as_untraced(tmp_path):
+    # Knot slopes 1 to 40 apart, so the gauge and the steepest slope give
+    # other partitions.
+    rng = np.random.default_rng(3)
+    samples = []
+    for t in (0.0, 0.3, 0.31, 1.0):
+        g = rng.standard_normal((3, 3))
+        samples.append({"t": t, "matrix": ((g + g.T) / 2).tolist()})
+    cfg = tmp_path / "sampled.json"
+    cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
+    untraced = _run(PARITY_SCRIPT, "", str(cfg))
+    traced = _run(PARITY_SCRIPT, str(ROOT / "bench" / "tracing.py"), str(cfg))
+    assert untraced["code"] == 0
+    assert traced == untraced

@@ -91,6 +91,19 @@ class TestFlowCommand:
             "specflow: ConfigError: config invalid at family: 'm' is a required property\n"
         )
 
+    def test_small_end_eigenvalue_beside_a_large_background(self, capsys):
+        # At t=0 the crossing eigenvalue -1 is 1e-10 of the spectral scale; it
+        # is negative, not zero, so both of its copies cross.
+        assert main(["flow", "--family", "baer", "--m", "1", "--background", "1e10,-1e10"]) == 0
+        assert json.loads(capsys.readouterr().out)["flow"] == 2
+
+    def test_glue_base_eigenvalue_in_the_window_exit_1(self, capsys):
+        assert main(["flow", "--family", "glue", "--m", "1", "--base-spectrum", "1,7"]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: InvalidSpec: base eigenvalue 1.0 lies in [-2, 2]; rescale the base "
+            "spectrum out of the window first\n"
+        )
+
     def test_missing_family_exit_1(self):
         assert main(["flow"]) == 1
 

@@ -122,11 +122,13 @@ CASES = {
     "certify_distinct_components, 3 rotated complex paths": lambda _: certify_distinct_components(
         rotated_report((0, 2, 3), ("complex",) * 3, 4, 0)
     ),
-    # Certifies nothing, so it is refined one segment at a time, depth first.
+    # The gauge jumps between two adjacent floats, so the segment holding
+    # the jump fails at depth 20 and the rest certifies.  Its L is the
+    # segment's local slope, its largest gauge step over the witness spacing.
     "DepthExceeded: warp between adjacent floats": _depth_exceeded(
         lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
-        "segment [0, 1.1920929e-07] not certifiable at bisection depth 20 (Lipschitz slack: "
-        "margin 4.898e-01 does not exceed 0.5 * L * step = 2.972e+08 with L = 3.988e+16, "
+        "segment [0.98999989, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 with L = 2.972e+08, "
         "step = 1.490e-08)",
     ),
     # Certifies [0, 0.5) first, so later batches also solve rows right of 0.5.
@@ -174,8 +176,10 @@ EIGENSOLVES = {
     "flow+verify random_family(2, 6)": 130,
     "flow+verify random_family(5, 2)": 130,
     "flow+verify random_family(12, 6)": 146,
-    "flow+verify warp of slope 33": 1058,
-    "flow+verify concat": 194,
+    # 1058 with the global slope bound in place of the gauge.
+    "flow+verify warp of slope 33": 194,
+    # 194 with the global bound 2 * max(L_a, L_b).
+    "flow+verify concat": 146,
     "flow+verify reverse": 130,
     "flow+verify interior slice": 134,
     "flow+verify complex sampled": 130,
@@ -185,7 +189,8 @@ EIGENSOLVES = {
     "components --k 4": 0,
     "certify_distinct_components, 3 rotated real paths": 344,
     "certify_distinct_components, 3 rotated complex paths": 345,
-    "DepthExceeded: warp between adjacent floats": 89,
+    # 89 with the global slope bound, which failed at [0, 1.2e-07] first.
+    "DepthExceeded: warp between adjacent floats": 225,
     # 193 with depth-first refinement, which stops at the failure.
     "DepthExceeded: zero eigenvalue at t=0.5": 257,
     "DepthExceeded: (t - 0.5) I_4": 257,
@@ -212,9 +217,10 @@ def _warp_of_slope(slope):
 # comments give the counts of refinement with the depth cap alone, which
 # read ``max(1, 64 >> depth)`` segments per round.
 ROUND_CASES = {
-    # 581: after depth 6 one segment per round, though no crossing lies there.
+    # 29 with the global slope bound in place of the gauge; 581 with that
+    # bound and the depth cap alone, one segment per round after depth 6.
     "warp of slope 300": _warp_of_slope(300),
-    # 99.
+    # 18 with the global slope bound; 99 with it and the depth cap alone.
     "warp of slope 100": _warp_of_slope(100),
     # 14, mostly rounds of 8 at depth 3.
     "invertible_valued_family(12, 0)": lambda _: spectral_flow(invertible_valued_family(12, 0)),
@@ -223,11 +229,24 @@ ROUND_CASES = {
 }
 
 ROUNDS = {
-    "warp of slope 300": 29,
-    "warp of slope 100": 18,
+    "warp of slope 300": 8,
+    "warp of slope 100": 6,
     "invertible_valued_family(12, 0)": 7,
     "components --k 4": 37,
 }
+
+
+# The warp ladder: a piecewise-linear warp of random_family(5, 0) that spends
+# a third of [0, 1] on 1 / (3 * slope) of it.  The gauge keeps the steep
+# piece local, so the eigensolves grow with the log of the slope.  With the
+# global slope bound they grew with the slope: 65, 385, 3657, 45329, 403105.
+LADDER = {3: 65, 30: 89, 300: 113, 3333: 137, 33333: 169}
+
+
+@pytest.mark.parametrize("slope", sorted(LADDER))
+def test_warp_ladder(slope, eigvalsh_counter):
+    _warp_of_slope(slope)(None)
+    assert eigvalsh_counter.matrices == LADDER[slope]
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_CASES))

@@ -27,6 +27,7 @@ from specflow import (
     FlowOptions,
     GluingSpec,
     SegmentWitness,
+    SelfAdjointOperator,
     Spectrum,
     affine_homotopy,
     baer_family,
@@ -45,7 +46,7 @@ from specflow import (
 from specflow import flow
 from specflow.config import sampled_path
 from specflow.flow import _check_windows, _widest_gaps, _witness_spectra
-from specflow.operators import spectral_scale
+from specflow.operators import _zero_band
 from specflow.reporting import dumps_document, flow_certificate_document
 
 
@@ -93,8 +94,10 @@ class TestRefinePartition:
             spectral_flow(p, init_samples=1, max_depth=6)
 
     def test_warp_between_adjacent_floats_fails_on_lipschitz_slack(self):
-        # The knots are one ulp apart, so the warp's slope bound is about
-        # 4e16 and no witness spacing reachable at depth 20 beats it.
+        # The knots are one ulp apart, so the warp jumps by a third of the
+        # base path between two adjacent floats.  The gauge keeps that jump
+        # in the one segment holding it, whose local slope L no witness
+        # spacing reachable at depth 20 beats; the rest certifies.
         a = random_family(5, seed=0)
         xs = np.array([0.0, 0.9899999999999999, 0.99, 1.0])
         ys = np.linspace(0.0, 1.0, 4)
@@ -103,9 +106,9 @@ class TestRefinePartition:
         with pytest.raises(DepthExceeded) as info:
             spectral_flow(p)
         assert str(info.value) == (
-            "segment [0, 1.1920929e-07] not certifiable at bisection depth 20 "
-            "(Lipschitz slack: margin 4.898e-01 does not exceed 0.5 * L * step = 2.972e+08 "
-            f"with L = {a.lipschitz * slope:.3e}, step = 1.490e-08)"
+            "segment [0.98999989, 0.99000001] not certifiable at bisection depth 20 "
+            "(Lipschitz slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 "
+            "with L = 2.972e+08, step = 1.490e-08)"
         )
 
     @pytest.mark.parametrize(
@@ -608,9 +611,35 @@ class TestEndpointInertia:
         path = INERTIA_PATHS[kind](seed)
         cert = spectral_flow(path)
         ends = path.spectra([0.0, 1.0])
-        zero_tol = cert.options.cluster_tol * spectral_scale(ends)
-        neg = np.count_nonzero(ends < -zero_tol[:, None], axis=1)
+        neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)
         assert cert.flow == int(neg[0] - neg[1])
+
+
+class TestZeroBand:
+    """An end eigenvalue counts as zero only within the eigensolver's rounding of 0."""
+
+    @pytest.mark.parametrize("bg", [1e9, 1e10, 1e12])
+    def test_small_end_eigenvalue_beside_large_ones_keeps_its_sign(self, bg):
+        # At t=0 the eigenvalue -1 is 1e-9 to 1e-12 of the scale: negative, not zero.
+        path = matrix_path(3, lambda t: np.diag([2 * t - 1, bg, -bg]), lipschitz=2.0)
+        cert = spectral_flow(path)
+        assert cert.flow == 1
+        cert.verify(path)
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_exact_zero_at_a_rotated_end_is_counted(self, dim):
+        # One eigenvalue goes from -1 to exactly 0; rotated, the solve
+        # puts it a rounding below 0, where it still counts as zero.
+        rng = np.random.default_rng(2)
+        u = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        rest = rng.uniform(1.0, 3.0, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
+        a, b = (SelfAdjointOperator((u * np.r_[v, rest]) @ u.T) for v in (-1.0, 0.0))
+        path = straight_segment(a, b)
+        end = path.spectra([1.0])[0]
+        assert 0.0 > end[np.argmin(np.abs(end))] > -_zero_band(end)
+        cert = spectral_flow(path)
+        assert cert.flow == 1
+        cert.verify(path)
 
 
 def _outcome(path, opts: FlowOptions) -> str:

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_endpoint_flow
+from conftest import brute_endpoint_flow, dense_sum, mixed_concat, mixed_matrix_path, mixed_sum
 from specflow import (
+    BaerFamilySpec,
     EndpointMismatch,
+    GluingSpec,
     Homotopy,
     OperatorPath,
     SelfAdjointOperator,
     add,
     affine_homotopy,
+    baer_family,
+    circle_family,
     concat,
     constant_path,
+    glue,
+    invertible_valued_family,
     matrix_path,
     random_family,
     reparametrize,
@@ -23,6 +29,7 @@ from specflow import (
     spectral_flow,
     straight_segment,
 )
+from specflow.config import sampled_path
 
 
 def crossing_path(up: bool = True):
@@ -305,3 +312,109 @@ class TestPathValidation:
             match=r"^path build returned shape \(0, 2, 2\) for 1 parameters of dimension 2$",
         ):
             p.at(1.0)
+
+
+
+def _pl_warp(a, seed: int, lipschitz: float | None):
+    """``a`` under a seeded piecewise-linear warp, steep where two knots nearly meet.
+
+    ``lipschitz`` is the base's bound, which ``reparametrize`` reads only
+    when ``a`` has no gauge.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(1e-2, 1.0, 2 + seed % 3) ** 3
+    xs = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    xs[-1] = 1.0
+    ys = np.linspace(0.0, 1.0, xs.size)
+    slope = float(np.max(np.diff(ys) / np.diff(xs)))
+    bound = None if lipschitz is None else lipschitz * slope
+    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), bound)
+
+
+def _gauged_sampled(seed: int):
+    """A sampled path through random knots, two of them 1e-9 apart."""
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 4
+    inner = np.sort(rng.uniform(0.01, 0.99, 1 + seed % 4))
+    knots = []
+    for t in [0.0, *inner.tolist(), float(inner[0]) + 1e-9, 1.0]:
+        g = rng.standard_normal((dim, dim)) + 1j * (seed % 2) * rng.standard_normal((dim, dim))
+        knots.append((t, (g + g.conj().T) / 2))
+    return sampled_path(sorted(knots, key=lambda knot: knot[0]))
+
+
+def _slice(seed: int, s: float, bounded: bool = True):
+    """Slice ``s`` of the homotopy from a random family to a bumped copy of it."""
+    a = random_family(2 + seed % 5, seed)
+    e = np.diag(np.linspace(-0.5, 0.5, a.dim))
+    bound = a.lipschitz + 0.5 * np.pi if bounded else None
+    bumped = matrix_path(a.dim, lambda t: a.at(t).entries + np.sin(np.pi * t) * e, bound)
+    return affine_homotopy(a, bumped).slice_at(s)
+
+
+def _unbounded(a):
+    """``a`` with its bound forgotten, so it has no gauge."""
+    return OperatorPath(a.dim, a._build)
+
+
+GAUGED = {
+    "random": lambda seed: random_family(2 + seed % 6, seed),
+    "invertible-valued": lambda seed: invertible_valued_family(2 + seed % 5, seed),
+    "baer": lambda seed: baer_family(BaerFamilySpec(m=1 + seed % 4)),
+    "circle": lambda seed: circle_family(3, seed % 7 - 3),
+    "glue": lambda seed: glue(
+        GluingSpec((-7.0, -3.0, 3.0, 7.0), BaerFamilySpec(m=1), epsilon=0.4, seed=seed)
+    ).path,
+    "matrix_path": mixed_matrix_path,
+    "straight_segment": lambda seed: straight_segment(
+        invertible_valued_family(3, seed).at(0.0), random_family(3, seed).at(0.5)
+    ),
+    "constant_path": lambda seed: constant_path(random_family(3, seed).at(0.3)),
+    "concat": mixed_concat,
+    "reverse": lambda seed: reverse(random_family(2 + seed % 6, seed)),
+    "add": dense_sum,
+    "add mixed": mixed_sum,
+    "interior slice": lambda seed: _slice(seed, 0.3),
+    "end slice": lambda seed: _slice(seed, 1.0),
+    "end slice beside a path without a gauge": lambda seed: _slice(seed, 0.0, bounded=False),
+    "warp": lambda seed: _pl_warp(random_family(3, seed), seed, None),
+    "warp of a path without a gauge": lambda seed: _pl_warp(
+        _unbounded(random_family(3, seed)), seed, random_family(3, seed).lipschitz
+    ),
+    "sampled": _gauged_sampled,
+    "reverse of a warped concat": lambda seed: reverse(_pl_warp(mixed_concat(seed), seed, None)),
+}
+
+
+class TestGauge:
+    """Every constructor's gauge bounds its path's variation, and only a known one."""
+
+    @given(
+        st.sampled_from(sorted(GAUGED)),
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=8),
+    )
+    def test_gauge_bounds_the_variation(self, kind, seed, params):
+        # ||A(t) - A(s)||_2 <= g(t) - g(s) for s <= t, up to rounding.
+        path = GAUGED[kind](seed)
+        ts = np.sort(np.array(params))
+        g = path.gauge(ts)
+        assert np.all(np.diff(g) >= 0.0)
+        mats = [path.at(t).entries for t in ts.tolist()]
+        scale = max(np.linalg.norm(m, 2) for m in mats)
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                variation = np.linalg.norm(mats[j] - mats[i], 2)
+                assert variation <= (g[j] - g[i]) * (1 + 1e-12) + 1e-12 * scale
+
+    def test_unknown_variation_has_no_gauge(self):
+        a, b = random_family(3, 0), _unbounded(random_family(3, 1))
+        assert b.gauge is None
+        assert concat(a, matrix_path(3, lambda t: a.at(1.0).entries)).gauge is None
+        assert add(a, b).gauge is None
+        assert reverse(b).gauge is None
+        assert reparametrize(b, lambda t: t * t).gauge is None
+        assert _slice(0, 0.5, bounded=False).gauge is None
+        # The caller's bound gives a gauge, and an end slice keeps its path's.
+        assert reparametrize(b, lambda t: t * t, lipschitz=2.0 * random_family(3, 1).lipschitz).gauge
+        assert _slice(0, 0.0, bounded=False).gauge is not None

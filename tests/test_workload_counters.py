@@ -20,10 +20,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # workload: (eigensolves, items run, the kind/group of every failed item)
 ROUNDS = {
-    "certify-mix": (10_808, 52, ["warp/failing"]),
+    "certify-mix": (5_704, 52, ["warp/failing"]),
     "oracle-grid": (11_681, 24, []),
     "components-k8": (0, 1, []),
-    "dense-sampled": (241, 1, []),
+    "dense-sampled": (233, 1, []),
 }
 FIRST_ITEM_ONLY = {"dense-sampled"}
 
