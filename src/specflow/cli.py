@@ -93,7 +93,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="seed for seeded families")
     p.add_argument("--out", metavar="DIR", help="directory for report files")
     p.add_argument("--init-samples", type=int, dest="init_samples", help="initial partition segments")
-    p.add_argument("--max-depth", type=int, dest="max_depth", help="bisection depth limit")
+    p.add_argument(
+        "--max-depth", type=int, dest="max_depth", help="how many times refinement may halve the witness spacing"
+    )
 
 
 def _add_subcommand(sub, name: str, help_text: str, handler, **blocks) -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ class BoundaryAmbiguity(SpectralFlowError):
 
 
 class DepthExceeded(SpectralFlowError):
-    """Recursive bisection hit its depth limit without certifying a segment.
+    """Refinement hit its depth limit without certifying a segment.
 
     The message names the segment and the first of six reasons its last
     attempt was rejected for, in the order they are tested:
@@ -48,9 +48,16 @@ class DepthExceeded(SpectralFlowError):
     - count drift: the count in the window changes over the witness grid;
     - jump across the window: the count below the window changes.
 
-    Callers may raise ``max_depth`` or ``witness_points``, loosen
-    ``min_margin``, or supply a smaller valid Lipschitz bound, depending on
-    the reason.
+    It ends with the flow that endpoint inertia gives, ``neg(A(0)) -
+    neg(A(1))`` counted outside the zero band: for a continuous path of
+    finite matrices that is the flow, so it tells what a certificate would
+    have shown.
+
+    The segment at the limit is witnessed at its two ends alone, so
+    ``witness_points``, which sets the grid of the initial segments only,
+    does not move it.  Callers may raise ``max_depth`` (each level halves
+    the witness spacing), loosen ``min_margin``, or supply a smaller valid
+    Lipschitz bound, depending on the reason.
     """
 
 

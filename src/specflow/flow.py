@@ -7,26 +7,36 @@ telescoping sum of upper-half counts at the partition points.  The result
 is an integer independent of the partition (a tested property), so any
 certified partition is as good as any other.
 
+Each segment carries its own window (Phillips, *Self-adjoint Fredholm
+operators and spectral flow*, 1996).  A segment of the initial partition
+is witnessed on the ``witness_points`` grid.  A rejected segment with
+interior witnesses is replaced by its witness intervals, each witnessed
+at its two ends alone: their rows are already solved, and by Weyl's
+inequality one interval is proved once its margin exceeds half its gauge
+step.  A rejected segment with no interior witness is halved.  The depth
+counts halvings of the witness spacing, so a split at the witnesses keeps
+it and a halving adds one.
+
 Refinement is batched and runs left to right.  Pending segments wait on a
-stack in depth-first order.  Each round reads the witness grids of the
-leftmost ones with one ``spectra`` call and decides them all with one
-array kernel (:func:`_widest_gaps`, then :func:`_check_windows`, the one
-acceptance rule, which :meth:`FlowCertificate.verify` also runs).  Until a
-segment certifies, a round takes one segment, so a path that certifies
-nothing solves what depth-first order solves.  After that a round takes
-``max(1, 64 >> depth)`` segments, and a round that so far holds only
-children of resolution-limited parents goes on taking them, up to 64, at
-any depth.  A parent is resolution-limited when it failed on the
-Lipschitz slack alone and its ends have as many negative eigenvalues, so
-no net crossing lies inside and only finer witnesses are missing.  So the
-depth cap stays where a crossing or another rejection sits, which is where
-refinement can fail.  The schedule changes no leaf: a segment's decision
-depends on its own ends alone.
+stack in depth-first order.  The first round reads the whole initial
+partition.  Each later round reads the leftmost ``max(1, 64 >> depth)``
+pending segments with one ``spectra`` call, and a round that so far holds
+only children of resolution-limited parents goes on taking them, up to
+64, at any depth.  Every round is decided by one array kernel
+(:func:`_widest_gaps`, then :func:`_check_windows`, the one acceptance
+rule, which :meth:`FlowCertificate.verify` also runs).  A parent is
+resolution-limited when it failed on the Lipschitz slack alone and its
+ends have as many negative eigenvalues, so no net crossing lies inside and
+only finer witnesses are missing.  So the depth cap stays where a crossing
+or another rejection sits, which is where refinement can fail.  The
+schedule changes no leaf: a segment's decision depends on its own ends
+alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -49,9 +59,11 @@ class FlowOptions:
     """Tunables for partition refinement and counting.
 
     ``init_samples`` is the number of equal segments the refinement starts
-    from; ``witness_points`` the samples per segment on which window
-    margins and count constancy are verified; tolerances are relative to
-    the local spectral radius.
+    from; ``witness_points`` the samples of each of those segments on which
+    window margins and count constancy are verified (a refined segment is
+    witnessed at its two ends); ``max_depth`` the number of times the
+    witness spacing may be halved; tolerances are relative to the local
+    spectral radius.
     """
 
     init_samples: int = 8
@@ -120,10 +132,11 @@ class FlowCertificate:
         """Re-check the certificate against ``path``; raise CertificateBroken if it fails.
 
         The witnesses must tile [0, 1] in the order of ``times``, with one
-        count pair each.  Every witness grid is then read with one
-        ``spectra`` call, and segment by segment, from the left, the grid
-        must be the ``options.witness_points``-point grid of its segment,
-        the recorded window must pass the certifier's own rule
+        count pair each.  The witness grids are then read with one
+        ``spectra`` call per grid shape, and segment by segment, from the
+        left, the grid must be the ``options.witness_points``-point grid of
+        a segment of the initial partition and the two ends of any other
+        segment, the recorded window must pass the certifier's own rule
         (:func:`_check_windows`: margin floor, Lipschitz slack, witnessed
         margin, a constant count equal to ``symmetric_count`` and a constant
         count below the window), and the end counts recounted from the
@@ -147,37 +160,48 @@ class FlowCertificate:
             raise CertificateBroken(
                 f"{len(self.counts)} count pairs recorded for {len(self.witnesses)} segments"
             )
-        ts, spectra = _witness_spectra(
-            path, [w.t_lower for w in self.witnesses], [w.t_upper for w in self.witnesses], opts
-        )
+        edges = _initial_edges(opts)
+        first = set(zip(edges[:-1], edges[1:]))
+        initial = np.array([seg in first for seg in zip(times[:-1], times[1:])])
+        lower, upper = np.array(times[:-1]), np.array(times[1:])
         radius = np.array([w.radius for w in self.witnesses])
-        counts, reasons, _ = _check_windows(
-            path, ts, spectra, radius, np.array([w.margin for w in self.witnesses]), opts
-        )
+        margin = np.array([w.margin for w in self.witnesses])
+        checked: list = [None] * len(self.witnesses)
+        for group, points in ((initial, opts.witness_points), (~initial, 2)):
+            idx = np.flatnonzero(group)
+            if not idx.size:
+                continue
+            ts, spectra = _witness_spectra(path, lower[idx], upper[idx], points)
+            counts, failed, _, reason = _check_windows(path, ts, spectra, radius[idx], margin[idx], opts)
+            for k, (i, grid) in enumerate(zip(idx.tolist(), ts.tolist())):
+                why = reason(k) if failed[k] else None
+                checked[i] = (tuple(grid), why, int(counts[k]), spectra[k, [0, -1]])
         total = 0
-        for i, (w, grid, reason, (c_lo, c_hi)) in enumerate(
-            zip(self.witnesses, ts.tolist(), reasons, self.counts)
+        for i, (w, (grid, reason, count, ends), (c_lo, c_hi)) in enumerate(
+            zip(self.witnesses, checked, self.counts)
         ):
             lo, hi = w.t_lower, w.t_upper
-            if w.grid != tuple(grid):
-                raise CertificateBroken(
-                    f"segment [{lo!r}, {hi!r}]: witness grid is not the "
-                    f"{opts.witness_points}-point grid of the segment"
+            if w.grid != grid:
+                shape = (
+                    f"the {opts.witness_points}-point grid of the segment"
+                    if initial[i]
+                    else "the two ends of a refined segment"
                 )
+                raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: witness grid is not {shape}")
             if reason is not None:
                 raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {reason}")
-            if counts[i] != w.symmetric_count:
+            if count != w.symmetric_count:
                 raise CertificateBroken(f"symmetric count drifted at t={w.grid[0]}")
-            ends = _upper_count(spectra[i, [0, -1]], radius[[i, i]], opts.cluster_tol)
-            for t, recorded, recounted in zip((lo, hi), (c_lo, c_hi), ends):
-                if recorded != recounted:
+            recounted = _upper_count(ends, radius[[i, i]], opts.cluster_tol)
+            for t, recorded, end in zip((lo, hi), (c_lo, c_hi), recounted):
+                if recorded != end:
                     raise CertificateBroken(f"count at t={t} drifted")
             total += c_hi - c_lo
         if total != self.flow:
             raise CertificateBroken("flow does not telescope over the recorded counts")
 
 
-# Once the refinement has certified a segment, it reads the leftmost
+# After the initial partition, a refinement round reads the leftmost
 # ``max(1, _BATCH >> depth)`` pending segments with one ``spectra`` call,
 # or up to ``_BATCH`` of them while they are children of resolution-limited
 # parents.
@@ -206,6 +230,11 @@ def _widest_gaps(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return 0.5 * (pooled[rows, k] + pooled[rows, k + 1]), 0.5 * width, width == 0.0
 
 
+def _initial_edges(opts: FlowOptions) -> list[float]:
+    """The partition points of the ``init_samples`` equal segments refinement starts from."""
+    return np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
+
+
 def _check_windows(
     path: OperatorPath,
     ts: np.ndarray,
@@ -213,8 +242,8 @@ def _check_windows(
     radius: np.ndarray,
     margin: np.ndarray,
     opts: FlowOptions,
-) -> tuple[np.ndarray, list[str | None], np.ndarray]:
-    """The segment acceptance rule: each segment's window count, and why it fails or ``None``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+    """The segment acceptance rule: each segment's window count, and whether and why it fails.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
     equally spaced witness grid ``ts[i]`` and the window
@@ -224,10 +253,11 @@ def _check_windows(
     the distance of some witnessed magnitude to the radius, when the count
     in the window is not constant on the grid, or when the count below
     -radius is not: an eigenvalue that jumps across the whole window
-    between two witnesses keeps the window count but changes the flow.  A
-    rejection is a message that names the first failing reason and its
-    numbers.  The third value is a mask of the segments that fail on the
-    Lipschitz slack and on nothing else.
+    between two witnesses keeps the window count but changes the flow.  The
+    second value is the mask of rejected segments, the third the mask of
+    those that fail on the Lipschitz slack and on nothing else.  The fourth
+    formats the rejection of segment ``i``, a message that names its first
+    failing reason and its numbers, on demand.
 
     When the path carries a gauge ``g`` (:attr:`OperatorPath.gauge`) the
     check is rigorous, not sampled: between a parameter and its nearest
@@ -255,43 +285,43 @@ def _check_windows(
     low = margin < floor
     slipped = margin <= slack
     witnessed = (touched | drift | jump).any(axis=1)
-    failed = low | slipped | witnessed
-    reasons: list[str | None] = [None] * len(ts)
-    for i in np.flatnonzero(failed).tolist():
+
+    def reason(i: int) -> str:
         r, m, t = float(radius[i]), float(margin[i]), ts[i]
         if low[i]:
-            reasons[i] = f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
-        elif slipped[i]:
+            return f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
+        if slipped[i]:
             # An eigenvalue could reach the boundary between witnesses.
-            reasons[i] = (
+            return (
                 f"Lipschitz slack: margin {m:.3e} does not exceed 0.5 * L * step = "
                 f"{slack[i]:.3e} with L = {2.0 * slack[i] / step[i]:.3e}, step = {step[i]:.3e}"
             )
-        elif touched[i].any():
+        if touched[i].any():
             j = int(np.argmax(touched[i]))
-            reasons[i] = f"window margin violated at t={float(t[j])!r}"
-        elif drift[i].any():
+            return f"window margin violated at t={float(t[j])!r}"
+        if drift[i].any():
             j = int(np.argmax(drift[i]))
-            reasons[i] = (
+            return (
                 f"count drift: the count in [-{r:.3e}, {r:.3e}] is {counts[i, 0]} "
                 f"at t={float(t[0])!r} but {counts[i, j]} at t={float(t[j])!r}"
             )
-        else:
-            j = int(np.argmax(jump[i]))
-            reasons[i] = (
-                f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
-                f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
-            )
-    return counts[:, 0], reasons, slipped & ~(low | witnessed)
+        j = int(np.argmax(jump[i]))
+        return (
+            f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
+            f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
+        )
+
+    return counts[:, 0], low | slipped | witnessed, slipped & ~(low | witnessed), reason
 
 
-def _witness_spectra(path: OperatorPath, lo, hi, opts: FlowOptions) -> tuple[np.ndarray, np.ndarray]:
-    """The witness grids ``(S, W)`` of the segments [lo[i], hi[i]] and their spectra ``(S, W, dim)``.
+def _witness_spectra(path: OperatorPath, lo, hi, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``points``-point witness grids ``(S, W)`` of [lo[i], hi[i]] and their spectra ``(S, W, dim)``.
 
-    Row ``i`` of the grids is bit for bit ``np.linspace(lo[i], hi[i], W)``;
-    every grid is read with one ``spectra`` call.
+    Row ``i`` of the grids is bit for bit ``np.linspace(lo[i], hi[i], W)``,
+    which for two points is ``(lo[i], hi[i])``; every grid is read with one
+    ``spectra`` call.
     """
-    ts = np.linspace(lo, hi, opts.witness_points, axis=1)
+    ts = np.linspace(lo, hi, points, axis=1)
     return ts, path.spectra(ts.ravel()).reshape(*ts.shape, -1)
 
 
@@ -325,17 +355,19 @@ def spectral_flow(
 ) -> FlowCertificate:
     """Compute the spectral flow of ``path`` with a full certificate.
 
-    The partition starts from ``init_samples`` equal segments and is
-    bisected wherever certification fails, up to ``max_depth``; beyond
-    that :class:`DepthExceeded` names the leftmost such segment and its
-    reason, the one depth-first refinement would name.  Segments are
-    certified in batches of the leftmost pending ones: ``max(1, 64 >> depth)``
-    of them, or up to 64 at any depth where only the witness spacing was
-    too coarse (see the module docstring).  So a path that fails after
-    certifying something may have solved rows to the right of the failure,
-    while the certificate of a path that succeeds does not depend on the
-    batches.  The two arguments override the fields of ``options`` of the
-    same name.
+    The partition starts from ``init_samples`` equal segments.  A rejected
+    segment is split at its witnesses, or halved once it has no interior
+    witness, up to ``max_depth`` halvings; beyond that
+    :class:`DepthExceeded` names the leftmost such segment and its reason,
+    the one depth-first refinement would name, and the flow that endpoint
+    inertia gives, ``neg(A(0)) - neg(A(1))`` counted outside the zero band.
+    The first round reads the whole initial partition; later rounds read
+    the leftmost pending segments: ``max(1, 64 >> depth)`` of them, or up
+    to 64 at any depth where only the witness spacing was too coarse (see
+    the module docstring).  So a path that fails may have solved rows to
+    the right of the failure, while the certificate of a path that
+    succeeds does not depend on the batches.  The two arguments override
+    the fields of ``options`` of the same name.
 
     The flow is the net number of eigenvalues crossing zero upward,
     evaluated as the telescoping sum of counts in [0, radius_i] over the
@@ -347,62 +379,83 @@ def spectral_flow(
         opts = replace(opts, init_samples=init_samples)
     if max_depth is not None:
         opts = replace(opts, max_depth=max_depth)
-    edges = np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
-    # Pending (lo, hi, depth, failure, limited) in depth-first order, the
-    # leftmost last.  ``limited`` marks a child of a resolution-limited
-    # parent.  A segment rejected at max_depth stays as a marker with its
-    # DepthExceeded text; no batch reads past it, and it is raised once it is
-    # the leftmost, so it names the segment depth-first order would.
-    pending = [(lo, hi, 0, None, False) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
+    edges = _initial_edges(opts)
+    # The round's segments (lo, hi, depth, limited), left to right, and the
+    # pending ones in depth-first order, the leftmost last.  ``limited``
+    # marks a child of a resolution-limited parent.  Once a segment is
+    # rejected at max_depth, its DepthExceeded text is kept and every pending
+    # segment right of it is dropped, so the failure raised is the leftmost,
+    # the one depth-first order would name.
+    batch = [(lo, hi, 0, False) for lo, hi in zip(edges[:-1], edges[1:])]
+    points = opts.witness_points
+    pending: list[tuple[float, float, int, bool]] = []
     leaves: list[SegmentWitness] = []
-    while pending:
-        depth, failure = pending[-1][2:4]
-        if failure is not None:
-            raise DepthExceeded(failure)
-        # One segment at a time until something certifies, so a path that
-        # certifies nothing solves what depth-first order solves.  A round
-        # that is a run of limited segments grows to _BATCH at any depth.
-        size = max(1, _BATCH >> depth) if leaves else 1
-        run = bool(leaves)
+    failure: str | None = None
+    while batch:
+        lo, hi, depth = np.array(batch)[:, :3].T
+        depth = depth.astype(int)
+        ts, spectra = _witness_spectra(path, lo, hi, points)
+        radius, margin, empty = _widest_gaps(spectra)
+        counts, failed, slack_only, reason = _check_windows(path, ts, spectra, radius, margin, opts)
+        failed |= empty
+        ok = np.flatnonzero(~failed)
+        leaves += map(
+            SegmentWitness,
+            lo[ok].tolist(),
+            hi[ok].tolist(),
+            radius[ok].tolist(),
+            margin[ok].tolist(),
+            map(tuple, ts[ok].tolist()),
+            counts[ok].tolist(),
+        )
+        stuck = failed & (depth >= opts.max_depth)
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            why = _ALL_ZERO if empty[i] else reason(i)
+            failure = (
+                f"segment [{lo[i]:.9g}, {hi[i]:.9g}] not certifiable at bisection depth "
+                f"{depth[i]} ({why})"
+            )
+            failed[i:] = False
+            pending.clear()
+        # Resolution-limited: only the witness spacing failed and the ends
+        # have as many negative eigenvalues.
+        neg = np.count_nonzero(spectra[:, [0, -1]] < 0.0, axis=2)
+        limited = slack_only & ~empty & (neg[:, 0] == neg[:, 1])
+        rows = np.flatnonzero(failed)
+        if points > 2:
+            # Split at the witnesses: the spacing, and so the depth, stays.
+            kids_lo, kids_hi, kids_depth = ts[rows, :-1], ts[rows, 1:], depth[rows]
+        else:
+            mid = 0.5 * (lo[rows] + hi[rows])
+            kids_lo = np.stack([lo[rows], mid], axis=1)
+            kids_hi = np.stack([mid, hi[rows]], axis=1)
+            kids_depth = depth[rows] + 1
+        k = kids_lo.shape[1]
+        pending += reversed(
+            list(
+                zip(
+                    kids_lo.ravel().tolist(),
+                    kids_hi.ravel().tolist(),
+                    np.repeat(kids_depth, k).tolist(),
+                    np.repeat(limited[rows], k).tolist(),
+                )
+            )
+        )
+        # Later rounds read refined segments, witnessed at their two ends.
+        points = 2
         batch = []
-        while pending and pending[-1][3] is None:
-            run = run and pending[-1][4]
+        size = max(1, _BATCH >> pending[-1][2]) if pending else 0
+        run = True
+        while pending:
+            run = run and pending[-1][3]
             if len(batch) >= (_BATCH if run else size):
                 break
             batch.append(pending.pop())
-        bounds = np.array([seg[:2] for seg in batch])
-        ts, spectra = _witness_spectra(path, bounds[:, 0], bounds[:, 1], opts)
-        radius, margin, empty = _widest_gaps(spectra)
-        counts, reasons, slack_only = _check_windows(path, ts, spectra, radius, margin, opts)
-        grids = ts.tolist()
-        for i in reversed(range(len(batch))):
-            lo, hi, depth = batch[i][:3]
-            reason = _ALL_ZERO if empty[i] else reasons[i]
-            if reason is None:
-                leaves.append(
-                    SegmentWitness(
-                        t_lower=lo,
-                        t_upper=hi,
-                        radius=float(radius[i]),
-                        margin=float(margin[i]),
-                        grid=tuple(grids[i]),
-                        symmetric_count=int(counts[i]),
-                    )
-                )
-            elif depth >= opts.max_depth:
-                text = f"not certifiable at bisection depth {depth} ({reason})"
-                pending.append((lo, hi, depth, f"segment [{lo:.9g}, {hi:.9g}] {text}", False))
-            else:
-                # Resolution-limited: only the witness spacing failed and the
-                # ends have as many negative eigenvalues (rows are sorted).
-                rows = spectra[i]
-                limited = (
-                    slack_only[i]
-                    and not empty[i]
-                    and np.searchsorted(rows[0], 0.0) == np.searchsorted(rows[-1], 0.0)
-                )
-                mid = 0.5 * (lo + hi)
-                pending += [(mid, hi, depth + 1, None, limited), (lo, mid, depth + 1, None, limited)]
+    if failure is not None:
+        ends = path.spectra([0.0, 1.0])
+        neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)
+        raise DepthExceeded(f"{failure}; endpoint inertia gives flow {int(neg[0] - neg[1])}")
     leaves.sort(key=lambda w: w.t_lower)
     times = tuple([leaves[0].t_lower] + [w.t_upper for w in leaves])
     # Every partition point ends a witness grid, so these rows are cached.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryAmbiguity, ResolutionWarning
-from .operators import DEFAULT_CLUSTER_TOL, spectral_scale
+from .operators import _zero_band
 from .paths import OperatorPath
 
 __all__ = ["CrossingRecord", "OracleResult", "oracle_flow"]
@@ -87,9 +87,9 @@ def _grid_flow(path: OperatorPath, grid: int) -> OracleResult:
 def oracle_flow(path: OperatorPath, grid: int = DEFAULT_GRID) -> OracleResult:
     """Signed zero-crossing count of ``path`` on a fine grid.
 
-    ``operators.DEFAULT_CLUSTER_TOL`` (relative to the endpoint's spectral
-    scale), the engine's own boundary-collision tolerance, guards the path
-    endpoints: an eigenvalue that close to zero there makes the crossing
+    The engine's own zero band (``operators._zero_band``, the
+    eigensolver's rounding of 0 at the endpoint's spectral scale) guards
+    the path endpoints: an eigenvalue within it there makes the crossing
     count ill-defined.  The flow is endpoint data, the drop in the
     negative count from t=0 to t=1, which every grid reads alike; what the
     oracle checks independently is the list of crossings.  So the run is
@@ -101,7 +101,7 @@ def oracle_flow(path: OperatorPath, grid: int = DEFAULT_GRID) -> OracleResult:
         raise ValueError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
     for t in (0.0, 1.0):
         (row,) = path.spectra([t])
-        band = DEFAULT_CLUSTER_TOL * float(spectral_scale(row))
+        band = float(_zero_band(row))
         if float(np.abs(row).min()) < band:
             raise BoundaryAmbiguity(
                 f"endpoint t={t} has an eigenvalue within {band:.3e} of 0; "

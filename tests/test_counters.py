@@ -125,61 +125,65 @@ CASES = {
     # The gauge jumps between two adjacent floats, so the segment holding
     # the jump fails at depth 20 and the rest certifies.  Its L is the
     # segment's local slope, its largest gauge step over the witness spacing.
+    # The endpoint inertia gives the flow 0 of the base path.
     "DepthExceeded: warp between adjacent floats": _depth_exceeded(
         lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
-        "segment [0.98999989, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
+        "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
         "slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 with L = 2.972e+08, "
-        "step = 1.490e-08)",
+        "step = 1.490e-08); endpoint inertia gives flow 0",
     ),
-    # Certifies [0, 0.5) first, so later batches also solve rows right of 0.5.
+    # The first round reads all of [0, 1], so rows right of 0.5 are solved too.
     "DepthExceeded: zero eigenvalue at t=0.5": _depth_exceeded(
         lambda: matrix_path(1, lambda t: [[t - 0.5]], lipschitz=1.0),
-        "segment [0.499999881, 0.5] not certifiable at bisection depth 20 (Lipschitz slack: "
-        "margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08)",
+        "segment [0.49999997, 0.499999985] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
+        "step = 1.490e-08); endpoint inertia gives flow 1",
     ),
     "DepthExceeded: (t - 0.5) I_4": _depth_exceeded(
         lambda: matrix_path(4, lambda t: (t - 0.5) * np.eye(4), lipschitz=1.0),
-        "segment [0.499999881, 0.5] not certifiable at bisection depth 20 (Lipschitz slack: "
-        "margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08)",
+        "segment [0.49999997, 0.499999985] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
+        "step = 1.490e-08); endpoint inertia gives flow 4",
     ),
     "DepthExceeded: zero eigenvalue at t=0.3": _depth_exceeded(
         lambda: matrix_path(1, lambda t: [[t - 0.3]], lipschitz=1.0),
-        "segment [0.299999952, 0.300000072] not certifiable at bisection depth 20 (Lipschitz "
+        "segment [0.299999982, 0.299999997] not certifiable at bisection depth 20 (Lipschitz "
         "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08)",
+        "step = 1.490e-08); endpoint inertia gives flow 1",
     ),
     "DepthExceeded: two eigenvalues zero at t=1/3": _depth_exceeded(
         lambda: matrix_path(2, lambda t: np.diag([t - 1 / 3, 2 * t - 2 / 3]), lipschitz=2.0),
-        "segment [0.333333254, 0.333333373] not certifiable at bisection depth 20 (Lipschitz "
+        "segment [0.333333299, 0.333333313] not certifiable at bisection depth 20 (Lipschitz "
         "slack: margin 1.490e-08 does not exceed 0.5 * L * step = 1.490e-08 with L = 2.000e+00, "
-        "step = 1.490e-08)",
+        "step = 1.490e-08); endpoint inertia gives flow 2",
     ),
     # No bound, so nothing fails on the slack: a count drift at the jump.
+    # The endpoint inertia gives -1, the oracle's flow.
     "DepthExceeded: tanh jump without a bound": _depth_exceeded(
         lambda: _tanh(1e6, None),
-        "segment [0.439999938, 0.440000057] not certifiable at bisection depth 20 (count drift: "
-        "the count in [-1.490e-02, 1.490e-02] is 0 at t=0.43999993801116943 but 1 at "
-        "t=0.4399999976158142)",
+        "segment [0.439999983, 0.439999998] not certifiable at bisection depth 20 (count drift: "
+        "the count in [-1.967e-02, 1.967e-02] is 0 at t=0.439999982714653 but 1 at "
+        "t=0.4399999976158142); endpoint inertia gives flow -1",
     ),
     # Bounded: resolution-limited segments on both sides of the crossing.
     "DepthExceeded: tanh with L = 2e3": _depth_exceeded(
         lambda: _tanh(1e3, 2e3),
-        "segment [0.439999938, 0.440000057] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 1.013e-05 does not exceed 0.5 * L * step = 1.490e-05 with L = 2.000e+03, "
-        "step = 1.490e-08)",
+        "segment [0.439999983, 0.439999998] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: margin 1.490e-05 does not exceed 0.5 * L * step = 1.490e-05 with L = 2.000e+03, "
+        "step = 1.490e-08); endpoint inertia gives flow -1",
     ),
 }
 
 EIGENSOLVES = {
     "flow+verify random_family(2, 6)": 130,
     "flow+verify random_family(5, 2)": 130,
-    "flow+verify random_family(12, 6)": 146,
-    # 1058 with the global slope bound in place of the gauge.
-    "flow+verify warp of slope 33": 194,
-    # 194 with the global bound 2 * max(L_a, L_b).
-    "flow+verify concat": 146,
+    # 146 when a rejected segment was halved into two 9-point halves.
+    "flow+verify random_family(12, 6)": 130,
+    # 1058 with the global slope bound in place of the gauge, 194 with
+    # the gauge and halving.
+    "flow+verify warp of slope 33": 142,
+    # 194 with the global bound 2 * max(L_a, L_b), 146 with halving.
+    "flow+verify concat": 130,
     "flow+verify reverse": 130,
     "flow+verify interior slice": 134,
     "flow+verify complex sampled": 130,
@@ -189,16 +193,16 @@ EIGENSOLVES = {
     "components --k 4": 0,
     "certify_distinct_components, 3 rotated real paths": 344,
     "certify_distinct_components, 3 rotated complex paths": 345,
+    # The counts with halving into 9-point halves follow each case.
     # 89 with the global slope bound, which failed at [0, 1.2e-07] first.
-    "DepthExceeded: warp between adjacent floats": 225,
-    # 193 with depth-first refinement, which stops at the failure.
-    "DepthExceeded: zero eigenvalue at t=0.5": 257,
-    "DepthExceeded: (t - 0.5) I_4": 257,
-    "DepthExceeded: zero eigenvalue at t=0.3": 197,
-    "DepthExceeded: two eigenvalues zero at t=1/3": 193,
-    "DepthExceeded: tanh jump without a bound": 201,
+    "DepthExceeded: warp between adjacent floats": 87,  # 225
+    "DepthExceeded: zero eigenvalue at t=0.5": 111,  # 257
+    "DepthExceeded: (t - 0.5) I_4": 111,  # 257
+    "DepthExceeded: zero eigenvalue at t=0.3": 108,  # 197
+    "DepthExceeded: two eigenvalues zero at t=1/3": 129,  # 193
+    "DepthExceeded: tanh jump without a bound": 88,  # 201
     # 713 with the depth cap alone.
-    "DepthExceeded: tanh with L = 2e3": 705,
+    "DepthExceeded: tanh with L = 2e3": 546,  # 705
 }
 
 
@@ -213,26 +217,30 @@ def _warp_of_slope(slope):
 
 
 # Calls of ``flow._witness_spectra``: one per refinement round, and one per
-# ``verify`` (the components report verifies every certificate).  The
-# comments give the counts of refinement with the depth cap alone, which
-# read ``max(1, 64 >> depth)`` segments per round.
+# grid shape in ``verify`` (the components report verifies every
+# certificate).  The comments give the counts of refinement with the depth
+# cap alone, which read ``max(1, 64 >> depth)`` segments per round.
 ROUND_CASES = {
     # 29 with the global slope bound in place of the gauge; 581 with that
     # bound and the depth cap alone, one segment per round after depth 6.
     "warp of slope 300": _warp_of_slope(300),
     # 18 with the global slope bound; 99 with it and the depth cap alone.
     "warp of slope 100": _warp_of_slope(100),
-    # 14, mostly rounds of 8 at depth 3.
+    # 14, mostly rounds of 8 at depth 3.  7 when a rejected segment was
+    # halved into two 9-point halves: a round of 8 halves read up to 64 new
+    # rows, as a round of 64 two-point segments does now, but its 465 rows
+    # now certify 462 segments, not 58.
     "invertible_valued_family(12, 0)": lambda _: spectral_flow(invertible_valued_family(12, 0)),
-    # 37: its segments cross, so their rounds keep the depth cap.
+    # 37 with halving: its segments cross, so their rounds keep the depth
+    # cap.  The first round now reads all eight initial segments.
     "components --k 4": _components,
 }
 
 ROUNDS = {
     "warp of slope 300": 8,
     "warp of slope 100": 6,
-    "invertible_valued_family(12, 0)": 7,
-    "components --k 4": 37,
+    "invertible_valued_family(12, 0)": 17,
+    "components --k 4": 19,
 }
 
 
@@ -240,7 +248,10 @@ ROUNDS = {
 # a third of [0, 1] on 1 / (3 * slope) of it.  The gauge keeps the steep
 # piece local, so the eigensolves grow with the log of the slope.  With the
 # global slope bound they grew with the slope: 65, 385, 3657, 45329, 403105.
-LADDER = {3: 65, 30: 89, 300: 113, 3333: 137, 33333: 169}
+# With halving into 9-point halves they were 65, 89, 113, 137, 169: a split
+# at the witnesses reuses the rejected segment's rows, and each halving of a
+# two-point segment solves one.
+LADDER = {3: 65, 30: 68, 300: 71, 3333: 74, 33333: 78}
 
 
 @pytest.mark.parametrize("slope", sorted(LADDER))
@@ -266,7 +277,8 @@ def test_refinement_rounds(name, monkeypatch, tmp_path, capsys):
 def test_property_suite_builds_no_path_one_parameter_at_a_time(monkeypatch):
     # The perturbed path is ``add(a, bump)``, built a stack at a time, so the
     # only ``at`` calls are the homotopy's endpoint checks, four per case.
-    # Built per parameter from ``a.at(t)`` it read 408 calls and 453 ingests.
+    # Built per parameter from ``a.at(t)`` it read 408 calls and 453 ingests;
+    # 105 ingests when a rejected segment was halved into 9-point halves.
     calls = {"at": 0, "ingest": 0}
 
     def counted(name, original):
@@ -280,4 +292,4 @@ def test_property_suite_builds_no_path_one_parameter_at_a_time(monkeypatch):
     monkeypatch.setattr(paths, "_ingest_stack", counted("ingest", paths._ingest_stack))
     report = check_flow_properties(seed=0, invertible_paths=0, concat_pairs=0, homotopies=3, slices=3)
     assert report.passed
-    assert calls == {"at": 12, "ingest": 105}
+    assert calls == {"at": 12, "ingest": 78}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -106,9 +107,9 @@ class TestRefinePartition:
         with pytest.raises(DepthExceeded) as info:
             spectral_flow(p)
         assert str(info.value) == (
-            "segment [0.98999989, 0.99000001] not certifiable at bisection depth 20 "
+            "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 "
             "(Lipschitz slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 "
-            "with L = 2.972e+08, step = 1.490e-08)"
+            "with L = 2.972e+08, step = 1.490e-08); endpoint inertia gives flow 0"
         )
 
     @pytest.mark.parametrize(
@@ -117,8 +118,10 @@ class TestRefinePartition:
             # |eigenvalues| 0, 1, 2 leave gaps of 1, so the margin is 0.5,
             # below the floor 0.5 * 2.
             (lambda t: [1.0, 2.0], FlowOptions(min_margin=0.5), "margin floor: margin 5.000e-01"),
-            # An eigenvalue sweeping [0, 4] crosses every candidate radius.
-            (lambda t: [4.0 * t, 1.0], FlowOptions(), "count drift: the count in"),
+            # An eigenvalue sweeping [0, 64] past 1: at the two ends of a
+            # segment [0, h] with 64 h > 1 the widest gap is (1, 64 h), and
+            # the eigenvalue crosses its midpoint.
+            (lambda t: [64.0 * t, 1.0], FlowOptions(), "count drift: the count in"),
         ],
     )
     def test_depth_exceeded_names_the_reason(self, diag, options, reason):
@@ -322,6 +325,86 @@ class TestVerifyRejectsTampering:
         assert self._broken(path, tampered) == f"{n - 1} count pairs recorded for {n} segments"
 
 
+def _steep_warp():
+    # The benchmark's slope-300 warp: a third of [0, 1] spent on [0.5, 0.5 + 1/900].
+    a = random_family(5, seed=0)
+    xs = np.array([0.0, 0.5, 0.5 + 1 / 900, 1.0])
+    ys = np.linspace(0.0, 1.0, 4)
+    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=a.lipschitz * 300)
+
+
+class TestSplitAtTheWitnesses:
+    """A rejected segment is replaced by its witness intervals, each certified from its two ends."""
+
+    @pytest.fixture
+    def certified(self):
+        path = _steep_warp()
+        cert = spectral_flow(path)
+        cert.verify(path)
+        return path, cert
+
+    @staticmethod
+    def _initial(cert):
+        edges = np.linspace(0.0, 1.0, cert.options.init_samples + 1).tolist()
+        first = set(zip(edges[:-1], edges[1:]))
+        return [(w.t_lower, w.t_upper) in first for w in cert.witnesses]
+
+    def test_refined_segments_tile_the_rejected_grids(self, certified):
+        _, cert = certified
+        initial = self._initial(cert)
+        assert any(initial) and not all(initial)
+        kept = {(w.t_lower, w.t_upper) for w, first in zip(cert.witnesses, initial) if first}
+        edges = np.linspace(0.0, 1.0, 9).tolist()
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if (lo, hi) not in kept:
+                # Every witness of a rejected initial segment is a partition point.
+                assert set(np.linspace(lo, hi, 9).tolist()) <= set(cert.times)
+        for w, first in zip(cert.witnesses, initial):
+            if first:
+                assert w.grid == tuple(np.linspace(w.t_lower, w.t_upper, 9).tolist())
+            else:
+                assert w.grid == (w.t_lower, w.t_upper)
+                # A witness interval, 1/64 wide, halved k >= 0 times.
+                k = math.log2(1 / 64 / (w.t_upper - w.t_lower))
+                assert round(k) >= 0 and abs(k - round(k)) < 1e-6
+
+    def test_an_initial_segment_cut_to_its_two_ends(self, certified):
+        path, cert = certified
+        i = self._initial(cert).index(True)
+        w = cert.witnesses[i]
+        witnesses = list(cert.witnesses)
+        witnesses[i] = dataclasses.replace(w, grid=(w.t_lower, w.t_upper))
+        with pytest.raises(CertificateBroken) as info:
+            dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
+        assert str(info.value) == (
+            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the 9-point grid of the segment"
+        )
+
+    def test_a_refined_segment_with_a_nine_point_grid(self, certified):
+        path, cert = certified
+        i = self._initial(cert).index(False)
+        w = cert.witnesses[i]
+        witnesses = list(cert.witnesses)
+        witnesses[i] = dataclasses.replace(w, grid=tuple(np.linspace(w.t_lower, w.t_upper, 9).tolist()))
+        with pytest.raises(CertificateBroken) as info:
+            dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
+        assert str(info.value) == (
+            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the two ends of a refined segment"
+        )
+
+    def test_a_split_keeps_the_depth_and_a_halving_adds_one(self):
+        # The witness intervals of the initial segments are 1/64 wide at
+        # depth 0; the one failure allowed at depth 1 is 1/128 wide.
+        path = matrix_path(1, lambda t: [[t - 0.5]], lipschitz=1.0)
+        with pytest.raises(DepthExceeded) as info:
+            spectral_flow(path, max_depth=1)
+        assert str(info.value) == (
+            "segment [0.484375, 0.4921875] not certifiable at bisection depth 1 (Lipschitz slack: "
+            "margin 3.906e-03 does not exceed 0.5 * L * step = 3.906e-03 with L = 1.000e+00, "
+            "step = 7.812e-03); endpoint inertia gives flow 1"
+        )
+
+
 class TestVerifyRejectsForgery:
     """A hand-made certificate for a path it does not hold on."""
 
@@ -341,18 +424,15 @@ class TestVerifyRejectsForgery:
         )
         return path, cert
 
-    @pytest.mark.parametrize(
-        "witness_points, reason",
-        [
-            (9, "witness grid is not the 9-point grid of the segment"),
-            # Two witnesses are the right grid; only the Lipschitz slack rejects it.
-            (
-                2,
-                "Lipschitz slack: margin 5.000e-01 does not exceed 0.5 * L * step = 7.500e-01 "
-                "with L = 1.500e+00, step = 1.000e+00",
-            ),
-        ],
+    SLACK = (
+        "Lipschitz slack: margin 5.000e-01 does not exceed 0.5 * L * step = 7.500e-01 "
+        "with L = 1.500e+00, step = 1.000e+00"
     )
+
+    # [0, 1] is not one of the 8 initial segments, so its two witnesses are
+    # the right grid whatever ``witness_points`` is; only the Lipschitz slack
+    # rejects it.
+    @pytest.mark.parametrize("witness_points, reason", [(9, SLACK), (2, SLACK)])
     def test_forged_flow_rejected(self, witness_points, reason):
         path, cert = self._forged(witness_points)
         assert spectral_flow(path).flow == 0 == oracle_flow(path).flow
@@ -420,11 +500,10 @@ def _tanh_jump():
 class TestJumpAcrossTheWindow:
     def test_check_window_names_the_jump(self):
         path = _tanh_jump()
-        ts, spectra = _witness_spectra(path, [0.375], [0.5], FlowOptions())
+        ts, spectra = _witness_spectra(path, [0.375], [0.5], 9)
         radius, margin, empty = _widest_gaps(spectra)
         assert not empty[0]
-        counts, reasons, _ = _check_windows(path, ts, spectra, radius, margin, FlowOptions())
-        assert reasons == [
+        assert _reasons(_check_windows(path, ts, spectra, radius, margin, FlowOptions())) == [
             "jump across the window: 0 eigenvalues below -1.000e+00 at t=0.375 "
             "but 1 at t=0.453125"
         ]
@@ -455,6 +534,12 @@ class TestJumpAcrossTheWindow:
         )
 
 
+def _reasons(result) -> list[str | None]:
+    """The rejection message of each segment of a ``_check_windows`` result, ``None`` if accepted."""
+    _, failed, _, reason = result
+    return [reason(i) if bad else None for i, bad in enumerate(failed.tolist())]
+
+
 class TestBatchKernel:
     """The window choice and the acceptance rule decide a batch of segments at once."""
 
@@ -473,11 +558,12 @@ class TestBatchKernel:
         spectra = np.array([rows[k] for k in ("ok", "ok", "drift", "touch", "count", "jump")], float)
         ts = np.tile([0.0, 0.05, 0.1], (6, 1))
         margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
-        counts, reasons, slack_only = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
+        result = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
+        counts, _, slack_only, _ = result
         assert counts[0] == 0
         # The slack segment also drifts, so it does not fail on the slack alone.
         assert not slack_only.any()
-        assert reasons == [
+        assert _reasons(result) == [
             None,
             "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
             "Lipschitz slack: margin 1.000e-02 does not exceed 0.5 * L * step = 2.500e-02 "
@@ -496,8 +582,9 @@ class TestBatchKernel:
         )
         ts = np.tile([0.0, 0.05, 0.1], (4, 1))
         margin = np.array([1.0, 0.01, 0.01, 1e-9])
-        _, reasons, slack_only = _check_windows(path, ts, spectra, np.ones(4), margin, FlowOptions())
-        assert [r is None or r.split(":")[0] for r in reasons] == [
+        result = _check_windows(path, ts, spectra, np.ones(4), margin, FlowOptions())
+        slack_only = result[2]
+        assert [r is None or r.split(":")[0] for r in _reasons(result)] == [
             True,
             "Lipschitz slack",
             "Lipschitz slack",
@@ -528,13 +615,19 @@ class TestBatchKernel:
         path = matrix_path(d, lambda t: np.eye(d), lipschitz=lip)
         opts = FlowOptions(min_margin=floor)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, reasons, slack_only = _check_windows(path, ts, spectra, radius, margin, opts)
+        result = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, _, slack_only, _ = result
+        reasons = _reasons(result)
         for i in range(s):
             one = slice(i, i + 1)
             alone = _widest_gaps(spectra[one])
             assert (alone[0][0], alone[1][0], alone[2][0]) == (radius[i], margin[i], empty[i])
-            c, r, only = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
-            assert (c[0], r[0], only[0]) == (counts[i], reasons[i], slack_only[i])
+            single = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
+            assert (single[0][0], _reasons(single)[0], single[2][0]) == (
+                counts[i],
+                reasons[i],
+                slack_only[i],
+            )
             # The widest gap between the distinct levels, 0 among them.
             levels = sorted({0.0, *np.abs(spectra[i]).ravel().tolist()})
             assert empty[i] == (len(levels) == 1)
@@ -667,8 +760,9 @@ SCHEDULE_PATHS = {
 class TestScheduleParity:
     """Batched refinement decides what depth-first refinement decides.
 
-    With ``_BATCH`` at 1 every round reads one segment, depth first.  The
-    certificate bytes, or the ``DepthExceeded`` text, must not change.
+    With ``_BATCH`` at 1 every round after the first reads one segment,
+    depth first.  The certificate bytes, or the ``DepthExceeded`` text,
+    must not change.
     """
 
     @given(

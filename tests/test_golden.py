@@ -124,6 +124,9 @@ def _connector_ledger() -> str:
 
 def _circle_coarse() -> str:
     # Non-default witness_points pin the Lipschitz slack for a 3-point grid.
+    # Both initial segments are rejected and split at their witnesses, so
+    # the certificate pins two-point refined segments too (its digest was
+    # efc6102a... when a rejected segment was halved into 3-point halves).
     return _certificate(circle_family(4, -2), FlowOptions(witness_points=3, init_samples=2))
 
 
@@ -135,7 +138,7 @@ PATH_ALGEBRA = {
 }
 
 PATH_ALGEBRA_GOLDEN = {
-    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "efc6102afe3ee9eb8c02e64e03003cb9cadc2b1f70c1db18dfef326d36248b47",
+    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "fbaf3be6f8dc1dc18999e6b74990c65c9b0549d86cda9b7156d88019253b489c",
     "concat(baer, reverse(baer)) certificate": "3bcaf5801569c02b9b3bb8a7f90d26b47498143be2f2b062a965c1994436d30f",
     "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "f4fdfd043ea0822c94f6f88e94552d484a70f98c648e2c94af98b94df4516c97",
     "connector-branch ledger": "7cf635dd5a741db9b3e3ec12312064e641a89b61f02424f0b8339c84904805f9",

@@ -84,10 +84,17 @@ class TestOracleFlow:
             oracle_flow(p)
 
     def test_zero_endpoint_guard_uses_unit_scale(self):
-        # At t=0 the operator is zero (radius 0): the band is 1e-9 * 1.0.
+        # At t=0 the operator is zero (radius 0): the band is 8 * 2 * eps * 1.0.
         p = matrix_path(2, lambda t: t * np.eye(2))
-        with pytest.raises(BoundaryAmbiguity, match=r"endpoint t=0\.0 .* within 1\.000e-09 of 0"):
+        with pytest.raises(BoundaryAmbiguity, match=r"endpoint t=0\.0 .* within 3\.553e-15 of 0"):
             oracle_flow(p)
+
+    @pytest.mark.parametrize("bg", [1e9, 1e10, 1e12])
+    def test_endpoint_guard_is_the_engine_zero_band(self, bg):
+        # The end eigenvalue -1 lies 1e-9 to 1e-12 of the scale below 0:
+        # outside the engine's zero band, so the oracle cross-checks the flow.
+        p = matrix_path(3, lambda t: np.diag([2 * t - 1, bg, -bg]), lipschitz=2.0)
+        assert oracle_flow(p).flow == spectral_flow(p).flow == 1
 
     def test_net_flow_equals_record_sum(self):
         p = matrix_path(2, lambda t: np.diag([np.cos(3 * np.pi * t), -4.0]))

@@ -1,11 +1,15 @@
-"""Counter gate per benchmark workload: the matrices one round hands to ``eigvalsh``.
+"""Counter gate per benchmark workload: the matrices one round hands to ``eigvalsh``,
+and its refinement rounds.
 
 ``bench/workloads.py`` is imported read-only and one seed-1 round of each
 workload runs its items, as the benchmark's worker does, without timing
-them or running their output checks.  The counts are machine-independent
-and are the benchmark's ``eigensolves_per_item`` times the item count, so
-a change that moves one moves that metric.  dense-sampled runs its first
-item only (the 64-dim path); its whole round takes seconds.
+them or running their output checks.  The counts are machine-independent.
+The eigensolves are the benchmark's ``eigensolves_per_item`` times the item
+count, so a change that moves one moves that metric.  A refinement round
+is one ``flow._witness_spectra`` call (``verify`` makes one per grid
+shape): a schedule that trades eigensolves for Python round-trips, the
+cost on the workloads that are not LAPACK-bound, raises it.  dense-sampled
+runs its first item only (the 64-dim path); its whole round takes seconds.
 """
 
 from __future__ import annotations
@@ -16,14 +20,18 @@ from pathlib import Path
 
 import pytest
 
+from specflow import flow
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# workload: (eigensolves, items run, the kind/group of every failed item)
+# workload: (eigensolves, refinement rounds, items run, the kind/group of
+# every failed item).  When a rejected segment was halved into two 9-point
+# halves they read 5,704, 190 / 11,681, 49 / 0, 113 / 233, 7.
 ROUNDS = {
-    "certify-mix": (5_704, 52, ["warp/failing"]),
-    "oracle-grid": (11_681, 24, []),
-    "components-k8": (0, 1, []),
-    "dense-sampled": (233, 1, []),
+    "certify-mix": (5_249, 171, 52, ["warp/failing"]),
+    "oracle-grid": (11_681, 25, 24, []),
+    "components-k8": (0, 60, 1, []),
+    "dense-sampled": (99, 5, 1, []),
 }
 FIRST_ITEM_ONLY = {"dense-sampled"}
 
@@ -38,11 +46,19 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDS))
-def test_seed_1_round(name, workloads, eigvalsh_counter, tmp_path):
+def test_seed_1_round(name, workloads, eigvalsh_counter, tmp_path, monkeypatch):
     workload = workloads.WORKLOADS[name](1, tmp_path, eigvalsh_counter.original)
     items = workload.items()
     if name in FIRST_ITEM_ONLY:
         items = items[:1]
+    rounds = []
+    original = flow._witness_spectra
+
+    def counted(*args):
+        rounds.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(flow, "_witness_spectra", counted)
     eigvalsh_counter.matrices = 0
     failed = []
     for item in items:
@@ -50,4 +66,4 @@ def test_seed_1_round(name, workloads, eigvalsh_counter, tmp_path):
             item.run()
         except Exception:  # noqa: BLE001 - the worker counts a failing item, as here
             failed.append(f"{item.kind}/{item.group}")
-    assert (eigvalsh_counter.matrices, len(items), failed) == ROUNDS[name]
+    assert (eigvalsh_counter.matrices, len(rounds), len(items), failed) == ROUNDS[name]
