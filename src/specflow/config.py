@@ -23,7 +23,7 @@ from .families import BaerFamilySpec, baer_family, circle_family, random_family
 from .flow import FlowOptions
 from .gluing import GluingSpec, glue
 from .operators import SelfAdjointOperator
-from .paths import OperatorPath, _Reparametrized, _with_gauge, straight_segment
+from .paths import OperatorPath, _Reparametrized, straight_segment
 
 __all__ = [
     "ConfigError",
@@ -232,10 +232,11 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
 
     Sample times must be strictly increasing and cover [0, 1].  Each knot
     interval is read off its own :func:`straight_segment`, with its own
-    Lipschitz bound and row cache, and ``at(t)`` keeps the dtype of the
-    interval's knots, so a real interval exports as real.  The gauge is
-    the cumulative ``||M_{k+1} - M_k||_2`` across the knots, linear on each
-    interval; the reported bound is the steepest interval's slope.
+    row cache, and ``at(t)`` keeps the dtype of the interval's knots, so a
+    real interval exports as real.  The gauge is the cumulative
+    ``||M_{k+1} - M_k||_2`` (each segment's ``lipschitz``) across the
+    knots, linear on each interval.  Like every composite, the path has no
+    ``lipschitz`` of its own.
     """
     if len(samples) < 2:
         raise ConfigError("sampled path needs at least two samples")
@@ -279,8 +280,7 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
         j, u = locate(params)
         return offsets[j] + norms[j] * u
 
-    lip = max(seg.lipschitz / (t1 - t0) for seg, t0, t1 in zip(segments, ts[:-1], ts[1:]))
-    return _with_gauge(_Reparametrized(dim, route, lip), gauge)
+    return _Reparametrized(dim, route, gauge)
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:

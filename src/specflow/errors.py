@@ -57,7 +57,8 @@ class DepthExceeded(SpectralFlowError):
     ``witness_points``, which sets the grid of the initial segments only,
     does not move it.  Callers may raise ``max_depth`` (each level halves
     the witness spacing), loosen ``min_margin``, or supply a smaller valid
-    Lipschitz bound, depending on the reason.
+    Lipschitz bound to the base path (its ``lipschitz=``; a composite
+    derives its gauge from its parts), depending on the reason.
     """
 
 

@@ -8,13 +8,13 @@ cache maps each parameter to its sorted eigenvalue row, solved a stacked
 chunk at a time, so partition refinement, which revisits segment
 endpoints, reuses rows and no per-parameter object is built.  Paths that
 only reparametrize others (``concat``, ``reverse``, ``reparametrize``,
-``constant_path``, the end slices of a homotopy and sampled config paths)
-read their rows from their parts' caches, so a row is solved once per
-base path.  ``add`` and interior homotopy slices combine their parts'
-stacks built at the same parameters; no path builds from another path's
-``at``.  Every composite also derives its variation gauge
-(:attr:`OperatorPath.gauge`) from its parts' gauges, so a path that is
-steep in one place is steep there alone.
+``constant_path`` and sampled config paths) read their rows from their
+parts' caches, so a row is solved once per base path; the end slices of
+a homotopy are its two paths themselves.  ``add`` and interior homotopy
+slices combine their parts' stacks built at the same parameters; no path
+builds from another path's ``at``.  A composite's only variation bound is
+its gauge (:attr:`OperatorPath.gauge`), derived from its parts' gauges,
+so a path that is steep in one place is steep there alone.
 """
 
 from __future__ import annotations
@@ -55,17 +55,19 @@ ENDPOINT_RTOL = 1e-10
 Gauge = Callable[[np.ndarray], np.ndarray]
 
 
-def _linear_gauge(lipschitz: float | None) -> Gauge | None:
+def _linear_gauge(bound: float | None) -> Gauge | None:
     """The gauge ``L t`` of a path with the Lipschitz bound ``L``, ``None`` if unknown."""
+    return None if bound is None else lambda ts: bound * ts
+
+
+def _checked_bound(lipschitz) -> float | None:
+    """``lipschitz`` as a float: ``None`` or a finite number >= 0, else ``ValueError``."""
     if lipschitz is None:
         return None
-    return lambda ts: lipschitz * ts
-
-
-def _with_gauge(path: OperatorPath, gauge: Gauge | None) -> OperatorPath:
-    """``path`` with ``gauge`` in place of the ``L t`` its constructor set."""
-    path._gauge = gauge
-    return path
+    bound = float(lipschitz)
+    if not 0.0 <= bound < np.inf:
+        raise ValueError(f"lipschitz bound must be a finite number >= 0, got {bound!r}")
+    return bound
 
 
 def _params(ts) -> list[float]:
@@ -95,11 +97,12 @@ class OperatorPath:
     one read-only row of ``dim`` sorted eigenvalues per parameter, never a
     matrix, so a path holds ``8 * dim`` bytes per parameter it has solved.
 
-    ``lipschitz`` is an optional bound L on the operator norm of the
-    derivative; ``None`` means unknown.  It sets the path's :attr:`gauge`
-    to ``L t``; the composites of this module replace that by the gauge
-    they derive from their parts.  A bound that is too small makes
-    certificates unsound.
+    ``dim`` is an integer >= 1.  ``lipschitz`` is an optional bound L on
+    the operator norm of the derivative, a finite number >= 0; ``None``
+    means unknown.  It is sugar for the :attr:`gauge` ``L t`` and is read
+    back as :attr:`lipschitz`.  The composites of this module carry only
+    the gauge they derive from their parts, so their ``lipschitz`` is
+    ``None``.  A bound that is too small makes certificates unsound.
     """
 
     __slots__ = ("_dim", "_build", "_lipschitz", "_gauge", "_cache")
@@ -110,11 +113,13 @@ class OperatorPath:
         build: Callable[[np.ndarray], np.ndarray],
         lipschitz: float | None = None,
     ):
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"path dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("path dimension must be at least 1")
         self._dim = int(dim)
         self._build = build
-        self._lipschitz = None if lipschitz is None else float(lipschitz)
+        self._lipschitz = _checked_bound(lipschitz)
         self._gauge = _linear_gauge(self._lipschitz)
         self._cache: dict[float, np.ndarray] = {}
 
@@ -124,6 +129,7 @@ class OperatorPath:
 
     @property
     def lipschitz(self) -> float | None:
+        """The bound passed to the constructor; ``None`` if none was, and on every composite."""
         return self._lipschitz
 
     @property
@@ -214,19 +220,20 @@ class _Reparametrized(OperatorPath):
     ``route(ts)`` lists ``(part, idx, us)`` triples: the path at ``ts[idx]``
     is ``part`` at ``us``.  A build assembles the parts' stacks; rows are
     the parts' cached rows, so a composite solves nothing its parts have
-    solved and a cache hit is one lookup in its own dict.
+    solved and a cache hit is one lookup in its own dict.  ``gauge`` is
+    the path's gauge, ``None`` when unknown.
     """
 
     __slots__ = ("_route",)
 
-    def __init__(self, dim: int, route, lipschitz: float | None):
+    def __init__(self, dim: int, route, gauge: Gauge | None):
         def build(ts: np.ndarray) -> np.ndarray:
             parts = [(idx, part._build_chunk(us)) for part, idx, us in route(ts) if len(idx)]
             return _assemble(ts.size, parts)
 
-        # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
-        super().__init__(dim, build, lipschitz)
+        super().__init__(dim, build)
         self._route = route
+        self._gauge = gauge
 
     def _solve(self, ts: list[float]) -> None:
         for part, idx, us in self._route(np.array(ts)):
@@ -252,7 +259,8 @@ def matrix_path(
     """Path from a function returning raw Hermitian matrices.
 
     ``fn`` is called once per parameter and its matrices are ingested as
-    one stack; an ingest error names the parameter.
+    one stack; an ingest error names the parameter.  ``lipschitz`` is the
+    bound of :class:`OperatorPath`.
     """
     return OperatorPath(dim, lambda ts: _matrix_stack([fn(t) for t in ts.tolist()]), lipschitz)
 
@@ -261,7 +269,7 @@ def constant_path(op: SelfAdjointOperator) -> OperatorPath:
     """The path ``t -> op``: every parameter reads one cached row, solved once."""
     stack = op._stack
     point = OperatorPath(op.dim, lambda ts: np.broadcast_to(stack, (ts.size, *stack.shape[1:])))
-    return _Reparametrized(op.dim, _whole(point, np.zeros_like), lipschitz=0.0)
+    return _Reparametrized(op.dim, _whole(point, np.zeros_like), np.zeros_like)
 
 
 def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -290,7 +298,7 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     """Affine segment ``t -> (1-t) a + t b`` in the convex operator space.
 
     Diagonal endpoints give a segment of diagonal operators, mixed ones a
-    dense segment.  The bound is the operator norm of ``b - a``.
+    dense segment.  Its ``lipschitz`` is the operator norm of ``b - a``.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
@@ -332,13 +340,6 @@ def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:
     return None
 
 
-def _composite_lipschitz(combine, a: OperatorPath, b: OperatorPath) -> float | None:
-    """``combine`` of the two path bounds (concat, slices, add); unknown if either is unknown."""
-    if a.lipschitz is None or b.lipschitz is None:
-        return None
-    return combine(a.lipschitz, b.lipschitz)
-
-
 def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     """Concatenate ``a`` then ``b`` with midpoint reparametrization.
 
@@ -346,7 +347,7 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
     junction norm.  The flow is reparametrization invariant, so the
     midpoint split is immaterial.  The gauge is ``g_a(2t)`` on the first
     half and ``g_a(1) + g_b(2t - 1) - g_b(0)`` on the second, so each half
-    keeps its part's local variation.
+    keeps its part's local variation; it is unknown when either part's is.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot concatenate paths of dims {a.dim} and {b.dim}")
@@ -361,10 +362,9 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
             (b, np.flatnonzero(~first).tolist(), np.minimum(1.0, 2.0 * ts[~first] - 1.0)),
         ]
 
-    path = _Reparametrized(a.dim, route, _composite_lipschitz(lambda p, q: 2.0 * max(p, q), a, b))
     ga, gb = a.gauge, b.gauge
     if ga is None or gb is None:
-        return _with_gauge(path, None)
+        return _Reparametrized(a.dim, route, None)
     ga1, gb0 = float(ga(np.ones(1))[0]), float(gb(np.zeros(1))[0])
 
     def gauge(ts: np.ndarray) -> np.ndarray:
@@ -375,7 +375,7 @@ def concat(a: OperatorPath, b: OperatorPath) -> OperatorPath:
         out[second] = ga1 + (gb(v) - gb0)
         return out
 
-    return _with_gauge(path, gauge)
+    return _Reparametrized(a.dim, route, gauge)
 
 
 def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
@@ -385,12 +385,12 @@ def _whole(a: OperatorPath, warp: Callable[[np.ndarray], np.ndarray]):
 
 def reverse(a: OperatorPath) -> OperatorPath:
     """Time-reversed path ``t -> a(1-t)``, with the gauge ``-g_a(1 - t)``."""
-    path = _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), a.lipschitz)
     ga = a.gauge
-    return _with_gauge(path, None if ga is None else lambda ts: -ga(1.0 - ts))
+    gauge = None if ga is None else lambda ts: -ga(1.0 - ts)
+    return _Reparametrized(a.dim, _whole(a, lambda ts: 1.0 - ts), gauge)
 
 
-def _pointwise(a: OperatorPath, b: OperatorPath, wa: float, wb: float, lipschitz) -> OperatorPath:
+def _pointwise(a: OperatorPath, b: OperatorPath, wa: float, wb: float) -> OperatorPath:
     """The path ``t -> wa a(t) + wb b(t)`` for weights ``wa, wb >= 0``.
 
     Both parts build at the same parameters and combine in their common
@@ -404,20 +404,21 @@ def _pointwise(a: OperatorPath, b: OperatorPath, wa: float, wb: float, lipschitz
         x, y = _common_kind(a._build_chunk(keys), b._build_chunk(keys))
         return wa * x + wb * y
 
+    path = OperatorPath(a.dim, build)
     ga, gb = a.gauge, b.gauge
-    gauge = None if ga is None or gb is None else lambda ts: wa * ga(ts) + wb * gb(ts)
-    return _with_gauge(OperatorPath(a.dim, build, lipschitz), gauge)
+    path._gauge = None if ga is None or gb is None else lambda ts: wa * ga(ts) + wb * gb(ts)
+    return path
 
 
 def add(a: OperatorPath, b: OperatorPath) -> OperatorPath:
-    """Pointwise sum ``t -> a(t) + b(t)``, bounded by the sum of the two bounds.
+    """Pointwise sum ``t -> a(t) + b(t)`` with the gauge ``g_a + g_b``.
 
-    The bound is unknown when either part's is, and so is the gauge
-    ``g_a + g_b``.  The sum of two diagonal paths is diagonal.
+    The gauge is unknown when either part's is.  The sum of two diagonal
+    paths is diagonal.
     """
     if a.dim != b.dim:
         raise EndpointMismatch(f"cannot add paths of dims {a.dim} and {b.dim}")
-    return _pointwise(a, b, 1.0, 1.0, _composite_lipschitz(lambda p, q: p + q, a, b))
+    return _pointwise(a, b, 1.0, 1.0)
 
 
 class Homotopy:
@@ -445,24 +446,19 @@ class Homotopy:
         return self._a.dim
 
     def slice_at(self, s: float) -> OperatorPath:
-        """The path ``t -> H(s, t)``: ``a`` at s=0, ``b`` at s=1, a blend between.
+        """The path ``t -> H(s, t)``: ``a`` itself at s=0, ``b`` itself at s=1, a blend between.
 
-        The end slices read ``a``'s and ``b``'s rows and take their gauges.
         An interior slice blends the two paths' stacks built at the same
         parameters, by the builder :func:`add` uses, so slices of two
-        diagonal paths are diagonal; its gauge is ``(1 - s) g_a + s g_b``.
-        The slice bound is the larger path bound, ``None`` when either is
-        unknown.
+        diagonal paths are diagonal; its gauge is ``(1 - s) g_a + s g_b``,
+        unknown when either part's is.
         """
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"slice parameter {s!r} outside [0, 1]")
-        a, b = self._a, self._b
-        lip = _composite_lipschitz(max, a, b)
         if s in (0.0, 1.0):
-            end = b if s else a
-            return _with_gauge(_Reparametrized(a.dim, _whole(end, lambda ts: ts), lip), end.gauge)
-        return _pointwise(a, b, 1.0 - s, s, lip)
+            return self._b if s else self._a
+        return _pointwise(self._a, self._b, 1.0 - s, s)
 
 
 def affine_homotopy(a: OperatorPath, b: OperatorPath) -> Homotopy:
@@ -482,10 +478,11 @@ def reparametrize(
     clipped to [0, 1] to guard against rounding at the edges.  When ``a``
     has a gauge, the composite's gauge is ``g_a(phi(t))``, which needs no
     slope bound of ``phi`` but is a gauge only because ``phi`` is
-    nondecreasing.  ``lipschitz`` is the reported bound of the composite
-    (``a.lipschitz`` times the slope bound of ``phi``); it sets the gauge
-    ``L t`` only when ``a`` has no gauge.
+    nondecreasing.  ``lipschitz``, a bound of the composite checked as
+    :class:`OperatorPath` checks its own, gives it the gauge ``L t`` only
+    when ``a`` has no gauge; it is not reported.
     """
+    bound = _checked_bound(lipschitz)
     for t, expect in ((0.0, 0.0), (1.0, 1.0)):
         u = float(phi(t))
         if not abs(u - expect) <= 1e-12:
@@ -500,8 +497,6 @@ def reparametrize(
     def warps(ts: np.ndarray) -> list[float]:
         return [warp(t) for t in ts.tolist()]
 
-    path = _Reparametrized(a.dim, _whole(a, warps), lipschitz)
     ga = a.gauge
-    if ga is None:
-        return path
-    return _with_gauge(path, lambda ts: ga(np.array(warps(ts), dtype=np.float64)))
+    gauge = _linear_gauge(bound) if ga is None else lambda ts: ga(np.asarray(warps(ts)))
+    return _Reparametrized(a.dim, _whole(a, warps), gauge)

@@ -5,9 +5,10 @@ positional build, ``at``, ``_cache``, ``operators._solve_spectrum``, the
 ``cli`` entry point, ...) to record per-layer spans.  The tracer is loaded
 read-only in a child process, so its class patches cannot leak into this
 one, and three CLI runs must still succeed with every path build seen.
-Paths whose gauge is not ``L t`` (a sampled config, a warp) must certify
-byte for byte as they do untraced, so the wrapped constructor keeps every
-gauge.
+Paths whose gauge is not ``L t`` (a sampled config, a warp and every
+other composite, which sets its gauge after the wrapped constructor
+returns) must certify byte for byte as they do untraced, so the wrapped
+constructor keeps every gauge.
 """
 
 from __future__ import annotations
@@ -64,9 +65,19 @@ with contextlib.redirect_stdout(sampled):
 a = sf.random_family(5, 0)
 xs, ys = [0.0, 0.5, 0.5 + 1 / 900, 1.0], [0.0, 1 / 3, 2 / 3, 1.0]
 warped = sf.reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=300 * a.lipschitz)
-cert = sf.spectral_flow(warped)
-print(json.dumps({"code": code, "sampled": sampled.getvalue(),
-                  "warped": dumps_document(flow_certificate_document(cert))}))
+h = sf.affine_homotopy(a, warped)
+paths = {
+    "warped": warped,
+    "concat": sf.concat(a, sf.reverse(warped)),
+    "reverse": sf.reverse(a),
+    "add": sf.add(a, sf.random_family(5, 1)),
+    "constant": sf.constant_path(a.at(0.3)),
+    "interior slice": h.slice_at(0.5),
+    "end slice": h.slice_at(1.0),
+}
+certs = {name: dumps_document(flow_certificate_document(sf.spectral_flow(path)))
+         for name, path in paths.items()}
+print(json.dumps({"code": code, "sampled": sampled.getvalue(), "certificates": certs}))
 """
 
 

@@ -24,6 +24,7 @@ from specflow import (
     OperatorPath,
     SelfAdjointOperator,
     Spectrum,
+    add,
     affine_homotopy,
     baer_family,
     build_distinct_paths,
@@ -105,6 +106,28 @@ def _glue_slice() -> str:
     return _certificate(affine_homotopy(glued, warped).slice_at(0.3))
 
 
+def _diagonal_sum() -> OperatorPath:
+    baer = baer_family(BaerFamilySpec(m=1))
+    e = np.array([3.0, -2.0, 1.0, 2.0, -1.0, 0.5])
+    return add(baer, OperatorPath(6, lambda ts: np.sin(np.pi * ts)[:, None] * e, 3.0 * np.pi))
+
+
+# The coarse cases below refine more with their gauge than without one,
+# so their digests pin the gauge each composite carries.
+_COARSE = FlowOptions(witness_points=3, init_samples=2)
+
+
+def _sum_end_slice(s: float) -> str:
+    a = _diagonal_sum()
+    return _certificate(affine_homotopy(a, reparametrize(a, lambda t: t * t)).slice_at(s), _COARSE)
+
+
+def _unbounded_warp() -> str:
+    # No gauge of its own: the warp's lipschitz= gives it the gauge L t.
+    a = OperatorPath(3, lambda ts: np.column_stack([2.0 - 4.0 * ts, 0.5 + 0 * ts, ts - 3.0]))
+    return _certificate(reparametrize(a, lambda t: t * t, lipschitz=8.0), _COARSE)
+
+
 def _connector_ledger() -> str:
     basepoint = SelfAdjointOperator.from_diagonal([5.0, 5.0, -5.0, 7.0])
     static = np.array([5.0, -5.0, 7.0])
@@ -134,6 +157,10 @@ PATH_ALGEBRA = {
     "circle_family(4, -2) certificate, witness_points=3, init_samples=2": _circle_coarse,
     "concat(baer, reverse(baer)) certificate": _baer_loop,
     "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": _glue_slice,
+    "add(baer, bump) certificate, coarse": lambda: _certificate(_diagonal_sum(), _COARSE),
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(0.0) certificate, coarse": lambda: _sum_end_slice(0.0),
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(1.0) certificate, coarse": lambda: _sum_end_slice(1.0),
+    "reparametrize(no-gauge path, lipschitz=8) certificate, coarse": _unbounded_warp,
     "connector-branch ledger": _connector_ledger,
 }
 
@@ -141,6 +168,10 @@ PATH_ALGEBRA_GOLDEN = {
     "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "fbaf3be6f8dc1dc18999e6b74990c65c9b0549d86cda9b7156d88019253b489c",
     "concat(baer, reverse(baer)) certificate": "3bcaf5801569c02b9b3bb8a7f90d26b47498143be2f2b062a965c1994436d30f",
     "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "f4fdfd043ea0822c94f6f88e94552d484a70f98c648e2c94af98b94df4516c97",
+    "add(baer, bump) certificate, coarse": "f05cdebb70a97686a5a6ad4dd446be119fd3f435f5e11505a7582d83169d9e0e",
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(0.0) certificate, coarse": "f05cdebb70a97686a5a6ad4dd446be119fd3f435f5e11505a7582d83169d9e0e",
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(1.0) certificate, coarse": "dd281141fad51ffcf73a3122dfd8424f5cf3f4a123024033311a22f64e5865db",
+    "reparametrize(no-gauge path, lipschitz=8) certificate, coarse": "9985527806d6f668c3c84a2a32177b89454d93e254d023255caacff1861d539e",
     "connector-branch ledger": "7cf635dd5a741db9b3e3ec12312064e641a89b61f02424f0b8339c84904805f9",
 }
 

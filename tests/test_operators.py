@@ -97,13 +97,15 @@ class TestDiagonalOperator:
             OperatorPath(2, lambda ts: stack).spectra([0.0, 0.5, 1.0])
 
     def test_non_finite_family_row_names_parameter(self):
-        # Specs validate their inputs, so the non-finite value is forced past
-        # validation to reach the families' own builds.
+        # Specs and path bounds validate their inputs, so the non-finite value
+        # is forced past validation to reach the families' own builds: into
+        # the glued path's noise knots right of t=0.5, which its build reads
+        # in place (the interval at t=0.5 then rises to inf, with no nan).
         baer = BaerFamilySpec(m=1)
         object.__setattr__(baer, "background", (5.0, np.nan))
-        glued = GluingSpec(Spectrum([-3.0, 3.0]), BaerFamilySpec(m=1), epsilon=0.4)
-        object.__setattr__(glued, "epsilon", np.inf)
-        for path in (baer_family(baer), glue(glued).path):
+        glued = glue(GluingSpec(Spectrum([-3.0, 3.0]), BaerFamilySpec(m=1), epsilon=0.4))
+        glued._knots[:, glued._knots.shape[1] // 2 :] = np.inf
+        for path in (baer_family(baer), glued.path):
             with pytest.raises(ValueError, match=r"^operator entries must be finite at t=0\.5$"):
                 path.at(0.5)
 

@@ -145,8 +145,22 @@ def diagonal_path(values):
     )
 
 
+# Every composite kind, built from two paths ``a`` and ``b`` that share
+# both ends, and the parts whose gauges its gauge needs.
+COMPOSITES = {
+    "concat": (lambda a, b: concat(a, reverse(b)), "ab"),
+    "reverse": (lambda a, b: reverse(a), "a"),
+    "add": (add, "ab"),
+    "interior-slice": (lambda a, b: affine_homotopy(a, b).slice_at(0.5), "ab"),
+    "constant_path": (lambda a, b: constant_path(a.at(0.3)), ""),
+    "reparametrize": (lambda a, b: reparametrize(a, lambda t: t * t), "a"),
+    "reparametrize-lipschitz": (lambda a, b: reparametrize(a, lambda t: t * t, 4.0), ""),
+    "sampled": (lambda a, b: sampled_path([(t, a.at(t).entries) for t in (0.0, 0.4, 1.0)]), ""),
+}
+
+
 class TestPathAlgebraRules:
-    """Slices, composite bounds and homotopy construction, pinned exactly."""
+    """Slices, composite gauges and homotopy construction, pinned exactly."""
 
     def pairs(self):
         a = random_family(4, seed=5)
@@ -175,24 +189,19 @@ class TestPathAlgebraRules:
         a, b = list(self.pairs())[1]
         assert affine_homotopy(a, b).slice_at(0.5).at(0.4)._diag is not None
 
-    @pytest.mark.parametrize(
-        "la, lb, expect",
-        [(2.0, 3.0, 3.0), (4.0, 1.5, 4.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
-    )
-    def test_slice_bound_is_max(self, la, lb, expect):
-        build = crossing_path()._build
-        h = affine_homotopy(OperatorPath(3, build, la), OperatorPath(3, build, lb))
-        for s in (0.0, 0.5, 1.0):
-            assert h.slice_at(s).lipschitz == expect
-
-    @pytest.mark.parametrize(
-        "la, lb, expect",
-        [(2.0, 3.0, 6.0), (4.0, 1.5, 8.0), (None, 3.0, None), (2.0, None, None), (None, None, None)],
-    )
-    def test_concat_bound_is_twice_max(self, la, lb, expect):
-        a = OperatorPath(3, crossing_path()._build, la)
-        b = OperatorPath(3, constant_path(a.at(1.0))._build, lb)
-        assert concat(a, b).lipschitz == expect
+    @pytest.mark.parametrize("kind", sorted(COMPOSITES))
+    @pytest.mark.parametrize("la, lb", [(2.0, 3.0), (None, 3.0), (2.0, None), (None, None)])
+    def test_composites_carry_only_a_gauge(self, kind, la, lb):
+        # a and b share both ends: -1 at t=0 and 1 at t=1 in slot 0.
+        a = OperatorPath(3, diagonal_path(lambda t: [2 * t - 1, 5.0, -5.0])._build, la)
+        b = OperatorPath(3, diagonal_path(lambda t: [-np.cos(np.pi * t), 5.0, -5.0])._build, lb)
+        build, needs = COMPOSITES[kind]
+        path = build(a, b)
+        assert path.lipschitz is None
+        assert (path.gauge is None) == any({"a": la, "b": lb}[part] is None for part in needs)
+        h = affine_homotopy(a, b)
+        assert h.slice_at(0.0) is a and h.slice_at(1.0) is b
+        assert (a.lipschitz, b.lipschitz) == (la, lb)
 
     def test_homotopy_checks_endpoints_on_construction(self):
         a = crossing_path()
@@ -209,14 +218,6 @@ class TestAdd:
     def test_dim_mismatch(self):
         with pytest.raises(EndpointMismatch, match="^cannot add paths of dims 3 and 2$"):
             add(crossing_path(), matrix_path(2, lambda t: np.eye(2)))
-
-    @pytest.mark.parametrize(
-        "la, lb, expect",
-        [(2.0, 3.0, 5.0), (0.0, 1.5, 1.5), (None, 3.0, None), (2.0, None, None), (None, None, None)],
-    )
-    def test_bound_is_the_sum(self, la, lb, expect):
-        build = crossing_path()._build
-        assert add(OperatorPath(3, build, la), OperatorPath(3, build, lb)).lipschitz == expect
 
     def test_diagonal_plus_diagonal_is_diagonal(self):
         a = diagonal_path(lambda t: [2 * t - 1, 5.0, -5.0])
@@ -313,6 +314,27 @@ class TestPathValidation:
         ):
             p.at(1.0)
 
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf"), -np.inf])
+    def test_lipschitz_must_be_finite_and_non_negative(self, bound):
+        message = rf"^lipschitz bound must be a finite number >= 0, got {bound!r}$"
+        with pytest.raises(ValueError, match=message):
+            OperatorPath(3, crossing_path()._build, bound)
+        with pytest.raises(ValueError, match=message):
+            matrix_path(3, lambda t: np.eye(3), lipschitz=bound)
+        for a in (crossing_path(), random_family(3, 0)):  # without and with a gauge
+            with pytest.raises(ValueError, match=message):
+                reparametrize(a, lambda t: t * t, lipschitz=bound)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match=rf"^path dimension must be an integer, got {dim!r}$"):
+            OperatorPath(dim, crossing_path()._build)
+
+    def test_smallest_dim_and_bound(self):
+        with pytest.raises(ValueError, match=r"^path dimension must be at least 1$"):
+            OperatorPath(0, crossing_path()._build)
+        path = OperatorPath(np.int64(3), crossing_path()._build, 0)
+        assert (path.dim, path.lipschitz) == (3, 0.0)
 
 
 def _pl_warp(a, seed: int, lipschitz: float | None):
