@@ -42,7 +42,11 @@ class DepthExceeded(SpectralFlowError):
     - all zero: every witnessed eigenvalue is zero;
     - margin floor: the margin is below ``min_margin`` times the largest
       witnessed magnitude;
-    - Lipschitz slack: the margin does not exceed ``0.5 * L * step``;
+    - Lipschitz slack: on some witness interval, an eigenvalue's two
+      distances to the window edge sum to no more than the gauge step
+      ``L * step``, so by Weyl's inequality it could reach the edge between
+      the witnesses (the message names the interval, the eigenvalue
+      counted from 0 at the lowest, both distances, their sum and ``L``);
     - window margin violated: a witnessed magnitude is closer to the window
       radius than the margin;
     - count drift: the count in the window changes over the witness grid;

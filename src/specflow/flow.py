@@ -12,10 +12,11 @@ operators and spectral flow*, 1996).  A segment of the initial partition
 is witnessed on the ``witness_points`` grid.  A rejected segment with
 interior witnesses is replaced by its witness intervals, each witnessed
 at its two ends alone: their rows are already solved, and by Weyl's
-inequality one interval is proved once its margin exceeds half its gauge
-step.  A rejected segment with no interior witness is halved.  The depth
-counts halvings of the witness spacing, so a split at the witnesses keeps
-it and a halving adds one.
+inequality one interval is proved once each eigenvalue's distances to the
+window edge at its two ends sum to more than its gauge step (see
+:func:`_check_windows`).  A rejected segment with no interior witness is
+halved.  The depth counts halvings of the witness spacing, so a split at
+the witnesses keeps it and a halving adds one.
 
 Refinement is batched and runs left to right.  Pending segments wait on a
 stack in depth-first order.  The first round reads the whole initial
@@ -143,6 +144,15 @@ class FlowCertificate:
         grid's first and last rows must match.  ``flow`` must telescope over
         them.  The error names the leftmost broken segment and its first
         reason.
+
+        The Lipschitz slack passes when, on each witness interval, every
+        eigenvalue's distances to the window edge at its two ends sum to
+        more than the interval's gauge step.  It replaced the rule that the
+        margin exceed half the largest gauge step; every distance is at
+        least the margin, so a certificate made under that rule still
+        verifies.  The fields did not change, so the certificate format is
+        still version 1, but an older ``specflow``, which still requires the
+        margin, may reject a certificate made now.
         """
         opts = self.options
         times = self.times
@@ -260,30 +270,43 @@ def _check_windows(
     failing reason and its numbers, on demand.
 
     When the path carries a gauge ``g`` (:attr:`OperatorPath.gauge`) the
-    check is rigorous, not sampled: between a parameter and its nearest
-    witness an eigenvalue moves at most half the gauge step of their
-    interval (Weyl), so a margin above the slack ``0.5 * max_j (g(t_{j+1})
-    - g(t_j))`` proves the count constant on the whole segment.  The
-    message names the segment's local slope ``L``, its largest gauge step
-    over the witness spacing ``step``.
+    check is rigorous, not sampled.  The rows of ``spectra`` are sorted, and
+    a segment passes the slack when, on every witness interval [t_j,
+    t_{j+1}], every eigenvalue's distances to the window edge at the two
+    ends sum to more than the gauge step ``g(t_{j+1}) - g(t_j)``:
+    ``min_k (gap[j, k] + gap[j + 1, k]) > g(t_{j+1}) - g(t_j)`` with ``gap =
+    ||lambda_k| - radius|``.  Proof: by Weyl's inequality the ``k``-th
+    eigenvalue moves at most the gauge step over the interval, so if it
+    reached +/-radius inside, its two distances would sum to at most the
+    step (reverse triangle inequality).  Every distance is at least the
+    witnessed margin, so a margin above half the largest step passes too,
+    up to the 1e-9 rounding allowance.
+    The message names the leftmost failing interval, its eigenvalue with
+    the smallest sum (counted from 0 at the lowest), its two distances, and
+    the interval's local slope ``L``, its gauge step over the witness
+    spacing ``step``.
     """
     mags = np.abs(spectra)
+    gap = np.abs(mags - radius[:, None, None])
     floor = opts.min_margin * mags.max(axis=(1, 2))
     step = (ts[:, -1] - ts[:, 0]) / (ts.shape[1] - 1)
-    gauge = path.gauge
-    if gauge is None:
-        slack = np.full(len(ts), -np.inf)
-    else:
-        slack = 0.5 * np.diff(gauge(ts.ravel()).reshape(ts.shape), axis=1).max(axis=1)
     # The certifier's own window always passes; the relative 1e-9 absorbs
     # the rounding of radius and margin.
-    touched = np.abs(mags - radius[:, None, None]).min(axis=2) < (margin * (1 - 1e-9))[:, None]
+    touched = gap.min(axis=2) < (margin * (1 - 1e-9))[:, None]
     counts = np.count_nonzero(mags <= radius[:, None, None], axis=2)
     below = np.count_nonzero(spectra < -radius[:, None, None], axis=2)
     drift = counts != counts[:, :1]
     jump = below != below[:, :1]
     low = margin < floor
-    slipped = margin <= slack
+    # ``short[i, j]``: on witness interval j of segment i an eigenvalue
+    # could reach the window edge between the two witnesses.
+    gauge = path.gauge
+    if gauge is None:
+        short = np.zeros((len(ts), ts.shape[1] - 1), dtype=bool)
+    else:
+        dg = np.diff(gauge(ts.ravel()).reshape(ts.shape), axis=1)
+        short = (gap[:, :-1] + gap[:, 1:]).min(axis=2) <= dg
+    slipped = short.any(axis=1)
     witnessed = (touched | drift | jump).any(axis=1)
 
     def reason(i: int) -> str:
@@ -291,10 +314,14 @@ def _check_windows(
         if low[i]:
             return f"margin floor: margin {m:.3e} is below the floor {floor[i]:.3e}"
         if slipped[i]:
-            # An eigenvalue could reach the boundary between witnesses.
+            j = int(np.argmax(short[i]))
+            pair = gap[i, j] + gap[i, j + 1]
+            k = int(np.argmin(pair))
             return (
-                f"Lipschitz slack: margin {m:.3e} does not exceed 0.5 * L * step = "
-                f"{slack[i]:.3e} with L = {2.0 * slack[i] / step[i]:.3e}, step = {step[i]:.3e}"
+                f"Lipschitz slack: on [{float(t[j])!r}, {float(t[j + 1])!r}] eigenvalue {k} is "
+                f"{gap[i, j, k]:.3e} and {gap[i, j + 1, k]:.3e} from the window edge, a sum of "
+                f"{pair[k]:.3e} that does not exceed the gauge step {dg[i, j]:.3e} "
+                f"(L = {dg[i, j] / step[i]:.3e} times the witness spacing {step[i]:.3e})"
             )
         if touched[i].any():
             j = int(np.argmax(touched[i]))

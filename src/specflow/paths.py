@@ -139,10 +139,11 @@ class OperatorPath:
         The gauge maps a 1-d float64 array of parameters to an array of
         values.  It is nondecreasing, and ``||A(s) - A(t)||_2 <= |g(s) -
         g(t)|`` for all ``s`` and ``t``.  Certification relies on it: by
-        Weyl's inequality an eigenvalue moves at most half the largest
-        gauge step between a parameter and its nearest witness, so a
-        segment whose window margin does not exceed that slack is rejected,
-        and a margin above it proves the count constant on the segment.
+        Weyl's inequality the ``k``-th eigenvalue moves at most the gauge
+        step ``g(t_{j+1}) - g(t_j)`` over a witness interval, so if it
+        reached the window edge inside, its distances to the edge at the
+        two ends would sum to at most that step.  A segment is proved when
+        every such sum exceeds its interval's step, and rejected otherwise.
         Without a gauge the check is sampled, not rigorous.
         """
         return self._gauge

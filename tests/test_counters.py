@@ -129,33 +129,38 @@ CASES = {
     "DepthExceeded: warp between adjacent floats": _depth_exceeded(
         lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
         "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 with L = 2.972e+08, "
-        "step = 1.490e-08); endpoint inertia gives flow 0",
+        "slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is 1.030e+00 and 7.314e-01 "
+        "from the window edge, a sum of 1.761e+00 that does not exceed the gauge step 4.428e+00 "
+        "(L = 2.972e+08 times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
     ),
     # The first round reads all of [0, 1], so rows right of 0.5 are solved too.
     "DepthExceeded: zero eigenvalue at t=0.5": _depth_exceeded(
         lambda: matrix_path(1, lambda t: [[t - 0.5]], lipschitz=1.0),
-        "segment [0.49999997, 0.499999985] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08); endpoint inertia gives flow 1",
+        "segment [0.499999985, 0.5] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: on [0.4999999850988388, 0.5] eigenvalue 0 is 7.451e-09 and 7.451e-09 "
+        "from the window edge, a sum of 1.490e-08 that does not exceed the gauge step 1.490e-08 "
+        "(L = 1.000e+00 times the witness spacing 1.490e-08)); endpoint inertia gives flow 1",
     ),
     "DepthExceeded: (t - 0.5) I_4": _depth_exceeded(
         lambda: matrix_path(4, lambda t: (t - 0.5) * np.eye(4), lipschitz=1.0),
-        "segment [0.49999997, 0.499999985] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08); endpoint inertia gives flow 4",
+        "segment [0.499999985, 0.5] not certifiable at bisection depth 20 (Lipschitz "
+        "slack: on [0.4999999850988388, 0.5] eigenvalue 0 is 7.451e-09 and 7.451e-09 "
+        "from the window edge, a sum of 1.490e-08 that does not exceed the gauge step 1.490e-08 "
+        "(L = 1.000e+00 times the witness spacing 1.490e-08)); endpoint inertia gives flow 4",
     ),
     "DepthExceeded: zero eigenvalue at t=0.3": _depth_exceeded(
         lambda: matrix_path(1, lambda t: [[t - 0.3]], lipschitz=1.0),
         "segment [0.299999982, 0.299999997] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 7.451e-09 does not exceed 0.5 * L * step = 7.451e-09 with L = 1.000e+00, "
-        "step = 1.490e-08); endpoint inertia gives flow 1",
+        "slack: on [0.29999998211860657, 0.29999999701976776] eigenvalue 0 is 7.451e-09 and 7.451e-09 "
+        "from the window edge, a sum of 1.490e-08 that does not exceed the gauge step 1.490e-08 "
+        "(L = 1.000e+00 times the witness spacing 1.490e-08)); endpoint inertia gives flow 1",
     ),
     "DepthExceeded: two eigenvalues zero at t=1/3": _depth_exceeded(
         lambda: matrix_path(2, lambda t: np.diag([t - 1 / 3, 2 * t - 2 / 3]), lipschitz=2.0),
         "segment [0.333333299, 0.333333313] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 1.490e-08 does not exceed 0.5 * L * step = 1.490e-08 with L = 2.000e+00, "
-        "step = 1.490e-08); endpoint inertia gives flow 2",
+        "slack: on [0.3333332985639572, 0.3333333134651184] eigenvalue 0 is 1.490e-08 and 1.490e-08 "
+        "from the window edge, a sum of 2.980e-08 that does not exceed the gauge step 2.980e-08 "
+        "(L = 2.000e+00 times the witness spacing 1.490e-08)); endpoint inertia gives flow 2",
     ),
     # No bound, so nothing fails on the slack: a count drift at the jump.
     # The endpoint inertia gives -1, the oracle's flow.
@@ -169,8 +174,9 @@ CASES = {
     "DepthExceeded: tanh with L = 2e3": _depth_exceeded(
         lambda: _tanh(1e3, 2e3),
         "segment [0.439999983, 0.439999998] not certifiable at bisection depth 20 (Lipschitz "
-        "slack: margin 1.490e-05 does not exceed 0.5 * L * step = 1.490e-05 with L = 2.000e+03, "
-        "step = 1.490e-08); endpoint inertia gives flow -1",
+        "slack: on [0.439999982714653, 0.4399999976158142] eigenvalue 0 is 1.490e-05 and 1.490e-05 "
+        "from the window edge, a sum of 2.980e-05 that does not exceed the gauge step 2.980e-05 "
+        "(L = 2.000e+03 times the witness spacing 1.490e-08)); endpoint inertia gives flow -1",
     ),
 }
 
@@ -196,13 +202,15 @@ EIGENSOLVES = {
     # The counts with halving into 9-point halves follow each case.
     # 89 with the global slope bound, which failed at [0, 1.2e-07] first.
     "DepthExceeded: warp between adjacent floats": 87,  # 225
-    "DepthExceeded: zero eigenvalue at t=0.5": 111,  # 257
-    "DepthExceeded: (t - 0.5) I_4": 111,  # 257
+    # 111 when the margin had to exceed half the largest gauge step.
+    "DepthExceeded: zero eigenvalue at t=0.5": 89,  # 257
+    "DepthExceeded: (t - 0.5) I_4": 89,  # 257
     "DepthExceeded: zero eigenvalue at t=0.3": 108,  # 197
     "DepthExceeded: two eigenvalues zero at t=1/3": 129,  # 193
     "DepthExceeded: tanh jump without a bound": 88,  # 201
-    # 713 with the depth cap alone.
-    "DepthExceeded: tanh with L = 2e3": 546,  # 705
+    # 713 with the depth cap alone; 546 when the margin had to exceed half
+    # the largest gauge step.
+    "DepthExceeded: tanh with L = 2e3": 545,  # 705
 }
 
 
@@ -250,8 +258,9 @@ ROUNDS = {
 # global slope bound they grew with the slope: 65, 385, 3657, 45329, 403105.
 # With halving into 9-point halves they were 65, 89, 113, 137, 169: a split
 # at the witnesses reuses the rejected segment's rows, and each halving of a
-# two-point segment solves one.
-LADDER = {3: 65, 30: 68, 300: 71, 3333: 74, 33333: 78}
+# two-point segment solves one.  When a witness interval was proved only by
+# a margin above half its largest gauge step they were 65, 68, 71, 74, 78.
+LADDER = {3: 65, 30: 67, 300: 71, 3333: 74, 33333: 77}
 
 
 @pytest.mark.parametrize("slope", sorted(LADDER))

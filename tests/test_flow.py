@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -108,8 +109,10 @@ class TestRefinePartition:
             spectral_flow(p)
         assert str(info.value) == (
             "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 "
-            "(Lipschitz slack: margin 7.314e-01 does not exceed 0.5 * L * step = 2.214e+00 "
-            "with L = 2.972e+08, step = 1.490e-08); endpoint inertia gives flow 0"
+            "(Lipschitz slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is "
+            "1.030e+00 and 7.314e-01 from the window edge, a sum of 1.761e+00 that does not "
+            "exceed the gauge step 4.428e+00 (L = 2.972e+08 times the witness spacing "
+            "1.490e-08)); endpoint inertia gives flow 0"
         )
 
     @pytest.mark.parametrize(
@@ -394,14 +397,17 @@ class TestSplitAtTheWitnesses:
 
     def test_a_split_keeps_the_depth_and_a_halving_adds_one(self):
         # The witness intervals of the initial segments are 1/64 wide at
-        # depth 0; the one failure allowed at depth 1 is 1/128 wide.
+        # depth 0; the one failure allowed at depth 1 is 1/128 wide.  Its
+        # eigenvalue runs from -1/128 to 0 and the window edge sits halfway,
+        # so the two distances sum to exactly the gauge step.
         path = matrix_path(1, lambda t: [[t - 0.5]], lipschitz=1.0)
         with pytest.raises(DepthExceeded) as info:
             spectral_flow(path, max_depth=1)
         assert str(info.value) == (
-            "segment [0.484375, 0.4921875] not certifiable at bisection depth 1 (Lipschitz slack: "
-            "margin 3.906e-03 does not exceed 0.5 * L * step = 3.906e-03 with L = 1.000e+00, "
-            "step = 7.812e-03); endpoint inertia gives flow 1"
+            "segment [0.4921875, 0.5] not certifiable at bisection depth 1 (Lipschitz slack: "
+            "on [0.4921875, 0.5] eigenvalue 0 is 3.906e-03 and 3.906e-03 from the window edge, "
+            "a sum of 7.812e-03 that does not exceed the gauge step 7.812e-03 (L = 1.000e+00 "
+            "times the witness spacing 7.812e-03)); endpoint inertia gives flow 1"
         )
 
 
@@ -412,7 +418,8 @@ class TestVerifyRejectsForgery:
     def _forged(witness_points: int):
         # Flow 0: 0.5 + 1.5t stays positive and -2 + 1.5t negative.  The one
         # forged window [-1, 1] has margin 0.5 at both witnesses t=0 and t=1,
-        # yet both eigenvalues cross its edges in between.
+        # yet both eigenvalues cross its edges in between: the distances of
+        # each sum to 1.5, exactly the gauge step.
         path = matrix_path(3, lambda t: np.diag([0.5 + 1.5 * t, -2.0 + 1.5 * t, 5.0]), lipschitz=1.5)
         witness = SegmentWitness(0.0, 1.0, radius=1.0, margin=0.5, grid=(0.0, 1.0), symmetric_count=1)
         cert = FlowCertificate(
@@ -424,21 +431,20 @@ class TestVerifyRejectsForgery:
         )
         return path, cert
 
-    SLACK = (
-        "Lipschitz slack: margin 5.000e-01 does not exceed 0.5 * L * step = 7.500e-01 "
-        "with L = 1.500e+00, step = 1.000e+00"
-    )
-
     # [0, 1] is not one of the 8 initial segments, so its two witnesses are
     # the right grid whatever ``witness_points`` is; only the Lipschitz slack
     # rejects it.
-    @pytest.mark.parametrize("witness_points, reason", [(9, SLACK), (2, SLACK)])
-    def test_forged_flow_rejected(self, witness_points, reason):
+    @pytest.mark.parametrize("witness_points", [9, 2])
+    def test_forged_flow_rejected(self, witness_points):
         path, cert = self._forged(witness_points)
         assert spectral_flow(path).flow == 0 == oracle_flow(path).flow
         with pytest.raises(CertificateBroken) as info:
             cert.verify(path)
-        assert str(info.value) == f"segment [0.0, 1.0]: {reason}"
+        assert str(info.value) == (
+            "segment [0.0, 1.0]: Lipschitz slack: on [0.0, 1.0] eigenvalue 0 is 1.000e+00 and "
+            "5.000e-01 from the window edge, a sum of 1.500e+00 that does not exceed the gauge "
+            "step 1.500e+00 (L = 1.500e+00 times the witness spacing 1.000e+00)"
+        )
 
 
 def _glued(seed: int):
@@ -546,16 +552,18 @@ class TestBatchKernel:
     def test_each_segment_gets_its_first_failing_rule(self):
         # One kernel call over six segments (three witnesses, two
         # eigenvalues each).  Segments 2-4 also fail a later rule, which
-        # must not win.
+        # must not win.  In segment 2 the lowest eigenvalue sits 0.01 below
+        # the window at both ends of the first witness interval, closer
+        # than its gauge step 0.05 allows.
         path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
         rows = {
             "ok": [[-2, 3], [-2, 3], [-2, 3]],
-            "drift": [[-2, 3], [0.5, 3], [-2, 3]],
+            "slack": [[-1.01, 3], [-1.01, 3], [0.5, 3]],
             "touch": [[-2, 3], [1.5, 3], [2, 3]],
             "count": [[-2, 3], [-2, 3], [0, 3]],
             "jump": [[-2, 3], [2, 3], [2, 3]],
         }
-        spectra = np.array([rows[k] for k in ("ok", "ok", "drift", "touch", "count", "jump")], float)
+        spectra = np.array([rows[k] for k in ("ok", "ok", "slack", "touch", "count", "jump")], float)
         ts = np.tile([0.0, 0.05, 0.1], (6, 1))
         margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
         result = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
@@ -566,8 +574,9 @@ class TestBatchKernel:
         assert _reasons(result) == [
             None,
             "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
-            "Lipschitz slack: margin 1.000e-02 does not exceed 0.5 * L * step = 2.500e-02 "
-            "with L = 1.000e+00, step = 5.000e-02",
+            "Lipschitz slack: on [0.0, 0.05] eigenvalue 0 is 1.000e-02 and 1.000e-02 from the "
+            "window edge, a sum of 2.000e-02 that does not exceed the gauge step 5.000e-02 "
+            "(L = 1.000e+00 times the witness spacing 5.000e-02)",
             "window margin violated at t=0.05",
             "count drift: the count in [-1.000e+00, 1.000e+00] is 0 at t=0.0 but 1 at t=0.1",
             "jump across the window: 1 eigenvalues below -1.000e+00 at t=0.0 but 0 at t=0.05",
@@ -575,11 +584,12 @@ class TestBatchKernel:
 
     def test_slack_only_names_the_segments_that_fail_on_nothing_else(self):
         # Segment 0 certifies, 1 fails only on the slack, 2 on the slack and
-        # a drift, 3 on the margin floor (its margin is also within the slack).
+        # a drift, 3 on the margin floor (it also fails on the slack).  In
+        # 1-3 the lowest eigenvalue sits 0.01 below the window at every
+        # witness, so two distances sum to less than the gauge step 0.05.
         path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
-        spectra = np.array(
-            [[[-2, 3]] * 3, [[-2, 3]] * 3, [[-2, 3], [0.5, 3], [-2, 3]], [[-2, 3]] * 3], float
-        )
+        near = [[-1.01, 3]] * 3
+        spectra = np.array([[[-2, 3]] * 3, near, [[-1.01, 3], [-1.01, 3], [0.5, 3]], near], float)
         ts = np.tile([0.0, 0.05, 0.1], (4, 1))
         margin = np.array([1.0, 0.01, 0.01, 1e-9])
         result = _check_windows(path, ts, spectra, np.ones(4), margin, FlowOptions())
@@ -635,6 +645,180 @@ class TestBatchKernel:
                 k = max(range(len(levels) - 1), key=lambda j: (levels[j + 1] - levels[j], -j))
                 assert radius[i] == 0.5 * (levels[k] + levels[k + 1])
                 assert margin[i] == 0.5 * (levels[k + 1] - levels[k])
+
+
+def _hermitian(rng, dim: int, cplx: bool) -> np.ndarray:
+    g = rng.standard_normal((dim, dim))
+    if cplx:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def _assert_counts_hold_between_witnesses(cert, solve):
+    """On 33 points per witness interval of every certified segment, recount by ``solve``.
+
+    ``solve`` maps a 1-d array of parameters to their eigenvalue rows,
+    computed without the engine.  The count in the window must be the
+    segment's ``symmetric_count`` and the count below it constant.
+    """
+    for w in cert.witnesses:
+        grid = np.array(w.grid)
+        ts = np.linspace(grid[:-1], grid[1:], 33, axis=1).ravel()
+        vals = solve(ts)
+        inside = np.count_nonzero(np.abs(vals) <= w.radius, axis=1)
+        below = np.count_nonzero(vals < -w.radius, axis=1)
+        assert set(inside.tolist()) == {w.symmetric_count}, (w.t_lower, w.t_upper)
+        assert len(set(below.tolist())) == 1, (w.t_lower, w.t_upper)
+
+
+class TestIntervalSlack:
+    """A witness interval is proved once each eigenvalue's distances to the window edge
+    at its two ends sum above its gauge step."""
+
+    @staticmethod
+    def _reason(rows, ts=(0.0, 0.25)):
+        # One segment under the gauge t; its margin is its smallest distance,
+        # so only the slack can reject it.
+        spectra = np.array([rows], float)
+        margin = np.array([np.abs(np.abs(spectra) - 1.0).min()])
+        path = matrix_path(spectra.shape[2], lambda t: np.eye(spectra.shape[2]), lipschitz=1.0)
+        result = _check_windows(path, np.array([ts]), spectra, np.ones(1), margin, FlowOptions())
+        return _reasons(result)[0]
+
+    def test_a_sum_equal_to_the_step_rejects(self):
+        assert self._reason([[-0.875], [-0.875]]) == (
+            "Lipschitz slack: on [0.0, 0.25] eigenvalue 0 is 1.250e-01 and 1.250e-01 from the "
+            "window edge, a sum of 2.500e-01 that does not exceed the gauge step 2.500e-01 "
+            "(L = 1.000e+00 times the witness spacing 2.500e-01)"
+        )
+
+    def test_a_sum_just_above_the_step_accepts(self):
+        assert self._reason([[-0.875], [-0.875 + 2.0**-20]]) is None
+
+    def test_near_plus_r_at_one_end_and_minus_r_at_the_other(self):
+        # 0.04 from +1 at t=0 and 0.04 from -1 at t=0.25: both distances
+        # are read from the magnitudes, so the sum is 0.08, not 0.04 + 1.96.
+        assert self._reason([[0.96], [-0.96]]).startswith(
+            "Lipschitz slack: on [0.0, 0.25] eigenvalue 0 is 4.000e-02 and 4.000e-02"
+        )
+
+    def test_magnitudes_are_not_resorted(self):
+        # The lowest eigenvalue goes from -1.05 to -0.95, across -1.  Paired
+        # by the sorted magnitudes, (0, 0.95) and (1.05, 2), every sum would
+        # be 1.05 and the interval would pass.
+        rows = [[-1.05, 0.0], [-0.95, 2.0]]
+        mags = np.sort(np.abs(np.array(rows)), axis=1)
+        assert (np.abs(mags[0] - 1.0) + np.abs(mags[1] - 1.0)).min() > 0.25
+        assert self._reason(rows).startswith(
+            "Lipschitz slack: on [0.0, 0.25] eigenvalue 0 is 5.000e-02 and 5.000e-02 from the "
+            "window edge, a sum of 1.000e-01"
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_a_margin_above_half_every_step_still_passes(self, seed, s, w, d, levels, u):
+        # A margin above half the largest gauge step was the slack rule
+        # before the sums; every window of the certifier's that it accepted
+        # must still pass, so every certificate made under it still verifies.
+        rng = np.random.default_rng(seed)
+        if levels:
+            spectra = np.sort(rng.integers(-3, 4, (s, w, d)) * 0.5, axis=2)
+        else:
+            spectra = np.sort(rng.standard_normal((s, w, d)), axis=2)
+        radius, margin, _ = _widest_gaps(spectra)
+        # Disjoint grids and a piecewise-linear gauge whose steps on segment
+        # i are random shares of u * 2 * margin[i].
+        ts = np.arange(s)[:, None] + np.linspace(0.0, 0.5, w)
+        rises = np.ones((s, w))
+        rises[:, 1:] = rng.random((s, w - 1)) * (u * 2.0 * margin)[:, None]
+        values = np.cumsum(rises.ravel())
+        gauged = SimpleNamespace(gauge=lambda t: np.interp(t, ts.ravel(), values))
+        dg = np.diff(gauged.gauge(ts.ravel()).reshape(ts.shape), axis=1)
+        opts = FlowOptions()
+        with_gauge = _check_windows(gauged, ts, spectra, radius, margin, opts)
+        without = _check_windows(SimpleNamespace(gauge=None), ts, spectra, radius, margin, opts)
+        reasons, plain = _reasons(with_gauge), _reasons(without)
+        for i in np.flatnonzero(margin > 0.5 * dg.max(axis=1)).tolist():
+            assert reasons[i] == plain[i]
+            assert not with_gauge[2][i]
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=6),
+        st.booleans(),
+    )
+    def test_affine_paths_keep_their_counts_between_witnesses(self, seed, dim, cplx):
+        rng = np.random.default_rng(seed)
+        a, b = _hermitian(rng, dim, cplx), 2.0 * _hermitian(rng, dim, cplx)
+        path = matrix_path(dim, lambda t: a + t * b, lipschitz=float(np.linalg.norm(b, 2)))
+        cert = spectral_flow(path)
+        _assert_counts_hold_between_witnesses(
+            cert, lambda ts: np.linalg.eigvalsh(a + ts[:, None, None] * b)
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=4, max_value=6),
+        st.integers(min_value=2, max_value=12),
+        st.booleans(),
+    )
+    def test_sampled_paths_keep_their_counts_between_witnesses(self, seed, dim, n, cplx):
+        # Up to ten kinks, where an eigenvalue can leave the window and come
+        # back between two witnesses.
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+        mats = np.array([_hermitian(rng, dim, cplx) for _ in range(n)])
+        cert = spectral_flow(sampled_path(list(zip(times.tolist(), mats))))
+
+        def solve(ts):
+            k = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 2)
+            w = ((ts - times[k]) / (times[k + 1] - times[k]))[:, None, None]
+            return np.linalg.eigvalsh((1.0 - w) * mats[k] + w * mats[k + 1])
+
+        _assert_counts_hold_between_witnesses(cert, solve)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=6),
+        st.floats(min_value=5.0, max_value=40.0),
+    )
+    def test_oscillating_paths_keep_their_counts_between_witnesses(self, seed, dim, omega):
+        # A + sin(omega t) B with the gauge omega ||B||_2 t: its eigenvalues
+        # turn back, so a rule that accepted too much would let one leave
+        # the window and return between two witnesses.
+        rng = np.random.default_rng(seed)
+        a, b = _hermitian(rng, dim, False), _hermitian(rng, dim, False)
+        bound = omega * float(np.linalg.norm(b, 2))
+        cert = spectral_flow(matrix_path(dim, lambda t: a + np.sin(omega * t) * b, lipschitz=bound))
+        _assert_counts_hold_between_witnesses(
+            cert, lambda ts: np.linalg.eigvalsh(a + np.sin(omega * ts)[:, None, None] * b)
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_verify_rejects_a_radius_moved_onto_a_gauge_step(self, k):
+        # On the initial segment [0, 0.125] the eigenvalue t - 0.5 runs from
+        # -0.5 to -0.375 in steps of 1/64, the gauge step of each witness
+        # interval.  A radius between its values at the ends of interval k
+        # makes their distances sum to exactly that step.
+        path = matrix_path(2, lambda t: np.diag([t - 0.5, 3.0]), lipschitz=1.0)
+        cert = spectral_flow(path)
+        w = cert.witnesses[0]
+        assert (w.t_lower, w.t_upper, len(w.grid)) == (0.0, 0.125, 9)
+        moved = dataclasses.replace(w, radius=0.5 - (2 * k + 1) / 128, margin=1 / 128)
+        forged = dataclasses.replace(cert, witnesses=(moved, *cert.witnesses[1:]))
+        with pytest.raises(CertificateBroken) as info:
+            forged.verify(path)
+        assert str(info.value) == (
+            f"segment [0.0, 0.125]: Lipschitz slack: on [{k / 64!r}, {(k + 1) / 64!r}] eigenvalue 0 "
+            "is 7.812e-03 and 7.812e-03 from the window edge, a sum of 1.562e-02 that does not "
+            "exceed the gauge step 1.562e-02 (L = 1.000e+00 times the witness spacing 1.562e-02)"
+        )
 
 
 def _random_sampled(seed: int, complex_knots: tuple[bool, ...]):
