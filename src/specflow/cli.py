@@ -36,7 +36,7 @@ from .config import (
     validate_config,
 )
 from .errors import CertificateBroken, EndpointMismatch, InvalidSpec, SpectralFlowError
-from .flow import spectral_flow
+from .flow import FlowOptions, spectral_flow
 from .oracle import DEFAULT_GRID, _MIN_GRID, oracle_flow
 from .properties import check_flow_properties
 from .reporting import (
@@ -153,12 +153,25 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _check_grid(grid: int, points: int) -> None:
-    """Raise ConfigError if numpy cannot allocate the ``points`` parameters of ``grid``."""
+def _check_alloc(points: int, what: str) -> None:
+    """Raise ConfigError if numpy cannot allocate the ``points`` parameters of ``what``."""
     try:
         np.empty(points)
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"grid {grid} is too large to allocate") from exc
+        raise ConfigError(f"{what} is too large to allocate") from exc
+
+
+def _flow_options(config: dict) -> FlowOptions:
+    """The config's flow options, once the first round's witness grids can be allocated.
+
+    Later rounds read at most 64 segments each, so only the first grows
+    with the options.
+    """
+    options = flow_options_from_config(config)
+    _check_alloc(
+        options.init_samples * options.witness_points, f"init_samples {options.init_samples}"
+    )
+    return options
 
 
 def _emit(text: str, config: dict, filename: str) -> None:
@@ -176,13 +189,13 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
     family = config.get("family")
     if family is None:
         raise ConfigError("flow command needs a family (config file or --family)")
-    options = flow_options_from_config(config)
+    options = _flow_options(config)
     grid = config.get("grid", DEFAULT_GRID)
     if args.oracle:
         if grid < _MIN_GRID:
             raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
         # The oracle repeats its run on the doubled grid.
-        _check_grid(grid, 2 * grid + 1)
+        _check_alloc(2 * grid + 1, f"grid {grid}")
     path = build_family_path(family, config.get("seed", 0))
     cert = spectral_flow(path, options)
     oracle = oracle_flow(path, grid=grid) if args.oracle else None
@@ -197,7 +210,7 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_components(config: dict, args: argparse.Namespace) -> int:
-    options = flow_options_from_config(config)
+    options = _flow_options(config)
     report = components_from_config(config, options)
     certification = certify_distinct_components(report, options)
     doc = component_report_document(report, certification, options)
@@ -211,7 +224,7 @@ def cmd_spectrum(config: dict, args: argparse.Namespace) -> int:
     if family is None:
         raise ConfigError("spectrum command needs a family (config file or --family)")
     grid = config.get("grid", 101)
-    _check_grid(grid, grid)
+    _check_alloc(grid, f"grid {grid}")
     path = build_family_path(family, config.get("seed", 0))
     text = spectrum_csv(path, grid)
     _emit(text, config, "spectrum.csv")
@@ -219,7 +232,7 @@ def cmd_spectrum(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_check(config: dict, args: argparse.Namespace) -> int:
-    options = flow_options_from_config(config)
+    options = _flow_options(config)
     # The schema limits the block to parameter names of check_flow_properties.
     report = check_flow_properties(
         seed=config.get("seed", 0), options=options, **config.get("check", {})

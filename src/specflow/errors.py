@@ -57,6 +57,15 @@ class DepthExceeded(SpectralFlowError):
     finite matrices that is the flow, so it tells what a certificate would
     have shown.
 
+    The cost of a failing flow: it reads the first round and every segment
+    left of the failure, which any order of refinement must read.  Each
+    later round reads the leftmost 64 pending segments, so it reads right
+    of the failure only while it holds one of the at most ``max_depth + 1``
+    later segments of the failing branch.  So beyond those a failing flow
+    solves at most ``128 * (max_depth + 1)`` rows, 2,688 at the defaults.
+    A path rejected everywhere comes near that order: at the defaults the
+    1 x 1 zero path solves 705 rows.
+
     The segment at the limit is witnessed at its two ends alone, so
     ``witness_points``, which sets the grid of the initial segments only,
     does not move it.  Callers may raise ``max_depth`` (each level halves

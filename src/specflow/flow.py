@@ -18,20 +18,16 @@ window edge at its two ends sum to more than its gauge step (see
 halved.  The depth counts halvings of the witness spacing, so a split at
 the witnesses keeps it and a halving adds one.
 
-Refinement is batched and runs left to right.  Pending segments wait on a
-stack in depth-first order.  The first round reads the whole initial
-partition.  Each later round reads the leftmost ``max(1, 64 >> depth)``
-pending segments with one ``spectra`` call, and a round that so far holds
-only children of resolution-limited parents goes on taking them, up to
-64, at any depth.  Every round is decided by one array kernel
-(:func:`_widest_gaps`, then :func:`_check_windows`, the one acceptance
-rule, which :meth:`FlowCertificate.verify` also runs).  A parent is
-resolution-limited when it failed on the Lipschitz slack alone and its
-ends have as many negative eigenvalues, so no net crossing lies inside and
-only finer witnesses are missing.  So the depth cap stays where a crossing
-or another rejection sits, which is where refinement can fail.  The
-schedule changes no leaf: a segment's decision depends on its own ends
-alone.
+Refinement runs in rounds, leftmost first.  The first round reads the
+whole initial partition, and each later round the leftmost ``_ROUND``
+pending segments, with one ``spectra`` call; a rejected segment's
+children take its place.  While fewer segments are pending, a round reads
+every child of every segment the last round rejected.  Every round is
+decided by one array kernel (:func:`_widest_gaps`, then
+:func:`_check_windows`, the one acceptance rule, which
+:meth:`FlowCertificate.verify` also runs).  A segment's decision depends
+on its own ends alone, so the order in which segments are read changes no
+leaf.
 """
 
 from __future__ import annotations
@@ -182,7 +178,7 @@ class FlowCertificate:
             if not idx.size:
                 continue
             ts, spectra = _witness_spectra(path, lower[idx], upper[idx], points)
-            counts, failed, _, reason = _check_windows(path, ts, spectra, radius[idx], margin[idx], opts)
+            counts, failed, reason = _check_windows(path, ts, spectra, radius[idx], margin[idx], opts)
             for k, (i, grid) in enumerate(zip(idx.tolist(), ts.tolist())):
                 why = reason(k) if failed[k] else None
                 checked[i] = (tuple(grid), why, int(counts[k]), spectra[k, [0, -1]])
@@ -211,11 +207,10 @@ class FlowCertificate:
             raise CertificateBroken("flow does not telescope over the recorded counts")
 
 
-# After the initial partition, a refinement round reads the leftmost
-# ``max(1, _BATCH >> depth)`` pending segments with one ``spectra`` call,
-# or up to ``_BATCH`` of them while they are children of resolution-limited
-# parents.
-_BATCH = 64
+# A refinement round after the first reads at most this many pending
+# segments, the leftmost.  Without a bound a path rejected everywhere would
+# read rounds of 2**depth segments.
+_ROUND = 64
 
 _ALL_ZERO = "all zero: every witnessed eigenvalue is 0, so no window radius exists"
 
@@ -252,7 +247,7 @@ def _check_windows(
     radius: np.ndarray,
     margin: np.ndarray,
     opts: FlowOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
     """The segment acceptance rule: each segment's window count, and whether and why it fails.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
@@ -264,10 +259,9 @@ def _check_windows(
     in the window is not constant on the grid, or when the count below
     -radius is not: an eigenvalue that jumps across the whole window
     between two witnesses keeps the window count but changes the flow.  The
-    second value is the mask of rejected segments, the third the mask of
-    those that fail on the Lipschitz slack and on nothing else.  The fourth
-    formats the rejection of segment ``i``, a message that names its first
-    failing reason and its numbers, on demand.
+    second value is the mask of rejected segments.  The third formats the
+    rejection of segment ``i``, a message that names its first failing
+    reason and its numbers, on demand.
 
     When the path carries a gauge ``g`` (:attr:`OperatorPath.gauge`) the
     check is rigorous, not sampled.  The rows of ``spectra`` are sorted, and
@@ -338,7 +332,7 @@ def _check_windows(
             f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
         )
 
-    return counts[:, 0], low | slipped | witnessed, slipped & ~(low | witnessed), reason
+    return counts[:, 0], low | slipped | witnessed, reason
 
 
 def _witness_spectra(path: OperatorPath, lo, hi, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,12 +382,12 @@ def spectral_flow(
     :class:`DepthExceeded` names the leftmost such segment and its reason,
     the one depth-first refinement would name, and the flow that endpoint
     inertia gives, ``neg(A(0)) - neg(A(1))`` counted outside the zero band.
-    The first round reads the whole initial partition; later rounds read
-    the leftmost pending segments: ``max(1, 64 >> depth)`` of them, or up
-    to 64 at any depth where only the witness spacing was too coarse (see
-    the module docstring).  So a path that fails may have solved rows to
-    the right of the failure, while the certificate of a path that
-    succeeds does not depend on the batches.  The two arguments override
+    Each round after the first reads the leftmost 64 pending segments,
+    which is every child of every segment the previous round rejected
+    while there are no more.  So a path that fails may have refined some
+    of [0, 1] right of the failure while its branch went deeper, at most
+    64 segments per level of that branch; the certificate of a path that
+    succeeds does not depend on the order.  The two arguments override
     the fields of ``options`` of the same name.
 
     The flow is the net number of eigenvalues crossing zero upward,
@@ -407,23 +401,25 @@ def spectral_flow(
     if max_depth is not None:
         opts = replace(opts, max_depth=max_depth)
     edges = _initial_edges(opts)
-    # The round's segments (lo, hi, depth, limited), left to right, and the
-    # pending ones in depth-first order, the leftmost last.  ``limited``
-    # marks a child of a resolution-limited parent.  Once a segment is
-    # rejected at max_depth, its DepthExceeded text is kept and every pending
-    # segment right of it is dropped, so the failure raised is the leftmost,
-    # the one depth-first order would name.
-    batch = [(lo, hi, 0, False) for lo, hi in zip(edges[:-1], edges[1:])]
+    # Pending segments (lo, hi, depth), left to right.  The first round reads
+    # the whole initial partition and each later round the leftmost _ROUND
+    # pending segments; a rejected segment's children take its place.  Once
+    # a segment is rejected at max_depth, its DepthExceeded text is kept and
+    # every segment right of it is dropped; a later one can only lie left of
+    # it and overwrites the text, so the failure raised is the leftmost, the
+    # one depth-first order would name.
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    depth = np.zeros(lo.size, dtype=int)
+    take = lo.size
     points = opts.witness_points
-    pending: list[tuple[float, float, int, bool]] = []
     leaves: list[SegmentWitness] = []
     failure: str | None = None
-    while batch:
-        lo, hi, depth = np.array(batch)[:, :3].T
-        depth = depth.astype(int)
+    while lo.size:
+        rest = [lo[take:], hi[take:], depth[take:]]
+        lo, hi, depth = lo[:take], hi[:take], depth[:take]
         ts, spectra = _witness_spectra(path, lo, hi, points)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, failed, slack_only, reason = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
         failed |= empty
         ok = np.flatnonzero(~failed)
         leaves += map(
@@ -444,41 +440,19 @@ def spectral_flow(
                 f"{depth[i]} ({why})"
             )
             failed[i:] = False
-            pending.clear()
-        # Resolution-limited: only the witness spacing failed and the ends
-        # have as many negative eigenvalues.
-        neg = np.count_nonzero(spectra[:, [0, -1]] < 0.0, axis=2)
-        limited = slack_only & ~empty & (neg[:, 0] == neg[:, 1])
+            rest = [a[:0] for a in rest]
         rows = np.flatnonzero(failed)
         if points > 2:
             # Split at the witnesses: the spacing, and so the depth, stays.
-            kids_lo, kids_hi, kids_depth = ts[rows, :-1], ts[rows, 1:], depth[rows]
+            lo, hi, depth = ts[rows, :-1], ts[rows, 1:], np.repeat(depth[rows], points - 1)
         else:
             mid = 0.5 * (lo[rows] + hi[rows])
-            kids_lo = np.stack([lo[rows], mid], axis=1)
-            kids_hi = np.stack([mid, hi[rows]], axis=1)
-            kids_depth = depth[rows] + 1
-        k = kids_lo.shape[1]
-        pending += reversed(
-            list(
-                zip(
-                    kids_lo.ravel().tolist(),
-                    kids_hi.ravel().tolist(),
-                    np.repeat(kids_depth, k).tolist(),
-                    np.repeat(limited[rows], k).tolist(),
-                )
-            )
-        )
+            lo, hi = np.stack([lo[rows], mid], axis=1), np.stack([mid, hi[rows]], axis=1)
+            depth = np.repeat(depth[rows] + 1, 2)
+        lo, hi, depth = (np.concatenate([a.ravel(), b]) for a, b in zip((lo, hi, depth), rest))
         # Later rounds read refined segments, witnessed at their two ends.
         points = 2
-        batch = []
-        size = max(1, _BATCH >> pending[-1][2]) if pending else 0
-        run = True
-        while pending:
-            run = run and pending[-1][3]
-            if len(batch) >= (_BATCH if run else size):
-                break
-            batch.append(pending.pop())
+        take = _ROUND
     if failure is not None:
         ends = path.spectra([0.0, 1.0])
         neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)

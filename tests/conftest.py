@@ -84,6 +84,16 @@ def mixed_matrix_path(seed: int):
     return matrix_path(3, fn, lipschitz=3 * np.linalg.norm(h, 2) + 2 + np.linalg.norm(k, 2))
 
 
+def knot_warp(a, knots):
+    """``a`` warped by the piecewise-linear bijection through the interior ``knots``, with its slope bound."""
+    from specflow import reparametrize
+
+    xs = np.concatenate([[0.0], np.sort(knots), [1.0]])
+    ys = np.linspace(0.0, 1.0, xs.size)
+    slope = float(np.max(np.diff(ys) / np.diff(xs)))
+    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), a.lipschitz * slope)
+
+
 def dense_sum(seed: int):
     """``add`` of two dense random families of one dimension."""
     from specflow import add, random_family

@@ -432,6 +432,14 @@ class TestSampledMatrixMessages:
         assert "Traceback" not in err
         assert err == f"specflow: ConfigError: grid {grid} is too large to allocate\n"
 
+    def test_initial_partition_too_large_to_allocate(self, capsys):
+        # 9e13 witness parameters: numpy refuses the array at once.
+        argv = ["flow", "--family", "baer", "--m", "1", "--init-samples", str(10**13)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: init_samples 10000000000000 is too large to allocate\n"
+        )
+
 
 class TestComponentsCommand:
     def test_k1_single_zero_flow(self, capsys):

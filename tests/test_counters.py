@@ -4,8 +4,12 @@ and the number of refinement rounds of a few flows.
 The counts are machine-independent, so a change that makes any of them
 larger solves more than it needs to.  A change that lowers one on purpose
 updates the table here and says so in CHANGES.md.  The failing cases also
-pin their ``DepthExceeded`` text: batched refinement must name the segment
-depth-first order names.
+pin their ``DepthExceeded`` text: refinement in rounds must name the
+segment depth-first order names.  Their eigensolves count what refinement
+solves before the leftmost failure is found, some of [0, 1] right of it
+included: each round after the first reads the leftmost 64 pending
+segments.  The zero path and the constant path with a far too loose bound
+are rejected everywhere, so they pin that bound on a round.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import rotated_report
+from conftest import knot_warp, rotated_report
 from specflow import (
     DepthExceeded,
     OperatorPath,
@@ -76,14 +80,6 @@ def _dense_constant():
     return constant_path(SelfAdjointOperator((g + g.T) / 2))
 
 
-def _knot_warp(a, knots):
-    # Piecewise-linear bijection through the interior knots, with its slope bound.
-    xs = np.concatenate([[0.0], np.sort(knots), [1.0]])
-    ys = np.linspace(0.0, 1.0, xs.size)
-    slope = float(np.max(np.diff(ys) / np.diff(xs)))
-    return reparametrize(a, lambda t: float(np.interp(t, xs, ys)), a.lipschitz * slope)
-
-
 def _depth_exceeded(make, text):
     def run(_):
         with pytest.raises(DepthExceeded) as info:
@@ -127,7 +123,7 @@ CASES = {
     # segment's local slope, its largest gauge step over the witness spacing.
     # The endpoint inertia gives the flow 0 of the base path.
     "DepthExceeded: warp between adjacent floats": _depth_exceeded(
-        lambda: _knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
+        lambda: knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
         "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
         "slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is 1.030e+00 and 7.314e-01 "
         "from the window edge, a sum of 1.761e+00 that does not exceed the gauge step 4.428e+00 "
@@ -170,13 +166,28 @@ CASES = {
         "the count in [-1.967e-02, 1.967e-02] is 0 at t=0.439999982714653 but 1 at "
         "t=0.4399999976158142); endpoint inertia gives flow -1",
     ),
-    # Bounded: resolution-limited segments on both sides of the crossing.
+    # Bounded: the slack rejects segments on both sides of the crossing,
+    # and each round refines the leftmost 64 of them.
     "DepthExceeded: tanh with L = 2e3": _depth_exceeded(
         lambda: _tanh(1e3, 2e3),
         "segment [0.439999983, 0.439999998] not certifiable at bisection depth 20 (Lipschitz "
         "slack: on [0.439999982714653, 0.4399999976158142] eigenvalue 0 is 1.490e-05 and 1.490e-05 "
         "from the window edge, a sum of 2.980e-05 that does not exceed the gauge step 2.980e-05 "
         "(L = 2.000e+03 times the witness spacing 1.490e-08)); endpoint inertia gives flow -1",
+    ),
+    # Rejected everywhere: every round holds 64 segments, and the leftmost
+    # reaches the depth cap first.
+    "DepthExceeded: zero path": _depth_exceeded(
+        lambda: matrix_path(1, lambda t: np.zeros((1, 1))),
+        "segment [0, 1.49011612e-08] not certifiable at bisection depth 20 (all zero: every "
+        "witnessed eigenvalue is 0, so no window radius exists); endpoint inertia gives flow 0",
+    ),
+    "DepthExceeded: constant path with L = 1e9": _depth_exceeded(
+        lambda: matrix_path(1, lambda t: [[1.0]], lipschitz=1e9),
+        "segment [0, 1.49011612e-08] not certifiable at bisection depth 20 (Lipschitz slack: on "
+        "[0.0, 1.4901161193847656e-08] eigenvalue 0 is 5.000e-01 and 5.000e-01 from the window "
+        "edge, a sum of 1.000e+00 that does not exceed the gauge step 1.490e+01 (L = 1.000e+09 "
+        "times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
     ),
 }
 
@@ -199,18 +210,27 @@ EIGENSOLVES = {
     "components --k 4": 0,
     "certify_distinct_components, 3 rotated real paths": 344,
     "certify_distinct_components, 3 rotated complex paths": 345,
-    # The counts with halving into 9-point halves follow each case.
+    # The counts with halving into 9-point halves follow each case, then
+    # those of the depth-first batched schedule (``max(1, 64 >> depth)``
+    # segments per round), which stopped at the failure.  Rounds that read
+    # every child of every rejected segment, with no bound, solved the
+    # same except for tanh with L = 2e3 (1072) and the paths rejected
+    # everywhere, whose last round held 64 * 2**20 segments.
     # 89 with the global slope bound, which failed at [0, 1.2e-07] first.
-    "DepthExceeded: warp between adjacent floats": 87,  # 225
+    "DepthExceeded: warp between adjacent floats": 87,  # 225, 87
     # 111 when the margin had to exceed half the largest gauge step.
-    "DepthExceeded: zero eigenvalue at t=0.5": 89,  # 257
-    "DepthExceeded: (t - 0.5) I_4": 89,  # 257
-    "DepthExceeded: zero eigenvalue at t=0.3": 108,  # 197
-    "DepthExceeded: two eigenvalues zero at t=1/3": 129,  # 193
-    "DepthExceeded: tanh jump without a bound": 88,  # 201
+    "DepthExceeded: zero eigenvalue at t=0.5": 105,  # 257, 89
+    "DepthExceeded: (t - 0.5) I_4": 105,  # 257, 89
+    "DepthExceeded: zero eigenvalue at t=0.3": 125,  # 197, 108
+    "DepthExceeded: two eigenvalues zero at t=1/3": 165,  # 193, 129
+    "DepthExceeded: tanh jump without a bound": 96,  # 201, 88
     # 713 with the depth cap alone; 546 when the margin had to exceed half
     # the largest gauge step.
-    "DepthExceeded: tanh with L = 2e3": 545,  # 705
+    "DepthExceeded: tanh with L = 2e3": 1032,  # 705, 545
+    # 111 and 705: the depth-first schedule read one segment per round
+    # from depth 6 on, or up to 64 when only the slack failed.
+    "DepthExceeded: zero path": 705,
+    "DepthExceeded: constant path with L = 1e9": 705,
 }
 
 
@@ -221,13 +241,14 @@ def test_eigensolve_count(name, eigvalsh_counter, tmp_path, capsys):
 
 
 def _warp_of_slope(slope):
-    return lambda _: spectral_flow(_knot_warp(random_family(5, 0), [0.5, 0.5 + 1 / (3 * slope)]))
+    return lambda _: spectral_flow(knot_warp(random_family(5, 0), [0.5, 0.5 + 1 / (3 * slope)]))
 
 
 # Calls of ``flow._witness_spectra``: one per refinement round, and one per
 # grid shape in ``verify`` (the components report verifies every
-# certificate).  The comments give the counts of refinement with the depth
-# cap alone, which read ``max(1, 64 >> depth)`` segments per round.
+# certificate).  Each round after the first reads the leftmost 64 pending
+# segments.  The comments give the counts of older schedules, most of them
+# depth first with ``max(1, 64 >> depth)`` segments per round.
 ROUND_CASES = {
     # 29 with the global slope bound in place of the gauge; 581 with that
     # bound and the depth cap alone, one segment per round after depth 6.
@@ -235,9 +256,9 @@ ROUND_CASES = {
     # 18 with the global slope bound; 99 with it and the depth cap alone.
     "warp of slope 100": _warp_of_slope(100),
     # 14, mostly rounds of 8 at depth 3.  7 when a rejected segment was
-    # halved into two 9-point halves: a round of 8 halves read up to 64 new
-    # rows, as a round of 64 two-point segments does now, but its 465 rows
-    # now certify 462 segments, not 58.
+    # halved into two 9-point halves.  Since the split at the witnesses its
+    # rounds read at most 64 two-point segments, depth first or leftmost
+    # first; 5 with rounds of every rejected segment's children.
     "invertible_valued_family(12, 0)": lambda _: spectral_flow(invertible_valued_family(12, 0)),
     # 37 with halving: its segments cross, so their rounds keep the depth
     # cap.  The first round now reads all eight initial segments.

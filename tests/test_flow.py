@@ -6,7 +6,6 @@ import dataclasses
 import math
 import re
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from conftest import (
     brute_window_count,
     dense_sum,
     diagonal_sum,
+    knot_warp,
     mixed_concat,
     mixed_matrix_path,
     mixed_sum,
@@ -47,7 +47,7 @@ from specflow import (
 )
 from specflow import flow
 from specflow.config import sampled_path
-from specflow.flow import _check_windows, _widest_gaps, _witness_spectra
+from specflow.flow import _ALL_ZERO, _check_windows, _upper_count, _widest_gaps, _witness_spectra
 from specflow.operators import _zero_band
 from specflow.reporting import dumps_document, flow_certificate_document
 
@@ -100,13 +100,8 @@ class TestRefinePartition:
         # base path between two adjacent floats.  The gauge keeps that jump
         # in the one segment holding it, whose local slope L no witness
         # spacing reachable at depth 20 beats; the rest certifies.
-        a = random_family(5, seed=0)
-        xs = np.array([0.0, 0.9899999999999999, 0.99, 1.0])
-        ys = np.linspace(0.0, 1.0, 4)
-        slope = float(np.max(np.diff(ys) / np.diff(xs)))
-        p = reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=a.lipschitz * slope)
         with pytest.raises(DepthExceeded) as info:
-            spectral_flow(p)
+            spectral_flow(knot_warp(random_family(5, seed=0), [0.99, 0.9899999999999999]))
         assert str(info.value) == (
             "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 "
             "(Lipschitz slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is "
@@ -542,7 +537,7 @@ class TestJumpAcrossTheWindow:
 
 def _reasons(result) -> list[str | None]:
     """The rejection message of each segment of a ``_check_windows`` result, ``None`` if accepted."""
-    _, failed, _, reason = result
+    _, failed, reason = result
     return [reason(i) if bad else None for i, bad in enumerate(failed.tolist())]
 
 
@@ -567,10 +562,7 @@ class TestBatchKernel:
         ts = np.tile([0.0, 0.05, 0.1], (6, 1))
         margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
         result = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
-        counts, _, slack_only, _ = result
-        assert counts[0] == 0
-        # The slack segment also drifts, so it does not fail on the slack alone.
-        assert not slack_only.any()
+        assert result[0][0] == 0
         assert _reasons(result) == [
             None,
             "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
@@ -581,26 +573,6 @@ class TestBatchKernel:
             "count drift: the count in [-1.000e+00, 1.000e+00] is 0 at t=0.0 but 1 at t=0.1",
             "jump across the window: 1 eigenvalues below -1.000e+00 at t=0.0 but 0 at t=0.05",
         ]
-
-    def test_slack_only_names_the_segments_that_fail_on_nothing_else(self):
-        # Segment 0 certifies, 1 fails only on the slack, 2 on the slack and
-        # a drift, 3 on the margin floor (it also fails on the slack).  In
-        # 1-3 the lowest eigenvalue sits 0.01 below the window at every
-        # witness, so two distances sum to less than the gauge step 0.05.
-        path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
-        near = [[-1.01, 3]] * 3
-        spectra = np.array([[[-2, 3]] * 3, near, [[-1.01, 3], [-1.01, 3], [0.5, 3]], near], float)
-        ts = np.tile([0.0, 0.05, 0.1], (4, 1))
-        margin = np.array([1.0, 0.01, 0.01, 1e-9])
-        result = _check_windows(path, ts, spectra, np.ones(4), margin, FlowOptions())
-        slack_only = result[2]
-        assert [r is None or r.split(":")[0] for r in _reasons(result)] == [
-            True,
-            "Lipschitz slack",
-            "Lipschitz slack",
-            "margin floor",
-        ]
-        assert slack_only.tolist() == [False, True, False, False]
 
     def test_widest_gaps_flags_an_all_zero_segment(self):
         spectra = np.array([[[0.0, 0.0], [0.0, 0.0]], [[-1.0, 3.0], [-1.0, 4.0]]])
@@ -626,18 +598,14 @@ class TestBatchKernel:
         opts = FlowOptions(min_margin=floor)
         radius, margin, empty = _widest_gaps(spectra)
         result = _check_windows(path, ts, spectra, radius, margin, opts)
-        counts, _, slack_only, _ = result
+        counts = result[0]
         reasons = _reasons(result)
         for i in range(s):
             one = slice(i, i + 1)
             alone = _widest_gaps(spectra[one])
             assert (alone[0][0], alone[1][0], alone[2][0]) == (radius[i], margin[i], empty[i])
             single = _check_windows(path, ts[one], spectra[one], alone[0], alone[1], opts)
-            assert (single[0][0], _reasons(single)[0], single[2][0]) == (
-                counts[i],
-                reasons[i],
-                slack_only[i],
-            )
+            assert (single[0][0], _reasons(single)[0]) == (counts[i], reasons[i])
             # The widest gap between the distinct levels, 0 among them.
             levels = sorted({0.0, *np.abs(spectra[i]).ravel().tolist()})
             assert empty[i] == (len(levels) == 1)
@@ -746,7 +714,7 @@ class TestIntervalSlack:
         reasons, plain = _reasons(with_gauge), _reasons(without)
         for i in np.flatnonzero(margin > 0.5 * dg.max(axis=1)).tolist():
             assert reasons[i] == plain[i]
-            assert not with_gauge[2][i]
+            assert with_gauge[1][i] == without[1][i]
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -919,12 +887,53 @@ class TestZeroBand:
         cert.verify(path)
 
 
-def _outcome(path, opts: FlowOptions) -> str:
-    """The certificate document of ``path``, or the ``DepthExceeded`` text."""
+def _outcome(refine, path, opts: FlowOptions) -> str:
+    """The certificate document ``refine(path, opts)`` gives, or its ``DepthExceeded`` text."""
     try:
-        return dumps_document(flow_certificate_document(spectral_flow(path, opts)))
+        return dumps_document(flow_certificate_document(refine(path, opts)))
     except DepthExceeded as exc:
         return f"DepthExceeded: {exc}"
+
+
+def _depth_first(path, opts: FlowOptions) -> FlowCertificate:
+    """Reference refinement: one segment at a time, depth first, left to right.
+
+    Each segment is read with the engine's own kernels.  The first segment
+    rejected at ``max_depth``, the leftmost one, raises.
+    """
+    edges = np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
+    todo = [(lo, hi, 0, opts.witness_points) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
+    leaves = []
+    while todo:
+        lo, hi, depth, points = todo.pop()
+        ts, spectra = _witness_spectra(path, [lo], [hi], points)
+        radius, margin, empty = _widest_gaps(spectra)
+        counts, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
+        grid = ts[0].tolist()
+        if not (failed[0] or empty[0]):
+            leaves.append(
+                SegmentWitness(lo, hi, float(radius[0]), float(margin[0]), tuple(grid), int(counts[0]))
+            )
+        elif depth >= opts.max_depth:
+            ends = path.spectra([0.0, 1.0])
+            neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)
+            raise DepthExceeded(
+                f"segment [{lo:.9g}, {hi:.9g}] not certifiable at bisection depth {depth} "
+                f"({_ALL_ZERO if empty[0] else reason(0)}); endpoint inertia gives flow "
+                f"{int(neg[0] - neg[1])}"
+            )
+        elif points > 2:
+            todo += [(a, b, depth, 2) for a, b in zip(grid[:-1], grid[1:])][::-1]
+        else:
+            mid = 0.5 * (lo + hi)
+            todo += [(mid, hi, depth + 1, 2), (lo, mid, depth + 1, 2)]
+    times = (0.0, *(w.t_upper for w in leaves))
+    rows = path.spectra(times)
+    ends = np.stack([rows[:-1], rows[1:]], axis=1).reshape(-1, rows.shape[1])
+    radii = np.repeat([w.radius for w in leaves], 2)
+    pairs = _upper_count(ends, radii, opts.cluster_tol).reshape(-1, 2).tolist()
+    flow = sum(b - a for a, b in pairs)
+    return FlowCertificate(times, tuple(leaves), tuple(map(tuple, pairs)), flow, opts)
 
 
 SCHEDULE_PATHS = {
@@ -938,15 +947,24 @@ SCHEDULE_PATHS = {
         1, lambda t: [[-2.0 * np.tanh(1e3 * (t - 0.44))]], lipschitz=2e3
     ),
     "tanh without a bound": lambda seed: _tanh_jump(),
+    # The gauge jumps between two adjacent floats: fails at depth 20.
+    "warp between adjacent floats": lambda seed: knot_warp(
+        random_family(5, 0), [0.99, 0.9899999999999999]
+    ),
+    # Rejected everywhere, so rounds of up to 64 segments fill.
+    "zero path": lambda seed: matrix_path(1, lambda t: np.zeros((1, 1))),
+    "constant with a loose bound": lambda seed: matrix_path(
+        1, lambda t: [[1.0 + seed % 5]], lipschitz=1e9
+    ),
 }
 
 
 class TestScheduleParity:
-    """Batched refinement decides what depth-first refinement decides.
+    """Refinement in rounds decides what depth-first refinement decides.
 
-    With ``_BATCH`` at 1 every round after the first reads one segment,
-    depth first.  The certificate bytes, or the ``DepthExceeded`` text,
-    must not change.
+    :func:`_depth_first` reads one segment at a time.  The certificate
+    bytes, or the ``DepthExceeded`` text, must not change, and a path that
+    certifies must solve the same parameters.
     """
 
     @given(
@@ -960,7 +978,22 @@ class TestScheduleParity:
         opts = FlowOptions(
             init_samples=init_samples, max_depth=max_depth, witness_points=witness_points
         )
-        batched = _outcome(SCHEDULE_PATHS[kind](seed), opts)
-        with mock.patch.object(flow, "_BATCH", 1):
-            depth_first = _outcome(SCHEDULE_PATHS[kind](seed), opts)
-        assert batched == depth_first
+        engine, reference = SCHEDULE_PATHS[kind](seed), SCHEDULE_PATHS[kind](seed)
+        outcome = _outcome(spectral_flow, engine, opts)
+        assert outcome == _outcome(_depth_first, reference, opts)
+        if not outcome.startswith("DepthExceeded"):
+            assert set(engine._cache) == set(reference._cache)
+
+    def test_a_round_after_the_first_reads_at_most_64_segments(self, monkeypatch):
+        sizes = []
+        original = flow._witness_spectra
+
+        def record(path, lo, hi, points):
+            sizes.append(len(lo))
+            return original(path, lo, hi, points)
+
+        monkeypatch.setattr(flow, "_witness_spectra", record)
+        with pytest.raises(DepthExceeded, match=r"\[0, 1.1920929e-09\] .* depth 20 \(all zero"):
+            spectral_flow(matrix_path(1, lambda t: np.zeros((1, 1))), init_samples=100)
+        assert sizes[0] == 100 and max(sizes[1:]) == 64
+        assert len(sizes) == 22

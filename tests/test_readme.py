@@ -1,0 +1,45 @@
+"""The README's examples run and give the results its comments state."""
+
+from __future__ import annotations
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from specflow.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block(heading: str, lang: str) -> list[str]:
+    """The lines of the first ``lang`` code block under the ``## heading`` section."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_library_example():
+    # A line whose comment ends in an integer states that its expression
+    # equals it; every other line runs as it stands.
+    namespace: dict = {}
+    stated = 0
+    for line in _block("Library", "python"):
+        code, _, comment = line.partition("#")
+        value = re.search(r"(-?\d+)\s*$", comment)
+        if value:
+            assert eval(code, namespace) == int(value.group(1)), line
+            stated += 1
+        else:
+            exec(code, namespace)
+    assert stated == 2
+
+
+def test_cli_flow_example(capsys):
+    [line] = [line for line in _block("CLI", "sh") if "--family baer --m 3" in line]
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "specflow"
+    assert main(argv[1:]) == 0
+    flow = json.loads(capsys.readouterr().out)["flow"]
+    assert f"(flow = {flow})" in comment
+    assert flow == 4

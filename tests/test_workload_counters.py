@@ -8,7 +8,9 @@ The eigensolves are the benchmark's ``eigensolves_per_item`` times the item
 count, so a change that moves one moves that metric.  A refinement round
 is one ``flow._witness_spectra`` call (``verify`` makes one per grid
 shape): a schedule that trades eigensolves for Python round-trips, the
-cost on the workloads that are not LAPACK-bound, raises it.  dense-sampled
+cost on the workloads that are not LAPACK-bound, raises it.  The one failing
+item, ``warp/failing``, counts what refinement solves before its leftmost
+failure is found.  dense-sampled
 runs its first two items only (the 64-dim real path and the first 96-dim
 complex path); its whole round takes seconds.
 """
@@ -30,12 +32,15 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # halves they read 5,704, 190 / 11,681, 49 / 0, 113 / 233, 7 (dense-sampled's
 # first item alone).  When a witness interval was proved only by a margin
 # above half its largest gauge step they read 5,249, 171 / 11,681, 25 /
-# 0, 60 / 376, 32 (99, 5 for the first item).
+# 0, 60 / 376, 32 (99, 5 for the first item).  Depth first, with at most
+# ``max(1, 64 >> depth)`` segments per round, dense-sampled took 28 rounds;
+# rounds of every rejected segment's children, with no bound, took 125 and
+# 8.
 ROUNDS = {
     "certify-mix": (5_233, 170, 52, ["warp/failing"]),
     "oracle-grid": (11_681, 25, 24, []),
     "components-k8": (0, 60, 1, []),
-    "dense-sampled": (327, 28, 2, []),
+    "dense-sampled": (327, 11, 2, []),  # 28 rounds depth first
 }
 FIRST_ITEMS = {"dense-sampled": 2}
 
