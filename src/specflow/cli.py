@@ -2,9 +2,11 @@
 
 Subcommands: ``flow`` (certificate for one family), ``components``
 (distinct-components report), ``spectrum`` (eigenvalue curves as CSV),
-``check`` (flow-axiom property suites).  Experiments are described by a
-JSON config file, inline flags, or both (flags win).  Reports go to
-stdout and, with ``--out DIR``, to files in that directory.
+``check`` (flow-axiom property suites) and ``verify`` (re-check a flow
+certificate against its config).  Experiments are described by a JSON
+config file, inline flags, or both (flags win).  Reports go to stdout
+and, with ``--out DIR``, to files in that directory, which is created or
+checked before any computation.
 
 Exit codes: 0 success; 1 when the error is a ``ConfigError``,
 ``InvalidSpec`` or ``EndpointMismatch`` (bad configuration or usage); 2 for
@@ -17,6 +19,7 @@ diagnostics.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -28,10 +31,12 @@ from . import __version__
 from .components import certify_distinct_components
 from .config import (
     ConfigError,
+    _check_document,
     build_family_path,
     components_from_config,
     flow_options_from_config,
     merge_config,
+    path_descriptor,
     read_config_file,
     validate_config,
 )
@@ -43,6 +48,7 @@ from .reporting import (
     component_report_document,
     dumps_document,
     flow_certificate_document,
+    flow_certificate_from_document,
     property_report_document,
     spectrum_csv,
     validate_document,
@@ -174,15 +180,31 @@ def _flow_options(config: dict) -> FlowOptions:
     return options
 
 
-def _emit(text: str, config: dict, filename: str) -> None:
-    sys.stdout.write(text)
+def _out_error(out, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write reports to {out}: {exc}")
+
+
+def _make_out_dir(config: dict) -> None:
+    """Create the report directory, if the config names one, before any computation."""
     out = config.get("out")
     if out:
-        directory = Path(out)
-        directory.mkdir(parents=True, exist_ok=True)
-        target = directory / filename
-        target.write_text(text)
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _out_error(out, exc) from exc
+
+
+def _emit(text: str, config: dict, filename: str) -> None:
+    """Write the report into the ``out`` directory, if any, then to stdout."""
+    out = config.get("out")
+    if out:
+        target = Path(out) / filename
+        try:
+            target.write_text(text)
+        except OSError as exc:
+            raise _out_error(out, exc) from exc
         log.info("wrote %s", target)
+    sys.stdout.write(text)
 
 
 def cmd_flow(config: dict, args: argparse.Namespace) -> int:
@@ -203,9 +225,34 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
         raise CertificateBroken(
             f"oracle flow {oracle.flow} disagrees with the certified flow {cert.flow}"
         )
-    doc = flow_certificate_document(cert, path_descriptor=family, oracle=oracle)
+    doc = flow_certificate_document(cert, path_descriptor(family, path), oracle)
     validate_document(doc)
     _emit(dumps_document(doc), config, "flow-certificate.json")
+    return EXIT_OK
+
+
+def cmd_verify(config: dict, args: argparse.Namespace) -> int:
+    """Re-check a flow certificate against the path its config describes; stdout stays empty.
+
+    The document must pass the version 2 schema; its ``path`` block must
+    equal the config's :func:`path_descriptor`; then the certificate it
+    records, with its own options, is re-checked by
+    :meth:`FlowCertificate.verify`.  An ``oracle`` block is not read.
+    """
+    family = config.get("family")
+    if family is None:
+        raise ConfigError("verify command needs a family in its config")
+    where = args.certificate
+    doc = read_config_file(where, "certificate")
+    _check_document(doc, "flow-certificate", f"certificate {where}")
+    path = build_family_path(family, config.get("seed", 0))
+    expected = path_descriptor(family, path)
+    if doc.get("path") != expected:
+        raise CertificateBroken(
+            f"certificate path {json.dumps(doc.get('path'))} is not the config's "
+            f"{json.dumps(expected)}"
+        )
+    flow_certificate_from_document(doc).verify(path)
     return EXIT_OK
 
 
@@ -282,6 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--pairs", dest="concat_pairs", type=int, help="composable-pair cases")
     p_check.add_argument("--homotopies", type=int, help="homotopy cases")
     p_check.add_argument("--slices", type=int, help="slices per homotopy")
+
+    p_verify = sub.add_parser("verify", help="re-check a flow certificate against its config")
+    p_verify.add_argument("certificate", metavar="CERT", help="flow certificate (version 2 JSON)")
+    p_verify.add_argument("--config", metavar="FILE", required=True, help="JSON experiment config")
+    p_verify.set_defaults(handler=cmd_verify, blocks={})
     return parser
 
 
@@ -289,7 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_assemble_config(args), args)
+        config = _assemble_config(args)
+        if args.command != "verify":  # the one subcommand that writes no report
+            _make_out_dir(config)
+        return args.handler(config, args)
     except SpectralFlowError as exc:
         print(f"specflow: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, _CONFIG_ERRORS) else EXIT_COMPUTE

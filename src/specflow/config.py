@@ -8,8 +8,10 @@ linearly; both forms round-trip through JSON.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import numbers
+import struct
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -35,6 +37,7 @@ __all__ = [
     "flow_options_from_config",
     "build_family_path",
     "sampled_path",
+    "path_descriptor",
     "path_samples_to_json",
     "components_from_config",
     "DEFAULT_GLUE_BASE",
@@ -90,6 +93,18 @@ def _validate(doc: dict, name: str) -> None:
 _JSON_NUMBERS = frozenset({int, float})
 
 
+def _check_document(doc: dict, name: str, what: str) -> None:
+    """Check ``doc`` against the shipped schema ``name``.
+
+    A failure raises :class:`ConfigError`, naming ``what`` and where it fails.
+    """
+    try:
+        _validate(doc, name)
+    except jsonschema.ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"{what} invalid at {where}: {exc.message}") from exc
+
+
 def _is_number(value) -> bool:
     # jsonschema's own "number" rule, so numpy scalars pass too.
     return isinstance(value, numbers.Number) and not isinstance(value, bool)
@@ -127,29 +142,25 @@ def validate_config(config: dict) -> None:
     are checked here in one pass, after the schema; its shapes are checked
     when the path is built.
     """
-    try:
-        _validate(config, "experiment-config")
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    _check_document(config, "experiment-config", "config")
     family = config.get("family", {})
     if family.get("kind") == "sampled":
         _check_sampled_matrices(family["samples"])
 
 
-def read_config_file(path: str | Path) -> dict:
-    """Read and parse a config file without schema validation."""
+def read_config_file(path: str | Path, what: str = "config file") -> dict:
+    """Read and parse a JSON object without schema validation; ``what`` names the file in errors."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        config = json.loads(raw)
+        doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return config
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -227,6 +238,12 @@ def _matrix_to_json(entries: np.ndarray):
     return entries.tolist()
 
 
+class _SampledPath(_Reparametrized):
+    """A path built by :func:`sampled_path`; ``_knots`` keeps its ``(t, matrix)`` pairs as given."""
+
+    __slots__ = ("_knots",)
+
+
 def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     """Path through sampled operators with linear interpolation.
 
@@ -236,7 +253,8 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     real interval exports as real.  The gauge is the cumulative
     ``||M_{k+1} - M_k||_2`` (each segment's ``lipschitz``) across the
     knots, linear on each interval.  Like every composite, the path has no
-    ``lipschitz`` of its own.
+    ``lipschitz`` of its own.  The path keeps the knots' times and
+    matrices as given, unsymmetrized, for :func:`path_descriptor`.
     """
     if len(samples) < 2:
         raise ConfigError("sampled path needs at least two samples")
@@ -280,7 +298,30 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
         j, u = locate(params)
         return offsets[j] + norms[j] * u
 
-    return _Reparametrized(dim, route, gauge)
+    path = _SampledPath(dim, route, gauge)
+    path._knots = [(float(t), np.asarray(m)) for t, m in samples]
+    return path
+
+
+def path_descriptor(family: dict, path: OperatorPath) -> dict:
+    """The ``path`` block of a flow certificate for a validated family block and its built path.
+
+    A closed-form block is echoed as it stands.  A sampled block is named
+    by its dimension, its knot count and a sha256 of its numbers: for each
+    knot in order, ``t`` as a little-endian float64, then the matrix as
+    given (``real + 1j * imag``, or a real matrix with zero imaginary part)
+    as little-endian complex128 in C order.  So the digest depends on the
+    numbers, not on how the JSON spells them.  ``specflow flow`` writes this
+    block and ``specflow verify`` compares a certificate's against it.
+    """
+    if family.get("kind") != "sampled":
+        return family
+    digest = hashlib.sha256()
+    for t, matrix in path._knots:
+        digest.update(struct.pack("<d", t))
+        digest.update(np.ascontiguousarray(matrix, dtype="<c16"))
+    knots = len(path._knots)
+    return {"kind": "sampled", "dim": path.dim, "knots": knots, "sha256": digest.hexdigest()}
 
 
 def path_samples_to_json(path: OperatorPath, grid: int) -> dict:

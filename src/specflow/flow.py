@@ -146,9 +146,13 @@ class FlowCertificate:
         more than the interval's gauge step.  It replaced the rule that the
         margin exceed half the largest gauge step; every distance is at
         least the margin, so a certificate made under that rule still
-        verifies.  The fields did not change, so the certificate format is
-        still version 1, but an older ``specflow``, which still requires the
+        verifies, but an older ``specflow``, which still requires the
         margin, may reject a certificate made now.
+
+        ``specflow verify`` runs this check on a certificate read back from
+        its version 2 document (:func:`reporting.flow_certificate_from_document`),
+        once the document's ``path`` block names the path built from the
+        config.
         """
         opts = self.options
         times = self.times

@@ -9,20 +9,22 @@ are embedded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from .components import ComponentCertification, ComponentReport
-from .config import _validate
+from .config import ConfigError, _validate
 from .errors import CertificateBroken
-from .flow import FlowCertificate, FlowOptions
+from .flow import FlowCertificate, FlowOptions, SegmentWitness
 from .oracle import OracleResult
 from .paths import OperatorPath
 from .properties import PropertyReport
 
 __all__ = [
     "flow_certificate_document",
+    "flow_certificate_from_document",
     "component_report_document",
     "property_report_document",
     "validate_document",
@@ -40,6 +42,15 @@ def flow_certificate_document(
     path_descriptor: dict | None = None,
     oracle: OracleResult | None = None,
 ) -> dict:
+    """The version 2 flow-certificate document of ``cert``.
+
+    ``path_descriptor`` is the ``path`` block, which names the path the
+    certificate holds for; ``specflow flow`` passes
+    :func:`config.path_descriptor`, so a sampled path appears as its
+    dimension, knot count and sha256, not as its samples.  Version 1
+    echoed the samples; its documents must be regenerated to be verified.
+    :func:`flow_certificate_from_document` reads the certificate back.
+    """
     segments = []
     for w, (c_lo, c_hi) in zip(cert.witnesses, cert.counts):
         segments.append(
@@ -55,7 +66,7 @@ def flow_certificate_document(
             }
         )
     doc = {
-        "version": 1,
+        "version": 2,
         "kind": "flow-certificate",
         "flow": cert.flow,
         "times": list(cert.times),
@@ -72,6 +83,48 @@ def flow_certificate_document(
             "crossings": [asdict(r) for r in oracle.crossings],
         }
     return doc
+
+
+def flow_certificate_from_document(doc: dict) -> FlowCertificate:
+    """The certificate a schema-valid flow-certificate document records.
+
+    Witnesses, counts, flow and options are read as written; the ``path``
+    and ``oracle`` blocks are not.  The ``radii`` must repeat the segments'
+    radii, or :class:`CertificateBroken` is raised.  A radius or margin
+    that is not finite, or options :class:`FlowOptions` rejects, raise
+    :class:`ConfigError`.
+    """
+    segments = doc["segments"]
+    for i, seg in enumerate(segments):
+        for key in ("radius", "margin"):
+            if not math.isfinite(seg[key]):
+                raise ConfigError(
+                    f"certificate invalid at segments/{i}/{key}: {seg[key]!r} is not finite"
+                )
+    try:
+        options = FlowOptions(**doc["options"])
+    except ValueError as exc:
+        raise ConfigError(f"certificate invalid at options: {exc}") from exc
+    witnesses = tuple(
+        SegmentWitness(
+            t_lower=seg["t_lower"],
+            t_upper=seg["t_upper"],
+            radius=seg["radius"],
+            margin=seg["margin"],
+            grid=tuple(seg["witness_grid"]),
+            symmetric_count=seg["symmetric_count"],
+        )
+        for seg in segments
+    )
+    if doc["radii"] != [w.radius for w in witnesses]:
+        raise CertificateBroken("radii do not repeat the segments' radius")
+    return FlowCertificate(
+        times=tuple(doc["times"]),
+        witnesses=witnesses,
+        counts=tuple((seg["count_lower"], seg["count_upper"]) for seg in segments),
+        flow=doc["flow"],
+        options=options,
+    )
 
 
 def component_report_document(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import specflow.cli
@@ -250,6 +251,58 @@ class TestFlowCommand:
         assert main(["flow", "--family", "baer", "--m", "1", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert (out / "flow-certificate.json").read_text() == stdout
+
+    def test_sampled_stdout_stays_small(self, tmp_path, capsys):
+        # The samples take 0.44 MB as a certificate's echoed path block.
+        rng = np.random.default_rng(3)
+        samples = []
+        for t in (0.0, 0.5, 1.0):
+            a = rng.standard_normal((64, 64))
+            samples.append({"t": t, "matrix": (a + a.T).tolist()})
+        cfg = tmp_path / "sampled.json"
+        cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
+        out = tmp_path / "reports"
+        assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert len(stdout.encode()) < 100_000
+        assert (out / "flow-certificate.json").read_bytes() == stdout.encode()
+        assert json.loads(stdout)["path"]["knots"] == 3
+
+
+class TestUnusableOut:
+    """An ``--out`` that cannot be a directory exits 1 before any computation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["flow", "--family", "baer", "--m", "1"], ["components", "--k", "1"]],
+        ids=["flow", "components"],
+    )
+    def test_regular_file_exits_1_with_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        def computed(config):
+            pytest.fail("the command computed before it checked --out")
+
+        monkeypatch.setattr(specflow.cli, "_flow_options", computed)
+        target = tmp_path / "report"
+        target.write_text("a regular file\n")
+        assert main([*argv, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"specflow: ConfigError: cannot write reports to {target}: "
+            f"[Errno 17] File exists: '{target}'\n"
+        )
+        assert target.read_text() == "a regular file\n"
+
+    def test_directory_created_before_computing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "a" / "b"
+
+        def computed(config):
+            assert out.is_dir()
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(specflow.cli, "_flow_options", computed)
+        assert main(["flow", "--family", "baer", "--m", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "specflow: ConfigError: stop\n"
 
 
 _BAER = {"kind": "baer", "m": 1}
@@ -578,3 +631,178 @@ class TestDeterminism:
         assert quiet.stderr == ""
         assert "specflow " not in quiet.stdout
         assert "specflow " not in proc.stdout
+
+
+_VERIFY_SAMPLES = [
+    {"t": 0.0, "matrix": [[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]]},
+    {
+        "t": 0.5,
+        "matrix": {
+            "real": [[-1.0, 0.5, 0.125], [0.5, -1.0, 0.25], [0.125, 0.25, 2.0]],
+            "imag": [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        },
+    },
+    {"t": 1.0, "matrix": [[-2.0, 0.25, 0.0], [0.25, 1.5, 0.5], [0.0, 0.5, -1.0]]},
+]
+
+
+def _ulp_up(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+def _entry(config, doc):
+    config["family"]["samples"][2]["matrix"][1][1] = _ulp_up(1.5)
+
+
+def _knot_t(config, doc):
+    config["family"]["samples"][1]["t"] = _ulp_up(0.5)
+
+
+def _flow(config, doc):
+    doc["flow"] += 1
+
+
+def _margin(config, doc):
+    doc["segments"][0]["margin"] *= 1.1
+
+
+def _radius(config, doc):
+    doc["segments"][0]["radius"] *= 1.1
+    doc["radii"][0] = doc["segments"][0]["radius"]
+
+
+def _grid_point(config, doc):
+    grid = doc["segments"][0]["witness_grid"]
+    grid[1] = _ulp_up(grid[1])
+
+
+def _count(config, doc):
+    doc["segments"][0]["count_lower"] += 1
+
+
+def _witness_points(config, doc):
+    doc["options"]["witness_points"] = 5
+
+
+def _dim(config, doc):
+    doc["path"]["dim"] += 1
+
+
+class TestVerifyCommand:
+    """``specflow verify CERT --config CFG`` re-checks a flow certificate."""
+
+    def _certify(self, config: dict, tmp_path, capsys) -> tuple[dict, dict]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["flow", "--config", str(cfg)]) == 0
+        # A copy, so a test may tamper with it.
+        return json.loads(cfg.read_text()), json.loads(capsys.readouterr().out)
+
+    def _check(self, config: dict, doc: dict, tmp_path, capsys) -> tuple[int, str]:
+        cfg, cert = tmp_path / "verify-config.json", tmp_path / "cert.json"
+        cfg.write_text(json.dumps(config))
+        cert.write_text(json.dumps(doc))
+        code = main(["verify", str(cert), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_sampled_round_trip(self, tmp_path, capsys):
+        config, doc = self._certify(
+            {"family": {"kind": "sampled", "samples": _VERIFY_SAMPLES}}, tmp_path, capsys
+        )
+        assert doc["version"] == 2
+        assert set(doc["path"]) == {"kind", "dim", "knots", "sha256"}
+        assert self._check(config, doc, tmp_path, capsys) == (0, "")
+
+    def test_glue_oracle_round_trip_ignores_the_oracle_block(self, tmp_path, capsys):
+        assert main(["flow", "--family", "glue", "--m", "3", "--seed", "7", "--oracle"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        config = {"family": {"kind": "glue", "m": 3, "seed": 7}}
+        assert doc["path"] == config["family"]
+        assert self._check(config, doc, tmp_path, capsys) == (0, "")
+        doc["oracle"]["flow"] += 1
+        assert self._check(config, doc, tmp_path, capsys) == (0, "")
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_entry, "certificate path {"),
+            (_knot_t, "certificate path {"),
+            (_flow, "flow does not telescope over the recorded counts"),
+            (_margin, "segment [0.0, 0.125]: window margin violated at t=0.0"),
+            (_radius, "segment [0.0, 0.125]: window margin violated at t="),
+            (_grid_point, "segment [0.0, 0.125]: witness grid is not the 9-point grid"),
+            (_count, "count at t=0.0 drifted"),
+            (_witness_points, "segment [0.0, 0.125]: witness grid is not the 5-point grid"),
+            (_dim, "certificate path {"),
+        ],
+        ids=[
+            "entry", "knot-t", "flow", "margin", "radius", "grid-point", "count",
+            "witness-points", "dim",
+        ],
+    )
+    def test_tampering_exits_2(self, tamper, message, tmp_path, capsys):
+        config, doc = self._certify(
+            {"family": {"kind": "sampled", "samples": _VERIFY_SAMPLES}}, tmp_path, capsys
+        )
+        tamper(config, doc)
+        code, err = self._check(config, doc, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("specflow: CertificateBroken: " + message), err
+        assert err.count("\n") == 1
+
+    def test_path_mismatch_names_both_digests(self, tmp_path, capsys):
+        config, doc = self._certify(
+            {"family": {"kind": "sampled", "samples": _VERIFY_SAMPLES}}, tmp_path, capsys
+        )
+        old = doc["path"]["sha256"]
+        _entry(config, doc)
+        _, err = self._check(config, doc, tmp_path, capsys)
+        new = specflow.config.path_descriptor(
+            config["family"], specflow.config.build_family_path(config["family"])
+        )["sha256"]
+        assert old != new
+        assert old in err and new in err
+
+    def test_version_1_document_exits_1(self, tmp_path, capsys):
+        config, doc = self._certify(
+            {"family": {"kind": "sampled", "samples": _VERIFY_SAMPLES}}, tmp_path, capsys
+        )
+        # What version 1 wrote: the family block echoed as the path.
+        doc.update(version=1, path=config["family"])
+        code, err = self._check(config, doc, tmp_path, capsys)
+        assert code == 1
+        assert err == (
+            f"specflow: ConfigError: certificate {tmp_path / 'cert.json'} invalid at version: "
+            "2 was expected\n"
+        )
+
+    @pytest.mark.parametrize(
+        "block, key, message",
+        [
+            (("segments", 1), "margin", "segments/1/margin: nan is not finite"),
+            (("segments", 0), "radius", "segments/0/radius: inf is not finite"),
+            (("options",), "cluster_tol", "options: tolerances must be finite"),
+        ],
+        ids=["nan-margin", "inf-radius", "inf-tolerance"],
+    )
+    def test_non_finite_number_exits_1(self, block, key, message, tmp_path, capsys):
+        # json writes NaN and Infinity, and reads them back, but no window holds them.
+        config, doc = self._certify({"family": {"kind": "baer", "m": 1}}, tmp_path, capsys)
+        slot = doc
+        for part in block:
+            slot = slot[part]
+        slot[key] = float("nan") if "nan" in message else float("inf")
+        if key == "radius":
+            doc["radii"][0] = slot[key]
+        code, err = self._check(config, doc, tmp_path, capsys)
+        assert (code, err) == (1, f"specflow: ConfigError: certificate invalid at {message}\n")
+
+    def test_radii_must_repeat_the_segments(self, tmp_path, capsys):
+        config, doc = self._certify({"family": {"kind": "baer", "m": 1}}, tmp_path, capsys)
+        doc["radii"][0] *= 2
+        assert self._check(config, doc, tmp_path, capsys) == (
+            2,
+            "specflow: CertificateBroken: radii do not repeat the segments' radius\n",
+        )

@@ -5,7 +5,9 @@ reaches LAPACK and the output does not depend on the BLAS/LAPACK build.
 The sampled cases run ``flow --config`` on small dense paths; their
 digests were recorded with the OpenBLAS build that numpy 2.4.6 bundles.
 A change that alters one of these outputs on purpose updates its digest
-here and says so in CHANGES.md.
+here and says so in CHANGES.md.  Every flow-certificate digest changed
+when the document went to version 2 (a sampled ``path`` block became its
+digest); no flow, segment or count changed.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ GOLDEN = {
     "components --k 5 --ambient-dim 16 --seed 3": "2bfdc5185060eda691dbd125aec2dcfa98aa3c964a0c7339c1b4e319ee0cdb34",
     "components --k 8": "3385a13e039f01fd4f45a3579240d6ea62bb485066e3c8b95c6c9d2df67730e1",
     "components --k 20": "87e3e8be11490c58e913798f5d9169348393c59f342305a149029a115d2d13cc",
-    "flow --family glue --m 3 --seed 7 --oracle": "c3e5627644f41c4f4e77c6584b9dc27a5d6f6c1f25c876216b15cfa9ad865baa",
-    "flow --family circle --modes 4 --winding -2 --oracle --grid 64": "d212a5a882a1ef09ce3a2ce08566ff5a73b2524626d422cc98fe5ad9c67d8b70",
+    "flow --family glue --m 3 --seed 7 --oracle": "009bf00668205b3059dc55124d7b09d01734f128db1a3659e7f224177066af25",
+    "flow --family circle --modes 4 --winding -2 --oracle --grid 64": "12af25194e8610d6a3c587e4a5689e8f6c7b9d9d3648e74238dad724ca7d2d59",
     "spectrum --family baer --m 1": "0db02600cb2e5cac5227a3b76cac5caf5579554d42f254a50911f94b42614f1a",
 }
 
@@ -75,8 +77,8 @@ SAMPLED = {
 
 # (stdout sha256, matrices handed to eigvalsh)
 SAMPLED_GOLDEN = {
-    "real 3x3, three knots": ("c60ef516310af361ee59247b49fa8362e293cacc9835d9d145bb8191f255f09e", 65),
-    "complex 2x2, two knots": ("0b3cf16bdb5a9656c78b7c7e1ffe9f3fbccbc834dee29d0933a78b044b19cba1", 65),
+    "real 3x3, three knots": ("fbe31e5250388d117f5ecf927a380fdb75b4d4266f4faf811fd3c205ba4915c4", 65),
+    "complex 2x2, two knots": ("dbef8c3e2db48946f26f5dce8d170e3bd77ed937bbcb95378bef646811aa8530", 65),
 }
 
 
@@ -169,13 +171,13 @@ PATH_ALGEBRA = {
 }
 
 PATH_ALGEBRA_GOLDEN = {
-    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "fbaf3be6f8dc1dc18999e6b74990c65c9b0549d86cda9b7156d88019253b489c",
-    "concat(baer, reverse(baer)) certificate": "3bcaf5801569c02b9b3bb8a7f90d26b47498143be2f2b062a965c1994436d30f",
-    "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "f4fdfd043ea0822c94f6f88e94552d484a70f98c648e2c94af98b94df4516c97",
-    "add(baer, bump) certificate, coarse": "562b3e1a5937e6ea02821cdb6b2aa9b9d1507a5134707dd24bfbb1e208bbb218",
-    "affine_homotopy(sum, reparametrize(sum)).slice_at(0.0) certificate, coarse": "562b3e1a5937e6ea02821cdb6b2aa9b9d1507a5134707dd24bfbb1e208bbb218",
-    "affine_homotopy(sum, reparametrize(sum)).slice_at(1.0) certificate, coarse": "593a81a9bbf6709144d25092a4d90301088d0b37d028de42a92cb6ad38c18c93",
-    "reparametrize(no-gauge path, lipschitz=8) certificate, coarse": "9985527806d6f668c3c84a2a32177b89454d93e254d023255caacff1861d539e",
+    "circle_family(4, -2) certificate, witness_points=3, init_samples=2": "0e29b350ff934ed7caa9061ce54670b91c89a150c7e48e5e317d80b658da38bb",
+    "concat(baer, reverse(baer)) certificate": "594ae21502978376c418beddedea9589b941b12942baafbf899207229c38e027",
+    "affine_homotopy(glue, reparametrize(glue)).slice_at(0.3) certificate": "a081d51a76701b168fec113e2c1b9f977770eb251f7876764c4a5224243e4c78",
+    "add(baer, bump) certificate, coarse": "bbba376752237710270bfedd80f09e9744bb73e010846ef4bf059fcc6bb4b795",
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(0.0) certificate, coarse": "bbba376752237710270bfedd80f09e9744bb73e010846ef4bf059fcc6bb4b795",
+    "affine_homotopy(sum, reparametrize(sum)).slice_at(1.0) certificate, coarse": "97ff977f053d33d83f7ded20e4e536f13f371add5812fed9b8aca472008b46e1",
+    "reparametrize(no-gauge path, lipschitz=8) certificate, coarse": "3b54fb589580c8f8f578158f830ed010d4fd946aeba6164c129eb51ae3676a7f",
     "connector-branch ledger": "7cf635dd5a741db9b3e3ec12312064e641a89b61f02424f0b8339c84904805f9",
 }
 
@@ -216,8 +218,8 @@ DTYPE_TRAPS = {
 }
 
 DTYPE_TRAPS_GOLDEN = {
-    "sampled knots real, real, complex, real": "29908ac176ddbf03b6d453389011196e251cc4503204447bf9affd9e3484f686",
-    "sampled knots at 1e-13 and 1 - 1e-13": "1c49dbb2c06ea3a597f83e0375ded9fdb77b8ab0ac0cf95d6f4e80af182384eb",
+    "sampled knots real, real, complex, real": "82c0ab6f31820c327cb02f876baca568889f0680ff6912f9bde7fb65c4367f2e",
+    "sampled knots at 1e-13 and 1 - 1e-13": "232f41958b83c99c5a747706594aae5665c4ee9f5f453c57c2fd67547f98fbff",
 }
 
 

@@ -7,6 +7,8 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from specflow.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -43,3 +45,26 @@ def test_cli_flow_example(capsys):
     flow = json.loads(capsys.readouterr().out)["flow"]
     assert f"(flow = {flow})" in comment
     assert flow == 4
+
+
+def test_sampled_digest_recipe(tmp_path, monkeypatch, capsys):
+    # The recipe recomputes the digest from the config file with numpy and
+    # hashlib alone; its last line is the certificate's path.sha256.
+    rng = np.random.default_rng(5)
+    samples = []
+    for t in (0, 0.25, 1):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = a + a.conj().T
+        samples.append({"t": t, "matrix": {"real": h.real.tolist(), "imag": h.imag.tolist()}})
+    samples[1]["matrix"] = [[1, 0, 0, 0], [0, -2.5, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]]
+    (tmp_path / "experiment.json").write_text(
+        json.dumps({"family": {"kind": "sampled", "samples": samples}})
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["flow", "--config", "experiment.json"]) == 0
+    path = json.loads(capsys.readouterr().out)["path"]
+    *body, last = _block("Sampled certificates", "python")
+    namespace: dict = {}
+    exec("\n".join(body), namespace)
+    assert eval(last.partition("#")[0], namespace) == path["sha256"]
+    assert path == {"kind": "sampled", "dim": 4, "knots": 3, "sha256": path["sha256"]}

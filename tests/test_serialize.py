@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -23,6 +24,7 @@ from specflow.config import (
     ConfigError,
     build_family_path,
     load_schema,
+    path_descriptor,
     path_samples_to_json,
     sampled_path,
     validate_config,
@@ -44,7 +46,7 @@ class TestDocuments:
         cert = spectral_flow(baer_family(BaerFamilySpec(m=2)))
         doc = flow_certificate_document(cert, path_descriptor={"kind": "baer", "m": 2})
         validate_document(doc)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["kind"] == "flow-certificate"
         assert doc["flow"] == 3
         assert len(doc["segments"]) == len(doc["radii"])
@@ -317,6 +319,111 @@ class TestSampledPaths:
     def test_times_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
             sampled_path([(0.0, np.eye(2)), (0.0, np.eye(2)), (1.0, np.eye(2))])
+
+
+_DIGEST_SAMPLES = [
+    {"t": 0.0, "matrix": [[1.0, 0.5], [0.5, -2.0]]},
+    {"t": 0.375, "matrix": {"real": [[-1.0, 0.25], [0.25, 3.0]], "imag": [[0.0, 0.5], [-0.5, 0.0]]}},
+    {"t": 1.0, "matrix": [[2.0, 0.0], [0.0, -1.0]]},
+]
+
+
+def _digest(text: str) -> str:
+    family = json.loads(text)["family"]
+    return path_descriptor(family, build_family_path(family))["sha256"]
+
+
+def _text(samples, **dumps) -> str:
+    return json.dumps({"family": {"kind": "sampled", "samples": samples}}, **dumps)
+
+
+def _ulp(samples, at):
+    """A deep copy of ``samples`` with the float at key path ``at`` one ulp larger."""
+    copy = json.loads(json.dumps(samples))
+    *where, last = at
+    slot = copy
+    for key in where:
+        slot = slot[key]
+    slot[last] = float(np.nextafter(slot[last], np.inf))
+    return copy
+
+
+class TestSampledDigest:
+    """A sampled path is named by a sha256 of its numbers, not of their JSON spelling."""
+
+    def test_descriptor_fields(self):
+        family = json.loads(_text(_DIGEST_SAMPLES))["family"]
+        block = path_descriptor(family, build_family_path(family))
+        assert list(block) == ["kind", "dim", "knots", "sha256"]
+        assert (block["kind"], block["dim"], block["knots"]) == ("sampled", 2, 3)
+
+    def test_closed_form_block_echoed(self):
+        family = {"kind": "baer", "m": 2}
+        assert path_descriptor(family, build_family_path(family)) is family
+
+    def test_same_numbers_same_digest(self):
+        base = _digest(_text(_DIGEST_SAMPLES))
+        # Whitespace.
+        assert _digest(_text(_DIGEST_SAMPLES, indent=3)) == base
+        assert _digest(_text(_DIGEST_SAMPLES, separators=(",", ":"))) == base
+        # Key order: "imag" before "real", "matrix" before "t".
+        reordered = json.loads(
+            _text(_DIGEST_SAMPLES), object_pairs_hook=lambda pairs: dict(reversed(pairs))
+        )
+        assert list(reordered["family"]["samples"][1]) == ["matrix", "t"]
+        assert _digest(json.dumps(reordered)) == base
+        # 1 against 1.0.
+        text = _text(_DIGEST_SAMPLES)
+        integral = text
+        for whole in ("0", "1", "2", "3"):
+            integral = integral.replace(f"{whole}.0", whole)
+        assert integral.count(".") == text.count(".") - 12
+        assert _digest(integral) == base
+        # A real list against {real, imag: zeros}.
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        complexified = [
+            {**s, "matrix": {"real": s["matrix"], "imag": zeros}} if k != 1 else s
+            for k, s in enumerate(_DIGEST_SAMPLES)
+        ]
+        assert _digest(_text(complexified)) == base
+
+    @pytest.mark.parametrize(
+        "at",
+        [(0, "matrix", 1, 1), (1, "matrix", "imag", 0, 1), (2, "matrix", 0, 0), (1, "t")],
+        ids=["real-entry", "imag-entry", "diagonal-entry", "knot-t"],
+    )
+    def test_one_ulp_changes_the_digest(self, at):
+        assert _digest(_text(_ulp(_DIGEST_SAMPLES, at))) != _digest(_text(_DIGEST_SAMPLES))
+
+    def test_flow_document_carries_the_descriptor(self, tmp_path, capsys):
+        cfg = tmp_path / "sampled.json"
+        cfg.write_text(_text(_DIGEST_SAMPLES))
+        assert main(["flow", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == 2
+        assert doc["path"]["sha256"] == _digest(cfg.read_text())
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ({"kind": "sampled", "dim": 2, "knots": 3}, "'sha256' is a required property"),
+            ({"kind": "sampled", "dim": 2, "knots": 3, "sha256": "ab" * 31}, "does not match"),
+            ({"kind": "sampled", "dim": 2, "knots": 3, "sha256": "AB" * 32}, "does not match"),
+            ({"kind": "sampled", "dim": 2, "knots": 3, "sha256": "g" * 64}, "does not match"),
+            (
+                {"kind": "sampled", "dim": 2, "knots": 3, "sha256": "ab" * 32, "samples": []},
+                "Additional properties are not allowed ('samples' was unexpected)",
+            ),
+            ({"kind": "sampled", "samples": _DIGEST_SAMPLES}, "is a required property"),
+        ],
+        ids=["no-sha256", "short", "upper-case", "non-hex", "samples-kept", "version-1-block"],
+    )
+    def test_schema_rejects_bad_sampled_descriptors(self, path, where):
+        doc = flow_certificate_document(spectral_flow(baer_family(BaerFamilySpec(m=1))), path)
+        good = {"kind": "sampled", "dim": 2, "knots": 3, "sha256": "ab" * 32}
+        validate_document({**doc, "path": good})
+        with pytest.raises(jsonschema.ValidationError, match=re.escape(where)):
+            validate_document(doc)
 
 
 class TestSpectrumCsv:
