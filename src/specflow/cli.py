@@ -218,14 +218,15 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
             raise ConfigError(f"oracle grid must be at least {_MIN_GRID}, got {grid!r}")
         # The oracle repeats its run on the doubled grid.
         _check_alloc(2 * grid + 1, f"grid {grid}")
-    path = build_family_path(family, config.get("seed", 0))
+    seed = config.get("seed", 0)
+    path = build_family_path(family, seed)
     cert = spectral_flow(path, options)
     oracle = oracle_flow(path, grid=grid) if args.oracle else None
     if oracle is not None and oracle.flow != cert.flow:
         raise CertificateBroken(
             f"oracle flow {oracle.flow} disagrees with the certified flow {cert.flow}"
         )
-    doc = flow_certificate_document(cert, path_descriptor(family, path), oracle)
+    doc = flow_certificate_document(cert, path_descriptor(family, path, seed), oracle)
     validate_document(doc)
     _emit(dumps_document(doc), config, "flow-certificate.json")
     return EXIT_OK
@@ -245,8 +246,9 @@ def cmd_verify(config: dict, args: argparse.Namespace) -> int:
     where = args.certificate
     doc = read_config_file(where, "certificate")
     _check_document(doc, "flow-certificate", f"certificate {where}")
-    path = build_family_path(family, config.get("seed", 0))
-    expected = path_descriptor(family, path)
+    seed = config.get("seed", 0)
+    path = build_family_path(family, seed)
+    expected = path_descriptor(family, path, seed)
     if doc.get("path") != expected:
         raise CertificateBroken(
             f"certificate path {json.dumps(doc.get('path'))} is not the config's "

@@ -303,10 +303,13 @@ def sampled_path(samples: list[tuple[float, np.ndarray]]) -> OperatorPath:
     return path
 
 
-def path_descriptor(family: dict, path: OperatorPath) -> dict:
+def path_descriptor(family: dict, path: OperatorPath, default_seed: int = 0) -> dict:
     """The ``path`` block of a flow certificate for a validated family block and its built path.
 
-    A closed-form block is echoed as it stands.  A sampled block is named
+    A closed-form block is echoed as it stands, and a ``random`` or
+    ``glue`` block without a ``seed`` gains the seed its path was built
+    with, ``default_seed`` as :func:`build_family_path` takes it, so a
+    certificate names the path it certifies.  A sampled block is named
     by its dimension, its knot count and a sha256 of its numbers: for each
     knot in order, ``t`` as a little-endian float64, then the matrix as
     given (``real + 1j * imag``, or a real matrix with zero imaginary part)
@@ -314,7 +317,10 @@ def path_descriptor(family: dict, path: OperatorPath) -> dict:
     numbers, not on how the JSON spells them.  ``specflow flow`` writes this
     block and ``specflow verify`` compares a certificate's against it.
     """
-    if family.get("kind") != "sampled":
+    kind = family.get("kind")
+    if kind in ("random", "glue") and "seed" not in family:
+        return {**family, "seed": default_seed}
+    if kind != "sampled":
         return family
     digest = hashlib.sha256()
     for t, matrix in path._knots:

@@ -8,10 +8,17 @@ real spectrum.  A diagonal operator is its own eigendecomposition: its
 spectrum is its sorted diagonal, and its dense entries are built only when
 something reads them.  Paths never build operator objects to solve:
 they check whole stacks (:func:`_ingest_stack`, :func:`_ingest_diagonal`)
-and solve them with :func:`_spectrum_rows`.
+and solve them with :func:`_spectrum_rows` or, a stream of stacks at a
+time, :func:`_spectra`.  Every eigensolve goes through
+:func:`_solve_spectrum`, which overlaps the LAPACK calls of large matrices
+on solver threads when BLAS leaves CPUs idle.
 """
 
 from __future__ import annotations
+
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -40,9 +47,75 @@ DEFAULT_MIN_MARGIN = 1e-6
 STACK_BYTES = 1 << 18
 
 
+# numpy holds the GIL through an eigvalsh call that returns at most this
+# many eigenvalues, so such a call cannot overlap another.
+GIL_HELD_EIGENVALUES = 500
+# Matrices below this dimension are solved on the calling thread alone:
+# their solves are too short to pay for a hand-off.
+POOL_MIN_DIM = 32
+
+
+def _solver_threads() -> int:
+    """Solver threads: the usable CPUs over the threads each BLAS call takes, at least 1.
+
+    BLAS threads are read as OpenBLAS reads them: ``OPENBLAS_NUM_THREADS``,
+    then ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, a value that is
+    not a positive integer being skipped; without one, BLAS takes every
+    CPU and there is no CPU left for a second solve.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return cpus // min(blas, cpus)
+    return 1
+
+
+_WORKERS = _solver_threads()
+_POOL = None
+
+
+def _pool():
+    """The solver thread pool, created on first use with ``_WORKERS`` threads."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: startup stays lean
+
+        _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="specflow-solver")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads.
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pooled(dim: int) -> bool:
+    """Whether stacks of dimension ``dim`` take the pooled route of :func:`_solve_spectrum`."""
+    return _WORKERS > 1 and dim >= POOL_MIN_DIM
+
+
 def stack_chunk(dim: int) -> int:
-    """Matrices of dimension ``dim`` per stacked call (at least 1)."""
-    return max(1, STACK_BYTES // (16 * dim * dim))
+    """Matrices of dimension ``dim`` per stacked call (at least 1).
+
+    On the pooled route a call holds more than ``GIL_HELD_EIGENVALUES``
+    eigenvalues, so it runs without the GIL.
+    """
+    chunk = max(1, STACK_BYTES // (16 * dim * dim))
+    if _pooled(dim):
+        chunk = max(chunk, GIL_HELD_EIGENVALUES // dim + 1)
+    return chunk
 
 
 def _at(ts, i: int) -> str:
@@ -77,8 +150,12 @@ def _ingest_stack(stack, ts=None) -> np.ndarray:
             f"matrix is not self-adjoint: asymmetry {asym[i]:.3e} exceeds "
             f"{HERMITICITY_RTOL:.0e} * norm ({scale[i]:.3e})" + _at(ts, i)
         )
-    with np.errstate(over="ignore"):
-        h = (a + adjoint) / 2
+    # Complex entries that overflow also divide inf by 2 as inf * 0 = nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = a + adjoint
+        del adjoint
+        # In place, and the ufunc of ``/ 2``: `*= 0.5` flips signs of zero in complex entries.
+        h /= 2
     overflow = ~np.isfinite(h).all(axis=(-2, -1))
     if overflow.any():
         i = int(np.argmax(overflow))
@@ -120,26 +197,71 @@ def _common_kind(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
     return stacks
 
 
+def _dense_parts(stack: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """The eigensolves of a checked dense stack: ``(real, parts)``.
+
+    A matrix whose imaginary part is exactly zero is solved as real, the
+    others as complex, one stacked eigensolve each, so a row depends on its
+    matrix's values alone, never on the dtype of the stack that holds it.
+    When the stack mixes the two, ``real`` masks the real matrices and the
+    parts are they, then the others; else ``real`` is ``None`` and the one
+    part is the whole stack.
+    """
+    if np.iscomplexobj(stack):
+        real = ~stack.imag.any(axis=(-2, -1))
+        if real.all():
+            return None, [stack.real]
+        if real.any():
+            return real, [stack[real].real, stack[~real]]
+    return None, [stack]
+
+
+def _assemble_rows(real: np.ndarray | None, solved: Iterator[np.ndarray]) -> np.ndarray:
+    """Sorted rows of a dense stack from the eigenvalues of its parts, read off ``solved``."""
+    if real is None:
+        return _sorted_rows(next(solved))
+    real_rows, other_rows = next(solved), next(solved)
+    rows = np.empty((real.size, real_rows.shape[1]))
+    rows[real], rows[~real] = real_rows, other_rows
+    return _sorted_rows(rows)
+
+
 def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue rows ``(n, d)`` of a checked stack, read-only.
 
-    Diagonal rows ``(n, d)`` are their own spectra and are only sorted.  A
-    dense stack ``(n, d, d)`` is solved as real where a matrix's imaginary
-    part is exactly zero and as complex elsewhere, one stacked eigensolve
-    each, so a row depends on its matrix's values alone, never on the
-    dtype of the stack that holds it.
+    Diagonal rows ``(n, d)`` are their own spectra and are only sorted; a
+    dense stack ``(n, d, d)`` is solved by its :func:`_dense_parts`.
     """
     if stack.ndim == 2:
         return _sorted_rows(stack)
-    if np.iscomplexobj(stack):
-        real = ~stack.imag.any(axis=(-2, -1))
-        if real.any():
-            rows = np.empty(stack.shape[:2])
-            rows[real] = _solve_spectrum(stack[real].real)
-            if not real.all():
-                rows[~real] = _solve_spectrum(stack[~real])
-            return _sorted_rows(rows)
-    return _sorted_rows(_solve_spectrum(stack))
+    real, parts = _dense_parts(stack)
+    return _assemble_rows(real, iter(_solve_spectrum(parts)))
+
+
+def _spectra(stacks: Iterable[np.ndarray], dim: int) -> Iterator[np.ndarray]:
+    """:func:`_spectrum_rows` of every checked stack of dimension ``dim`` in ``stacks``, in order.
+
+    ``stacks`` is drawn lazily.  Off the pooled route (:func:`_pooled`) a
+    stack's rows come before the next stack is drawn.  On it, the dense
+    parts of every stack go through one :func:`_solve_spectrum` call, so
+    later stacks are built while earlier ones solve, and the rows come
+    once every stack is solved.
+    """
+    if not _pooled(dim):
+        return map(_spectrum_rows, stacks)
+    layout = []  # per stack: (its sorted diagonal rows, None) or (None, its real mask)
+
+    def parts() -> Iterator[np.ndarray]:
+        for stack in stacks:
+            if stack.ndim == 2:
+                layout.append((_sorted_rows(stack), None))
+                continue
+            real, split = _dense_parts(stack)
+            layout.append((None, real))
+            yield from split
+
+    solved = iter(_solve_spectrum(parts()))
+    return iter([_assemble_rows(real, solved) if rows is None else rows for rows, real in layout])
 
 
 class SelfAdjointOperator:
@@ -255,7 +377,7 @@ def _sorted_rows(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _solve_spectrum(entries: np.ndarray) -> np.ndarray:
+def _eigvalsh(entries: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack ``(n, d, d)`` of Hermitian matrices, one LAPACK call."""
     try:
         return np.linalg.eigvalsh(entries)
@@ -266,3 +388,51 @@ def _solve_spectrum(entries: np.ndarray) -> np.ndarray:
             f"dense Hermitian eigensolver failed to converge: dim={dim}, "
             f"max|entry|={norm:.3e} ({exc})"
         ) from exc
+
+
+def _solve_spectrum(stacks: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """Eigenvalues of every dense Hermitian stack ``(n, d, d)`` in ``stacks``, in order.
+
+    The one eigensolve boundary.  ``stacks`` is drawn on the calling
+    thread, one stack at a time and in order, so each stack's build, its
+    ingest and their errors happen there.  Off the pooled route
+    (:func:`_pooled` of the first stack's dimension) each stack is solved
+    before the next is drawn.  On it, each stack is handed to
+    ``numpy.linalg.eigvalsh`` on a solver thread once drawn, and the next
+    is drawn while it solves, with at most ``_WORKERS`` stacks alive.  A
+    solver thread runs nothing but ``eigvalsh`` on a stack no one writes,
+    and a matrix's eigenvalues depend on it alone, so both routes return
+    the same bits.  Both raise the error the serial order meets first (an
+    eigensolver error before a later stack's build error), and neither
+    leaves a solve running.
+    """
+    stacks = iter(stacks)
+    first = next(stacks, None)
+    if first is None:
+        return []
+    if not _pooled(first.shape[-1]):
+        return [_eigvalsh(first), *map(_eigvalsh, stacks)]
+    from concurrent.futures import wait
+
+    pool = _pool()
+    pending = deque([pool.submit(_eigvalsh, first)])
+    del first
+    solved = []
+    try:
+        while True:
+            if len(pending) >= _WORKERS:
+                solved.append(pending.popleft().result())
+            try:
+                stack = next(stacks, None)
+            except BaseException:
+                # The stacks drawn before this one are solved first in serial order.
+                for future in pending:
+                    future.result()
+                raise
+            if stack is None:
+                break
+            pending.append(pool.submit(_eigvalsh, stack))
+        solved.extend(future.result() for future in pending)
+        return solved
+    finally:
+        wait(pending)

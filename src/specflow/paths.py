@@ -29,7 +29,7 @@ from .operators import (
     _common_kind,
     _ingest_diagonal,
     _ingest_stack,
-    _spectrum_rows,
+    _spectra,
     stack_chunk,
 )
 
@@ -181,9 +181,9 @@ class OperatorPath:
     def _solve(self, ts: list[float]) -> None:
         """Cache the rows at ``ts``: build and solve a chunk at a time, keep only the rows."""
         step = stack_chunk(self._dim)
-        for i in range(0, len(ts), step):
-            chunk = ts[i : i + step]
-            self._cache.update(zip(chunk, _spectrum_rows(self._build_chunk(chunk))))
+        chunks = [ts[i : i + step] for i in range(0, len(ts), step)]
+        for chunk, rows in zip(chunks, _spectra(map(self._build_chunk, chunks), self._dim)):
+            self._cache.update(zip(chunk, rows))
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"
@@ -281,7 +281,10 @@ def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     diagonals.
     """
     wd = w.reshape(w.shape + (1,) * (x.ndim - 1))
-    return (1.0 - wd) * x + wd * y
+    # One buffer: the bits of ``(1 - wd) * x + wd * y``, which casts a real x to y's dtype.
+    out = ((1.0 - wd) * x).astype(np.result_type(x, y), copy=False)
+    out += wd * y
+    return out
 
 
 class _Segment(OperatorPath):
@@ -322,14 +325,19 @@ def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]
             groups.setdefault((seg.dim, seg._ends[0].ndim), []).append(k)
     for (dim, _), members in groups.items():
         step = stack_chunk(dim)
-        for i in range(0, len(members), step):
-            chunk = members[i : i + step]
-            ws = [ts[k] for k in chunk]
-            x, y = (np.concatenate(side) for side in zip(*(segments[k]._ends for k in chunk)))
-            built = _checked_build(_blend(np.array(ws), x, y), ws, dim)
-            for k, w, row in zip(chunk, ws, _spectrum_rows(built)):
-                segments[k]._cache[w] = row
+        chunks = [members[i : i + step] for i in range(0, len(members), step)]
+        built = (_blended_chunk(segments, ts, chunk, dim) for chunk in chunks)
+        for chunk, rows in zip(chunks, _spectra(built, dim)):
+            for k, row in zip(chunk, rows):
+                segments[k]._cache[ts[k]] = row
     return [seg._cache[t] for seg, t in zip(segments, ts)]
+
+
+def _blended_chunk(segments: list[_Segment], ts: list[float], chunk: list[int], dim: int):
+    """The checked stack of ``segments[k]`` at ``ts[k]`` for every ``k`` in ``chunk``."""
+    ws = [ts[k] for k in chunk]
+    x, y = (np.concatenate(side) for side in zip(*(segments[k]._ends for k in chunk)))
+    return _checked_build(_blend(np.array(ws), x, y), ws, dim)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:

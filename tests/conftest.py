@@ -4,6 +4,7 @@ independent of the engine."""
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,17 +20,23 @@ settings.load_profile("numeric")
 
 
 class _CountingEigvalsh:
-    """Counts the matrices handed to ``numpy.linalg.eigvalsh``, stacked or not."""
+    """Counts the matrices handed to ``numpy.linalg.eigvalsh``, stacked or not.
+
+    Solver threads call it concurrently, so the counts are updated under a lock.
+    """
 
     def __init__(self, original):
         self.original = original
         self.calls = 0
         self.matrices = 0
+        self._lock = threading.Lock()
 
     def __call__(self, a, *args, **kwargs):
         arr = np.asarray(a)
-        self.calls += 1
-        self.matrices += 1 if arr.ndim == 2 else math.prod(arr.shape[:-2])
+        stacked = 1 if arr.ndim == 2 else math.prod(arr.shape[:-2])
+        with self._lock:
+            self.calls += 1
+            self.matrices += stacked
         return self.original(a, *args, **kwargs)
 
 

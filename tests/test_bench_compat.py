@@ -8,7 +8,9 @@ one, and three CLI runs must still succeed with every path build seen.
 Paths whose gauge is not ``L t`` (a sampled config, a warp and every
 other composite, which sets its gauge after the wrapped constructor
 returns) must certify byte for byte as they do untraced, so the wrapped
-constructor keeps every gauge.
+constructor keeps every gauge.  A 64-dim sampled config, run with BLAS
+pinned to one thread, takes the pooled eigensolve route: its spans must
+still nest strictly, which shows that none was opened on a solver thread.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
-# argv: the tracer's file, or "" to run untraced, and a sampled config file.
+# argv: the tracer's file, or "" to run untraced, then sampled config files.
+# A traced run also reports whether every span lies inside its parent's interval.
 PARITY_SCRIPT = """
 import contextlib, importlib.util, io, json, sys
 if sys.argv[1]:
@@ -58,10 +61,14 @@ if sys.argv[1]:
 import numpy as np
 import specflow as sf
 import specflow.cli
+from specflow import operators
 from specflow.reporting import dumps_document, flow_certificate_document
-sampled = io.StringIO()
-with contextlib.redirect_stdout(sampled):
-    code = specflow.cli.main(["flow", "--config", sys.argv[2]])
+codes, sampled = [], []
+for config in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(specflow.cli.main(["flow", "--config", config]))
+    sampled.append(out.getvalue())
 a = sf.random_family(5, 0)
 xs, ys = [0.0, 0.5, 0.5 + 1 / 900, 1.0], [0.0, 1 / 3, 2 / 3, 1.0]
 warped = sf.reparametrize(a, lambda t: float(np.interp(t, xs, ys)), lipschitz=300 * a.lipschitz)
@@ -77,14 +84,30 @@ paths = {
 }
 certs = {name: dumps_document(flow_certificate_document(sf.spectral_flow(path)))
          for name, path in paths.items()}
-print(json.dumps({"code": code, "sampled": sampled.getvalue(), "certificates": certs}))
+result = {"codes": codes, "sampled": sampled, "certificates": certs,
+          "pooled": operators._POOL is not None}
+if sys.argv[1]:
+    cols = tracer.columns()
+    start, end, parent = cols["start"], cols["end"], cols["parent"]
+    child = parent >= 0
+    result["nested"] = bool(
+        child.any()
+        and (start[parent[child]] <= start[child]).all()
+        and (end[child] <= end[parent[child]]).all()
+    )
+print(json.dumps(result))
 """
 
 
-def _run(script: str, *args: str) -> dict:
-    """The JSON line ``script`` prints last, run with ``args`` in a child process."""
+def _run(script: str, *args: str, blas_threads: str | None = None) -> dict:
+    """The JSON line ``script`` prints last, run with ``args`` in a child process.
+
+    ``blas_threads`` pins ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``.
+    """
     env = dict(os.environ)
     env.pop("SPECFLOW_LOG", None)
+    if blas_threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # -B: loading the tracer must not write bytecode next to it.
     proc = subprocess.run(
@@ -115,7 +138,19 @@ def test_traced_gauged_paths_certify_as_untraced(tmp_path):
         samples.append({"t": t, "matrix": ((g + g.T) / 2).tolist()})
     cfg = tmp_path / "sampled.json"
     cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": samples}}))
-    untraced = _run(PARITY_SCRIPT, "", str(cfg))
-    traced = _run(PARITY_SCRIPT, str(ROOT / "bench" / "tracing.py"), str(cfg))
-    assert untraced["code"] == 0
+    # 64-dim knots: the pooled route when two CPUs are usable.
+    dense = []
+    for t in (0.0, 0.4, 1.0):
+        g = rng.standard_normal((64, 64))
+        dense.append({"t": t, "matrix": ((g + g.T) / 2).tolist()})
+    dense_cfg = tmp_path / "sampled-64.json"
+    dense_cfg.write_text(json.dumps({"family": {"kind": "sampled", "samples": dense}}))
+    configs = (str(cfg), str(dense_cfg))
+    untraced = _run(PARITY_SCRIPT, "", *configs, blas_threads="1")
+    traced = _run(PARITY_SCRIPT, str(ROOT / "bench" / "tracing.py"), *configs, blas_threads="1")
+    assert untraced["codes"] == [0, 0]
+    assert traced.pop("nested")
     assert traced == untraced
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus > 1:
+        assert untraced["pooled"]

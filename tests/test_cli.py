@@ -725,6 +725,25 @@ class TestVerifyCommand:
         assert self._check(config, doc, tmp_path, capsys) == (0, "")
 
     @pytest.mark.parametrize(
+        "family", [{"kind": "random", "dim": 4}, {"kind": "glue", "m": 1}], ids=["random", "glue"]
+    )
+    def test_path_records_the_top_level_seed(self, family, tmp_path, capsys):
+        # The family block sets no seed, so the config's top-level one builds the path.
+        config, doc = self._certify({"family": family, "seed": 3}, tmp_path, capsys)
+        assert doc["path"] == {**family, "seed": 3}
+        assert self._check(config, doc, tmp_path, capsys) == (0, "")
+        code, err = self._check({**config, "seed": 4}, doc, tmp_path, capsys)
+        assert code == 2
+        assert err == (
+            f"specflow: CertificateBroken: certificate path {json.dumps({**family, 'seed': 3})} "
+            f"is not the config's {json.dumps({**family, 'seed': 4})}\n"
+        )
+
+    def test_unseeded_path_records_seed_0(self, tmp_path, capsys):
+        _, doc = self._certify({"family": {"kind": "random", "dim": 3}}, tmp_path, capsys)
+        assert doc["path"] == {"kind": "random", "dim": 3, "seed": 0}
+
+    @pytest.mark.parametrize(
         "tamper, message",
         [
             (_entry, "certificate path {"),

@@ -66,6 +66,50 @@ class TestIngestion:
         assert op.entries.tolist() == a.tolist()
 
 
+def _old_symmetrization(a: np.ndarray) -> np.ndarray:
+    """``(A + A^H) / 2`` as one expression: the bits the in-place ingest must reproduce."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
+
+
+class TestSymmetrizationBits:
+    """Ingest halves ``A + A^H`` in place, with the bits of the old out-of-place formula."""
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-300, max_value=300),
+        st.booleans(),
+    )
+    def test_bits_of_the_old_formula(self, dim, seed, exponent, complex_entries):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        # Hermitian up to relative noise of 1e-15, so the halving rounds.
+        a = (g + g.conj().T) * (1 + 1e-15 * rng.standard_normal((dim, dim))) * 10.0**exponent
+        assert SelfAdjointOperator(a).entries.tobytes() == _old_symmetrization(a).tobytes()
+
+    def test_signed_zeros_of_complex_entries(self):
+        # Complex division by 2 turns a real part -0 with a positive imaginary
+        # part into +0, where multiplying by 0.5 keeps -0.
+        a = np.array([[1.0, complex(-0.0, 1.0)], [complex(-0.0, -1.0), complex(2.0, -0.0)]])
+        assert SelfAdjointOperator(a).entries.tobytes() == _old_symmetrization(a).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e307, 8e307, 9e307, 1e308])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_overflow_exactly_where_the_old_formula_overflows(self, scale, complex_entries):
+        off = scale * (1 + 1j) if complex_entries else scale
+        a = np.array([[scale, off], [np.conj(off), 1.0]])
+        old = _old_symmetrization(a)
+        if np.isfinite(old).all():
+            assert SelfAdjointOperator(a).entries.tobytes() == old.tobytes()
+        else:
+            overflow = r"^operator entries overflow float64 when symmetrized"
+            with pytest.raises(ValueError, match=overflow):
+                SelfAdjointOperator(a)
+
+
 class TestDiagonalOperator:
     @given(st.lists(_reals, min_size=1, max_size=8))
     def test_entries_built_on_first_read(self, values):

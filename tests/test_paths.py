@@ -30,11 +30,40 @@ from specflow import (
     straight_segment,
 )
 from specflow.config import sampled_path
+from specflow.paths import _blend
 
 
 def crossing_path(up: bool = True):
     sign = 1.0 if up else -1.0
     return matrix_path(3, lambda t: np.diag([sign * (2 * t - 1), 5.0, -5.0]))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=-300, max_value=300),
+    st.sampled_from(["real", "complex", "real-complex", "complex-real", "diagonal"]),
+    st.booleans(),
+)
+def test_blend_has_the_bits_of_the_old_formula(seed, exponent, kinds, one_start):
+    # _blend accumulates into one buffer; (1 - w) x + w y as one expression is the reference.
+    rng = np.random.default_rng(seed)
+    n, d = 6, 3
+
+    def end(kind: str, count: int) -> np.ndarray:
+        shape = (count, d) if kind == "diagonal" else (count, d, d)
+        stack = rng.standard_normal(shape)
+        if kind == "complex":
+            stack = stack + 1j * rng.standard_normal(shape)
+        return stack * 10.0**exponent
+
+    x_kind, _, y_kind = kinds.partition("-")
+    x, y = end(x_kind, 1 if one_start else n), end(y_kind or x_kind, n)
+    w = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+    wd = w.reshape(w.shape + (1,) * (x.ndim - 1))
+    expected = (1.0 - wd) * x + wd * y
+    got = _blend(w, x, y)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestConcat:
