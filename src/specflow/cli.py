@@ -261,7 +261,7 @@ def cmd_verify(config: dict, args: argparse.Namespace) -> int:
 def cmd_components(config: dict, args: argparse.Namespace) -> int:
     options = _flow_options(config)
     report = components_from_config(config, options)
-    certification = certify_distinct_components(report, options)
+    certification = certify_distinct_components(report)
     doc = component_report_document(report, certification, options)
     validate_document(doc)
     _emit(dumps_document(doc), config, "component-report.json")
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         components=("k", "ambient_dim", "epsilon", "seed"),
     )
     p_comp.add_argument("--k", type=int, help="number of paths to construct")
-    p_comp.add_argument("--ambient-dim", type=int, dest="ambient_dim", help="fixed operator dimension")
+    p_comp.add_argument(
+        "--ambient-dim", type=int, dest="ambient_dim", help="operator dimension (default: max(24, k + 2))"
+    )
     p_comp.add_argument("--epsilon", type=float, help="generator perturbation bound")
 
     p_spec = _add_subcommand(sub, "spectrum", "emit eigenvalue curves as CSV", cmd_spectrum)

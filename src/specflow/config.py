@@ -408,6 +408,8 @@ def components_from_config(config: dict, options: FlowOptions):
     if k is None:
         raise ConfigError("components command needs k >= 1")
     block.setdefault("seed", config.get("seed", 0))
+    # Step s of the default setup needs dimension s + 2; 24 keeps k <= 22 as it was.
+    block.setdefault("ambient_dim", max(24, k + 2))
     # The schema limits the block to k and the parameters of default_component_setup.
     basepoint, generator = default_component_setup(**block)
     return build_distinct_paths(k, generator, basepoint, options)

@@ -508,6 +508,13 @@ class TestComponentsCommand:
         assert len(set(doc["flows"])) == 5
         assert len(doc["pairs"]) == 10
 
+    def test_k24_fits_the_default_ambient_dim(self, capsys):
+        # The default dimension grows as max(24, k + 2): 24 paths need 26.
+        assert main(["components", "--k", "24"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ambient_dim"] == 26
+        assert len(set(doc["flows"])) == 24
+
     def test_k0_usage_error(self):
         assert main(["components", "--k", "0"]) == 1
 

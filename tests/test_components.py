@@ -22,6 +22,7 @@ from specflow import (
     straight_segment,
 )
 from specflow import components
+from specflow.operators import _zero_band, spectral_scale
 
 BASEPOINT = SelfAdjointOperator.from_diagonal([5.0, 5.0, -5.0, 7.0])
 
@@ -206,11 +207,15 @@ class TestLockstepBisection:
         for i in range(len(ends)):
             for j in range(i + 1, len(ends)):
                 seg = straight_segment(ends[i], ends[j])
-                spectral_flow(seg)
+                # The engine is the oracle of the pair flow read from endpoint inertia.
+                flow = spectral_flow(seg).flow
                 t, row = _reference_locate(seg)
-                expected.append((i, j, t, float(np.abs(row).min()), float(np.abs(row).max())))
+                expected.append(
+                    (i, j, flow, t, float(np.abs(row).min()), float(np.abs(row).max()))
+                )
         got = [
-            (p.i, p.j, p.singular_t, p.min_abs_eigenvalue, p.spectral_radius) for p in cert.pairs
+            (p.i, p.j, p.segment_flow, p.singular_t, p.min_abs_eigenvalue, p.spectral_radius)
+            for p in cert.pairs
         ]
         assert got == expected
 
@@ -284,6 +289,19 @@ class TestSingularityRule:
         assert (pair.singular_t, pair.min_abs_eigenvalue, pair.spectral_radius) == (0.5, 1e-8, 1.0)
 
 
+class TestInertiaProof:
+    """The pair flows are endpoint inertia; the report's invertibility rule makes it exact."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 100, 10**3, 10**4, 10**5])
+    def test_singularity_rule_is_above_the_zero_band(self, dim):
+        # An endpoint the report accepts has every |eigenvalue| above
+        # SINGULARITY_RTOL times its scale, so outside the eigensolver's
+        # backward error: each eigenvalue's sign, and so the inertia, is exact.
+        # Radius 0 is the zero row, whose scale is 1.
+        rows = np.array([np.linspace(-r, r, dim) for r in (0.0, 1e-300, 1.0, 1e300)])
+        assert np.all(_zero_band(rows) < components.SINGULARITY_RTOL * spectral_scale(rows))
+
+
 class TestDefaultSetup:
     def test_deterministic(self):
         b1, g1 = default_component_setup(seed=3)
@@ -303,5 +321,5 @@ class TestDefaultSetup:
         from specflow import InvalidSpec
 
         basepoint, gen = default_component_setup(ambient_dim=8, seed=0)
-        with pytest.raises(InvalidSpec, match="ambient"):
+        with pytest.raises(InvalidSpec, match="raise ambient_dim to at least 11$"):
             gen(7)

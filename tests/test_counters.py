@@ -208,8 +208,10 @@ EIGENSOLVES = {
     "oracle_flow(grid=64) random_family(6, 7)": 129,
     "oracle_flow(grid=100) random_family(6, 1)": 253,
     "components --k 4": 0,
-    "certify_distinct_components, 3 rotated real paths": 344,
-    "certify_distinct_components, 3 rotated complex paths": 345,
+    # 344 and 345 when each pair segment's flow was certified; the pair
+    # flows now come from the endpoint rows the report cached.
+    "certify_distinct_components, 3 rotated real paths": 173,
+    "certify_distinct_components, 3 rotated complex paths": 174,
     # The counts with halving into 9-point halves follow each case, then
     # those of the depth-first batched schedule (``max(1, 64 >> depth)``
     # segments per round), which stopped at the failure.  Rounds that read
@@ -261,7 +263,8 @@ ROUND_CASES = {
     # first; 5 with rounds of every rejected segment's children.
     "invertible_valued_family(12, 0)": lambda _: spectral_flow(invertible_valued_family(12, 0)),
     # 37 with halving: its segments cross, so their rounds keep the depth
-    # cap.  The first round now reads all eight initial segments.
+    # cap.  The first round now reads all eight initial segments.  19 when
+    # each of the six pair segments had its flow certified too.
     "components --k 4": _components,
 }
 
@@ -269,7 +272,7 @@ ROUNDS = {
     "warp of slope 300": 8,
     "warp of slope 100": 6,
     "invertible_valued_family(12, 0)": 17,
-    "components --k 4": 19,
+    "components --k 4": 13,
 }
 
 

@@ -39,7 +39,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 ROUNDS = {
     "certify-mix": (5_233, 170, 52, ["warp/failing"]),
     "oracle-grid": (11_681, 25, 24, []),
-    "components-k8": (0, 60, 1, []),
+    "components-k8": (0, 30, 1, []),  # 60 while each pair segment's flow was certified
     "dense-sampled": (327, 11, 2, []),  # 28 rounds depth first
 }
 FIRST_ITEMS = {"dense-sampled": 2}
