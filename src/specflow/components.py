@@ -8,6 +8,9 @@ connector alone (the collision itself guarantees the connector's flow is
 fresh).  A separate certifier then checks, pair by pair, that the
 straight segment between path endpoints must leave the invertible locus,
 locating a singular operator on every segment in one lockstep bisection.
+The bisection opens each bracket from its ends' negative counts and
+blends every pair's midpoints from one endpoint stack per kind (diagonal
+or dense), so it reads no row at either end and builds no segment path.
 
 The path flows are certified by :func:`flow.spectral_flow`; a pair's
 segment flow is not.  A straight segment between invertible Hermitian
@@ -32,11 +35,19 @@ from .errors import CertificateBroken, GeneratorFailure, InvalidSpec
 from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
-from .operators import SelfAdjointOperator, spectral_scale
+from .operators import (
+    STACK_BYTES,
+    SelfAdjointOperator,
+    _common_kind,
+    _spectra,
+    spectral_scale,
+    stack_chunk,
+)
 from .paths import (
     OperatorPath,
+    _blend,
+    _checked_build,
     _endpoint_gap,
-    _segment_rows,
     concat,
     constant_path,
     straight_segment,
@@ -155,7 +166,7 @@ def build_distinct_paths(
     ledger: list[LedgerEntry] = []
     while len(paths) < k:
         step = len(paths) + 1
-        bound = max(abs(a - b) for a in flows for b in flows)
+        bound = max(flows) - min(flows)
         fresh = flow_generator(bound)
         if fresh.dim != basepoint.dim:
             raise GeneratorFailure(
@@ -218,47 +229,65 @@ def build_distinct_paths(
     )
 
 
-def _locate_singular(segments: list[OperatorPath]) -> list[tuple[float, np.ndarray] | None]:
-    """Bisect every straight segment on its negative-eigenvalue count, in lockstep.
+def _locate_singular(
+    ends: list[SelfAdjointOperator], pairs: list[tuple[int, int]], negs: list[int]
+) -> list[tuple[float, np.ndarray]]:
+    """Bisect the straight segment of every pair ``(i, j)`` on its negative count, in lockstep.
 
-    Returns, per segment, t and the segment's read-only row at t, or
-    ``None`` when the endpoint counts are equal and there is no crossing
-    to bracket; they differ whenever the segment flow is nonzero.  Each
-    segment keeps its own bracket and leaves the bisection once its
-    midpoint is no longer strictly inside it; each level reads the
-    midpoints of every segment still bisecting with one
-    :func:`paths._segment_rows` call, and so do the two endpoint levels
-    that open it.  The final t is a cached read once a bracket has shrunk
-    to adjacent floats, since its midpoint is then one of its two ends.
+    Returns, per pair, t and the read-only row of ``(1 - t) ends[i] + t
+    ends[j]``.  The ends of a pair differ in their negative counts
+    ``negs``, so its bracket opens as [0, 1] from ``negs[i]``, reading no
+    row at t = 0 or 1, and it leaves the bisection once its midpoint is no
+    longer strictly inside it.  Each level, and the read of every final t,
+    blends the midpoints from one endpoint stack per kind, on diagonals when
+    both ends of a pair are diagonal and as matrices otherwise, as
+    :func:`paths.straight_segment` does, so a row has that segment's bits.
+    A chunk holds ``STACK_BYTES`` of diagonal rows, ``8 dim`` bytes each, or
+    the :func:`operators.stack_chunk` matrices a path solves at once.
     """
-    n = len(segments)
-    if not n:
+    if not pairs:
         return []
+    dim = ends[0].dim
+    i, j = (np.array(side) for side in zip(*pairs))
+    stacks = [end._stack for end in ends]
+    diagonal = np.array([stack.ndim == 2 for stack in stacks])
+    on_diag = diagonal[i] & diagonal[j]
+    kinds = []  # per kind: its pairs, one stack of the ends and each end's entry in it
+    if on_diag.any():
+        diagonals = np.concatenate([stack for stack in stacks if stack.ndim == 2])
+        kinds.append((on_diag, diagonals, np.cumsum(diagonal) - 1))
+    if not on_diag.all():
+        kinds.append((~on_diag, np.concatenate(_common_kind(*stacks)), np.arange(len(ends))))
 
-    def neg(idx: np.ndarray, ts: list[float]) -> np.ndarray:
-        rows = _segment_rows([segments[k] for k in idx], ts)
-        return np.count_nonzero(np.array(rows) < 0.0, axis=1)
+    def rows(idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = np.empty((idx.size, dim))
+        for members, stack, entry in kinds:
+            sel = np.flatnonzero(members[idx])
+            a, b, w = entry[i[idx[sel]]], entry[j[idx[sel]]], ts[sel]
+            step = stack_chunk(dim) if stack.ndim == 3 else max(1, STACK_BYTES // (8 * dim))
+            chunks = [slice(s, s + step) for s in range(0, sel.size, step)]
+            built = (
+                _checked_build(_blend(w[c], stack[a[c]], stack[b[c]]), w[c], dim) for c in chunks
+            )
+            for c, solved in zip(chunks, _spectra(built, dim)):
+                out[sel[c]] = solved
+        out.setflags(write=False)
+        return out
 
-    every = np.arange(n)
-    n_lo, n_hi = neg(every, [0.0] * n), neg(every, [1.0] * n)
-    crossing = np.flatnonzero(n_lo != n_hi)
-    lo, hi = np.zeros(n), np.ones(n)
-    live = crossing
+    n_lo = np.array(negs)[i]
+    lo, hi = np.zeros(i.size), np.ones(i.size)
+    live = np.arange(i.size)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo[live] + hi[live])
         inside = (lo[live] < mid) & (mid < hi[live])  # adjacent floats keep their bracket
         live, mid = live[inside], mid[inside]
         if not live.size:
             break
-        flipped = neg(live, mid.tolist()) != n_lo[live]
+        flipped = np.count_nonzero(rows(live, mid) < 0.0, axis=1) != n_lo[live]
         hi[live[flipped]] = mid[flipped]
         lo[live[~flipped]] = mid[~flipped]
-    ts = (0.5 * (lo[crossing] + hi[crossing])).tolist()
-    rows = _segment_rows([segments[k] for k in crossing], ts)
-    located: list[tuple[float, np.ndarray] | None] = [None] * n
-    for k, t, row in zip(crossing.tolist(), ts, rows):
-        located[k] = (t, row)
-    return located
+    ts = 0.5 * (lo + hi)
+    return list(zip(ts.tolist(), rows(np.arange(i.size), ts)))
 
 
 def certify_distinct_components(report: ComponentReport) -> ComponentCertification:
@@ -274,10 +303,13 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
     report refuses an endpoint with smallest |eigenvalue| at most
     ``SINGULARITY_RTOL`` times its scale, above the eigensolver's backward
     error (:func:`operators._zero_band`) for every dimension below 5.6e6.
-    The certifier then locates a singular operator on every segment in
-    one lockstep bisection (:func:`_locate_singular`), and raises
-    :class:`CertificateBroken` if a segment stays invertible even though
-    the flows differ (a bug detector, not an expected outcome).  Errors
+    A pair reaches the bisection only once its inertia matches its flow
+    difference, which the report's pairwise-distinct flows make nonzero,
+    so the negative counts at the two ends of every bisected segment
+    differ.  The certifier locates a singular operator on every such
+    segment in one lockstep bisection (:func:`_locate_singular`), and
+    raises :class:`CertificateBroken` if the operator it lands on is
+    invertible (a bug detector, not an expected outcome).  Errors
     are raised for the first failing pair in ``(i, j)`` order: the pairs
     before the first whose inertia does not match its flow difference are
     located and checked before that error is raised.
@@ -285,8 +317,7 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
     n = len(report.paths)
     ends = [p.at(1.0) for p in report.paths]
     negs = [int(np.count_nonzero(p.spectra([1.0])[0] < 0.0)) for p in report.paths]
-    segments: list[OperatorPath] = []
-    checked: list[tuple[int, int, int]] = []
+    checked: list[tuple[int, int]] = []
     failure: CertificateBroken | None = None
     for i, j in combinations(range(n), 2):
         seg_flow = negs[i] - negs[j]
@@ -298,15 +329,9 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
                 "would not close"
             )
             break
-        segments.append(straight_segment(ends[i], ends[j]))
-        checked.append((i, j, seg_flow))
+        checked.append((i, j))
     pairs: list[PairCertificate] = []
-    for (i, j, seg_flow), located in zip(checked, _locate_singular(segments)):
-        if located is None:
-            raise CertificateBroken(
-                "segment endpoints have equal negative counts; no crossing to locate"
-            )
-        t, row = located
+    for (i, j), (t, row) in zip(checked, _locate_singular(ends, checked, negs)):
         min_abs, radius = float(np.abs(row).min()), float(np.abs(row).max())
         if not _singular(row):
             raise CertificateBroken(
@@ -320,7 +345,7 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
                 j=j,
                 flow_i=report.flows[i],
                 flow_j=report.flows[j],
-                segment_flow=seg_flow,
+                segment_flow=negs[i] - negs[j],
                 singular_t=t,
                 min_abs_eigenvalue=min_abs,
                 spectral_radius=radius,

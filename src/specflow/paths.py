@@ -287,17 +287,6 @@ def _blend(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Segment(OperatorPath):
-    """The path ``t -> (1-t) a + t b``, keeping its endpoint stacks for :func:`_segment_rows`."""
-
-    __slots__ = ("_ends",)
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, lipschitz: float):
-        # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
-        super().__init__(x.shape[1], lambda ts: _blend(ts, x, y), lipschitz)
-        self._ends = (x, y)
-
-
 def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> OperatorPath:
     """Affine segment ``t -> (1-t) a + t b`` in the convex operator space.
 
@@ -307,37 +296,9 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
     x, y = _common_kind(a._stack, b._stack)
-    return _Segment(x, y, float(np.linalg.norm(b.entries - a.entries, 2)))
-
-
-def _segment_rows(segments: list[_Segment], ts: list[float]) -> list[np.ndarray]:
-    """The row of ``segments[k]`` at ``ts[k]`` for every ``k``: one stacked read.
-
-    Cached rows are read as they are.  The misses are grouped by dimension
-    and by the kind of their ends (one per segment), and each group is
-    blended, ingested and solved a ``stack_chunk`` at a time.  A row so has
-    the bits of ``segments[k].spectra([ts[k]])``: a diagonal row is never
-    solved as dense, and a row depends on its matrix alone.  Every row is cached.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for k, (seg, t) in enumerate(zip(segments, ts)):
-        if t not in seg._cache:
-            groups.setdefault((seg.dim, seg._ends[0].ndim), []).append(k)
-    for (dim, _), members in groups.items():
-        step = stack_chunk(dim)
-        chunks = [members[i : i + step] for i in range(0, len(members), step)]
-        built = (_blended_chunk(segments, ts, chunk, dim) for chunk in chunks)
-        for chunk, rows in zip(chunks, _spectra(built, dim)):
-            for k, row in zip(chunk, rows):
-                segments[k]._cache[ts[k]] = row
-    return [seg._cache[t] for seg, t in zip(segments, ts)]
-
-
-def _blended_chunk(segments: list[_Segment], ts: list[float], chunk: list[int], dim: int):
-    """The checked stack of ``segments[k]`` at ``ts[k]`` for every ``k`` in ``chunk``."""
-    ws = [ts[k] for k in chunk]
-    x, y = (np.concatenate(side) for side in zip(*(segments[k]._ends for k in chunk)))
-    return _checked_build(_blend(np.array(ws), x, y), ws, dim)
+    lipschitz = float(np.linalg.norm(b.entries - a.entries, 2))
+    # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
+    return OperatorPath(a.dim, lambda ts: _blend(ts, x, y), lipschitz)
 
 
 def _endpoint_gap(x: SelfAdjointOperator, y: SelfAdjointOperator) -> str | None:

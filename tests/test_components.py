@@ -22,6 +22,7 @@ from specflow import (
     straight_segment,
 )
 from specflow import components
+from specflow.cli import main
 from specflow.operators import _zero_band, spectral_scale
 
 BASEPOINT = SelfAdjointOperator.from_diagonal([5.0, 5.0, -5.0, 7.0])
@@ -196,6 +197,8 @@ class TestLockstepBisection:
     )
     # Real and complex pairs bisect side by side in one stack; each row keeps its own bits.
     @example(kind="mixed real/complex", counts=[0, 1, 2, 3, 4], spare=0, seed=0)
+    # Ends 0 and 2 are diagonal: their pair blends on diagonals, the others as matrices.
+    @example(kind="mixed diagonal/dense", counts=[0, 1, 2, 3], spare=0, seed=0)
     def test_matches_per_pair_bisection(self, kind, counts, spare, seed):
         dim = max(2, *counts) + spare
         cycle = REPORT_KINDS[kind]
@@ -222,19 +225,67 @@ class TestLockstepBisection:
     def test_one_path_has_no_pairs(self):
         report = rotated_report((1,), ("real",), 3, 0)
         assert certify_distinct_components(report).pairs == ()
-        assert components._locate_singular([]) == []
+        ends, negs = _ends_and_negs(report)
+        assert components._locate_singular(ends, [], negs) == []
 
-    def test_equal_endpoint_counts_locate_nothing(self):
-        a = SelfAdjointOperator.from_diagonal([1.0, -2.0])
-        b = SelfAdjointOperator.from_diagonal([-3.0, 4.0])
-        c = SelfAdjointOperator.from_diagonal([-1.0, -1.0])
-        none, (t, row) = components._locate_singular(
-            [straight_segment(a, b), straight_segment(a, c)]
-        )
-        ref_t, ref_row = _reference_locate(straight_segment(a, c))
-        assert none is None
-        assert t == ref_t
-        assert np.array_equal(row, ref_row)
+    @pytest.mark.parametrize("kind", sorted(REPORT_KINDS))
+    def test_every_pair_lands_on_a_singular_row(self, kind):
+        # Any pair of ends with different negative counts, in either order.
+        counts = (0, 1, 3, 4)
+        cycle = REPORT_KINDS[kind]
+        report = rotated_report(counts, [cycle[k % len(cycle)] for k in range(4)], 5, 1)
+        ends, negs = _ends_and_negs(report)
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        located = components._locate_singular(ends, pairs, negs)
+        assert len(located) == len(pairs)
+        for t, row in located:
+            assert 0.0 < t < 1.0
+            assert components._singular(row)
+            assert not row.flags.writeable
+
+    def test_diagonal_pairs_solve_nothing(self, eigvalsh_counter):
+        # Ends 0 and 2 are diagonal, 1 and 3 dense.
+        report = rotated_report((0, 1, 2, 3), ("diagonal", "real") * 2, 4, 0)
+        ends, negs = _ends_and_negs(report)
+        every = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        dense = [pair for pair in every if pair != (0, 2)]
+        solves = []
+        for pairs in ([(0, 2)], dense, every):
+            before = eigvalsh_counter.matrices
+            components._locate_singular(ends, pairs, negs)
+            solves.append(eigvalsh_counter.matrices - before)
+        assert solves[0] == 0
+        assert solves[2] == solves[1] > 0
+
+    def test_k8_reads_one_stack_per_level_and_kind(self, monkeypatch, tmp_path, capsys):
+        # One stacked read per bisection level and kind, plus the final t:
+        # a bisection that read each pair on its own would read far more.
+        kinds, weights = [], []
+        spectra, blend = components._spectra, components._blend
+
+        def counted_spectra(stacks, dim):
+            stacks = list(stacks)
+            kinds.append({stack.ndim for stack in stacks})
+            return spectra(iter(stacks), dim)
+
+        def recorded_blend(w, x, y):
+            weights.append(np.array(w))
+            return blend(w, x, y)
+
+        monkeypatch.setattr(components, "_spectra", counted_spectra)
+        monkeypatch.setattr(components, "_blend", recorded_blend)
+        assert main(["components", "--k", "8", "--out", str(tmp_path)]) == 0
+        assert all(len(read) <= 1 for read in kinds)
+        for ndim in (2, 3):
+            assert sum(read == {ndim} for read in kinds) <= components.BISECTION_STEPS + 1
+        w = np.concatenate(weights)
+        assert w.size >= 28  # every pair's final t at least
+        assert np.all((0.0 < w) & (w < 1.0))
+
+
+def _ends_and_negs(report):
+    ends = [p.at(1.0) for p in report.paths]
+    return ends, [int(np.count_nonzero(end.spectrum < 0.0)) for end in ends]
 
 
 class TestErrorOrder:
@@ -260,7 +311,9 @@ class TestErrorOrder:
     def test_earlier_pair_without_singular_point_comes_first(self, monkeypatch):
         invertible = np.array([1.0, 2.0])
         monkeypatch.setattr(
-            components, "_locate_singular", lambda segs: [(0.5, invertible)] * len(segs)
+            components,
+            "_locate_singular",
+            lambda ends, pairs, negs: [(0.5, invertible)] * len(pairs),
         )
         with pytest.raises(CertificateBroken, match=r"pair \(0, 1\) although flows differ"):
             certify_distinct_components(self._lying_report())
@@ -283,7 +336,9 @@ class TestSingularityRule:
             basepoint=base, paths=(constant_path(base), climb), flows=(0, 1), ledger=()
         )
         monkeypatch.setattr(
-            components, "_locate_singular", lambda segs: [(0.5, self.EDGE)] * len(segs)
+            components,
+            "_locate_singular",
+            lambda ends, pairs, negs: [(0.5, self.EDGE)] * len(pairs),
         )
         (pair,) = certify_distinct_components(report).pairs
         assert (pair.singular_t, pair.min_abs_eigenvalue, pair.spectral_radius) == (0.5, 1e-8, 1.0)

@@ -111,7 +111,8 @@ CASES = {
     # A non-dyadic grid: its two crossing cells reach REFINE_WIDTH at different levels.
     "oracle_flow(grid=100) random_family(6, 1)": lambda _: oracle_flow(random_family(6, 1), grid=100),
     "components --k 4": _components,
-    # Dense pairs: the bisection's final reads hit the rows its levels cached.
+    # Dense pairs: the brackets open from the endpoint counts, and the final
+    # read solves every pair's t once more.
     "certify_distinct_components, 3 rotated real paths": lambda _: certify_distinct_components(
         rotated_report((0, 1, 3), ("real",) * 3, 4, 0)
     ),
@@ -209,9 +210,11 @@ EIGENSOLVES = {
     "oracle_flow(grid=100) random_family(6, 1)": 253,
     "components --k 4": 0,
     # 344 and 345 when each pair segment's flow was certified; the pair
-    # flows now come from the endpoint rows the report cached.
-    "certify_distinct_components, 3 rotated real paths": 173,
-    "certify_distinct_components, 3 rotated complex paths": 174,
+    # flows now come from the endpoint rows the report cached.  173 and 174
+    # when the bisection solved both ends of every pair to open its brackets
+    # and its final reads hit the rows its levels had cached.
+    "certify_distinct_components, 3 rotated real paths": 170,
+    "certify_distinct_components, 3 rotated complex paths": 171,
     # The counts with halving into 9-point halves follow each case, then
     # those of the depth-first batched schedule (``max(1, 64 >> depth)``
     # segments per round), which stopped at the failure.  Rounds that read
