@@ -20,7 +20,6 @@ from .errors import (
     InvalidSpec,
     ResolutionWarning,
     SpectralFlowError,
-    WindowCountViolation,
 )
 from .operators import SelfAdjointOperator, Spectrum
 from .paths import (
@@ -50,7 +49,7 @@ from .families import (
     invertible_valued_family,
     random_family,
 )
-from .gluing import GluingSpec, WindowCountReport, glue, window_count_constancy
+from .gluing import GluingSpec, glue
 from .components import (
     ComponentCertification,
     ComponentReport,
@@ -77,7 +76,6 @@ __all__ = [
     "CertificateBroken",
     "ResolutionWarning",
     "EigensolverError",
-    "WindowCountViolation",
     # operators
     "SelfAdjointOperator",
     "Spectrum",
@@ -107,9 +105,7 @@ __all__ = [
     "invertible_valued_family",
     # gluing
     "GluingSpec",
-    "WindowCountReport",
     "glue",
-    "window_count_constancy",
     # components
     "LedgerEntry",
     "ComponentReport",

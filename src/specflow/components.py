@@ -35,14 +35,7 @@ from .errors import CertificateBroken, GeneratorFailure, InvalidSpec
 from .flow import FlowOptions, spectral_flow
 from .gluing import GluingSpec, glue
 from .families import BaerFamilySpec
-from .operators import (
-    STACK_BYTES,
-    SelfAdjointOperator,
-    _common_kind,
-    _spectra,
-    spectral_scale,
-    stack_chunk,
-)
+from .operators import SelfAdjointOperator, _common_kind, _spectra, spectral_scale
 from .paths import (
     OperatorPath,
     _blend,
@@ -241,9 +234,8 @@ def _locate_singular(
     longer strictly inside it.  Each level, and the read of every final t,
     blends the midpoints from one endpoint stack per kind, on diagonals when
     both ends of a pair are diagonal and as matrices otherwise, as
-    :func:`paths.straight_segment` does, so a row has that segment's bits.
-    A chunk holds ``STACK_BYTES`` of diagonal rows, ``8 dim`` bytes each, or
-    the :func:`operators.stack_chunk` matrices a path solves at once.
+    :func:`paths.straight_segment` does, so a row has that segment's bits,
+    and solves them in the chunks :func:`operators._spectra` sizes.
     """
     if not pairs:
         return []
@@ -264,12 +256,11 @@ def _locate_singular(
         for members, stack, entry in kinds:
             sel = np.flatnonzero(members[idx])
             a, b, w = entry[i[idx[sel]]], entry[j[idx[sel]]], ts[sel]
-            step = stack_chunk(dim) if stack.ndim == 3 else max(1, STACK_BYTES // (8 * dim))
-            chunks = [slice(s, s + step) for s in range(0, sel.size, step)]
-            built = (
-                _checked_build(_blend(w[c], stack[a[c]], stack[b[c]]), w[c], dim) for c in chunks
-            )
-            for c, solved in zip(chunks, _spectra(built, dim)):
+
+            def build(c: slice) -> np.ndarray:
+                return _checked_build(_blend(w[c], stack[a[c]], stack[b[c]]), w[c], dim)
+
+            for c, solved in _spectra(build, sel.size, dim):
                 out[sel[c]] = solved
         out.setflags(write=False)
         return out

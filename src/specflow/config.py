@@ -38,7 +38,6 @@ __all__ = [
     "build_family_path",
     "sampled_path",
     "path_descriptor",
-    "path_samples_to_json",
     "components_from_config",
     "DEFAULT_GLUE_BASE",
     "DEFAULT_GLUE_EPSILON",
@@ -232,12 +231,6 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
     return _matrix_part(obj, where)
 
 
-def _matrix_to_json(entries: np.ndarray):
-    if np.iscomplexobj(entries):
-        return {"real": entries.real.tolist(), "imag": entries.imag.tolist()}
-    return entries.tolist()
-
-
 class _SampledPath(_Reparametrized):
     """A path built by :func:`sampled_path`; ``_knots`` keeps its ``(t, matrix)`` pairs as given."""
 
@@ -328,21 +321,6 @@ def path_descriptor(family: dict, path: OperatorPath, default_seed: int = 0) -> 
         digest.update(np.ascontiguousarray(matrix, dtype="<c16"))
     knots = len(path._knots)
     return {"kind": "sampled", "dim": path.dim, "knots": knots, "sha256": digest.hexdigest()}
-
-
-def path_samples_to_json(path: OperatorPath, grid: int) -> dict:
-    """Serialize a path as a sampled family block (the JSON round-trip form).
-
-    Each sample is built on its own, so its matrix keeps the dtype of the
-    part of the path it comes from.
-    """
-    return {
-        "kind": "sampled",
-        "samples": [
-            {"t": t, "matrix": _matrix_to_json(path.at(t).entries)}
-            for t in np.linspace(0.0, 1.0, grid).tolist()
-        ],
-    }
 
 
 def _given(block: dict, key: str, name: str | None = None, cast=None) -> dict:

@@ -17,7 +17,6 @@ __all__ = [
     "CertificateBroken",
     "ResolutionWarning",
     "EigensolverError",
-    "WindowCountViolation",
 ]
 
 
@@ -108,11 +107,3 @@ class ResolutionWarning(SpectralFlowError):
 class EigensolverError(SpectralFlowError):
     """The dense eigensolver failed to converge."""
 
-
-class WindowCountViolation(SpectralFlowError):
-    """The eigenvalue count inside the gluing window is not constant."""
-
-    def __init__(self, message: str, t: float | None = None, spectrum=None):
-        super().__init__(message)
-        self.t = t
-        self.spectrum = spectrum

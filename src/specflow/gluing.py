@@ -21,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguity, InvalidSpec, WindowCountViolation
+from .errors import InvalidSpec
 from .families import WINDOW_RADIUS, BaerFamilySpec, crossing_eigenvalues
-from .operators import DEFAULT_CLUSTER_TOL, Spectrum, spectral_scale
+from .operators import Spectrum
 from .paths import OperatorPath
 
 __all__ = [
     "GluingSpec",
-    "WindowCountReport",
     "glue",
-    "window_count_constancy",
     "WINDOW_RADIUS",
 ]
 
@@ -151,15 +149,6 @@ class GluedPath:
         return float(np.abs(perturbed - unperturbed).max())
 
 
-@dataclass(frozen=True)
-class WindowCountReport:
-    """Constant eigenvalue count in (-radius, radius) across the grid."""
-
-    count: int
-    radius: float
-    grid: int
-
-
 def glue(spec: GluingSpec) -> GluedPath:
     """Build the merged, perturbed path.
 
@@ -169,45 +158,3 @@ def glue(spec: GluingSpec) -> GluedPath:
     """
     return GluedPath(spec)
 
-
-def window_count_constancy(
-    path: OperatorPath,
-    grid: int = 101,
-    radius: float = WINDOW_RADIUS,
-) -> WindowCountReport:
-    """Verify the window count of ``path`` is constant on a parameter grid.
-
-    The grid is read with one ``path.spectra`` call.  An eigenvalue within
-    ``DEFAULT_CLUSTER_TOL`` times its row's scale of -radius or +radius
-    raises :class:`BoundaryAmbiguity` rather than being silently assigned a
-    side.  Takes any path (``glue(spec).path`` or a deliberately broken
-    merge); a changing count raises :class:`WindowCountViolation` with the
-    offending parameter and spectrum.
-    """
-    if grid < 1:
-        raise ValueError(f"window count grid must be at least 1, got {grid!r}")
-    if not radius >= 0:
-        raise ValueError(f"window radius must be non-negative, got {radius!r}")
-    lo, hi = -float(radius), float(radius)
-    ts = np.linspace(0.0, 1.0, grid)
-    rows = path.spectra(ts)
-    tol = DEFAULT_CLUSTER_TOL * spectral_scale(rows)
-    dist = np.stack([np.abs(rows - x).min(axis=1) for x in (lo, hi)], axis=1)
-    close = dist < tol[:, None]
-    if close.any():
-        j, side = divmod(int(np.argmax(close)), 2)
-        raise BoundaryAmbiguity(
-            f"eigenvalue within {tol[j]:.3e} of interval endpoint {(lo, hi)[side]!r} "
-            f"(distance {dist[j, side]:.3e}); move the endpoint off the spectrum"
-        )
-    counts = np.count_nonzero((rows >= lo) & (rows <= hi), axis=1)
-    first = int(counts[0])
-    j = int(np.argmax(counts != first))
-    if counts[j] != first:
-        t = float(ts[j])
-        raise WindowCountViolation(
-            f"window count changed from {first} to {counts[j]} at t={t!r}",
-            t=t,
-            spectrum=rows[j],
-        )
-    return WindowCountReport(count=first, radius=radius, grid=grid)

@@ -8,17 +8,17 @@ real spectrum.  A diagonal operator is its own eigendecomposition: its
 spectrum is its sorted diagonal, and its dense entries are built only when
 something reads them.  Paths never build operator objects to solve:
 they check whole stacks (:func:`_ingest_stack`, :func:`_ingest_diagonal`)
-and solve them with :func:`_spectrum_rows` or, a stream of stacks at a
-time, :func:`_spectra`.  Every eigensolve goes through
-:func:`_solve_spectrum`, which overlaps the LAPACK calls of large matrices
-on solver threads when BLAS leaves CPUs idle.
+and solve them with :func:`_spectra`, which alone sizes the chunks a build
+makes.  Every eigensolve goes through :func:`_solve_spectrum`, which
+overlaps the LAPACK calls of large matrices on solver threads when BLAS
+leaves CPUs idle.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -227,41 +227,44 @@ def _assemble_rows(real: np.ndarray | None, solved: Iterator[np.ndarray]) -> np.
 
 
 def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue rows ``(n, d)`` of a checked stack, read-only.
+    """Sorted eigenvalue rows ``(n, d)`` of a checked stack of one chunk, read-only."""
+    ((_, rows),) = _spectra(lambda span: stack[span], len(stack), stack.shape[-1])
+    return rows
 
-    Diagonal rows ``(n, d)`` are their own spectra and are only sorted; a
-    dense stack ``(n, d, d)`` is solved by its :func:`_dense_parts`.
+
+def _spectra(
+    build: Callable[[slice], np.ndarray], n: int, dim: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Sorted eigenvalue rows of ``n`` entries of dimension ``dim``, as ``(span, rows)`` pairs.
+
+    ``build(span)`` returns the checked stack of the entries in the slice
+    ``span``.  A chunk holds ``stack_chunk(dim)`` entries, or, after a
+    chunk that came back as diagonal rows, ``STACK_BYTES // (8 dim)``.
+    Diagonal rows are their own spectra and are only sorted; the dense
+    parts (:func:`_dense_parts`) of every chunk go through one
+    :func:`_solve_spectrum` call, so each chunk is built on the calling
+    thread, in order, and the rows come once every chunk is solved.
     """
-    if stack.ndim == 2:
-        return _sorted_rows(stack)
-    real, parts = _dense_parts(stack)
-    return _assemble_rows(real, iter(_solve_spectrum(parts)))
-
-
-def _spectra(stacks: Iterable[np.ndarray], dim: int) -> Iterator[np.ndarray]:
-    """:func:`_spectrum_rows` of every checked stack of dimension ``dim`` in ``stacks``, in order.
-
-    ``stacks`` is drawn lazily.  Off the pooled route (:func:`_pooled`) a
-    stack's rows come before the next stack is drawn.  On it, the dense
-    parts of every stack go through one :func:`_solve_spectrum` call, so
-    later stacks are built while earlier ones solve, and the rows come
-    once every stack is solved.
-    """
-    if not _pooled(dim):
-        return map(_spectrum_rows, stacks)
-    layout = []  # per stack: (its sorted diagonal rows, None) or (None, its real mask)
+    layout = []  # per chunk: (span, its sorted diagonal rows, None) or (span, None, its real mask)
 
     def parts() -> Iterator[np.ndarray]:
-        for stack in stacks:
+        start, step = 0, stack_chunk(dim)
+        while start < n:
+            span = slice(start, min(n, start + step))
+            start = span.stop
+            stack = build(span)
             if stack.ndim == 2:
-                layout.append((_sorted_rows(stack), None))
+                layout.append((span, _sorted_rows(stack), None))
+                step = max(1, STACK_BYTES // (8 * dim))
                 continue
             real, split = _dense_parts(stack)
-            layout.append((None, real))
+            layout.append((span, None, real))
+            step = stack_chunk(dim)
             yield from split
 
     solved = iter(_solve_spectrum(parts()))
-    return iter([_assemble_rows(real, solved) if rows is None else rows for rows, real in layout])
+    for span, rows, real in layout:
+        yield span, _assemble_rows(real, solved) if rows is None else rows
 
 
 class SelfAdjointOperator:

@@ -30,7 +30,6 @@ from .operators import (
     _ingest_diagonal,
     _ingest_stack,
     _spectra,
-    stack_chunk,
 )
 
 __all__ = [
@@ -180,10 +179,8 @@ class OperatorPath:
 
     def _solve(self, ts: list[float]) -> None:
         """Cache the rows at ``ts``: build and solve a chunk at a time, keep only the rows."""
-        step = stack_chunk(self._dim)
-        chunks = [ts[i : i + step] for i in range(0, len(ts), step)]
-        for chunk, rows in zip(chunks, _spectra(map(self._build_chunk, chunks), self._dim)):
-            self._cache.update(zip(chunk, rows))
+        for span, rows in _spectra(lambda s: self._build_chunk(ts[s]), len(ts), self._dim):
+            self._cache.update(zip(ts[span], rows))
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim})"

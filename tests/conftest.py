@@ -1,5 +1,5 @@
-"""Shared test helpers: an eigvalsh counter and brute-force spectral checks
-independent of the engine."""
+"""Shared test helpers: an eigvalsh counter, brute-force spectral checks
+independent of the engine, and a guarded window count over a path's rows."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from specflow.operators import DEFAULT_CLUSTER_TOL, spectral_scale
 
 settings.register_profile(
     "numeric",
@@ -51,6 +53,18 @@ def brute_window_count(path, t: float, radius: float) -> int:
     """Eigenvalue count in [-radius, radius] by direct eigendecomposition."""
     vals = np.linalg.eigvalsh(path.at(t).entries)
     return int(np.count_nonzero(np.abs(vals) <= radius))
+
+
+def window_counts(path, grid: int = 101, radius: float = 2.0) -> np.ndarray:
+    """Eigenvalue counts in [-radius, radius] at ``grid`` parameters, off ``path.spectra``.
+
+    Fails when an eigenvalue lies within ``DEFAULT_CLUSTER_TOL`` times its
+    row's scale of -radius or +radius, where its side is not determined.
+    """
+    rows = path.spectra(np.linspace(0.0, 1.0, grid))
+    tol = DEFAULT_CLUSTER_TOL * spectral_scale(rows)
+    assert (np.abs(np.abs(rows) - radius).min(axis=1) >= tol).all()
+    return np.count_nonzero(np.abs(rows) <= radius, axis=1)
 
 
 def brute_min_abs(path, grid: int = 1000) -> float:

@@ -263,10 +263,16 @@ class TestLockstepBisection:
         kinds, weights = [], []
         spectra, blend = components._spectra, components._blend
 
-        def counted_spectra(stacks, dim):
-            stacks = list(stacks)
-            kinds.append({stack.ndim for stack in stacks})
-            return spectra(iter(stacks), dim)
+        def counted_spectra(build, n, dim):
+            read = set()
+            kinds.append(read)
+
+            def recorded(span):
+                stack = build(span)
+                read.add(stack.ndim)
+                return stack
+
+            return spectra(recorded, n, dim)
 
         def recorded_blend(w, x, y):
             weights.append(np.array(w))

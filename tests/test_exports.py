@@ -17,7 +17,8 @@ MODULES = ["specflow"] + sorted(
     if not name.startswith("_")
 )
 
-# Names removed as duplicates of engine abstractions; none may be re-exported.
+# Names removed as duplicates of engine abstractions or as API no caller used;
+# none may be re-exported.
 DELETED = (
     "certify_window",
     "SpectralWindow",
@@ -33,6 +34,10 @@ DELETED = (
     "diagonal_operators",
     "solve_spectra",
     "DEFAULT_ZERO_BAND",
+    "window_count_constancy",
+    "WindowCountReport",
+    "WindowCountViolation",
+    "path_samples_to_json",
 )
 
 

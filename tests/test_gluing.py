@@ -8,18 +8,15 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import window_counts
 from specflow import (
     BaerFamilySpec,
-    BoundaryAmbiguity,
     GluingSpec,
     InvalidSpec,
     Spectrum,
-    WindowCountViolation,
     glue,
-    matrix_path,
     oracle_flow,
     spectral_flow,
-    window_count_constancy,
 )
 
 BASE = Spectrum([-7.0, -3.0, 3.0, 7.0])
@@ -79,6 +76,14 @@ class TestGlue:
         g = glue(make_spec(4, 0.4, seed=5))
         assert g.max_deviation(grid=301) < 0.4
 
+    def test_constant_count_equals_multiplicity(self):
+        g = glue(make_spec(3, 0.4, seed=4))
+        assert (window_counts(g.path) == 4).all()
+
+    def test_unperturbed_count_exact(self):
+        g = glue(make_spec(5, 0.0))
+        assert (window_counts(g.path) == 6).all()
+
     def test_window_boundary_never_hit(self):
         g = glue(make_spec(2, 0.4, seed=9))
         for t in np.linspace(0.0, 1.0, 101):
@@ -122,75 +127,3 @@ class TestGlue:
             assert row() is None
         finally:
             gc.enable()
-
-
-class TestWindowCountConstancy:
-    def test_constant_count_equals_multiplicity(self):
-        g = glue(make_spec(3, 0.4, seed=4))
-        report = window_count_constancy(g.path)
-        assert report.count == 4
-        assert report.grid == 101
-
-    def test_unperturbed_count_exact(self):
-        g = glue(make_spec(5, 0.0))
-        assert window_count_constancy(g.path).count == 6
-
-    def test_violation_flagged_with_location(self):
-        # an eigenvalue walks into the window between grid points: count 1 -> 2
-        p = matrix_path(2, lambda t: np.diag([0.0, 3.07 - 2.0 * t]))
-        with pytest.raises(WindowCountViolation) as err:
-            window_count_constancy(p)
-        assert err.value.t is not None
-        assert err.value.spectrum is not None
-
-    def test_boundary_collision_is_ambiguous_not_assigned(self):
-        # an eigenvalue exactly on the window boundary at a grid point
-        p = matrix_path(2, lambda t: np.diag([0.0, 3.0 - 2.0 * t]))  # hits 2.0 at t=0.5
-        with pytest.raises(BoundaryAmbiguity):
-            window_count_constancy(p)
-
-    def test_ambiguity_text_is_exact(self):
-        p = matrix_path(3, lambda t: np.diag([-1.0, 0.5, 3.0]))
-        with pytest.raises(BoundaryAmbiguity) as err:
-            window_count_constancy(p, grid=3, radius=0.5)
-        assert str(err.value) == (
-            "eigenvalue within 3.000e-09 of interval endpoint 0.5 (distance 0.000e+00); "
-            "move the endpoint off the spectrum"
-        )
-
-    def test_first_ambiguous_grid_point_named_lower_boundary_first(self):
-        # +2 is hit at t=0.25, -2 at t=0.5; both are hit at t=0.5 in the second path.
-        early = matrix_path(2, lambda t: np.diag([-3.0 + 2.0 * t, 3.0 - 4.0 * t]))
-        with pytest.raises(BoundaryAmbiguity, match=r"endpoint 2\.0 "):
-            window_count_constancy(early)
-        both = matrix_path(2, lambda t: np.diag([-3.0 + 2.0 * t, 3.0 - 2.0 * t]))
-        with pytest.raises(BoundaryAmbiguity, match=r"endpoint -2\.0 "):
-            window_count_constancy(both)
-
-    def test_boundary_guard_relative_to_scale(self):
-        # 1e-5 from the boundary is inside 1e-9 * 1e6 but outside 1e-9 * 2.
-        wide = matrix_path(2, lambda t: np.diag([1e6, 1.0]))
-        with pytest.raises(BoundaryAmbiguity) as err:
-            window_count_constancy(wide, grid=3, radius=1.0 + 1e-5)
-        assert str(err.value) == (
-            "eigenvalue within 1.000e-03 of interval endpoint 1.00001 (distance 1.000e-05); "
-            "move the endpoint off the spectrum"
-        )
-        narrow = matrix_path(2, lambda t: np.diag([2.0, 1.0]))
-        assert window_count_constancy(narrow, grid=3, radius=1.0 + 1e-5).count == 1
-
-    def test_zero_spectrum_uses_unit_scale(self):
-        zero = matrix_path(2, lambda t: np.zeros((2, 2)))
-        with pytest.raises(BoundaryAmbiguity) as err:
-            window_count_constancy(zero, grid=3, radius=5e-10)
-        assert str(err.value) == (
-            "eigenvalue within 1.000e-09 of interval endpoint -5e-10 (distance 5.000e-10); "
-            "move the endpoint off the spectrum"
-        )
-        assert window_count_constancy(zero, grid=3, radius=2e-9).count == 2
-
-    @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"radius": -1.0}], ids=["grid-0", "radius-negative"])
-    def test_empty_grid_or_window_rejected(self, kwargs):
-        p = matrix_path(2, lambda t: np.diag([0.0, 3.0]))
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            window_count_constancy(p, **kwargs)

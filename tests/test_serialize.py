@@ -25,7 +25,6 @@ from specflow.config import (
     build_family_path,
     load_schema,
     path_descriptor,
-    path_samples_to_json,
     sampled_path,
     validate_config,
 )
@@ -284,11 +283,25 @@ class TestFamilyBlocks:
         assert str(got.value) == f"config invalid at {message}"
 
 
+def _sampled_block(path, grid: int) -> dict:
+    """A sampled family block of ``path.at(t).entries`` on ``grid`` parameters, as JSON spells it."""
+
+    def matrix(entries):
+        if np.iscomplexobj(entries):
+            return {"real": entries.real.tolist(), "imag": entries.imag.tolist()}
+        return entries.tolist()
+
+    samples = [
+        {"t": t, "matrix": matrix(path.at(t).entries)} for t in np.linspace(0.0, 1.0, grid).tolist()
+    ]
+    return {"kind": "sampled", "samples": samples}
+
+
 class TestSampledPaths:
     def test_linear_family_round_trips_exactly(self):
         # a linear-in-t family is reproduced exactly by linear interpolation
         src = build_family_path({"kind": "baer", "m": 1, "background": [5.0, -5.0]})
-        block = path_samples_to_json(src, grid=5)
+        block = _sampled_block(src, grid=5)
         validate_config({"family": block})
         back = build_family_path(block)
         for t in np.linspace(0.0, 1.0, 17):
@@ -307,7 +320,7 @@ class TestSampledPaths:
     def test_complex_matrix_round_trip(self):
         h = np.array([[1.0, 1j], [-1j, -1.0]])
         src = sampled_path([(0.0, h), (1.0, 3 * h)])
-        block = path_samples_to_json(src, grid=3)
+        block = _sampled_block(src, grid=3)
         validate_config({"family": block})
         back = build_family_path(block)
         assert np.allclose(back.at(1.0).entries, 3 * h)
