@@ -32,6 +32,7 @@ from .components import certify_distinct_components
 from .config import (
     ConfigError,
     _check_document,
+    _schema_validator,
     build_family_path,
     components_from_config,
     flow_options_from_config,
@@ -120,23 +121,10 @@ def _add_subcommand(sub, name: str, help_text: str, handler, **blocks) -> argpar
 def _family_block_from_args(args: argparse.Namespace) -> dict | None:
     if args.family is None:
         return None
-    block: dict = {"kind": args.family}
-    mapping = {
-        "baer": {"m": args.m, "background": args.background},
-        "circle": {"modes": args.modes, "winding": args.winding, "shift": args.shift},
-        "random": {"dim": args.dim, "seed": args.seed, "invertible_ends": args.invertible_ends},
-        "glue": {
-            "m": args.m,
-            "background": args.background,
-            "epsilon": args.epsilon,
-            "base_spectrum": args.base_spectrum,
-            "seed": args.seed,
-        },
-    }
-    for key, value in mapping[args.family].items():
-        if value is not None:
-            block[key] = value
-    return block
+    # The family's keys, in the schema's order; each flag's dest is its key.
+    keys = _schema_validator("experiment-config").schema["$defs"][args.family]["properties"]
+    block = {key: args.family if key == "kind" else getattr(args, key) for key in keys}
+    return {key: value for key, value in block.items() if value is not None}
 
 
 def _assemble_config(args: argparse.Namespace) -> dict:

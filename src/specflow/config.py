@@ -151,7 +151,7 @@ def read_config_file(path: str | Path, what: str = "config file") -> dict:
     """Read and parse a JSON object without schema validation; ``what`` names the file in errors."""
     try:
         raw = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         doc = json.loads(raw)

@@ -9,9 +9,10 @@ spectrum is its sorted diagonal, and its dense entries are built only when
 something reads them.  Paths never build operator objects to solve:
 they check whole stacks (:func:`_ingest_stack`, :func:`_ingest_diagonal`)
 and solve them with :func:`_spectra`, which alone sizes the chunks a build
-makes.  Every eigensolve goes through :func:`_solve_spectrum`, which
-overlaps the LAPACK calls of large matrices on solver threads when BLAS
-leaves CPUs idle.
+makes.  Every chunk's rows come from :func:`_solve_spectrum`, which
+turns each checked stack into its sorted rows (a diagonal is sorted, a
+dense stack solved) and overlaps the chunks of large paths on solver
+threads when BLAS leaves CPUs idle.
 """
 
 from __future__ import annotations
@@ -197,39 +198,31 @@ def _common_kind(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
     return stacks
 
 
-def _dense_parts(stack: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """The eigensolves of a checked dense stack: ``(real, parts)``.
+def _chunk_rows(stack: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalue rows ``(n, d)`` of one checked stack, read-only.
 
-    A matrix whose imaginary part is exactly zero is solved as real, the
-    others as complex, one stacked eigensolve each, so a row depends on its
-    matrix's values alone, never on the dtype of the stack that holds it.
-    When the stack mixes the two, ``real`` masks the real matrices and the
-    parts are they, then the others; else ``real`` is ``None`` and the one
-    part is the whole stack.
+    Diagonal rows are their own spectra and are only sorted.  In a dense
+    stack a matrix whose imaginary part is exactly zero is solved as real,
+    the others as complex, one stacked eigensolve each and in that order,
+    so a row depends on its matrix's values alone, never on the dtype of
+    the stack that holds it.
     """
+    if stack.ndim == 2:
+        return _sorted_rows(stack)
     if np.iscomplexobj(stack):
         real = ~stack.imag.any(axis=(-2, -1))
         if real.all():
-            return None, [stack.real]
-        if real.any():
-            return real, [stack[real].real, stack[~real]]
-    return None, [stack]
-
-
-def _assemble_rows(real: np.ndarray | None, solved: Iterator[np.ndarray]) -> np.ndarray:
-    """Sorted rows of a dense stack from the eigenvalues of its parts, read off ``solved``."""
-    if real is None:
-        return _sorted_rows(next(solved))
-    real_rows, other_rows = next(solved), next(solved)
-    rows = np.empty((real.size, real_rows.shape[1]))
-    rows[real], rows[~real] = real_rows, other_rows
-    return _sorted_rows(rows)
+            stack = stack.real
+        elif real.any():
+            rows = np.empty(stack.shape[:2])
+            rows[real], rows[~real] = _eigvalsh(stack[real].real), _eigvalsh(stack[~real])
+            return _sorted_rows(rows)
+    return _sorted_rows(_eigvalsh(stack))
 
 
 def _spectrum_rows(stack: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue rows ``(n, d)`` of a checked stack of one chunk, read-only."""
-    ((_, rows),) = _spectra(lambda span: stack[span], len(stack), stack.shape[-1])
-    return rows
+    return _solve_spectrum([stack])[0]
 
 
 def _spectra(
@@ -240,31 +233,24 @@ def _spectra(
     ``build(span)`` returns the checked stack of the entries in the slice
     ``span``.  A chunk holds ``stack_chunk(dim)`` entries, or, after a
     chunk that came back as diagonal rows, ``STACK_BYTES // (8 dim)``.
-    Diagonal rows are their own spectra and are only sorted; the dense
-    parts (:func:`_dense_parts`) of every chunk go through one
-    :func:`_solve_spectrum` call, so each chunk is built on the calling
-    thread, in order, and the rows come once every chunk is solved.
+    All chunks go through one :func:`_solve_spectrum` call, so each is
+    built on the calling thread, in order, and the rows come once every
+    chunk is solved.
     """
-    layout = []  # per chunk: (span, its sorted diagonal rows, None) or (span, None, its real mask)
+    spans = []
 
-    def parts() -> Iterator[np.ndarray]:
+    def stacks() -> Iterator[np.ndarray]:
         start, step = 0, stack_chunk(dim)
         while start < n:
             span = slice(start, min(n, start + step))
             start = span.stop
             stack = build(span)
-            if stack.ndim == 2:
-                layout.append((span, _sorted_rows(stack), None))
-                step = max(1, STACK_BYTES // (8 * dim))
-                continue
-            real, split = _dense_parts(stack)
-            layout.append((span, None, real))
-            step = stack_chunk(dim)
-            yield from split
+            step = max(1, STACK_BYTES // (8 * dim)) if stack.ndim == 2 else stack_chunk(dim)
+            spans.append(span)
+            yield stack
 
-    solved = iter(_solve_spectrum(parts()))
-    for span, rows, real in layout:
-        yield span, _assemble_rows(real, solved) if rows is None else rows
+    solved = _solve_spectrum(stacks())
+    return zip(spans, solved)
 
 
 class SelfAdjointOperator:
@@ -394,31 +380,31 @@ def _eigvalsh(entries: np.ndarray) -> np.ndarray:
 
 
 def _solve_spectrum(stacks: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """Eigenvalues of every dense Hermitian stack ``(n, d, d)`` in ``stacks``, in order.
+    """Sorted eigenvalue rows of every checked stack in ``stacks``, in order.
 
-    The one eigensolve boundary.  ``stacks`` is drawn on the calling
-    thread, one stack at a time and in order, so each stack's build, its
-    ingest and their errors happen there.  Off the pooled route
-    (:func:`_pooled` of the first stack's dimension) each stack is solved
-    before the next is drawn.  On it, each stack is handed to
-    ``numpy.linalg.eigvalsh`` on a solver thread once drawn, and the next
-    is drawn while it solves, with at most ``_WORKERS`` stacks alive.  A
-    solver thread runs nothing but ``eigvalsh`` on a stack no one writes,
-    and a matrix's eigenvalues depend on it alone, so both routes return
-    the same bits.  Both raise the error the serial order meets first (an
-    eigensolver error before a later stack's build error), and neither
-    leaves a solve running.
+    The one eigensolve boundary: each stack's rows are :func:`_chunk_rows`
+    of it.  ``stacks`` is drawn on the calling thread, one stack at a time
+    and in order, so each stack's build, its ingest and their errors happen
+    there.  Off the pooled route (:func:`_pooled` of the first stack's
+    dimension) each stack is solved before the next is drawn.  On it, each
+    stack, diagonal or dense, is handed to :func:`_chunk_rows` on a solver
+    thread once drawn, and the next is drawn while it solves, with at most
+    ``_WORKERS`` stacks alive.  A solver thread reads only a stack no one
+    writes and writes only arrays it allocates, and a matrix's eigenvalues
+    depend on it alone, so both routes return the same bits.  Both raise
+    the error the serial order meets first (an eigensolver error before a
+    later stack's build error), and neither leaves a solve running.
     """
     stacks = iter(stacks)
     first = next(stacks, None)
     if first is None:
         return []
     if not _pooled(first.shape[-1]):
-        return [_eigvalsh(first), *map(_eigvalsh, stacks)]
+        return [_chunk_rows(first), *map(_chunk_rows, stacks)]
     from concurrent.futures import wait
 
     pool = _pool()
-    pending = deque([pool.submit(_eigvalsh, first)])
+    pending = deque([pool.submit(_chunk_rows, first)])
     del first
     solved = []
     try:
@@ -434,7 +420,7 @@ def _solve_spectrum(stacks: Iterable[np.ndarray]) -> list[np.ndarray]:
                 raise
             if stack is None:
                 break
-            pending.append(pool.submit(_eigvalsh, stack))
+            pending.append(pool.submit(_chunk_rows, stack))
         solved.extend(future.result() for future in pending)
         return solved
     finally:

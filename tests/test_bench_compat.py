@@ -9,8 +9,9 @@ Paths whose gauge is not ``L t`` (a sampled config, a warp and every
 other composite, which sets its gauge after the wrapped constructor
 returns) must certify byte for byte as they do untraced, so the wrapped
 constructor keeps every gauge.  A 64-dim sampled config, run with BLAS
-pinned to one thread, takes the pooled eigensolve route: its spans must
-still nest strictly, which shows that none was opened on a solver thread.
+pinned to one thread, takes the pooled eigensolve route, and so do the
+chunks of a 36-dim diagonal path: their spans must still nest strictly,
+which shows that none was opened on a solver thread.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ paths = {
     "constant": sf.constant_path(a.at(0.3)),
     "interior slice": h.slice_at(0.5),
     "end slice": h.slice_at(1.0),
+    "baer 36": sf.baer_family(sf.BaerFamilySpec(m=31)),
 }
 certs = {name: dumps_document(flow_certificate_document(sf.spectral_flow(path)))
          for name, path in paths.items()}

@@ -64,6 +64,19 @@ class TestFlowCommand:
         assert main(["flow", "--family", "circle", "--winding", "2", "--modes", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["flow"] == 2
 
+    def test_glue_flags_keep_their_key_order_in_the_path_block(self, capsys):
+        argv = ["flow", "--family", "glue", "--m", "1", "--background", "5,-5", "--epsilon", "0.2"]
+        assert main([*argv, "--base-spectrum=-7,7", "--seed", "3"]) == 0
+        path = json.loads(capsys.readouterr().out)["path"]
+        assert list(path.items()) == [
+            ("kind", "glue"),
+            ("m", 1),
+            ("background", [5.0, -5.0]),
+            ("epsilon", 0.2),
+            ("base_spectrum", [-7.0, 7.0]),
+            ("seed", 3),
+        ]
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"family": {"kind": "glue", "m": 2, "seed": 4}}))
@@ -385,6 +398,14 @@ class TestSchemaRulesExit1:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("specflow: ConfigError: ")
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["flow", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"specflow: ConfigError: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
 
     def test_messages_name_the_field(self, tmp_path, capsys):
         assert main(["check", "--seed", "-1"]) == 1
@@ -824,6 +845,16 @@ class TestVerifyCommand:
             doc["radii"][0] = slot[key]
         code, err = self._check(config, doc, tmp_path, capsys)
         assert (code, err) == (1, f"specflow: ConfigError: certificate invalid at {message}\n")
+
+    def test_certificate_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg, cert = tmp_path / "config.json", tmp_path / "cert.json"
+        cfg.write_text(json.dumps({"family": {"kind": "baer", "m": 1}}))
+        cert.write_bytes(b"\xff\xfe{}")
+        assert main(["verify", str(cert), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"specflow: ConfigError: cannot read certificate {cert}: ")
+        assert captured.err.count("\n") == 1
 
     def test_radii_must_repeat_the_segments(self, tmp_path, capsys):
         config, doc = self._certify({"family": {"kind": "baer", "m": 1}}, tmp_path, capsys)

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 
 from specflow import (
+    BaerFamilySpec,
     DepthExceeded,
     EigensolverError,
     OperatorPath,
+    baer_family,
     matrix_path,
     oracle_flow,
     random_family,
@@ -177,6 +179,18 @@ def test_mixed_stack_solves_real_matrices_as_real(workers):
 def test_pooled_route_is_used(futures):
     _certificate(_sampled(64, False, 2))
     assert len(futures) > 1
+
+
+def test_diagonal_path_is_sorted_on_the_pool(futures, workers):
+    # A 36-dim diagonal path: with two solver threads its chunks go through the pool.
+    def run() -> tuple:
+        path = baer_family(BaerFamilySpec(m=31))
+        return path.spectra(np.linspace(0.0, 1.0, 101)).tobytes(), _certificate(path)
+
+    pooled = run()
+    assert futures
+    workers(1)
+    assert run() == pooled
 
 
 @pytest.mark.parametrize("dim", [2, 31, 32, 64, 96, 128])
