@@ -4,9 +4,11 @@ Subcommands: ``flow`` (certificate for one family), ``components``
 (distinct-components report), ``spectrum`` (eigenvalue curves as CSV),
 ``check`` (flow-axiom property suites) and ``verify`` (re-check a flow
 certificate against its config).  Experiments are described by a JSON
-config file, inline flags, or both (flags win).  Reports go to stdout
-and, with ``--out DIR``, to files in that directory, which is created or
-checked before any computation.
+config file, inline flags, or both (flags win).  The experiment-config
+schema is the one list of keys: a flag fills the key its dest names, at
+the top level, in ``flow_options`` and in its subcommand's block.
+Reports go to stdout and, with ``--out DIR``, to files in that
+directory, which is created or checked before any computation.
 
 Exit codes: 0 success; 1 when the error is a ``ConfigError``,
 ``InvalidSpec`` or ``EndpointMismatch`` (bad configuration or usage); 2 for
@@ -36,7 +38,6 @@ from .config import (
     build_family_path,
     components_from_config,
     flow_options_from_config,
-    merge_config,
     path_descriptor,
     read_config_file,
     validate_config,
@@ -63,8 +64,6 @@ EXIT_COMPUTE = 2
 
 # Errors that exit 1; every other SpectralFlowError exits 2.
 _CONFIG_ERRORS = (ConfigError, InvalidSpec, EndpointMismatch)
-# Flags copied to the top level of the config; blocks are declared per subcommand.
-_TOP_LEVEL = ("seed", "out", "grid")
 
 
 def _configure_logging() -> None:
@@ -105,46 +104,53 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_subcommand(sub, name: str, help_text: str, handler, **blocks) -> argparse.ArgumentParser:
+def _add_subcommand(sub, name: str, help_text: str, handler, block: str) -> argparse.ArgumentParser:
     """Subcommand with the common flags, dispatching to ``handler(config, args)``.
 
-    ``blocks`` maps a config block to the flag dests that fill it; every
-    subcommand routes its flow-option flags to ``flow_options``.
+    ``block`` names the subcommand's own config block, which its flags
+    fill beside the top level and ``flow_options``.
     """
     p = sub.add_parser(name, help=help_text)
     _add_common_flags(p)
-    blocks = {"flow_options": ("init_samples", "max_depth"), **blocks}
-    p.set_defaults(handler=handler, blocks=blocks)
+    p.set_defaults(handler=handler, block=block)
     return p
 
 
-def _family_block_from_args(args: argparse.Namespace) -> dict | None:
-    if args.family is None:
-        return None
-    # The family's keys, in the schema's order; each flag's dest is its key.
-    keys = _schema_validator("experiment-config").schema["$defs"][args.family]["properties"]
-    block = {key: args.family if key == "kind" else getattr(args, key) for key in keys}
-    return {key: value for key, value in block.items() if value is not None}
-
-
 def _assemble_config(args: argparse.Namespace) -> dict:
-    """Overlay the flags on the config file: family, top-level keys, declared blocks."""
-    # The merged document is validated once below; the file alone is not.
+    """Overlay the flags on the config file, reading every key from the schema.
+
+    A flag fills the key its dest names, in this order: in the family block
+    (the ``$defs`` block of the ``--family`` kind), at the top level (the
+    schema's non-object properties), in ``flow_options``, and in a
+    ``components`` or ``check`` block.  A flag block updates a file block
+    that is an object and replaces any other value.  The merged document is
+    validated once; the file alone is not.
+    """
     config = read_config_file(args.config) if args.config else {}
-    overlay: dict = {}
-    family = _family_block_from_args(args) if hasattr(args, "family") else None
-    if family is not None:
-        overlay["family"] = family
-    for key in _TOP_LEVEL:
-        if getattr(args, key, None) is not None:
-            overlay[key] = getattr(args, key)
-    for block, dests in args.blocks.items():
-        values = {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
-        if values:
-            overlay[block] = values
-    merged = merge_config(config, overlay)
-    validate_config(merged)
-    return merged
+    schema = _schema_validator("experiment-config").schema
+    props = schema["properties"]
+
+    def given(keys) -> dict:
+        return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+    overlay = [
+        (None, given(key for key, prop in props.items() if prop.get("type") != "object")),
+        ("flow_options", given(props["flow_options"]["properties"])),
+    ]
+    if args.block == "family":
+        if args.family is not None:
+            family = given(schema["$defs"][args.family]["properties"])
+            overlay.insert(0, ("family", {"kind": args.family, **family}))
+    elif args.block is not None:
+        overlay.append((args.block, given(props[args.block]["properties"])))
+    for block, values in overlay:
+        if block is None:
+            config.update(values)
+        elif values:
+            base = config.get(block)
+            config[block] = {**base, **values} if isinstance(base, dict) else values
+    validate_config(config)
+    return config
 
 
 def _check_alloc(points: int, what: str) -> None:
@@ -195,6 +201,12 @@ def _emit(text: str, config: dict, filename: str) -> None:
     sys.stdout.write(text)
 
 
+def _report(doc: dict, config: dict) -> None:
+    """Validate a report document and emit it as ``<kind>.json``."""
+    validate_document(doc)
+    _emit(dumps_document(doc), config, f"{doc['kind']}.json")
+
+
 def cmd_flow(config: dict, args: argparse.Namespace) -> int:
     family = config.get("family")
     if family is None:
@@ -214,9 +226,7 @@ def cmd_flow(config: dict, args: argparse.Namespace) -> int:
         raise CertificateBroken(
             f"oracle flow {oracle.flow} disagrees with the certified flow {cert.flow}"
         )
-    doc = flow_certificate_document(cert, path_descriptor(family, path, seed), oracle)
-    validate_document(doc)
-    _emit(dumps_document(doc), config, "flow-certificate.json")
+    _report(flow_certificate_document(cert, path_descriptor(family, path, seed), oracle), config)
     return EXIT_OK
 
 
@@ -250,9 +260,7 @@ def cmd_components(config: dict, args: argparse.Namespace) -> int:
     options = _flow_options(config)
     report = components_from_config(config, options)
     certification = certify_distinct_components(report)
-    doc = component_report_document(report, certification, options)
-    validate_document(doc)
-    _emit(dumps_document(doc), config, "component-report.json")
+    _report(component_report_document(report, certification, options), config)
     return EXIT_OK
 
 
@@ -274,9 +282,7 @@ def cmd_check(config: dict, args: argparse.Namespace) -> int:
     report = check_flow_properties(
         seed=config.get("seed", 0), options=options, **config.get("check", {})
     )
-    doc = property_report_document(report)
-    validate_document(doc)
-    _emit(dumps_document(doc), config, "property-report.json")
+    _report(property_report_document(report), config)
     return EXIT_OK if report.passed else EXIT_COMPUTE
 
 
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_flow = _add_subcommand(sub, "flow", "compute a flow certificate for one family", cmd_flow)
+    p_flow = _add_subcommand(sub, "flow", "compute a flow certificate for one family", cmd_flow, "family")
     _add_family_flags(p_flow)
     p_flow.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
     p_flow.add_argument("--grid", type=int, help="oracle grid (with --oracle)")
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "components",
         "build and certify distinct-component paths",
         cmd_components,
-        components=("k", "ambient_dim", "epsilon", "seed"),
+        "components",
     )
     p_comp.add_argument("--k", type=int, help="number of paths to construct")
     p_comp.add_argument(
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_comp.add_argument("--epsilon", type=float, help="generator perturbation bound")
 
-    p_spec = _add_subcommand(sub, "spectrum", "emit eigenvalue curves as CSV", cmd_spectrum)
+    p_spec = _add_subcommand(sub, "spectrum", "emit eigenvalue curves as CSV", cmd_spectrum, "family")
     _add_family_flags(p_spec)
     p_spec.add_argument("--grid", type=int, help="number of parameter samples")
 
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         "run the flow-axiom property suites",
         cmd_check,
-        check=("invertible_paths", "concat_pairs", "homotopies", "slices"),
+        "check",
     )
     p_check.add_argument("--paths", dest="invertible_paths", type=int, help="invertible-path cases")
     p_check.add_argument("--pairs", dest="concat_pairs", type=int, help="composable-pair cases")
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-check a flow certificate against its config")
     p_verify.add_argument("certificate", metavar="CERT", help="flow certificate (version 2 JSON)")
     p_verify.add_argument("--config", metavar="FILE", required=True, help="JSON experiment config")
-    p_verify.set_defaults(handler=cmd_verify, blocks={})
+    p_verify.set_defaults(handler=cmd_verify, block=None)
     return parser
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "validate_config",
     "read_config_file",
     "load_config_file",
-    "merge_config",
     "flow_options_from_config",
     "build_family_path",
     "sampled_path",
@@ -167,22 +166,6 @@ def load_config_file(path: str | Path) -> dict:
     config = read_config_file(path)
     validate_config(config)
     return config
-
-
-def merge_config(base: dict, overlay: dict) -> dict:
-    """Overlay CLI flags onto a config dict (one level of nesting)."""
-    merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for key, value in overlay.items():
-        if value is None:
-            continue
-        if isinstance(value, dict):
-            slot = merged.setdefault(key, {})
-            for k2, v2 in value.items():
-                if v2 is not None:
-                    slot[k2] = v2
-        else:
-            merged[key] = value
-    return merged
 
 
 def flow_options_from_config(config: dict) -> FlowOptions:

@@ -11,8 +11,8 @@ they check whole stacks (:func:`_ingest_stack`, :func:`_ingest_diagonal`)
 and solve them with :func:`_spectra`, which alone sizes the chunks a build
 makes.  Every chunk's rows come from :func:`_solve_spectrum`, which
 turns each checked stack into its sorted rows (a diagonal is sorted, a
-dense stack solved) and overlaps the chunks of large paths on solver
-threads when BLAS leaves CPUs idle.
+dense stack solved) and overlaps the dense chunks of large paths on
+solver threads when BLAS leaves CPUs idle.
 """
 
 from __future__ import annotations
@@ -385,21 +385,22 @@ def _solve_spectrum(stacks: Iterable[np.ndarray]) -> list[np.ndarray]:
     The one eigensolve boundary: each stack's rows are :func:`_chunk_rows`
     of it.  ``stacks`` is drawn on the calling thread, one stack at a time
     and in order, so each stack's build, its ingest and their errors happen
-    there.  Off the pooled route (:func:`_pooled` of the first stack's
-    dimension) each stack is solved before the next is drawn.  On it, each
-    stack, diagonal or dense, is handed to :func:`_chunk_rows` on a solver
-    thread once drawn, and the next is drawn while it solves, with at most
-    ``_WORKERS`` stacks alive.  A solver thread reads only a stack no one
-    writes and writes only arrays it allocates, and a matrix's eigenvalues
-    depend on it alone, so both routes return the same bits.  Both raise
-    the error the serial order meets first (an eigensolver error before a
-    later stack's build error), and neither leaves a solve running.
+    there.  When the first stack holds diagonal rows, whose sort costs less
+    than a hand-off to a solver thread, or is off the pooled route
+    (:func:`_pooled` of its dimension), each stack is solved before the
+    next is drawn.  Otherwise each stack is handed to :func:`_chunk_rows`
+    on a solver thread once drawn, and the next is drawn while it solves,
+    with at most ``_WORKERS`` stacks alive.  A solver thread reads only a
+    stack no one writes and writes only arrays it allocates, and a matrix's
+    eigenvalues depend on it alone, so both routes return the same bits.
+    Both raise the error the serial order meets first (an eigensolver error
+    before a later stack's build error), and neither leaves a solve running.
     """
     stacks = iter(stacks)
     first = next(stacks, None)
     if first is None:
         return []
-    if not _pooled(first.shape[-1]):
+    if first.ndim == 2 or not _pooled(first.shape[-1]):
         return [_chunk_rows(first), *map(_chunk_rows, stacks)]
     from concurrent.futures import wait
 

@@ -9,9 +9,10 @@ Paths whose gauge is not ``L t`` (a sampled config, a warp and every
 other composite, which sets its gauge after the wrapped constructor
 returns) must certify byte for byte as they do untraced, so the wrapped
 constructor keeps every gauge.  A 64-dim sampled config, run with BLAS
-pinned to one thread, takes the pooled eigensolve route, and so do the
-chunks of a 36-dim diagonal path: their spans must still nest strictly,
-which shows that none was opened on a solver thread.
+pinned to one thread, takes the pooled eigensolve route, while the chunks
+of a 36-dim diagonal path are sorted on the calling thread: all spans
+must still nest strictly, which shows that none was opened on a solver
+thread.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -597,6 +598,62 @@ class TestCheckCommand:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         merged = {"homotopies": 1, "concat_pairs": 3, "slices": 3, "invertible_paths": 2}
         assert calls == [{"seed": 2, "check": merged}]
+
+
+class TestFlagRouting:
+    @pytest.mark.parametrize(
+        "block, argv",
+        [
+            ({"family": 5}, ["flow", "--family", "baer", "--m", "1"]),
+            ({"flow_options": [1]}, ["flow", "--family", "baer", "--m", "1", "--max-depth", "3"]),
+            ({"components": None}, ["components", "--k", "2"]),
+        ],
+        ids=["family-int", "flow-options-list", "components-null"],
+    )
+    def test_flags_replace_a_file_block_that_is_not_an_object(self, block, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(block))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize(
+        "block, argv, message",
+        [
+            ({"family": 5}, ["flow"], "family: 5 is not of type 'object'"),
+            (
+                {"flow_options": [1]},
+                ["flow", "--family", "baer", "--m", "1"],
+                "flow_options: [1] is not of type 'object'",
+            ),
+        ],
+        ids=["family-int", "flow-options-list"],
+    )
+    def test_a_file_block_that_is_not_an_object_exits_1(self, block, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(block))
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"specflow: ConfigError: config invalid at {message}\n"
+
+    def test_every_flag_fills_a_schema_key(self):
+        # A flag whose dest the schema does not list would be dropped unread.
+        schema = specflow.config._schema_validator("experiment-config").schema
+        props = schema["properties"]
+        top = {key for key, prop in props.items() if prop.get("type") != "object"}
+        cli_only = {"config", "family", "oracle", "certificate"}
+        [sub] = [a for a in specflow.cli.build_parser()._actions if a.dest == "command"]
+        for name, parser in sub.choices.items():
+            # The subcommand's own block: components, check or the --family kind's.
+            keys = top | set(props["flow_options"]["properties"])
+            if name in props:
+                keys |= set(props[name]["properties"])
+            family = parser._option_string_actions.get("--family")
+            for kind in family.choices if family else ():
+                keys |= set(schema["$defs"][kind]["properties"])
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert action.dest in keys | cli_only, (name, action.dest)
 
 
 class TestHelp:

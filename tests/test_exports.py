@@ -38,6 +38,7 @@ DELETED = (
     "WindowCountReport",
     "WindowCountViolation",
     "path_samples_to_json",
+    "merge_config",
 )
 
 

@@ -181,16 +181,16 @@ def test_pooled_route_is_used(futures):
     assert len(futures) > 1
 
 
-def test_diagonal_path_is_sorted_on_the_pool(futures, workers):
-    # A 36-dim diagonal path: with two solver threads its chunks go through the pool.
+def test_diagonal_path_is_sorted_on_the_calling_thread(futures, workers):
+    # A 36-dim diagonal path: even with two solver threads no chunk goes to the pool.
     def run() -> tuple:
         path = baer_family(BaerFamilySpec(m=31))
         return path.spectra(np.linspace(0.0, 1.0, 101)).tobytes(), _certificate(path)
 
-    pooled = run()
-    assert futures
+    two_workers = run()
+    assert not futures
     workers(1)
-    assert run() == pooled
+    assert run() == two_workers
 
 
 @pytest.mark.parametrize("dim", [2, 31, 32, 64, 96, 128])

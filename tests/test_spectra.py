@@ -266,7 +266,9 @@ class TestEigensolveCounts:
 
 # LAPACK's eigvalsh rescales a matrix whose largest entry lies outside
 # [_UNSCALED_MIN, 1 / _UNSCALED_MIN]; only inside that band is its spectrum
-# of a diagonal matrix exactly the sorted diagonal.
+# of a diagonal matrix exactly the sorted diagonal, up to the sign of a zero
+# eigenvalue, which LAPACK does not fix (eigvalsh(diag(0, -0., -1)) gives
+# [-1, 0, -0.]).
 _UNSCALED_MIN = np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 
@@ -277,8 +279,9 @@ def _assert_diagonal_spectra(got: np.ndarray, dense: np.ndarray) -> None:
     norms = np.abs(dense).max(axis=(-2, -1))
     unscaled = (norms == 0.0) | ((norms >= _UNSCALED_MIN) & (norms <= 1.0 / _UNSCALED_MIN))
     if unscaled.any():
+        # x + 0.0 turns -0. into 0. and leaves every other value as it is.
         reference = np.linalg.eigvalsh(dense[unscaled])
-        assert got[unscaled].tobytes() == reference.tobytes()
+        assert (got[unscaled] + 0.0).tobytes() == (reference + 0.0).tobytes()
 
 
 _reals = st.floats(-1e300, 1e300, allow_nan=False)
@@ -294,6 +297,10 @@ def _diagonal_pairs(draw):
 
 class TestDiagonalBlend:
     @given(ab=_diagonal_pairs(), ts=st.lists(_params, min_size=1, max_size=20, unique=True))
+    # The blend at 0.5 holds zeros of both signs, which LAPACK orders as it likes.
+    @example(
+        ab=(np.array([0, 0, 0, -0.0, 0, 0, -1]), np.array([0, 0, 0, -0.0, 0, -1, 0])), ts=[0.5]
+    )
     def test_segment_between_diagonals(self, ab, ts):
         a, b = ab
         x, y = SelfAdjointOperator.from_diagonal(a), SelfAdjointOperator.from_diagonal(b)
