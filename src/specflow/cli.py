@@ -120,15 +120,17 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     """Overlay the flags on the config file, reading every key from the schema.
 
     A flag fills the key its dest names, in this order: in the family block
-    (the ``$defs`` block of the ``--family`` kind), at the top level (the
-    schema's non-object properties), in ``flow_options``, and in a
-    ``components`` or ``check`` block.  A flag block updates a file block
-    that is an object and replaces any other value.  The merged document is
-    validated once; the file alone is not.
+    (the ``$defs`` block of ``--family``, else of the file's family kind),
+    at the top level (the schema's non-object properties), in
+    ``flow_options``, and in a ``components`` or ``check`` block.  A family
+    flag that kind does not list raises :class:`ConfigError`; with no kind
+    the schema knows, family flags are not read.  A flag block updates a
+    file block that is an object and replaces any other value.  The merged
+    document is validated once; the file alone is not.
     """
     config = read_config_file(args.config) if args.config else {}
     schema = _schema_validator("experiment-config").schema
-    props = schema["properties"]
+    props, defs = schema["properties"], schema["$defs"]
 
     def given(keys) -> dict:
         return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
@@ -138,9 +140,16 @@ def _assemble_config(args: argparse.Namespace) -> dict:
         ("flow_options", given(props["flow_options"]["properties"])),
     ]
     if args.block == "family":
-        if args.family is not None:
-            family = given(schema["$defs"][args.family]["properties"])
-            overlay.insert(0, ("family", {"kind": args.family, **family}))
+        family = config.get("family")
+        kind = args.family or (family.get("kind") if isinstance(family, dict) else None)
+        kinds = props["family"]["properties"]["kind"]["enum"]
+        if kind in kinds:
+            keys = defs[kind]["properties"]
+            family_keys = (key for k in kinds for key in defs[k]["properties"] if key not in props)
+            stray = [key for key in given(family_keys) if key not in keys]
+            if stray:
+                raise ConfigError(f"--{stray[0].replace('_', '-')} does not apply to family kind {kind!r}")
+            overlay.insert(0, ("family", {"kind": kind, **given(keys)}))
     elif args.block is not None:
         overlay.append((args.block, given(props[args.block]["properties"])))
     for block, values in overlay:

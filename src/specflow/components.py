@@ -300,29 +300,26 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
     differ.  The certifier locates a singular operator on every such
     segment in one lockstep bisection (:func:`_locate_singular`), and
     raises :class:`CertificateBroken` if the operator it lands on is
-    invertible (a bug detector, not an expected outcome).  Errors
-    are raised for the first failing pair in ``(i, j)`` order: the pairs
-    before the first whose inertia does not match its flow difference are
-    located and checked before that error is raised.
+    invertible (a bug detector, not an expected outcome).  A pair's
+    inertia matches its flow difference exactly when ``neg + flow`` is the
+    same at its two ends, so that check compares each path with path 0,
+    before any bisection; each error names the first failing pair in
+    ``(i, j)`` order.
     """
     n = len(report.paths)
     ends = [p.at(1.0) for p in report.paths]
     negs = [int(np.count_nonzero(p.spectra([1.0])[0] < 0.0)) for p in report.paths]
-    checked: list[tuple[int, int]] = []
-    failure: CertificateBroken | None = None
-    for i, j in combinations(range(n), 2):
-        seg_flow = negs[i] - negs[j]
-        expected = report.flows[j] - report.flows[i]
+    for j in range(1, n):
+        seg_flow, expected = negs[0] - negs[j], report.flows[j] - report.flows[0]
         if seg_flow != expected:
-            failure = CertificateBroken(
-                f"segment flow {seg_flow} between endpoints {i} and {j} does not "
+            raise CertificateBroken(
+                f"segment flow {seg_flow} between endpoints 0 and {j} does not "
                 f"match the flow difference {expected}; contracting the loop "
                 "would not close"
             )
-            break
-        checked.append((i, j))
+    every = list(combinations(range(n), 2))
     pairs: list[PairCertificate] = []
-    for (i, j), (t, row) in zip(checked, _locate_singular(ends, checked, negs)):
+    for (i, j), (t, row) in zip(every, _locate_singular(ends, every, negs)):
         min_abs, radius = float(np.abs(row).min()), float(np.abs(row).max())
         if not _singular(row):
             raise CertificateBroken(
@@ -342,8 +339,6 @@ def certify_distinct_components(report: ComponentReport) -> ComponentCertificati
                 spectral_radius=radius,
             )
         )
-    if failure is not None:
-        raise failure
     return ComponentCertification(
         pairs=tuple(pairs),
         verdict="distinct components certified in the convex model",

@@ -129,11 +129,11 @@ class FlowCertificate:
         """Re-check the certificate against ``path``; raise CertificateBroken if it fails.
 
         The witnesses must tile [0, 1] in the order of ``times``, with one
-        count pair each.  The witness grids are then read with one
-        ``spectra`` call per grid shape, and segment by segment, from the
-        left, the grid must be the ``options.witness_points``-point grid of
-        a segment of the initial partition and the two ends of any other
-        segment, the recorded window must pass the certifier's own rule
+        count pair each.  The witness grids are read as written, with one
+        ``spectra`` call per grid length, and segment by segment, from the
+        left, the grid must rise strictly from ``t_lower`` to ``t_upper``
+        (whatever schedule made it: ``init_samples`` and ``witness_points``
+        are not read), the recorded window must pass the certifier's own rule
         (:func:`_check_windows`: margin floor, Lipschitz slack, witnessed
         margin, a constant count equal to ``symmetric_count`` and a constant
         count below the window), and the end counts recounted from the
@@ -170,34 +170,28 @@ class FlowCertificate:
             raise CertificateBroken(
                 f"{len(self.counts)} count pairs recorded for {len(self.witnesses)} segments"
             )
-        edges = _initial_edges(opts)
-        first = set(zip(edges[:-1], edges[1:]))
-        initial = np.array([seg in first for seg in zip(times[:-1], times[1:])])
-        lower, upper = np.array(times[:-1]), np.array(times[1:])
         radius = np.array([w.radius for w in self.witnesses])
         margin = np.array([w.margin for w in self.witnesses])
-        checked: list = [None] * len(self.witnesses)
-        for group, points in ((initial, opts.witness_points), (~initial, 2)):
-            idx = np.flatnonzero(group)
-            if not idx.size:
-                continue
-            ts, spectra = _witness_spectra(path, lower[idx], upper[idx], points)
+        grids = [np.array(w.grid, dtype=float) for w in self.witnesses]
+        # Segment indices by grid length.  A grid that does not rise strictly
+        # from t_lower to t_upper is not read, and that is its reason.
+        groups: dict[int, list[int]] = {}
+        for i, (w, g) in enumerate(zip(self.witnesses, grids)):
+            if g.size > 1 and g[0] == w.t_lower and g[-1] == w.t_upper and (np.diff(g) > 0).all():
+                groups.setdefault(g.size, []).append(i)
+        bad_grid = "witness grid does not rise strictly from t_lower to t_upper"
+        checked: list = [(bad_grid, None, None)] * len(self.witnesses)
+        for idx in groups.values():
+            ts = np.stack([grids[i] for i in idx])
+            spectra = path.spectra(ts.ravel()).reshape(*ts.shape, -1)
             counts, failed, reason = _check_windows(path, ts, spectra, radius[idx], margin[idx], opts)
-            for k, (i, grid) in enumerate(zip(idx.tolist(), ts.tolist())):
-                why = reason(k) if failed[k] else None
-                checked[i] = (tuple(grid), why, int(counts[k]), spectra[k, [0, -1]])
+            for k, i in enumerate(idx):
+                checked[i] = (reason(k) if failed[k] else None, int(counts[k]), spectra[k, [0, -1]])
         total = 0
-        for i, (w, (grid, reason, count, ends), (c_lo, c_hi)) in enumerate(
+        for i, (w, (reason, count, ends), (c_lo, c_hi)) in enumerate(
             zip(self.witnesses, checked, self.counts)
         ):
             lo, hi = w.t_lower, w.t_upper
-            if w.grid != grid:
-                shape = (
-                    f"the {opts.witness_points}-point grid of the segment"
-                    if initial[i]
-                    else "the two ends of a refined segment"
-                )
-                raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: witness grid is not {shape}")
             if reason is not None:
                 raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {reason}")
             if count != w.symmetric_count:
@@ -239,11 +233,6 @@ def _widest_gaps(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return 0.5 * (pooled[rows, k] + pooled[rows, k + 1]), 0.5 * width, width == 0.0
 
 
-def _initial_edges(opts: FlowOptions) -> list[float]:
-    """The partition points of the ``init_samples`` equal segments refinement starts from."""
-    return np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
-
-
 def _check_windows(
     path: OperatorPath,
     ts: np.ndarray,
@@ -255,7 +244,7 @@ def _check_windows(
     """The segment acceptance rule: each segment's window count, and whether and why it fails.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
-    equally spaced witness grid ``ts[i]`` and the window
+    strictly rising witness grid ``ts[i]`` and the window
     [-radius[i], radius[i]] with ``margin[i]``.  The window is rejected, in
     this order, when the margin is below the floor (``min_margin`` times the
     largest witnessed magnitude), within the Lipschitz slack, or more than
@@ -281,13 +270,13 @@ def _check_windows(
     up to the 1e-9 rounding allowance.
     The message names the leftmost failing interval, its eigenvalue with
     the smallest sum (counted from 0 at the lowest), its two distances, and
-    the interval's local slope ``L``, its gauge step over the witness
-    spacing ``step``.
+    the interval's local slope ``L``, its gauge step over its width, the
+    witness spacing ``step``.
     """
     mags = np.abs(spectra)
     gap = np.abs(mags - radius[:, None, None])
     floor = opts.min_margin * mags.max(axis=(1, 2))
-    step = (ts[:, -1] - ts[:, 0]) / (ts.shape[1] - 1)
+    step = np.diff(ts, axis=1)
     # The certifier's own window always passes; the relative 1e-9 absorbs
     # the rounding of radius and margin.
     touched = gap.min(axis=2) < (margin * (1 - 1e-9))[:, None]
@@ -319,7 +308,7 @@ def _check_windows(
                 f"Lipschitz slack: on [{float(t[j])!r}, {float(t[j + 1])!r}] eigenvalue {k} is "
                 f"{gap[i, j, k]:.3e} and {gap[i, j + 1, k]:.3e} from the window edge, a sum of "
                 f"{pair[k]:.3e} that does not exceed the gauge step {dg[i, j]:.3e} "
-                f"(L = {dg[i, j] / step[i]:.3e} times the witness spacing {step[i]:.3e})"
+                f"(L = {dg[i, j] / step[i, j]:.3e} times the witness spacing {step[i, j]:.3e})"
             )
         if touched[i].any():
             j = int(np.argmax(touched[i]))
@@ -404,7 +393,7 @@ def spectral_flow(
         opts = replace(opts, init_samples=init_samples)
     if max_depth is not None:
         opts = replace(opts, max_depth=max_depth)
-    edges = _initial_edges(opts)
+    edges = np.linspace(0.0, 1.0, opts.init_samples + 1)
     # Pending segments (lo, hi, depth), left to right.  The first round reads
     # the whole initial partition and each later round the leftmost _ROUND
     # pending segments; a rejected segment's children take its place.  Once
@@ -412,7 +401,7 @@ def spectral_flow(
     # every segment right of it is dropped; a later one can only lie left of
     # it and overwrites the text, so the failure raised is the leftmost, the
     # one depth-first order would name.
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    lo, hi = edges[:-1], edges[1:]
     depth = np.zeros(lo.size, dtype=int)
     take = lo.size
     points = opts.witness_points

@@ -293,7 +293,9 @@ def straight_segment(a: SelfAdjointOperator, b: SelfAdjointOperator) -> Operator
     if a.dim != b.dim:
         raise EndpointMismatch(f"segment endpoints have dims {a.dim} and {b.dim}")
     x, y = _common_kind(a._stack, b._stack)
-    lipschitz = float(np.linalg.norm(b.entries - a.entries, 2))
+    # The norm of a diagonal difference is its largest magnitude.
+    diff = (y - x)[0]
+    lipschitz = float(np.abs(diff).max() if diff.ndim == 1 else np.linalg.norm(diff, 2))
     # Positional: bench/tracing.py wraps __init__(self, dim, build, lipschitz=None).
     return OperatorPath(a.dim, lambda ts: _blend(ts, x, y), lipschitz)
 

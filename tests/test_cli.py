@@ -636,6 +636,62 @@ class TestFlagRouting:
         assert main([*argv, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"specflow: ConfigError: config invalid at {message}\n"
 
+    def test_family_flags_fill_the_file_block_of_its_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps({"family": {"kind": "baer", "m": 1}}))
+        assert main(["flow", "--config", str(cfg), "--m", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["flow"], doc["path"]) == (4, {"kind": "baer", "m": 3})
+        assert main(["spectrum", "--config", str(cfg), "--m", "2"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["spectrum", "--family", "baer", "--m", "2"]) == 0
+        assert from_file == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "block, argv, message",
+        [
+            (
+                None,
+                ["--family", "baer", "--m", "1", "--epsilon", "0.3", "--modes", "4"],
+                "--modes does not apply to family kind 'baer'",
+            ),
+            (
+                None,
+                ["--family", "baer", "--m", "1", "--epsilon", "0.3"],
+                "--epsilon does not apply to family kind 'baer'",
+            ),
+            (
+                {"family": {"kind": "baer", "m": 1}},
+                ["--dim", "3"],
+                "--dim does not apply to family kind 'baer'",
+            ),
+            (
+                None,
+                ["--family", "random", "--dim", "3", "--m", "2"],
+                "--m does not apply to family kind 'random'",
+            ),
+            (
+                {"family": {"kind": "foo"}},
+                ["--m", "3"],
+                "config invalid at family/kind: 'foo' is not one of "
+                "['baer', 'circle', 'random', 'glue', 'sampled']",
+            ),
+            (None, ["--m", "3"], "flow command needs a family (config file or --family)"),
+        ],
+        ids=["first-in-schema-order", "glue-flag", "file-kind", "random-kind", "unknown-kind", "no-family"],
+    )
+    def test_a_family_flag_the_kind_does_not_list_exits_1(self, block, argv, message, tmp_path, capsys):
+        if block is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(block))
+            argv = [*argv, "--config", str(cfg)]
+        assert main(["flow", *argv]) == 1
+        assert capsys.readouterr().err == f"specflow: ConfigError: {message}\n"
+
+    def test_seed_is_a_top_level_flag_for_every_kind(self, capsys):
+        assert main(["flow", "--family", "baer", "--m", "1", "--seed", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["path"] == {"kind": "baer", "m": 1}
+
     def test_every_flag_fills_a_schema_key(self):
         # A flag whose dest the schema does not list would be dropped unread.
         schema = specflow.config._schema_validator("experiment-config").schema
@@ -654,6 +710,52 @@ class TestFlagRouting:
             for action in parser._actions:
                 if not isinstance(action, argparse._HelpAction):
                     assert action.dest in keys | cli_only, (name, action.dest)
+
+
+class TestUsageErrors:
+    """Each usage error exits with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum"], "spectrum command needs a family (config file or --family)"),
+            (["components"], "components command needs k >= 1"),
+        ],
+        ids=["spectrum", "components"],
+    )
+    def test_missing_input_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"specflow: ConfigError: {message}\n"
+
+    def test_verify_config_without_family_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text("{}")
+        assert main(["verify", str(tmp_path / "cert.json"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "specflow: ConfigError: verify command needs a family in its config\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nope", "is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1]", "must hold a JSON object"),
+        ],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_unreadable_config_exits_1(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        assert main(["flow", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"specflow: ConfigError: config file {cfg} {message}\n"
+
+    def test_list_flag_that_is_not_numbers_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["flow", "--family", "baer", "--m", "1", "--background", "1,x"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "specflow flow: error: argument --background: expected comma-separated numbers, got '1,x'"
+        )
 
 
 class TestHelp:
@@ -836,15 +938,10 @@ class TestVerifyCommand:
             (_flow, "flow does not telescope over the recorded counts"),
             (_margin, "segment [0.0, 0.125]: window margin violated at t=0.0"),
             (_radius, "segment [0.0, 0.125]: window margin violated at t="),
-            (_grid_point, "segment [0.0, 0.125]: witness grid is not the 9-point grid"),
             (_count, "count at t=0.0 drifted"),
-            (_witness_points, "segment [0.0, 0.125]: witness grid is not the 5-point grid"),
             (_dim, "certificate path {"),
         ],
-        ids=[
-            "entry", "knot-t", "flow", "margin", "radius", "grid-point", "count",
-            "witness-points", "dim",
-        ],
+        ids=["entry", "knot-t", "flow", "margin", "radius", "count", "dim"],
     )
     def test_tampering_exits_2(self, tamper, message, tmp_path, capsys):
         config, doc = self._certify(
@@ -855,6 +952,19 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("specflow: CertificateBroken: " + message), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "change", [_grid_point, _witness_points], ids=["grid-point", "witness-points"]
+    )
+    def test_sound_grid_change_exits_0(self, change, tmp_path, capsys):
+        # verify reads each witness grid as written and never reads
+        # witness_points: a witness moved by one ulp, or another recorded
+        # schedule, leaves a sound certificate.
+        config, doc = self._certify(
+            {"family": {"kind": "sampled", "samples": _VERIFY_SAMPLES}}, tmp_path, capsys
+        )
+        change(config, doc)
+        assert self._check(config, doc, tmp_path, capsys) == (0, "")
 
     def test_path_mismatch_names_both_digests(self, tmp_path, capsys):
         config, doc = self._certify(

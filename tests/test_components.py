@@ -315,14 +315,18 @@ class TestErrorOrder:
         )
 
     def test_earlier_pair_without_singular_point_comes_first(self, monkeypatch):
-        invertible = np.array([1.0, 2.0])
-        monkeypatch.setattr(
-            components,
-            "_locate_singular",
-            lambda ends, pairs, negs: [(0.5, invertible)] * len(pairs),
-        )
-        with pytest.raises(CertificateBroken, match=r"pair \(0, 1\) although flows differ"):
+        # The inertia of every pair is checked before any bisection, so a
+        # lying pair is named even after a pair without a singular point.
+        located = []
+
+        def invertible(ends, pairs, negs):
+            located.append(pairs)
+            return [(0.5, np.array([1.0, 2.0]))] * len(pairs)
+
+        monkeypatch.setattr(components, "_locate_singular", invertible)
+        with pytest.raises(CertificateBroken, match=r"^segment flow -3 between endpoints 0 and 2 "):
             certify_distinct_components(self._lying_report())
+        assert located == []
 
 
 class TestSingularityRule:

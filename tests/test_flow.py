@@ -306,12 +306,48 @@ class TestVerifyRejectsTampering:
         assert self._broken(path, tampered) == "witnesses do not tile [0, 1] in the order of times"
 
     def test_two_point_grid(self, certified):
+        # Not tampering: verify reads a grid as written, and this segment's
+        # window is proved at its two ends alone.
         path, cert = certified
         w = cert.witnesses[self.SEGMENT]
-        tampered = self._with_witness(cert, grid=(w.t_lower, w.t_upper))
-        assert self._broken(path, tampered) == (
-            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the 9-point grid of the segment"
+        self._with_witness(cert, grid=(w.t_lower, w.t_upper)).verify(path)
+
+    @staticmethod
+    def _bad_grid(w) -> str:
+        return (
+            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid does not rise strictly "
+            "from t_lower to t_upper"
         )
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda g: (float(np.nextafter(g[0], 1.0)), *g[1:]),
+            lambda g: (*g[:3], g[4], g[3], *g[5:]),
+            lambda g: g[:1],
+        ],
+        ids=["off-t-lower", "two-witnesses-swapped", "one-point"],
+    )
+    def test_malformed_grid(self, certified, reshape):
+        path, cert = certified
+        w = cert.witnesses[self.SEGMENT]
+        tampered = self._with_witness(cert, grid=reshape(w.grid))
+        assert self._broken(path, tampered) == self._bad_grid(w)
+
+    def test_bad_grid_left_of_a_window_failure_comes_first(self, certified):
+        # Segment 1 has a one-point grid, segment 3 an inflated margin: the
+        # grid is checked in the same leftmost-first order as every reason.
+        path, cert = certified
+        w = cert.witnesses[self.SEGMENT]
+        inflated = self._with_witness(cert, margin=2 * w.margin)
+        assert self._broken(path, inflated).startswith(
+            f"segment [{w.t_lower!r}, {w.t_upper!r}]: window margin violated at t="
+        )
+        witnesses = list(inflated.witnesses)
+        left = witnesses[1]
+        witnesses[1] = dataclasses.replace(left, grid=(left.t_lower,))
+        tampered = dataclasses.replace(inflated, witnesses=tuple(witnesses))
+        assert self._broken(path, tampered) == self._bad_grid(left)
 
     def test_last_count_pair_dropped(self, certified):
         path, cert = certified
@@ -367,16 +403,13 @@ class TestSplitAtTheWitnesses:
                 assert round(k) >= 0 and abs(k - round(k)) < 1e-6
 
     def test_an_initial_segment_cut_to_its_two_ends(self, certified):
+        # verify reads any grid that rises from t_lower to t_upper as written.
         path, cert = certified
         i = self._initial(cert).index(True)
         w = cert.witnesses[i]
         witnesses = list(cert.witnesses)
         witnesses[i] = dataclasses.replace(w, grid=(w.t_lower, w.t_upper))
-        with pytest.raises(CertificateBroken) as info:
-            dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
-        assert str(info.value) == (
-            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the 9-point grid of the segment"
-        )
+        dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
 
     def test_a_refined_segment_with_a_nine_point_grid(self, certified):
         path, cert = certified
@@ -384,11 +417,27 @@ class TestSplitAtTheWitnesses:
         w = cert.witnesses[i]
         witnesses = list(cert.witnesses)
         witnesses[i] = dataclasses.replace(w, grid=tuple(np.linspace(w.t_lower, w.t_upper, 9).tolist()))
-        with pytest.raises(CertificateBroken) as info:
-            dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
-        assert str(info.value) == (
-            f"segment [{w.t_lower!r}, {w.t_upper!r}]: witness grid is not the two ends of a refined segment"
-        )
+        dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
+
+    def test_two_refined_segments_merged_on_a_nonuniform_grid(self, certified):
+        # The shape a run that coalesces segments records: segments 6 and 7
+        # as one segment witnessed at their three partition points, with the
+        # left window and the smaller margin.
+        path, cert = certified
+        k = 6
+        a, b = cert.witnesses[k], cert.witnesses[k + 1]
+        assert len(a.grid) == len(b.grid) == 2
+        grid = (a.t_lower, a.t_upper, b.t_upper)
+        assert grid[1] - grid[0] != grid[2] - grid[1]
+        merged = dataclasses.replace(a, t_upper=b.t_upper, margin=min(a.margin, b.margin), grid=grid)
+        counts = (cert.counts[k][0], cert.counts[k + 1][1])
+        FlowCertificate(
+            times=cert.times[: k + 1] + cert.times[k + 2 :],
+            witnesses=cert.witnesses[:k] + (merged,) + cert.witnesses[k + 2 :],
+            counts=cert.counts[:k] + (counts,) + cert.counts[k + 2 :],
+            flow=cert.flow,
+            options=cert.options,
+        ).verify(path)
 
     def test_a_split_keeps_the_depth_and_a_halving_adds_one(self):
         # The witness intervals of the initial segments are 1/64 wide at
@@ -426,9 +475,8 @@ class TestVerifyRejectsForgery:
         )
         return path, cert
 
-    # [0, 1] is not one of the 8 initial segments, so its two witnesses are
-    # the right grid whatever ``witness_points`` is; only the Lipschitz slack
-    # rejects it.
+    # verify reads the grid (0, 1) as written, whatever ``witness_points``
+    # is; only the Lipschitz slack rejects it.
     @pytest.mark.parametrize("witness_points", [9, 2])
     def test_forged_flow_rejected(self, witness_points):
         path, cert = self._forged(witness_points)

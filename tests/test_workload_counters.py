@@ -6,9 +6,9 @@ workload runs its items, as the benchmark's worker does, without timing
 them or running their output checks.  The counts are machine-independent.
 The eigensolves are the benchmark's ``eigensolves_per_item`` times the item
 count, so a change that moves one moves that metric.  A refinement round
-is one ``flow._witness_spectra`` call (``verify`` makes one per grid
-shape): a schedule that trades eigensolves for Python round-trips, the
-cost on the workloads that are not LAPACK-bound, raises it.  The one failing
+is one ``flow._witness_spectra`` call (``verify`` reads the recorded
+grids and makes none): a schedule that trades eigensolves for Python
+round-trips, the cost on the workloads that are not LAPACK-bound, raises it.  The one failing
 item, ``warp/failing``, counts what refinement solves before its leftmost
 failure is found.  dense-sampled
 runs its first two items only (the 64-dim real path and the first 96-dim
