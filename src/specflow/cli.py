@@ -125,7 +125,8 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     ``flow_options``, and in a ``components`` or ``check`` block.  A family
     flag that kind does not list raises :class:`ConfigError`; with no kind
     the schema knows, family flags are not read.  A flag block updates a
-    file block that is an object and replaces any other value.  The merged
+    file block that is an object and replaces any other value, and a file
+    family block of another kind than ``--family``.  The merged
     document is validated once; the file alone is not.
     """
     config = read_config_file(args.config) if args.config else {}
@@ -149,6 +150,8 @@ def _assemble_config(args: argparse.Namespace) -> dict:
             stray = [key for key in given(family_keys) if key not in keys]
             if stray:
                 raise ConfigError(f"--{stray[0].replace('_', '-')} does not apply to family kind {kind!r}")
+            if isinstance(family, dict) and family.get("kind", kind) != kind:
+                del config["family"]  # none of its keys belong to the flags' kind
             overlay.insert(0, ("family", {"kind": kind, **given(keys)}))
     elif args.block is not None:
         overlay.append((args.block, given(props[args.block]["properties"])))

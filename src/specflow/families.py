@@ -192,15 +192,43 @@ def random_family(dim: int, seed: int, invertible_ends: bool = False) -> Operato
     return _smooth_path(a, b, c)
 
 
+def _cos_variation(ts: np.ndarray) -> np.ndarray:
+    """``S(t) = int_0^t pi |cos(pi s)| ds``: ``sin(pi t)`` up to 1/2, ``2 - sin(pi t)`` beyond.
+
+    ``S`` is nondecreasing, ``S(0) = 0``, and ``|sin(pi t) - sin(pi s)| <=
+    S(t) - S(s)`` for ``s <= t``, since the left side is ``|int_s^t pi
+    cos(pi u) du|``.  It reads the same ``sin(pi t)`` the families build
+    with.
+    """
+    s = np.sin(np.pi * ts)
+    return np.where(ts <= 0.5, s, 2.0 - s)
+
+
 def _smooth_path(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> OperatorPath:
-    """Path ``A + t B + sin(pi t) C``, built in stacks, bounded by ``|B| + pi |C|``."""
+    """Path ``A + t B + sin(pi t) C``, built in stacks.
+
+    Its derivative ``B + pi cos(pi t) C`` has norm at most ``||B|| + pi
+    |cos(pi t)| ||C||``; integrated, ``||A(t) - A(s)||_2 <= g(t) - g(s)``
+    for ``s <= t`` with the gauge ``g(t) = ||B|| t + ||C|| S(t)``
+    (:func:`_cos_variation`).  Its slope is ``||B||`` alone at ``t = 1/2``,
+    and its total variation ``||B|| + 2 ||C||``.  ``lipschitz`` is the
+    global bound ``||B|| + pi ||C||``, the largest slope of ``g``.
+
+    The bound is exact to first order near ``t = 1/2``, so it holds for the
+    computed operators and the computed ``g`` only up to rounding of order
+    ``eps * g(1)``: the step ``g(t) - g(s)`` cancels values of that size,
+    and the built matrices carry rounding of order ``eps * ||A(t)||``, as
+    the eigenvalue distances the certifier compares with it do.
+    """
 
     def build(ts: np.ndarray) -> np.ndarray:
         t = ts[:, None, None]
         return a + t * b + np.sin(np.pi * t) * c
 
-    lip = float(np.linalg.norm(b, 2) + np.pi * np.linalg.norm(c, 2))
-    return OperatorPath(a.shape[0], build, lipschitz=lip)
+    nb, nc = float(np.linalg.norm(b, 2)), float(np.linalg.norm(c, 2))
+    path = OperatorPath(a.shape[0], build, lipschitz=nb + np.pi * nc)
+    path._gauge = lambda ts: nb * ts + nc * _cos_variation(ts)
+    return path
 
 
 def _skew(g: np.ndarray) -> np.ndarray:
@@ -224,6 +252,19 @@ def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
     Eigenvalues are prescribed bounded away from zero (|eig| in
     [0.2, 1.0]) and the eigenbasis rotates along a smooth orthogonal
     path, so the certifier sees full matrices but the flow is provably 0.
+
+    The operator is ``Q D Q^T`` with ``Q`` the Cayley transform of ``K(t)
+    = t K1 + sin(pi t) K2`` (skew) and ``D`` diagonal.  Its derivative
+    ``Q' D Q^T + Q D' Q^T + Q D Q'^T`` has norm at most ``2 ||Q'|| ||D|| +
+    ||D'||``.  Here ``Q' = -(I + Q) K' (I + K)^-1`` with ``||I + Q|| <= 2``
+    and ``||(I + K)^-1|| <= 1`` (``I + K`` is normal with eigenvalues ``1 +
+    iy``), so ``||Q'|| <= 2 ||K'|| <= 2 (||K1|| + pi |cos(pi t)| ||K2||)``;
+    ``||D|| <= 1`` and ``||D'|| <= 0.4 max_i |beta_i|``.  Integrated, the
+    gauge is ``g(t) = 4 (||K1|| t + ||K2|| S(t)) + 0.4 max_i |beta_i| t``
+    (``S`` of :func:`_cos_variation`).  ``lipschitz`` is the global bound
+    ``4 (||K1|| + pi ||K2||) + 0.4 pi``, at least every slope of ``g``, as
+    ``|beta_i| <= pi``.  As for :func:`_smooth_path`, the gauge holds for
+    the computed operators only up to rounding of order ``eps * g(1)``.
     """
     if not 2 <= dim <= 32:
         raise ValueError(f"dim must be in 2..32, got {dim!r}")
@@ -243,8 +284,8 @@ def invertible_valued_family(dim: int, seed: int) -> OperatorPath:
         q = _cayley(t * k1 + np.sin(np.pi * t) * k2)
         return q @ d @ _transpose(q)
 
-    # |d/dt| <= 2 ||Q'|| ||D|| + ||D'|| with ||Q'|| <= 2 ||K'|| (Cayley,
-    # ||(I+K)^-1|| <= 1), ||D|| <= 1 and ||D'|| <= 0.4 pi.
-    k_rate = float(np.linalg.norm(k1, 2) + np.pi * np.linalg.norm(k2, 2))
-    lip = 4.0 * k_rate + 0.4 * np.pi
-    return OperatorPath(dim, build, lipschitz=lip)
+    n1, n2 = float(np.linalg.norm(k1, 2)), float(np.linalg.norm(k2, 2))
+    rate = 0.4 * float(np.abs(beta).max())
+    path = OperatorPath(dim, build, lipschitz=4.0 * (n1 + np.pi * n2) + 0.4 * np.pi)
+    path._gauge = lambda ts: 4.0 * (n1 * ts + n2 * _cos_variation(ts)) + rate * ts
+    return path

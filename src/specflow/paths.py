@@ -99,9 +99,11 @@ class OperatorPath:
     ``dim`` is an integer >= 1.  ``lipschitz`` is an optional bound L on
     the operator norm of the derivative, a finite number >= 0; ``None``
     means unknown.  It is sugar for the :attr:`gauge` ``L t`` and is read
-    back as :attr:`lipschitz`.  The composites of this module carry only
-    the gauge they derive from their parts, so their ``lipschitz`` is
-    ``None``.  A bound that is too small makes certificates unsound.
+    back as :attr:`lipschitz`; a family may then set a tighter gauge of its
+    own, as ``random_family`` and ``invertible_valued_family`` do.  The
+    composites of this module carry only the gauge they derive from their
+    parts, so their ``lipschitz`` is ``None``.  A bound that is too small
+    makes certificates unsound.
     """
 
     __slots__ = ("_dim", "_build", "_lipschitz", "_gauge", "_cache")
@@ -128,7 +130,11 @@ class OperatorPath:
 
     @property
     def lipschitz(self) -> float | None:
-        """The bound passed to the constructor; ``None`` if none was, and on every composite."""
+        """The bound passed to the constructor; ``None`` if none was, and on every composite.
+
+        It bounds every slope of the :attr:`gauge`, which may be tighter
+        than ``L t``: the certifier reads the gauge alone.
+        """
         return self._lipschitz
 
     @property
@@ -143,7 +149,9 @@ class OperatorPath:
         reached the window edge inside, its distances to the edge at the
         two ends would sum to at most that step.  A segment is proved when
         every such sum exceeds its interval's step, and rejected otherwise.
-        Without a gauge the check is sampled, not rigorous.
+        Without a gauge the check is sampled, not rigorous.  A path built
+        with ``lipschitz=L`` has the gauge ``L t`` unless its family set a
+        tighter one; a composite derives its gauge from its parts'.
         """
         return self._gauge
 

@@ -90,6 +90,23 @@ class TestFlowCommand:
         assert main(["flow", "--config", str(cfg), "--family", "baer", "--m", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["flow"] == 3
 
+    @pytest.mark.parametrize(
+        "file, flags, plain",
+        [
+            ({"family": {"kind": "baer", "m": 1}}, ["--family", "circle", "--modes", "3", "--winding", "1"], []),
+            # The file's top-level seed still applies to the flags' family.
+            ({"family": {"kind": "baer", "m": 1}, "seed": 4}, ["--family", "random", "--dim", "3"], ["--seed", "4"]),
+        ],
+        ids=["circle over baer", "random over baer with a seed"],
+    )
+    def test_family_of_another_kind_replaces_the_file_block(self, file, flags, plain, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(file))
+        assert main(["flow", *flags, *plain]) == 0
+        expected = capsys.readouterr().out
+        assert main(["flow", "--config", str(cfg), *flags]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_config_validated_once(self, tmp_path, capsys, monkeypatch):
         calls = _captured_configs(monkeypatch)
         cfg = tmp_path / "exp.json"

@@ -127,8 +127,8 @@ CASES = {
         lambda: knot_warp(random_family(5, 0), [0.99, 0.9899999999999999]),
         "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
         "slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is 1.030e+00 and 7.314e-01 "
-        "from the window edge, a sum of 1.761e+00 that does not exceed the gauge step 4.428e+00 "
-        "(L = 2.972e+08 times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
+        "from the window edge, a sum of 1.761e+00 that does not exceed the gauge step 2.059e+00 "
+        "(L = 1.382e+08 times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
     ),
     # The first round reads all of [0, 1], so rows right of 0.5 are solved too.
     "DepthExceeded: zero eigenvalue at t=0.5": _depth_exceeded(
@@ -198,8 +198,9 @@ EIGENSOLVES = {
     # 146 when a rejected segment was halved into two 9-point halves.
     "flow+verify random_family(12, 6)": 130,
     # 1058 with the global slope bound in place of the gauge, 194 with
-    # the gauge and halving.
-    "flow+verify warp of slope 33": 142,
+    # the gauge and halving, 142 while the base path's gauge was its
+    # global bound ``L t``.
+    "flow+verify warp of slope 33": 130,
     # 194 with the global bound 2 * max(L_a, L_b), 146 with halving.
     "flow+verify concat": 130,
     "flow+verify reverse": 130,
@@ -221,8 +222,9 @@ EIGENSOLVES = {
     # every child of every rejected segment, with no bound, solved the
     # same except for tanh with L = 2e3 (1072) and the paths rejected
     # everywhere, whose last round held 64 * 2**20 segments.
-    # 89 with the global slope bound, which failed at [0, 1.2e-07] first.
-    "DepthExceeded: warp between adjacent floats": 87,  # 225, 87
+    # 89 with the global slope bound, which failed at [0, 1.2e-07] first;
+    # 87 while the base path's gauge was its global bound ``L t``.
+    "DepthExceeded: warp between adjacent floats": 86,  # 225, 87
     # 111 when the margin had to exceed half the largest gauge step.
     "DepthExceeded: zero eigenvalue at t=0.5": 105,  # 257, 89
     "DepthExceeded: (t - 0.5) I_4": 105,  # 257, 89
@@ -249,11 +251,12 @@ def _warp_of_slope(slope):
     return lambda _: spectral_flow(knot_warp(random_family(5, 0), [0.5, 0.5 + 1 / (3 * slope)]))
 
 
-# Calls of ``flow._witness_spectra``: one per refinement round, and one per
-# grid shape in ``verify`` (the components report verifies every
-# certificate).  Each round after the first reads the leftmost 64 pending
-# segments.  The comments give the counts of older schedules, most of them
-# depth first with ``max(1, 64 >> depth)`` segments per round.
+# Calls of ``flow._witness_spectra``: one per refinement round of
+# ``spectral_flow``, summed over every flow a case certifies; ``verify``
+# reads the recorded grids and makes none.  Each round after the first
+# reads the leftmost 64 pending segments.  The comments give the counts of
+# older schedules, most of them depth first with ``max(1, 64 >> depth)``
+# segments per round.
 ROUND_CASES = {
     # 29 with the global slope bound in place of the gauge; 581 with that
     # bound and the depth cap alone, one segment per round after depth 6.
@@ -271,10 +274,12 @@ ROUND_CASES = {
     "components --k 4": _components,
 }
 
+# The first three were 8, 6 and 17 while ``random_family`` and
+# ``invertible_valued_family`` had the gauge ``L t`` of their global bound.
 ROUNDS = {
-    "warp of slope 300": 8,
-    "warp of slope 100": 6,
-    "invertible_valued_family(12, 0)": 17,
+    "warp of slope 300": 6,
+    "warp of slope 100": 5,
+    "invertible_valued_family(12, 0)": 10,
     "components --k 4": 13,
 }
 
@@ -286,8 +291,9 @@ ROUNDS = {
 # With halving into 9-point halves they were 65, 89, 113, 137, 169: a split
 # at the witnesses reuses the rejected segment's rows, and each halving of a
 # two-point segment solves one.  When a witness interval was proved only by
-# a margin above half its largest gauge step they were 65, 68, 71, 74, 78.
-LADDER = {3: 65, 30: 67, 300: 71, 3333: 74, 33333: 77}
+# a margin above half its largest gauge step they were 65, 68, 71, 74, 78,
+# and 65, 67, 71, 74, 77 while the base path's gauge was its global bound.
+LADDER = {3: 65, 30: 66, 300: 69, 3333: 73, 33333: 76}
 
 
 @pytest.mark.parametrize("slope", sorted(LADDER))

@@ -21,6 +21,7 @@ from specflow import (
     reverse,
     spectral_flow,
 )
+from specflow.families import random_symmetric
 
 
 class TestBaerFamily:
@@ -146,3 +147,53 @@ class TestInvertibleValuedFamily:
         for seed in range(10):
             p = invertible_valued_family(2 + seed, seed)
             assert spectral_flow(p).flow == 0
+
+
+_GAUGED = {
+    "random": lambda d, seed: random_family(d, seed),
+    "random, invertible ends": lambda d, seed: random_family(d, seed, invertible_ends=True),
+    "invertible-valued": invertible_valued_family,
+}
+
+
+class TestGauges:
+    """The smooth families' gauges integrate their pointwise slope bounds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])
+    @pytest.mark.parametrize("dim", [2, 5, 12, 32])
+    @pytest.mark.parametrize("family", sorted(_GAUGED))
+    def test_gauge_bounds_every_step_and_never_exceeds_the_global_bound(self, family, dim, seed):
+        path = _GAUGED[family](dim, seed)
+        rng = np.random.default_rng([dim, seed])
+        lo = rng.random(56)
+        hi = lo + 10.0 ** rng.uniform(-9, 0, lo.size) * (1 - lo)
+        # Both ends, the whole path and a pair across t = 1/2, where the
+        # slope of sin(pi t) vanishes and the gauge is at its tightest.
+        lo = np.concatenate([lo, [0.0, 0.5 - 1e-9, 1 - 1e-9, 0.0]])
+        hi = np.concatenate([hi, [1e-9, 0.5 + 1e-9, 1.0, 1.0]])
+        assert (hi - lo).min() > 0
+        g_lo, g_hi = path.gauge(lo), path.gauge(hi)
+        # Both sides round: the gauge values by a few ulps of g(t), the built
+        # entries by a few ulps of the operator, allowed as 1e-13 of its norm.
+        slack = 4 * np.spacing(g_hi)
+        for s, t, gs, gt, rounding in zip(lo, hi, g_lo, g_hi, slack):
+            a_s, a_t = path.at(s).entries, path.at(t).entries
+            step = np.linalg.norm(a_t - a_s, 2)
+            assert step <= gt - gs + rounding + 1e-13 * np.linalg.norm(a_t, 2)
+        assert (g_hi - g_lo <= path.lipschitz * (hi - lo) + slack).all()
+
+    @pytest.mark.parametrize("family", sorted(_GAUGED))
+    def test_gauge_starts_at_zero_and_never_decreases(self, family):
+        for dim, seed in [(2, 0), (5, 1), (12, 7), (32, 11)]:
+            gauge = _GAUGED[family](dim, seed).gauge
+            assert gauge(np.zeros(1)).tolist() == [0.0]
+            assert (np.diff(gauge(np.linspace(0.0, 1.0, 10_001))) >= 0).all()
+
+    def test_total_variation_replaces_pi_by_two(self):
+        # sin(pi t) varies by 2 over [0, 1], where its largest slope is pi.
+        rng = np.random.default_rng(3)
+        _, b, c = (random_symmetric(rng, 5) for _ in range(3))
+        nb, nc = np.linalg.norm(b, 2), np.linalg.norm(c, 2)
+        path = random_family(5, 3)
+        assert path.lipschitz == nb + np.pi * nc
+        assert path.gauge(np.array([0.5, 1.0])) == pytest.approx([nb / 2 + nc, nb + 2 * nc], rel=1e-15)

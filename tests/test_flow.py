@@ -106,7 +106,7 @@ class TestRefinePartition:
             "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 "
             "(Lipschitz slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is "
             "1.030e+00 and 7.314e-01 from the window edge, a sum of 1.761e+00 that does not "
-            "exceed the gauge step 4.428e+00 (L = 2.972e+08 times the witness spacing "
+            "exceed the gauge step 2.059e+00 (L = 1.382e+08 times the witness spacing "
             "1.490e-08)); endpoint inertia gives flow 0"
         )
 
@@ -412,11 +412,17 @@ class TestSplitAtTheWitnesses:
         dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
 
     def test_a_refined_segment_with_a_nine_point_grid(self, certified):
+        # The new grid's witnesses come closer to the window edge than the
+        # two ends did, so the segment records their closest approach as its
+        # margin, as a run witnessing it on nine points would.
         path, cert = certified
         i = self._initial(cert).index(False)
         w = cert.witnesses[i]
+        grid = tuple(np.linspace(w.t_lower, w.t_upper, 9).tolist())
+        margin = float(np.abs(np.abs(path.spectra(grid)) - w.radius).min())
+        assert margin < w.margin
         witnesses = list(cert.witnesses)
-        witnesses[i] = dataclasses.replace(w, grid=tuple(np.linspace(w.t_lower, w.t_upper, 9).tolist()))
+        witnesses[i] = dataclasses.replace(w, grid=grid, margin=margin)
         dataclasses.replace(cert, witnesses=tuple(witnesses)).verify(path)
 
     def test_two_refined_segments_merged_on_a_nonuniform_grid(self, certified):

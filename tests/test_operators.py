@@ -14,7 +14,7 @@ from specflow import (
     baer_family,
     glue,
 )
-from specflow.operators import spectral_scale
+from specflow.operators import _ingest_stack, spectral_scale
 from specflow.paths import OperatorPath
 
 _reals = st.floats(-1e300, 1e300, allow_nan=False)
@@ -108,6 +108,44 @@ class TestSymmetrizationBits:
             overflow = r"^operator entries overflow float64 when symmetrized"
             with pytest.raises(ValueError, match=overflow):
                 SelfAdjointOperator(a)
+
+
+class TestStackErrorTexts:
+    """A stack's error names its leftmost bad matrix; the checks run in a fixed order."""
+
+    @pytest.mark.parametrize(
+        "first, second, text",
+        [
+            (
+                np.eye(2),
+                [[1.0, 1e-9], [0.0, 1.0]],
+                "matrix is not self-adjoint: asymmetry 1.000e-09 exceeds 1e-12 * norm (1.000e+00) at t=0.75",
+            ),
+            (np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], "operator entries must be finite at t=0.75"),
+            (
+                np.eye(2),
+                [[1e308, 1e308], [1e308, 1.0]],
+                "operator entries overflow float64 when symmetrized as (A + A^H) / 2 at t=0.75",
+            ),
+            # The non-finite and asymmetry checks come before the overflow check.
+            (
+                [[1e308, 1e308], [1e308, 1.0]],
+                [[1.0, 1.0], [0.0, 1.0]],
+                "matrix is not self-adjoint: asymmetry 1.000e+00 exceeds 1e-12 * norm (1.000e+00) at t=0.75",
+            ),
+            # The leftmost bad matrix is named, whatever its reason.
+            (
+                [[1.0, 2.0], [0.0, 1.0]],
+                [[np.inf, 0.0], [0.0, 1.0]],
+                "matrix is not self-adjoint: asymmetry 2.000e+00 exceeds 1e-12 * norm (2.000e+00) at t=0.25",
+            ),
+        ],
+        ids=["asymmetric", "non-finite", "overflow", "asymmetry before overflow", "leftmost first"],
+    )
+    def test_error_texts(self, first, second, text):
+        with pytest.raises(ValueError) as info:
+            _ingest_stack(np.array([first, second]), [0.25, 0.75])
+        assert str(info.value) == text
 
 
 class TestDiagonalOperator:
