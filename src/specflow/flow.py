@@ -143,11 +143,14 @@ class FlowCertificate:
 
         The Lipschitz slack passes when, on each witness interval, every
         eigenvalue's distances to the window edge at its two ends sum to
-        more than the interval's gauge step.  It replaced the rule that the
-        margin exceed half the largest gauge step; every distance is at
-        least the margin, so a certificate made under that rule still
-        verifies, but an older ``specflow``, which still requires the
-        margin, may reject a certificate made now.
+        more than the interval's gauge step plus its rounding allowance
+        (the two end rows' zero bands and ``4 eps`` of the two gauge
+        values' magnitudes, derived in :func:`_check_windows`).  It replaced
+        the rule that the margin exceed half the largest gauge step; every
+        distance is at least the margin, so a certificate made under that
+        rule verifies unless it passed only within the allowance, and an
+        older ``specflow``, which still requires the margin, may reject a
+        certificate made now.
 
         ``specflow verify`` runs this check on a certificate read back from
         its version 2 document (:func:`reporting.flow_certificate_from_document`),
@@ -210,6 +213,8 @@ class FlowCertificate:
 # read rounds of 2**depth segments.
 _ROUND = 64
 
+_EPS = float(np.finfo(np.float64).eps)
+
 _ALL_ZERO = "all zero: every witnessed eigenvalue is 0, so no window radius exists"
 
 
@@ -260,18 +265,40 @@ def _check_windows(
     check is rigorous, not sampled.  The rows of ``spectra`` are sorted, and
     a segment passes the slack when, on every witness interval [t_j,
     t_{j+1}], every eigenvalue's distances to the window edge at the two
-    ends sum to more than the gauge step ``g(t_{j+1}) - g(t_j)``:
-    ``min_k (gap[j, k] + gap[j + 1, k]) > g(t_{j+1}) - g(t_j)`` with ``gap =
-    ||lambda_k| - radius|``.  Proof: by Weyl's inequality the ``k``-th
-    eigenvalue moves at most the gauge step over the interval, so if it
-    reached +/-radius inside, its two distances would sum to at most the
-    step (reverse triangle inequality).  Every distance is at least the
-    witnessed margin, so a margin above half the largest step passes too,
-    up to the 1e-9 rounding allowance.
+    ends sum to more than the gauge step ``dg = g(t_{j+1}) - g(t_j)`` plus
+    the rounding allowance ``slack``:
+    ``min_k (gap[j, k] + gap[j + 1, k]) > dg + slack`` with ``gap =
+    ||lambda_k| - radius|``.  Proof, in exact arithmetic first: by Weyl's
+    inequality the ``k``-th eigenvalue moves at most the gauge step over the
+    interval, so if it reached +/-radius inside, its two distances would
+    sum to at most the step (reverse triangle inequality).  Every distance
+    is at least the witnessed margin, so a margin above half the largest
+    step plus its allowance passes too (the witnessed-margin check keeps
+    its own relative 1e-9 for the rounding of radius and margin).
+
+    The allowance is ``b_j + b_{j+1} + 4 eps (|g(t_j)| + |g(t_{j+1})|)``,
+    to first order in ``eps``.  ``b`` is each end row's zero band
+    (:func:`operators._zero_band`, ``8 d eps`` times the row's scale), the
+    engine's one rule for the error of a computed eigenvalue; forming a
+    distance and the sum rounds off at most ``2 eps`` times the scale more,
+    which the factor ``8 d`` is taken to cover, so each computed distance
+    exceeds the exact one by at most its row's ``b``.  A
+    gauge is a short expression in the parameter, and each computed value
+    ``g(t)`` is taken to be within ``3.5 eps |g(t)|`` of the exact one; the
+    difference of the two rounds off at most ``eps/2 (|g(t_j)| +
+    |g(t_{j+1})|)`` more, so the computed ``dg`` is within ``4 eps
+    (|g(t_j)| + |g(t_{j+1})|)`` of the exact step.  A computed sum above the
+    computed step plus the allowance is therefore an exact sum above the
+    exact step.  ``verify`` applies the same rule, through this function.
+
     The message names the leftmost failing interval, its eigenvalue with
     the smallest sum (counted from 0 at the lowest), its two distances, and
     the interval's local slope ``L``, its gauge step over its width, the
-    witness spacing ``step``.
+    witness spacing ``step``; the allowance is named only when the sum
+    exceeds the step alone.  When the gauge rises by at least half the step
+    between two adjacent float64 parameters of the interval
+    (:func:`_steepest_float_step`), no witness can split that step, and the
+    message ends with the rise and the two parameters.
     """
     mags = np.abs(spectra)
     gap = np.abs(mags - radius[:, None, None])
@@ -291,8 +318,12 @@ def _check_windows(
     if gauge is None:
         short = np.zeros((len(ts), ts.shape[1] - 1), dtype=bool)
     else:
-        dg = np.diff(gauge(ts.ravel()).reshape(ts.shape), axis=1)
-        short = (gap[:, :-1] + gap[:, 1:]).min(axis=2) <= dg
+        g = gauge(ts.ravel()).reshape(ts.shape)
+        dg = np.diff(g, axis=1)
+        # Each witness's rounding: its row's zero band and 4 eps of its |g|.
+        err = _zero_band(spectra) + 4 * _EPS * np.abs(g)
+        slack = err[:, :-1] + err[:, 1:]
+        short = (gap[:, :-1] + gap[:, 1:]).min(axis=2) <= dg + slack
     slipped = short.any(axis=1)
     witnessed = (touched | drift | jump).any(axis=1)
 
@@ -304,12 +335,21 @@ def _check_windows(
             j = int(np.argmax(short[i]))
             pair = gap[i, j] + gap[i, j + 1]
             k = int(np.argmin(pair))
-            return (
+            d = dg[i, j]
+            allowance = f" plus its rounding allowance {slack[i, j]:.3e}" if pair[k] > d else ""
+            why = (
                 f"Lipschitz slack: on [{float(t[j])!r}, {float(t[j + 1])!r}] eigenvalue {k} is "
                 f"{gap[i, j, k]:.3e} and {gap[i, j + 1, k]:.3e} from the window edge, a sum of "
-                f"{pair[k]:.3e} that does not exceed the gauge step {dg[i, j]:.3e} "
-                f"(L = {dg[i, j] / step[i, j]:.3e} times the witness spacing {step[i, j]:.3e})"
+                f"{pair[k]:.3e} that does not exceed the gauge step {d:.3e}{allowance} "
+                f"(L = {d / step[i, j]:.3e} times the witness spacing {step[i, j]:.3e})"
             )
+            a, b, rise = _steepest_float_step(gauge, float(t[j]), float(t[j + 1]))
+            if rise >= 0.5 * d:
+                why += (
+                    f"; the gauge rises by {rise:.3e} between the adjacent floats {a!r} and "
+                    f"{b!r}, so no witness can split that step"
+                )
+            return why
         if touched[i].any():
             j = int(np.argmax(touched[i]))
             return f"window margin violated at t={float(t[j])!r}"
@@ -326,6 +366,28 @@ def _check_windows(
         )
 
     return counts[:, 0], low | slipped | witnessed, reason
+
+
+def _steepest_float_step(gauge, lo: float, hi: float) -> tuple[float, float, float]:
+    """Adjacent float64 parameters in [lo, hi], ``0 <= lo < hi``, and the gauge's rise across them.
+
+    The gauge alone is bisected, with no eigensolve: the bit patterns of
+    nonnegative floats are ordered as the floats are, so halving the range
+    of patterns ends at two adjacent floats after at most 64 gauge
+    evaluations.  Each step keeps the half over which the gauge rises
+    more.  A gauge never decreases, so a rise of at least half the whole
+    rise between two adjacent floats lies in the half kept, and is found.
+    """
+    bits = (np.array([lo, hi]) + 0.0).view(np.int64).tolist()  # + 0.0 maps -0.0 to 0.0
+    g = gauge(np.array([lo, hi], dtype=np.float64)).tolist()
+    while bits[1] - bits[0] > 1:
+        mid = (bits[0] + bits[1]) // 2
+        t = np.array([mid], dtype=np.int64).view(np.float64)
+        g_mid = float(gauge(t)[0])
+        side = 1 if g_mid - g[0] >= g[1] - g_mid else 0
+        bits[side], g[side] = mid, g_mid
+    a, b = np.array(bits, dtype=np.int64).view(np.float64).tolist()
+    return a, b, g[1] - g[0]
 
 
 def _witness_spectra(path: OperatorPath, lo, hi, points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,24 +38,26 @@ _NOISE_KNOTS = 8
 _NOISE_HEADROOM = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GluingSpec:
     """Inputs of the merge: base spectrum, crossing family, noise level.
 
-    The base spectrum must avoid [-2, 2] entirely, and epsilon must stay
-    below half the minimal distance of any merged eigenvalue to +/-2 so
-    the window count survives the perturbation.
+    ``base`` is given as any sequence of eigenvalues and stored as its
+    checked row (:func:`operators.Spectrum`: sorted, finite, read-only
+    float64).  It must avoid [-2, 2] entirely, and epsilon must stay below
+    half the minimal distance of any merged eigenvalue to +/-2 so the
+    window count survives the perturbation.  A spec compares and hashes
+    by identity, since a row has no truth value to compare by.
     """
 
-    base: Spectrum
+    base: np.ndarray
     sphere_family: BaerFamilySpec
     epsilon: float
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.base, Spectrum):
-            object.__setattr__(self, "base", Spectrum(self.base))
-        for v in self.base.values:
+        object.__setattr__(self, "base", Spectrum(self.base))
+        for v in self.base:
             if abs(v) <= WINDOW_RADIUS:
                 raise InvalidSpec(
                     f"base eigenvalue {float(v)!r} lies in [-2, 2]; rescale the base "
@@ -76,7 +78,7 @@ class GluingSpec:
         The crossing eigenvalue contributes 1 (attained at the endpoints);
         static eigenvalues contribute their distance to the boundary.
         """
-        static = np.concatenate([np.asarray(self.sphere_family.background), self.base.values])
+        static = np.concatenate([np.asarray(self.sphere_family.background), self.base])
         gap = 1.0
         if static.size:
             gap = min(gap, float(np.abs(np.abs(static) - WINDOW_RADIUS).min()))
@@ -115,9 +117,7 @@ class GluedPath:
 
     def __init__(self, spec: GluingSpec):
         self.spec = spec
-        self._static = np.concatenate(
-            [np.asarray(spec.sphere_family.background), spec.base.values]
-        )
+        self._static = np.concatenate([np.asarray(spec.sphere_family.background), spec.base])
         rng = np.random.default_rng(spec.seed)
         self._knots = rng.uniform(-1.0, 1.0, size=(spec.dim, _NOISE_KNOTS)) * _NOISE_HEADROOM
         # The build holds the arrays it needs and not self, so a glued

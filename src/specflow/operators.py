@@ -316,26 +316,18 @@ class SelfAdjointOperator:
         return f"SelfAdjointOperator(dim={self.dim})"
 
 
-class Spectrum:
-    """Nondecreasing real eigenvalues, kept as the type of ``GluingSpec.base``; elsewhere, rows."""
+def Spectrum(values) -> np.ndarray:
+    """The sorted, finite, read-only float64 row of a non-empty 1-d sequence of eigenvalues.
 
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("spectrum must be a non-empty 1-d sequence")
-        self._values = _sorted_rows(vals)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __repr__(self) -> str:
-        return f"Spectrum({np.array2string(self._values, precision=6)})"
+    It is the check that ``GluingSpec`` applies to its ``base``, and raises
+    ``ValueError`` for an empty, not 1-d or non-finite sequence.  Rows are
+    the only eigenvalue type; this name is kept for callers that still
+    spell the check as a constructor.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim != 1 or vals.size < 1:
+        raise ValueError("spectrum must be a non-empty 1-d sequence")
+    return _sorted_rows(vals)
 
 
 def spectral_scale(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "property_report_document",
     "validate_document",
     "dumps_document",
-    "spectrum_table",
     "spectrum_csv",
 ]
 
@@ -175,20 +174,17 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def spectrum_table(path: OperatorPath, grid: int) -> tuple[list[str], list[list[float]]]:
-    """Eigenvalue curves on a uniform parameter grid, sorted per row."""
+def spectrum_csv(path: OperatorPath, grid: int) -> str:
+    """Eigenvalue curves on a uniform parameter grid as CSV.
+
+    A header row ``t,lambda_1,...``, then one line per grid point: ``t``
+    and its sorted row of ``path.spectra``, comma separators, LF line
+    endings.
+    """
     if grid < 2:
         raise ValueError("spectrum grid must have at least 2 points")
-    header = ["t"] + [f"lambda_{i + 1}" for i in range(path.dim)]
     ts = np.linspace(0.0, 1.0, grid)
-    rows = [[t] + vals for t, vals in zip(ts.tolist(), path.spectra(ts).tolist())]
-    return header, rows
-
-
-def spectrum_csv(path: OperatorPath, grid: int) -> str:
-    """CSV rendering: header row, comma separators, LF line endings."""
-    header, rows = spectrum_table(path, grid)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) for v in row))
+    lines = [",".join(["t"] + [f"lambda_{i + 1}" for i in range(path.dim)])]
+    rows = path.spectra(ts).tolist()
+    lines += (",".join(map(repr, [t, *row])) for t, row in zip(ts.tolist(), rows))
     return "\n".join(lines) + "\n"

@@ -61,6 +61,18 @@ class TestFlowCommand:
         assert doc["kind"] == "flow-certificate"
         assert doc["flow"] == 4
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 13")
+    @pytest.mark.parametrize("bg", ["1e15", "1e16"])
+    def test_huge_background_gives_the_flow_or_a_named_error(self, bg, capsys):
+        # The end eigenvalue -1 falls inside the zero band of a row of scale
+        # bg and counts as zero, so the command prints flow 0 and exits 0.
+        code = main(["flow", "--family", "baer", "--m", "1", f"--background={bg},-{bg}"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["flow"] == 2
+        else:
+            assert err.startswith("specflow: ")  # "specflow: <error class>: <reason>"
+
     def test_circle_flow_json(self, capsys):
         assert main(["flow", "--family", "circle", "--winding", "2", "--modes", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["flow"] == 2

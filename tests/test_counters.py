@@ -128,7 +128,9 @@ CASES = {
         "segment [0.989999995, 0.99000001] not certifiable at bisection depth 20 (Lipschitz "
         "slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is 1.030e+00 and 7.314e-01 "
         "from the window edge, a sum of 1.761e+00 that does not exceed the gauge step 2.059e+00 "
-        "(L = 1.382e+08 times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
+        "(L = 1.382e+08 times the witness spacing 1.490e-08); the gauge rises by 2.059e+00 "
+        "between the adjacent floats 0.9899999999999999 and 0.99, so no witness can split that "
+        "step); endpoint inertia gives flow 0",
     ),
     # The first round reads all of [0, 1], so rows right of 0.5 are solved too.
     "DepthExceeded: zero eigenvalue at t=0.5": _depth_exceeded(

@@ -39,6 +39,7 @@ DELETED = (
     "WindowCountViolation",
     "path_samples_to_json",
     "merge_config",
+    "spectrum_table",
 )
 
 

@@ -30,6 +30,7 @@ from specflow import (
     GluingSpec,
     SegmentWitness,
     SelfAdjointOperator,
+    SpectralFlowError,
     Spectrum,
     affine_homotopy,
     baer_family,
@@ -107,7 +108,9 @@ class TestRefinePartition:
             "(Lipschitz slack: on [0.989999994635582, 0.9900000095367432] eigenvalue 3 is "
             "1.030e+00 and 7.314e-01 from the window edge, a sum of 1.761e+00 that does not "
             "exceed the gauge step 2.059e+00 (L = 1.382e+08 times the witness spacing "
-            "1.490e-08)); endpoint inertia gives flow 0"
+            "1.490e-08); the gauge rises by 2.059e+00 between the adjacent floats "
+            "0.9899999999999999 and 0.99, so no witness can split that step); endpoint "
+            "inertia gives flow 0"
         )
 
     @pytest.mark.parametrize(
@@ -717,6 +720,19 @@ class TestIntervalSlack:
     def test_a_sum_just_above_the_step_accepts(self):
         assert self._reason([[-0.875], [-0.875 + 2.0**-20]]) is None
 
+    def test_a_sum_above_the_step_within_the_rounding_allowance_rejects(self):
+        # The sum exceeds the step by 2**-50, less than the two rows' zero
+        # bands (8 eps * 0.875 each) and 4 eps of the gauge values 0 and 0.25.
+        eps = np.finfo(np.float64).eps
+        allowance = 2 * 8 * eps * 0.875 + 4 * eps * 0.25
+        assert 2.0**-50 < allowance
+        assert self._reason([[-0.875], [-0.875 + 2.0**-50]]) == (
+            "Lipschitz slack: on [0.0, 0.25] eigenvalue 0 is 1.250e-01 and 1.250e-01 from the "
+            "window edge, a sum of 2.500e-01 that does not exceed the gauge step 2.500e-01 "
+            f"plus its rounding allowance {allowance:.3e} "
+            "(L = 1.000e+00 times the witness spacing 2.500e-01)"
+        )
+
     def test_near_plus_r_at_one_end_and_minus_r_at_the_other(self):
         # 0.04 from +1 at t=0 and 0.04 from -1 at t=0.25: both distances
         # are read from the magnitudes, so the sum is 0.08, not 0.04 + 1.96.
@@ -924,6 +940,19 @@ class TestZeroBand:
         cert = spectral_flow(path)
         assert cert.flow == 1
         cert.verify(path)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 13")
+    @pytest.mark.parametrize("bg", [1e15, 1e16])
+    def test_end_eigenvalue_inside_a_wide_zero_band_keeps_its_sign(self, bg):
+        # The zero band at this scale is wider than the exactly stored end
+        # eigenvalue -1, which then counts as zero and the flow reads 0.
+        # The flow is 1; a named error would also do, a wrong flow not.
+        path = matrix_path(3, lambda t: np.diag([2 * t - 1, bg, -bg]), lipschitz=2.0)
+        try:
+            flow = spectral_flow(path).flow
+        except SpectralFlowError:
+            return
+        assert flow == 1
 
     @pytest.mark.parametrize("dim", [4, 16, 64])
     def test_exact_zero_at_a_rotated_end_is_counted(self, dim):

@@ -48,8 +48,17 @@ class TestGluingSpecValidation:
             )
 
     def test_base_sequence_coerced(self):
-        spec = GluingSpec(base=[-7.0, 7.0], sphere_family=BaerFamilySpec(m=1), epsilon=0.1)
-        assert isinstance(spec.base, Spectrum)
+        spec = GluingSpec(base=[7.0, -7.0], sphere_family=BaerFamilySpec(m=1), epsilon=0.1)
+        assert isinstance(spec.base, np.ndarray)
+        assert spec.base.dtype == np.float64 and spec.base.ndim == 1
+        assert spec.base.tolist() == [-7.0, 7.0]
+        assert not spec.base.flags.writeable
+
+    def test_spec_hashes_and_compares_by_identity(self):
+        a, b = make_spec(1, 0.1), make_spec(1, 0.1)
+        assert len({a, b, a}) == 2
+        assert a == a
+        assert a != b
 
 
 class TestGlue:

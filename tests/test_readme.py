@@ -8,10 +8,17 @@ import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import specflow
+from conftest import knot_warp
+from specflow import flow
 from specflow.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# The README's prose with every run of whitespace one space, so a sentence
+# reads the same however its lines wrap.
+PROSE = " ".join(README.split())
 
 
 def _block(heading: str, lang: str) -> list[str]:
@@ -68,3 +75,33 @@ def test_sampled_digest_recipe(tmp_path, monkeypatch, capsys):
     exec("\n".join(body), namespace)
     assert eval(last.partition("#")[0], namespace) == path["sha256"]
     assert path == {"kind": "sampled", "dim": 4, "knots": 3, "sha256": path["sha256"]}
+
+
+def test_refinement_counts(eigvalsh_counter, monkeypatch):
+    # The slope-s warp of the benchmark spends a third of [0, 1] on
+    # 1 / (3 s) of it; a round is one call of ``flow._witness_spectra``.
+    claim = r"The slope-(\d+) warp of the benchmark takes (\d+) rounds and (\d+) eigensolves"
+    slope, rounds, solves = map(int, re.search(claim, PROSE).groups())
+    calls = []
+    original = flow._witness_spectra
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(flow, "_witness_spectra", counted)
+    specflow.spectral_flow(knot_warp(specflow.random_family(5, 0), [0.5, 0.5 + 1 / (3 * slope)]))
+    assert (len(calls), eigvalsh_counter.matrices) == (rounds, solves)
+
+    # Rows a failing path solves: the README's example, then the zero path.
+    code, one, zero = re.search(
+        r"`(matrix_path\([^`]*\))` solves (\d+) rows before it fails, and the 1 x 1 zero path, "
+        r"rejected everywhere, (\d+)\.",
+        PROSE,
+    ).groups()
+    paths = (eval(code, dict(vars(specflow))), specflow.matrix_path(1, lambda t: np.zeros((1, 1))))
+    for path, rows in zip(paths, (one, zero)):
+        eigvalsh_counter.matrices = 0
+        with pytest.raises(specflow.DepthExceeded):
+            specflow.spectral_flow(path)
+        assert eigvalsh_counter.matrices == int(rows)

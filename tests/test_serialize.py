@@ -34,7 +34,6 @@ from specflow.reporting import (
     flow_certificate_document,
     property_report_document,
     spectrum_csv,
-    spectrum_table,
     validate_document,
 )
 from specflow.flow import FlowOptions
@@ -451,8 +450,7 @@ class TestSpectrumCsv:
 
     def test_middle_columns_follow_crossing_eigenvalue(self):
         p = build_family_path({"kind": "baer", "m": 1, "background": [5.0, -5.0]})
-        _, rows = spectrum_table(p, grid=11)
-        for row in rows:
-            t = row[0]
+        ts = np.linspace(0, 1, 11)
+        for t, row in zip(ts, p.spectra(ts)):
+            assert row[1] == pytest.approx(2 * t - 1)
             assert row[2] == pytest.approx(2 * t - 1)
-            assert row[3] == pytest.approx(2 * t - 1)
