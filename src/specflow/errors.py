@@ -27,15 +27,18 @@ class SpectralFlowError(Exception):
 class BoundaryAmbiguity(SpectralFlowError):
     """An eigenvalue sits too close to a counting boundary.
 
-    Counts on an interval are only reliable when both endpoints are
-    bounded away from the spectrum; the caller must move the endpoint.
+    Raised only by :func:`oracle.oracle_flow`'s endpoint guard, when a path
+    endpoint has an eigenvalue within its zero band of 0: the signed
+    crossing count is ill-defined there.  The certifier raises none: an
+    end eigenvalue within ``cluster_tol`` of a window radius rejects the
+    segment, which is refined instead (:class:`DepthExceeded`).
     """
 
 
 class DepthExceeded(SpectralFlowError):
     """Refinement hit its depth limit without certifying a segment.
 
-    The message names the segment and the first of six reasons its last
+    The message names the segment and the first of seven reasons its last
     attempt was rejected for, in the order they are tested:
 
     - all zero: every witnessed eigenvalue is zero;
@@ -49,7 +52,13 @@ class DepthExceeded(SpectralFlowError):
     - window margin violated: a witnessed magnitude is closer to the window
       radius than the margin;
     - count drift: the count in the window changes over the witness grid;
-    - jump across the window: the count below the window changes.
+    - jump across the window: the count below the window changes;
+    - collision: an eigenvalue of the segment's first or last row lies
+      within ``cluster_tol`` times that row's scale of the window radius
+      (the message names the row's parameter, that tolerance and the
+      radius).  It can decide only when ``cluster_tol`` is at least
+      ``min_margin``: below it the margin floor keeps end eigenvalues
+      farther away, except in a zero row.
 
     It ends with the flow that endpoint inertia gives, ``neg(A(0)) -
     neg(A(1))`` counted outside the zero band: for a continuous path of
@@ -68,9 +77,10 @@ class DepthExceeded(SpectralFlowError):
     The segment at the limit is witnessed at its two ends alone, so
     ``witness_points``, which sets the grid of the initial segments only,
     does not move it.  Callers may raise ``max_depth`` (each level halves
-    the witness spacing), loosen ``min_margin``, or supply a smaller valid
-    Lipschitz bound to the base path (its ``lipschitz=``; a composite
-    derives its gauge from its parts), depending on the reason.
+    the witness spacing), lower ``min_margin`` or ``cluster_tol``, or
+    supply a smaller valid Lipschitz bound to the base path (its
+    ``lipschitz=``; a composite derives its gauge from its parts),
+    depending on the reason.
     """
 
 

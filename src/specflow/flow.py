@@ -25,9 +25,11 @@ children take its place.  While fewer segments are pending, a round reads
 every child of every segment the last round rejected.  Every round is
 decided by one array kernel (:func:`_widest_gaps`, then
 :func:`_check_windows`, the one acceptance rule, which
-:meth:`FlowCertificate.verify` also runs).  A segment's decision depends
-on its own ends alone, so the order in which segments are read changes no
-leaf.
+:meth:`FlowCertificate.verify` also runs).  The rule also counts each
+segment's two end rows in [0, radius], and a leaf keeps the counts of the
+round that accepted it, so no row is read after the last round.  A
+segment's decision depends on its own ends alone, so the order in which
+segments are read changes no leaf.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BoundaryAmbiguity, CertificateBroken, DepthExceeded
+from .errors import CertificateBroken, DepthExceeded
 from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_MIN_MARGIN, _zero_band, spectral_scale
 from .paths import OperatorPath
 
@@ -59,8 +61,14 @@ class FlowOptions:
     from; ``witness_points`` the samples of each of those segments on which
     window margins and count constancy are verified (a refined segment is
     witnessed at its two ends); ``max_depth`` the number of times the
-    witness spacing may be halved; tolerances are relative to the local
-    spectral radius.
+    witness spacing may be halved.  The tolerances are relative to the
+    local spectral radius: ``min_margin`` is the floor of a window's
+    margin, and a segment is rejected when an eigenvalue of one of its two
+    end rows lies within ``cluster_tol`` of its window radius.  With
+    ``cluster_tol`` below ``min_margin``, as at the defaults, the floor
+    already keeps every end eigenvalue that far away, except at a zero end
+    row (whose scale is 1) of a segment whose eigenvalues all lie below
+    about ``cluster_tol``.
     """
 
     init_samples: int = 8
@@ -135,11 +143,11 @@ class FlowCertificate:
         (whatever schedule made it: ``init_samples`` and ``witness_points``
         are not read), the recorded window must pass the certifier's own rule
         (:func:`_check_windows`: margin floor, Lipschitz slack, witnessed
-        margin, a constant count equal to ``symmetric_count`` and a constant
-        count below the window), and the end counts recounted from the
-        grid's first and last rows must match.  ``flow`` must telescope over
-        them.  The error names the leftmost broken segment and its first
-        reason.
+        margin, a constant count equal to ``symmetric_count``, a constant
+        count below the window and no end eigenvalue within ``cluster_tol``
+        of the radius), and the recorded count pair must be the end counts
+        that rule gives.  ``flow`` must telescope over them.  The error
+        names the leftmost broken segment and its first reason.
 
         The Lipschitz slack passes when, on each witness interval, every
         eigenvalue's distances to the window edge at its two ends sum to
@@ -187,20 +195,19 @@ class FlowCertificate:
         for idx in groups.values():
             ts = np.stack([grids[i] for i in idx])
             spectra = path.spectra(ts.ravel()).reshape(*ts.shape, -1)
-            counts, failed, reason = _check_windows(path, ts, spectra, radius[idx], margin[idx], opts)
+            counts, ends, failed, reason = _check_windows(
+                path, ts, spectra, radius[idx], margin[idx], opts
+            )
             for k, i in enumerate(idx):
-                checked[i] = (reason(k) if failed[k] else None, int(counts[k]), spectra[k, [0, -1]])
+                checked[i] = (reason(k) if failed[k] else None, int(counts[k]), ends[k].tolist())
         total = 0
-        for i, (w, (reason, count, ends), (c_lo, c_hi)) in enumerate(
-            zip(self.witnesses, checked, self.counts)
-        ):
+        for w, (reason, count, ends), (c_lo, c_hi) in zip(self.witnesses, checked, self.counts):
             lo, hi = w.t_lower, w.t_upper
             if reason is not None:
                 raise CertificateBroken(f"segment [{lo!r}, {hi!r}]: {reason}")
             if count != w.symmetric_count:
                 raise CertificateBroken(f"symmetric count drifted at t={w.grid[0]}")
-            recounted = _upper_count(ends, radius[[i, i]], opts.cluster_tol)
-            for t, recorded, end in zip((lo, hi), (c_lo, c_hi), recounted):
+            for t, recorded, end in zip((lo, hi), (c_lo, c_hi), ends):
                 if recorded != end:
                     raise CertificateBroken(f"count at t={t} drifted")
             total += c_hi - c_lo
@@ -246,7 +253,7 @@ def _check_windows(
     margin: np.ndarray,
     opts: FlowOptions,
 ) -> tuple[np.ndarray, np.ndarray, Callable[[int], str]]:
-    """The segment acceptance rule: each segment's window count, and whether and why it fails.
+    """The segment acceptance rule: each segment's counts, and whether and why it fails.
 
     Segment ``i`` has the eigenvalues ``spectra[i]`` ``(W, dim)`` on the
     strictly rising witness grid ``ts[i]`` and the window
@@ -254,12 +261,20 @@ def _check_windows(
     this order, when the margin is below the floor (``min_margin`` times the
     largest witnessed magnitude), within the Lipschitz slack, or more than
     the distance of some witnessed magnitude to the radius, when the count
-    in the window is not constant on the grid, or when the count below
-    -radius is not: an eigenvalue that jumps across the whole window
-    between two witnesses keeps the window count but changes the flow.  The
-    second value is the mask of rejected segments.  The third formats the
-    rejection of segment ``i``, a message that names its first failing
-    reason and its numbers, on demand.
+    in the window is not constant on the grid, when the count below
+    -radius is not (an eigenvalue that jumps across the whole window
+    between two witnesses keeps the window count but changes the flow), or
+    when an eigenvalue of the first or last row lies within ``cluster_tol``
+    times that row's scale (:func:`operators.spectral_scale`) of the radius.
+
+    It returns four values.  The first is each segment's count in the
+    window at its first witness.  The second, ``(S, 2)``, counts the first
+    and the last row in [0, radius], closed at 0 down to the row's zero
+    band (:func:`operators._zero_band`), so an eigenvalue at a partition
+    point is counted alike by both adjacent segments, whatever the
+    rounding of its solve.  The third is the mask of rejected segments.
+    The fourth formats the rejection of segment ``i``, a message that
+    names its first failing reason and its numbers, on demand.
 
     When the path carries a gauge ``g`` (:attr:`OperatorPath.gauge`) the
     check is rigorous, not sampled.  The rows of ``spectra`` are sorted, and
@@ -302,6 +317,15 @@ def _check_windows(
     """
     mags = np.abs(spectra)
     gap = np.abs(mags - radius[:, None, None])
+    band = _zero_band(spectra)
+    # The first and last rows, as a view: a grid has at least two witnesses.
+    last = ts.shape[1] - 1
+    ends = spectra[:, ::last]
+    # ``over <= 0`` is ``ends <= radius``: a difference of floats has the exact sign.
+    over = ends - radius[:, None, None]
+    end_counts = np.count_nonzero((ends >= -band[:, ::last, None]) & (over <= 0), axis=2)
+    near_tol = opts.cluster_tol * spectral_scale(ends)
+    collided = np.abs(over).min(axis=2) < near_tol
     floor = opts.min_margin * mags.max(axis=(1, 2))
     step = np.diff(ts, axis=1)
     # The certifier's own window always passes; the relative 1e-9 absorbs
@@ -321,7 +345,7 @@ def _check_windows(
         g = gauge(ts.ravel()).reshape(ts.shape)
         dg = np.diff(g, axis=1)
         # Each witness's rounding: its row's zero band and 4 eps of its |g|.
-        err = _zero_band(spectra) + 4 * _EPS * np.abs(g)
+        err = band + 4 * _EPS * np.abs(g)
         slack = err[:, :-1] + err[:, 1:]
         short = (gap[:, :-1] + gap[:, 1:]).min(axis=2) <= dg + slack
     slipped = short.any(axis=1)
@@ -359,13 +383,20 @@ def _check_windows(
                 f"count drift: the count in [-{r:.3e}, {r:.3e}] is {counts[i, 0]} "
                 f"at t={float(t[0])!r} but {counts[i, j]} at t={float(t[j])!r}"
             )
-        j = int(np.argmax(jump[i]))
+        if jump[i].any():
+            j = int(np.argmax(jump[i]))
+            return (
+                f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
+                f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
+            )
+        j = int(np.argmax(collided[i]))
         return (
-            f"jump across the window: {below[i, 0]} eigenvalues below -{r:.3e} "
-            f"at t={float(t[0])!r} but {below[i, j]} at t={float(t[j])!r}"
+            f"eigenvalue at t={float(t[j * last])!r} within {near_tol[i, j]:.3e} "
+            f"of the window radius {r!r}"
         )
 
-    return counts[:, 0], low | slipped | witnessed, reason
+    failed = low | slipped | witnessed | collided.any(axis=1)
+    return counts[:, 0], end_counts, failed, reason
 
 
 def _steepest_float_step(gauge, lo: float, hi: float) -> tuple[float, float, float]:
@@ -399,28 +430,6 @@ def _witness_spectra(path: OperatorPath, lo, hi, points: int) -> tuple[np.ndarra
     """
     ts = np.linspace(lo, hi, points, axis=1)
     return ts, path.spectra(ts.ravel()).reshape(*ts.shape, -1)
-
-
-def _upper_count(rows: np.ndarray, radius: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Count the eigenvalues of each ``path.spectra`` row in [0, radius[i]], closed at 0.
-
-    The lower endpoint is inclusive down to the zero band
-    (:func:`operators._zero_band`), so a kernel eigenvalue sitting exactly
-    at a partition point is counted the same way by both adjacent
-    segments, whatever the rounding of its solve.  The upper endpoint is
-    certified away from the spectrum; an eigenvalue within ``cluster_tol``
-    times the row's scale of it means the certificate is stale, and
-    :class:`BoundaryAmbiguity` names the first such row.
-    """
-    near_tol = cluster_tol * spectral_scale(rows)
-    near = np.abs(rows - radius[:, None]).min(axis=1) < near_tol
-    if near.any():
-        i = int(np.argmax(near))
-        raise BoundaryAmbiguity(
-            f"eigenvalue within {near_tol[i]:.3e} of certified window radius {float(radius[i])!r}"
-        )
-    band = _zero_band(rows)[:, None]
-    return np.count_nonzero((rows >= -band) & (rows <= radius[:, None]), axis=1)
 
 
 def spectral_flow(
@@ -467,24 +476,27 @@ def spectral_flow(
     depth = np.zeros(lo.size, dtype=int)
     take = lo.size
     points = opts.witness_points
-    leaves: list[SegmentWitness] = []
+    leaves: list[tuple[SegmentWitness, tuple[int, int]]] = []
     failure: str | None = None
     while lo.size:
         rest = [lo[take:], hi[take:], depth[take:]]
         lo, hi, depth = lo[:take], hi[:take], depth[:take]
         ts, spectra = _witness_spectra(path, lo, hi, points)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, pairs, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
         failed |= empty
         ok = np.flatnonzero(~failed)
-        leaves += map(
-            SegmentWitness,
-            lo[ok].tolist(),
-            hi[ok].tolist(),
-            radius[ok].tolist(),
-            margin[ok].tolist(),
-            map(tuple, ts[ok].tolist()),
-            counts[ok].tolist(),
+        leaves += zip(
+            map(
+                SegmentWitness,
+                lo[ok].tolist(),
+                hi[ok].tolist(),
+                radius[ok].tolist(),
+                margin[ok].tolist(),
+                map(tuple, ts[ok].tolist()),
+                counts[ok].tolist(),
+            ),
+            map(tuple, pairs[ok].tolist()),
         )
         stuck = failed & (depth >= opts.max_depth)
         if stuck.any():
@@ -512,18 +524,12 @@ def spectral_flow(
         ends = path.spectra([0.0, 1.0])
         neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)
         raise DepthExceeded(f"{failure}; endpoint inertia gives flow {int(neg[0] - neg[1])}")
-    leaves.sort(key=lambda w: w.t_lower)
-    times = tuple([leaves[0].t_lower] + [w.t_upper for w in leaves])
-    # Every partition point ends a witness grid, so these rows are cached.
-    rows = path.spectra(times)
-    radii = np.array([w.radius for w in leaves])
-    ends = np.stack([rows[:-1], rows[1:]], axis=1).reshape(-1, rows.shape[1])
-    pairs = _upper_count(ends, np.repeat(radii, 2), opts.cluster_tol).reshape(-1, 2)
-    counts = tuple(map(tuple, pairs.tolist()))
+    leaves.sort(key=lambda leaf: leaf[0].t_lower)
+    witnesses, end_counts = zip(*leaves)
     return FlowCertificate(
-        times=times,
-        witnesses=tuple(leaves),
-        counts=counts,
-        flow=sum(hi - lo for lo, hi in counts),
+        times=(witnesses[0].t_lower, *(w.t_upper for w in witnesses)),
+        witnesses=witnesses,
+        counts=end_counts,
+        flow=sum(hi - lo for lo, hi in end_counts),
         options=opts,
     )

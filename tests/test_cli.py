@@ -1052,6 +1052,20 @@ class TestVerifyCommand:
         assert captured.err.startswith(f"specflow: ConfigError: cannot read certificate {cert}: ")
         assert captured.err.count("\n") == 1
 
+    def test_a_raised_cluster_tol_names_the_leftmost_collision(self, tmp_path, capsys):
+        # Under cluster_tol 0.3 segments 0 and 1 still pass; segment 2 has an
+        # eigenvalue at its right end within 0.3 times that row's scale of
+        # its radius, so the acceptance rule rejects it.
+        config, doc = self._certify(
+            {"family": {"kind": "random", "dim": 2}, "seed": 2}, tmp_path, capsys
+        )
+        doc["options"]["cluster_tol"] = 0.3
+        assert self._check(config, doc, tmp_path, capsys) == (
+            2,
+            "specflow: CertificateBroken: segment [0.25, 0.375]: eigenvalue at t=0.375 within "
+            "7.326e-01 of the window radius 1.7849253022391753\n",
+        )
+
     def test_radii_must_repeat_the_segments(self, tmp_path, capsys):
         config, doc = self._certify({"family": {"kind": "baer", "m": 1}}, tmp_path, capsys)
         doc["radii"][0] *= 2

@@ -20,6 +20,7 @@ import pytest
 from conftest import knot_warp, rotated_report
 from specflow import (
     DepthExceeded,
+    FlowOptions,
     OperatorPath,
     SelfAdjointOperator,
     affine_homotopy,
@@ -80,10 +81,10 @@ def _dense_constant():
     return constant_path(SelfAdjointOperator((g + g.T) / 2))
 
 
-def _depth_exceeded(make, text):
+def _depth_exceeded(make, text, options=None):
     def run(_):
         with pytest.raises(DepthExceeded) as info:
-            spectral_flow(make())
+            spectral_flow(make(), options)
         assert str(info.value) == text
 
     return run
@@ -192,6 +193,17 @@ CASES = {
         "edge, a sum of 1.000e+00 that does not exceed the gauge step 1.490e+01 (L = 1.000e+09 "
         "times the witness spacing 1.490e-08)); endpoint inertia gives flow 0",
     ),
+    # cluster_tol above the margin floor: every window near t=0 has an end
+    # eigenvalue within 0.2 times the row's scale of its radius.  It raised
+    # BoundaryAmbiguity after 65 eigensolves when only the final count of
+    # the partition checked the collision.
+    "DepthExceeded: collision at the radius": _depth_exceeded(
+        lambda: random_family(5, 0),
+        "segment [0, 1.49011612e-08] not certifiable at bisection depth 20 (eigenvalue at "
+        "t=0.0 within 5.301e-01 of the window radius 0.7286646064014789); endpoint inertia "
+        "gives flow 0",
+        FlowOptions(cluster_tol=0.2),
+    ),
 }
 
 EIGENSOLVES = {
@@ -240,6 +252,7 @@ EIGENSOLVES = {
     # from depth 6 on, or up to 64 when only the slack failed.
     "DepthExceeded: zero path": 705,
     "DepthExceeded: constant path with L = 1e9": 705,
+    "DepthExceeded: collision at the radius": 651,
 }
 
 

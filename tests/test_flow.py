@@ -28,6 +28,7 @@ from specflow import (
     FlowCertificate,
     FlowOptions,
     GluingSpec,
+    OperatorPath,
     SegmentWitness,
     SelfAdjointOperator,
     SpectralFlowError,
@@ -48,7 +49,7 @@ from specflow import (
 )
 from specflow import flow
 from specflow.config import sampled_path
-from specflow.flow import _ALL_ZERO, _check_windows, _upper_count, _widest_gaps, _witness_spectra
+from specflow.flow import _ALL_ZERO, _check_windows, _widest_gaps, _witness_spectra
 from specflow.operators import _zero_band
 from specflow.reporting import dumps_document, flow_certificate_document
 
@@ -592,9 +593,23 @@ class TestJumpAcrossTheWindow:
         )
 
 
+class TestCollisionAtTheRadius:
+    """An end eigenvalue within ``cluster_tol`` times its row's scale of the radius rejects."""
+
+    def test_a_raised_cluster_tol_refines_to_the_depth_cap(self):
+        # Near t=0 the Baer family has eigenvalues -7, -5, -1, -1, 5, 7: every
+        # window there has radius 3, and 5 lies 2 from it, within 0.3 * 7.
+        with pytest.raises(DepthExceeded) as info:
+            spectral_flow(baer_family(BaerFamilySpec(m=1)), FlowOptions(cluster_tol=0.3))
+        assert str(info.value) == (
+            "segment [0, 1.49011612e-08] not certifiable at bisection depth 20 (eigenvalue at "
+            "t=0.0 within 2.100e+00 of the window radius 3.0); endpoint inertia gives flow 2"
+        )
+
+
 def _reasons(result) -> list[str | None]:
     """The rejection message of each segment of a ``_check_windows`` result, ``None`` if accepted."""
-    _, failed, reason = result
+    _, _, failed, reason = result
     return [reason(i) if bad else None for i, bad in enumerate(failed.tolist())]
 
 
@@ -602,11 +617,13 @@ class TestBatchKernel:
     """The window choice and the acceptance rule decide a batch of segments at once."""
 
     def test_each_segment_gets_its_first_failing_rule(self):
-        # One kernel call over six segments (three witnesses, two
+        # One kernel call over seven segments (three witnesses, two
         # eigenvalues each).  Segments 2-4 also fail a later rule, which
         # must not win.  In segment 2 the lowest eigenvalue sits 0.01 below
         # the window at both ends of the first witness interval, closer
-        # than its gauge step 0.05 allows.
+        # than its gauge step 0.05 allows.  Segment 6 passes every other
+        # rule, but its last row has 1.25 within cluster_tol 0.3 times the
+        # row's scale 2 of the radius.
         path = matrix_path(2, lambda t: np.diag([-2.0, 3.0]), lipschitz=1.0)
         rows = {
             "ok": [[-2, 3], [-2, 3], [-2, 3]],
@@ -614,12 +631,16 @@ class TestBatchKernel:
             "touch": [[-2, 3], [1.5, 3], [2, 3]],
             "count": [[-2, 3], [-2, 3], [0, 3]],
             "jump": [[-2, 3], [2, 3], [2, 3]],
+            "collision": [[-2, 3], [-2, 3], [-2, 1.25]],
         }
-        spectra = np.array([rows[k] for k in ("ok", "ok", "slack", "touch", "count", "jump")], float)
-        ts = np.tile([0.0, 0.05, 0.1], (6, 1))
-        margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0])
-        result = _check_windows(path, ts, spectra, np.ones(6), margin, FlowOptions())
+        kinds = ("ok", "ok", "slack", "touch", "count", "jump", "collision")
+        spectra = np.array([rows[k] for k in kinds], float)
+        ts = np.tile([0.0, 0.05, 0.1], (7, 1))
+        margin = np.array([1.0, 1e-9, 0.01, 1.0, 1.0, 1.0, 0.25])
+        result = _check_windows(path, ts, spectra, np.ones(7), margin, FlowOptions(cluster_tol=0.3))
         assert result[0][0] == 0
+        # End counts in [0, 1]: the slack and count segments end with 0.5 and 0 in it.
+        assert result[1].tolist() == [[0, 0], [0, 0], [0, 1], [0, 0], [0, 1], [0, 0], [0, 0]]
         assert _reasons(result) == [
             None,
             "margin floor: margin 1.000e-09 is below the floor 3.000e-06",
@@ -629,6 +650,7 @@ class TestBatchKernel:
             "window margin violated at t=0.05",
             "count drift: the count in [-1.000e+00, 1.000e+00] is 0 at t=0.0 but 1 at t=0.1",
             "jump across the window: 1 eigenvalues below -1.000e+00 at t=0.0 but 0 at t=0.05",
+            "eigenvalue at t=0.1 within 6.000e-01 of the window radius 1.0",
         ]
 
     def test_widest_gaps_flags_an_all_zero_segment(self):
@@ -784,7 +806,7 @@ class TestIntervalSlack:
         reasons, plain = _reasons(with_gauge), _reasons(without)
         for i in np.flatnonzero(margin > 0.5 * dg.max(axis=1)).tolist():
             assert reasons[i] == plain[i]
-            assert with_gauge[1][i] == without[1][i]
+            assert with_gauge[2][i] == without[2][i]
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -986,17 +1008,18 @@ def _depth_first(path, opts: FlowOptions) -> FlowCertificate:
     """
     edges = np.linspace(0.0, 1.0, opts.init_samples + 1).tolist()
     todo = [(lo, hi, 0, opts.witness_points) for lo, hi in zip(edges[:-1], edges[1:])][::-1]
-    leaves = []
+    leaves, pairs = [], []
     while todo:
         lo, hi, depth, points = todo.pop()
         ts, spectra = _witness_spectra(path, [lo], [hi], points)
         radius, margin, empty = _widest_gaps(spectra)
-        counts, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
+        counts, end_counts, failed, reason = _check_windows(path, ts, spectra, radius, margin, opts)
         grid = ts[0].tolist()
         if not (failed[0] or empty[0]):
             leaves.append(
                 SegmentWitness(lo, hi, float(radius[0]), float(margin[0]), tuple(grid), int(counts[0]))
             )
+            pairs.append(tuple(end_counts[0].tolist()))
         elif depth >= opts.max_depth:
             ends = path.spectra([0.0, 1.0])
             neg = np.count_nonzero(ends < -_zero_band(ends)[:, None], axis=1)
@@ -1011,12 +1034,8 @@ def _depth_first(path, opts: FlowOptions) -> FlowCertificate:
             mid = 0.5 * (lo + hi)
             todo += [(mid, hi, depth + 1, 2), (lo, mid, depth + 1, 2)]
     times = (0.0, *(w.t_upper for w in leaves))
-    rows = path.spectra(times)
-    ends = np.stack([rows[:-1], rows[1:]], axis=1).reshape(-1, rows.shape[1])
-    radii = np.repeat([w.radius for w in leaves], 2)
-    pairs = _upper_count(ends, radii, opts.cluster_tol).reshape(-1, 2).tolist()
     flow = sum(b - a for a, b in pairs)
-    return FlowCertificate(times, tuple(leaves), tuple(map(tuple, pairs)), flow, opts)
+    return FlowCertificate(times, tuple(leaves), tuple(pairs), flow, opts)
 
 
 SCHEDULE_PATHS = {
@@ -1066,6 +1085,36 @@ class TestScheduleParity:
         assert outcome == _outcome(_depth_first, reference, opts)
         if not outcome.startswith("DepthExceeded"):
             assert set(engine._cache) == set(reference._cache)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: invertible_valued_family(12, 0),
+            lambda: random_family(5, 2),
+            lambda: mixed_matrix_path(1),
+            lambda: knot_warp(random_family(5, 0), [0.5, 0.501]),
+        ],
+        ids=["invertible", "random", "mixed", "warp"],
+    )
+    def test_a_certifying_flow_reads_rows_once_per_round(self, make, monkeypatch):
+        # The end counts come from the round that accepts a segment, so no
+        # row is read after the last round.
+        path = make()
+        rounds, reads = [], []
+        witness_spectra, spectra = flow._witness_spectra, OperatorPath.spectra
+
+        def round_(*args):
+            rounds.append(None)
+            return witness_spectra(*args)
+
+        def read(self, ts):
+            reads.append(None)
+            return spectra(self, ts)
+
+        monkeypatch.setattr(flow, "_witness_spectra", round_)
+        monkeypatch.setattr(OperatorPath, "spectra", read)
+        spectral_flow(path)
+        assert len(reads) == len(rounds) > 0
 
     def test_a_round_after_the_first_reads_at_most_64_segments(self, monkeypatch):
         sizes = []
